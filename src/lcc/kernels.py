@@ -1,59 +1,30 @@
-"""Hot numeric kernels with a numba-jitted fast path.
+"""Hot numeric kernels: plain numpy / Python, one implementation each.
 
 Two inner loops dominate the package's runtime: the forward-Euler
 stepping of the nonlinear vehicle chain and the evaluation of the
 head-to-tail gain magnitude over dense frequency grids (thousands of
-cells in a region scan).  Both are compiled with numba when available.
-
-Backend selection is controlled by the ``LCC_BACKEND`` environment
-variable read at import time:
-
-    LCC_BACKEND=numba   require numba (ImportError if missing)
-    LCC_BACKEND=numpy   force the interpreted/vectorized fallback
-    unset or "auto"     use numba when importable, else fall back
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+cells in a region scan).  ``gamma_mag_sq_scalar`` evaluates one
+frequency, ``gamma_mag_sq_grid`` a whole grid vectorised with numpy,
+and ``simulate_loop`` steps the chain.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_CHOICE = os.environ.get("LCC_BACKEND", "auto").strip().lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"LCC_BACKEND must be auto, numba, or numpy, got {_CHOICE!r}")
-
-if _CHOICE == "numpy":
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-        _numba = None
-
-USING_NUMBA = _numba is not None
-
 
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
-
-
-def _jit(func):
-    if USING_NUMBA:
-        return _numba.njit(cache=True)(func)
-    return func
+    """Name of the kernel implementation, as recorded in benchmark reports."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # head-to-tail gain magnitude
 # ---------------------------------------------------------------------------
 
-def _gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
+def gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
     """|Gamma(j w)|^2 of the chain transfer function for one gain set.
 
     mu_p/k_p are ordered by distance ahead (index d-1 is vehicle -d),
@@ -82,17 +53,8 @@ def _gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
     return g.real * g.real + g.imag * g.imag
 
 
-gamma_mag_sq_scalar = _jit(_gamma_mag_sq_scalar)
-
-
-def _gamma_mag_sq_grid_loop(omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f):
-    out = np.empty(omegas.shape[0])
-    for i in range(omegas.shape[0]):
-        out[i] = gamma_mag_sq_scalar(omegas[i], a1, a2, a3, mu_p, k_p, mu_f, k_f)
-    return out
-
-
-def _gamma_mag_sq_grid_numpy(omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f):
+def gamma_mag_sq_grid(omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f):
+    """``gamma_mag_sq_scalar`` over an array of frequencies, vectorised."""
     s = 1j * omegas
     phi = a1 + a3 * s
     gam = a1 + a2 * s + s * s
@@ -112,12 +74,6 @@ def _gamma_mag_sq_grid_numpy(omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f):
     return g.real**2 + g.imag**2
 
 
-if USING_NUMBA:
-    gamma_mag_sq_grid = _jit(_gamma_mag_sq_grid_loop)
-else:
-    gamma_mag_sq_grid = _gamma_mag_sq_grid_numpy
-
-
 # ---------------------------------------------------------------------------
 # nonlinear chain simulation
 # ---------------------------------------------------------------------------
@@ -130,10 +86,7 @@ def _desired_velocity(s, vmax, sst, sgo):
     return 0.5 * vmax * (1.0 - math.cos(math.pi * (s - sst) / (sgo - sst)))
 
 
-_vdes = _jit(_desired_velocity)
-
-
-def _simulate_loop(
+def simulate_loop(
     n_steps,
     dt,
     pos,
@@ -206,7 +159,7 @@ def _simulate_loop(
                 if ovm_baseline and j > 0:
                     sc = pos[k, j - 1] - pos[k, j]
                     sd = vel[k, j - 1] - vel[k, j]
-                    u += alpha[j] * (_vdes(sc, vmax[j], sst[j], sgo[j]) - vel[k, j])
+                    u += alpha[j] * (_desired_velocity(sc, vmax[j], sst[j], sgo[j]) - vel[k, j])
                     u += beta[j] * sd
                 if j > 0:
                     s0 = pos[k, j - 1] - pos[k, j]
@@ -224,7 +177,7 @@ def _simulate_loop(
                     sj = pos[kd, j - 1] - pos[kd, j]
                     sd = vel[kd, j - 1] - vel[kd, j]
                     vj = vel[kd, j]
-                a = alpha[j] * (_vdes(sj, vmax[j], sst[j], sgo[j]) - vj) + beta[j] * sd
+                a = alpha[j] * (_desired_velocity(sj, vmax[j], sst[j], sgo[j]) - vj) + beta[j] * sd
             if j == brake_col and brake_k0 <= k < brake_k1:
                 a = brake_acc
             if a < a_min:
@@ -246,6 +199,3 @@ def _simulate_loop(
             if pos[k + 1, j - 1] - pos[k + 1, j] <= 0.0:
                 return 1, k + 1, j
     return 0, 0, 0
-
-
-simulate_loop = _jit(_simulate_loop)

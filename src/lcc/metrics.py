@@ -67,8 +67,11 @@ def aave(
     """Average absolute velocity error (m/s) over a window and vehicle set.
 
     Time-averages |v_i - v*| per vehicle (trapezoidal), then averages
-    across the set.
+    across the set, which must not be empty.
     """
+    vids = _metric_vehicles(trace, vehicles)
+    if not vids:
+        raise ValueError("vehicle set is empty")
     if v_star is None:
         v_star = trace.v_star
     mask = trace.window_mask(*window)
@@ -76,7 +79,6 @@ def aave(
         return 0.0
     t = trace.times[mask]
     span = t[-1] - t[0]
-    vids = _metric_vehicles(trace, vehicles)
     acc = 0.0
     for vid in vids:
         dev = np.abs(trace.velocity[mask, trace.col(vid)] - v_star)

@@ -27,14 +27,25 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_text_atomic(path, text: str) -> Path:
-    """Write via a temp file and rename, so readers never see a torn file."""
+    """Write via a temp file and rename, so readers never see a torn file.
+
+    The file gets the mode a plain ``open()`` would give it; mkstemp's
+    private 0600 would otherwise survive the rename.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

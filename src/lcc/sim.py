@@ -5,8 +5,8 @@ velocity, m HDVs ahead of the CAV, the CAV, and n HDVs behind.  HDVs
 follow the nonlinear OVM with optional per-vehicle reaction delay; the
 CAV applies a feedback controller on error states plus an emergency
 braking override, and every acceleration is saturated to [a_min, a_max].
-Integration is forward Euler on a fixed step, delegated to the kernel
-module's jitted loop.
+Integration is forward Euler on a fixed step, delegated to
+``kernels.simulate_loop``.
 """
 
 from __future__ import annotations

@@ -89,7 +89,6 @@ class FrequencyGrid:
     omega_min: float = 1e-2
     omega_max: float = 1e2
     points: int = 1000
-    spacing: str = "log"
 
     def __post_init__(self):
         if not self.omega_min > 0:
@@ -98,8 +97,6 @@ class FrequencyGrid:
             raise ValueError("omega_max must exceed omega_min")
         if self.points < 2:
             raise ValueError("need at least 2 grid points")
-        if self.spacing != "log":
-            raise ValueError(f"only log spacing is supported, got {self.spacing!r}")
 
     def omegas(self) -> np.ndarray:
         return np.logspace(

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from lcc import (
@@ -7,7 +6,6 @@ from lcc import (
     equilibrium_spacing,
     linearize,
 )
-from lcc.kernels import gamma_mag_sq_grid, gamma_mag_sq_scalar
 
 
 @pytest.fixture(scope="session")
@@ -18,22 +16,3 @@ def default_params() -> DriverParams:
 @pytest.fixture(scope="session")
 def default_coeffs(default_params) -> LinearCoeffs:
     return linearize(equilibrium_spacing(15.0, default_params), default_params)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger jit compilation up front so tests time algorithms, not the jit."""
-    from lcc import CavController, ScenarioConfig, SystemVariant, simulate
-
-    gamma_mag_sq_scalar(1.0, 0.94, 1.5, 0.9, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
-    gamma_mag_sq_grid(
-        np.array([0.5, 1.0]), 0.94, 1.5, 0.9, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1)
-    )
-    simulate(
-        ScenarioConfig(
-            variant=SystemVariant.FD_LCC,
-            n=1,
-            horizon=0.1,
-            cav=CavController(mode="explicit"),
-        )
-    )

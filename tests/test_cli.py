@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -167,6 +169,21 @@ def test_reproduce_byte_identical(capsys, tmp_path):
     assert lines[0] == "strategy,aave,fc,aave_reduction_pct,fc_reduction_pct"
     assert [row.split(",")[0] for row in lines[1:]] == ["looking-ahead", "fd-lcc", "cf-lcc"]
 
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_reproduce_csv_mode_follows_umask(capsys, tmp_path, umask):
+    """Atomic writes give the mode a plain open() would, not mkstemp's 0600."""
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "reproduce", "table1", "-o", str(tmp_path))
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert code == 0
+    mode = stat.S_IMODE((tmp_path / "table1.csv").stat().st_mode)
+    assert mode == 0o666 & ~umask
+    assert mode == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_every_preset_runs(capsys, tmp_path, preset):

@@ -1,149 +1,31 @@
-"""Backend parity: the jitted kernels must match the interpreted path."""
-
-import os
-import subprocess
-import sys
+"""Kernel checks: the transfer-magnitude kernels against the closed form."""
 
 import numpy as np
 import pytest
 
-from lcc import kernels
-from lcc.kernels import (
-    _gamma_mag_sq_grid_loop,
-    _gamma_mag_sq_grid_numpy,
-    _gamma_mag_sq_scalar,
-    _simulate_loop,
+from lcc import FeedbackGains, TransferSpec
+from lcc.kernels import gamma_mag_sq_grid, gamma_mag_sq_scalar
+from lcc.presets import GAIN_CASES
+from lcc.stability import _gain_arrays, transfer_value
+
+
+@pytest.mark.parametrize(
+    "m, n, pairs",
+    [
+        pytest.param(0, 2, {1: (-1.0, -1.0), 2: (-0.5, 0.3)}, id="m0"),
+        pytest.param(2, 0, {-2: (1.0, -1.0), -1: (0.5, 0.2)}, id="n0"),
+        pytest.param(2, 1, {-2: (0.5, 0.2), -1: (1.0, -1.0), 1: (-1.0, -1.0)}, id="m2n1"),
+        pytest.param(2, 2, GAIN_CASES["caseD"], id="caseD"),
+    ],
 )
-
-
-def _sim_inputs(n_steps=500):
-    n_veh = 4
-    pos = np.zeros((n_steps + 1, n_veh))
-    vel = np.full((n_steps + 1, n_veh), 15.0)
-    acc = np.zeros((n_steps + 1, n_veh))
-    for j in range(1, n_veh):
-        pos[0, j] = pos[0, j - 1] - 20.0
-    head_vel = 15.0 + 2.0 * np.sin(np.arange(n_steps + 1) * 0.01)
-    ones = np.ones(n_veh)
-    return dict(
-        n_steps=n_steps,
-        dt=0.01,
-        pos=pos,
-        vel=vel,
-        acc=acc,
-        has_head=True,
-        head_vel=head_vel,
-        cav=1,
-        alpha=0.6 * ones,
-        beta=0.9 * ones,
-        vmax=30.0 * ones,
-        sst=5.0 * ones,
-        sgo=35.0 * ones,
-        delay_steps=np.array([0, 0, 12, 30], dtype=np.int64),
-        s_star=np.array([0.0, 20.0, 20.0, 20.0]),
-        v_star=15.0,
-        mode_baseline=True,
-        ovm_baseline=False,
-        a1=0.9424777960769377,
-        a2=1.5,
-        a3=0.9,
-        gain_mu=np.array([0.0, 0.0, -1.0, 0.0]),
-        gain_k=np.array([0.0, 0.0, -1.0, 0.0]),
-        brake_col=2,
-        brake_k0=100,
-        brake_k1=150,
-        brake_acc=-5.0,
-        a_min=-5.0,
-        a_max=2.0,
-        override_flag=np.zeros(n_steps + 1, dtype=np.uint8),
-    )
-
-
-def _run(loop_fn):
-    kw = _sim_inputs()
-    status = loop_fn(*kw.values())
-    return status, kw["pos"], kw["vel"], kw["acc"], kw["override_flag"]
-
-
-def test_simulate_loop_backends_agree():
-    status_a, pos_a, vel_a, acc_a, ov_a = _run(kernels.simulate_loop)
-    status_b, pos_b, vel_b, acc_b, ov_b = _run(_simulate_loop)
-    assert status_a == status_b == (0, 0, 0)
-    np.testing.assert_allclose(pos_a, pos_b, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(vel_a, vel_b, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(acc_a, acc_b, rtol=0, atol=1e-12)
-    assert np.array_equal(ov_a, ov_b)
-
-
-def test_gamma_grid_backends_agree():
+def test_gamma_grid_matches_scalar_and_closed_form(default_coeffs, m, n, pairs):
+    spec = TransferSpec(m=m, n=n, coeffs=default_coeffs, gains=FeedbackGains.from_pairs(pairs))
+    c = spec.coeffs
+    args = (c.alpha1, c.alpha2, c.alpha3, *_gain_arrays(spec))
     omegas = np.logspace(-2, 2, 500)
-    args = (
-        0.9424777960769377,
-        1.5,
-        0.9,
-        np.array([1.0, 0.5]),
-        np.array([-1.0, 0.2]),
-        np.array([-1.0]),
-        np.array([-1.0]),
-    )
-    via_numpy = _gamma_mag_sq_grid_numpy(omegas, *args)
-    via_loop = _gamma_mag_sq_grid_loop(omegas, *args)
-    via_active = kernels.gamma_mag_sq_grid(omegas, *args)
-    scalar = np.array([_gamma_mag_sq_scalar(w, *args) for w in omegas])
-    np.testing.assert_allclose(via_numpy, scalar, rtol=1e-12)
-    np.testing.assert_allclose(via_loop, scalar, rtol=1e-12)
-    np.testing.assert_allclose(via_active, scalar, rtol=1e-12)
-
-
-def test_env_flag_selects_backend():
-    code = "from lcc import kernels; print(kernels.backend_name())"
-    for backend in ("numpy", "auto"):
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, LCC_BACKEND=backend),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        name = out.stdout.strip()
-        assert name == "numpy" if backend == "numpy" else name in ("numba", "numpy")
-    bad = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, LCC_BACKEND="bogus"),
-        capture_output=True,
-        text=True,
-    )
-    assert bad.returncode != 0
-
-
-def test_numpy_backend_reproduces_simulation():
-    """A full scenario run under LCC_BACKEND=numpy matches this process."""
-    from lcc import CavController, FollowerBrake, ScenarioConfig, SystemVariant, simulate
-
-    cfg = ScenarioConfig(
-        variant=SystemVariant.FD_LCC,
-        n=3,
-        horizon=25.0,
-        perturbation=FollowerBrake(vehicle=1, start=5.0),
-        cav=CavController(mode="explicit"),
-    )
-    here = simulate(cfg)
-    checksum_here = float(np.sum(here.velocity) + np.sum(here.position))
-    code = (
-        "import numpy as np\n"
-        "from lcc import CavController, FollowerBrake, ScenarioConfig, SystemVariant, simulate\n"
-        "cfg = ScenarioConfig(variant=SystemVariant.FD_LCC, n=3, horizon=25.0,\n"
-        "    perturbation=FollowerBrake(vehicle=1, start=5.0),\n"
-        "    cav=CavController(mode='explicit'))\n"
-        "tr = simulate(cfg)\n"
-        "print(repr(float(np.sum(tr.velocity) + np.sum(tr.position))))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, LCC_BACKEND="numpy"),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    checksum_numpy = float(out.stdout.strip())
-    assert checksum_numpy == pytest.approx(checksum_here, rel=1e-12)
+    grid = gamma_mag_sq_grid(omegas, *args)
+    scalar = np.array([gamma_mag_sq_scalar(w, *args) for w in omegas])
+    closed = np.array([abs(transfer_value(spec, 1j * w)) ** 2 for w in omegas])
+    np.testing.assert_allclose(grid, scalar, rtol=1e-12)
+    np.testing.assert_allclose(grid, closed, rtol=1e-12)
+    np.testing.assert_allclose(scalar, closed, rtol=1e-12)

@@ -97,3 +97,9 @@ def test_aave_vehicle_subset():
     only_first = aave(tr, (0.0, 10.0), vehicles=[0])
     only_second = aave(tr, (0.0, 10.0), vehicles=[1])
     assert only_first == pytest.approx(2.0 * only_second, rel=1e-12)
+
+
+def test_aave_empty_vehicle_set_raises():
+    tr = _synthetic_trace(1.0)
+    with pytest.raises(ValueError, match="vehicle set is empty"):
+        aave(tr, (0.0, 10.0), vehicles=[])
