@@ -6,6 +6,13 @@ head-to-tail gain magnitude over dense frequency grids (thousands of
 cells in a region scan).  ``gamma_mag_sq_scalar`` evaluates one
 frequency, ``gamma_mag_sq_grid`` a whole grid vectorised with numpy,
 and ``simulate_loop`` steps the chain.
+
+``simulate_loop`` steps on Python floats in lists, since indexing numpy
+arrays element by element boxes an ``np.float64`` per access, and keeps
+a history window of only ``max(delay_steps) + 1`` rows.  It does not
+vectorise over vehicles: a chain has about a dozen, and ``np.cos`` is
+not guaranteed to round as ``math.cos`` does, so traces would no longer
+be reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -121,81 +128,120 @@ def simulate_loop(
     """Forward-Euler integration of the mixed chain.
 
     Column 0 is the front-most vehicle (prescribed head, or the CAV in a
-    free-driving chain); fills pos/vel/acc in place.  Returns
+    free-driving chain).  Row 0 of pos/vel holds the initial state; the
+    function fills pos/vel/acc in place and sets ``override_flag[k]`` at
+    every step where the CAV's emergency brake fires.  Returns
     (status, step, column): status 0 on success, 1 on collision at the
-    reported step between column-1 and column.
+    reported step between column-1 and column, with pos/vel filled
+    through that step and acc through the one before.
+
+    Each step runs on Python floats held in lists, with ``math.cos`` in
+    the OVM, so every operation rounds as it would on numpy scalars.
+    Only the last ``max(delay_steps) + 1`` position and velocity rows
+    are kept as lists, for the delayed HDV reads; each finished row is
+    written to pos/vel/acc with one row assignment.  Vehicles are not
+    vectorised with numpy: ``np.cos`` may differ from ``math.cos`` in
+    the last bit.
     """
     n_veh = pos.shape[1]
+    head_v = head_vel.tolist()
+    alpha, beta, vmax, sst, sgo, s_star, gain_mu, gain_k = (
+        x.tolist() for x in (alpha, beta, vmax, sst, sgo, s_star, gain_mu, gain_k)
+    )
+    delay_steps = delay_steps.tolist()
+
+    # HDV constants, in column order: column, delay, equilibrium spacing,
+    # alpha, beta, v_max, s_st, s_go.
+    hdvs = tuple(
+        (j, delay_steps[j], s_star[j], alpha[j], beta[j], vmax[j], sst[j], sgo[j])
+        for j in range(1 if has_head else 0, n_veh)
+        if j != cav
+    )
+    # CAV feedback terms on the other vehicles, in column order: column,
+    # mu (zero for column 0, which has no spacing), k, equilibrium spacing.
+    feedback = tuple(
+        (j2, gain_mu[j2] if j2 > 0 else 0.0, gain_k[j2], s_star[j2])
+        for j2 in range(n_veh)
+        if j2 != cav and ((j2 > 0 and gain_mu[j2] != 0.0) or gain_k[j2] != 0.0)
+    )
+    own_k = gain_k[cav]
+    own_mu = gain_mu[cav] if cav > 0 else 0.0
+
+    window = max(delay_steps) + 1
+    history = [None] * window
+    p = pos[0].tolist()
+    v = vel[0].tolist()
+    if has_head:
+        vel[0, 0] = v[0] = head_v[0]
+    head_a = 0.0
     for k in range(n_steps + 1):
+        history[k % window] = p, v
+        a_row = [0.0] * n_veh
+        braking = brake_k0 <= k < brake_k1
         if has_head:
-            vel[k, 0] = head_vel[k]
-        # accelerations at step k
-        for j in range(n_veh):
-            if has_head and j == 0:
-                if k < n_steps:
-                    acc[k, 0] = (head_vel[k + 1] - head_vel[k]) / dt
-                else:
-                    acc[k, 0] = acc[k - 1, 0]
-                continue
-            if j == cav:
-                u = 0.0
-                if mode_baseline:
-                    # HDV-like linear law toward the predecessor
-                    sc = pos[k, j - 1] - pos[k, j]
-                    u += a1 * (sc - s_star[j]) - a2 * (vel[k, j] - v_star)
-                    u += a3 * (vel[k, j - 1] - v_star)
-                else:
-                    if gain_k[j] != 0.0:
-                        u += gain_k[j] * (vel[k, j] - v_star)
-                    if j > 0 and gain_mu[j] != 0.0:
-                        u += gain_mu[j] * (pos[k, j - 1] - pos[k, j] - s_star[j])
-                for j2 in range(n_veh):
-                    if j2 == cav:
-                        continue
-                    if j2 > 0 and gain_mu[j2] != 0.0:
-                        u += gain_mu[j2] * (pos[k, j2 - 1] - pos[k, j2] - s_star[j2])
-                    if gain_k[j2] != 0.0:
-                        u += gain_k[j2] * (vel[k, j2] - v_star)
-                if ovm_baseline and j > 0:
-                    sc = pos[k, j - 1] - pos[k, j]
-                    sd = vel[k, j - 1] - vel[k, j]
-                    u += alpha[j] * (_desired_velocity(sc, vmax[j], sst[j], sgo[j]) - vel[k, j])
-                    u += beta[j] * sd
-                if j > 0:
-                    s0 = pos[k, j - 1] - pos[k, j]
-                    if s0 > 0.0 and (vel[k, j] ** 2 - vel[k, j - 1] ** 2) / (2.0 * s0) >= -a_min:
-                        u = a_min
-                        override_flag[k] = 1
-                a = u
+            if k < n_steps:
+                head_a = (head_v[k + 1] - head_v[k]) / dt
+            a_row[0] = head_a
+
+        # CAV
+        u = 0.0
+        if mode_baseline:
+            # HDV-like linear law toward the predecessor
+            sc = p[cav - 1] - p[cav]
+            u += a1 * (sc - s_star[cav]) - a2 * (v[cav] - v_star)
+            u += a3 * (v[cav - 1] - v_star)
+        else:
+            if own_k != 0.0:
+                u += own_k * (v[cav] - v_star)
+            if own_mu != 0.0:
+                u += own_mu * (p[cav - 1] - p[cav] - s_star[cav])
+        for j2, mu2, k2, ss2 in feedback:
+            if mu2 != 0.0:
+                u += mu2 * (p[j2 - 1] - p[j2] - ss2)
+            if k2 != 0.0:
+                u += k2 * (v[j2] - v_star)
+        if cav > 0:
+            if ovm_baseline:
+                sc = p[cav - 1] - p[cav]
+                sd = v[cav - 1] - v[cav]
+                u += alpha[cav] * (_desired_velocity(sc, vmax[cav], sst[cav], sgo[cav]) - v[cav])
+                u += beta[cav] * sd
+            s0 = p[cav - 1] - p[cav]
+            if s0 > 0.0 and (v[cav] ** 2 - v[cav - 1] ** 2) / (2.0 * s0) >= -a_min:
+                u = a_min
+                override_flag[k] = 1
+        if braking and cav == brake_col:
+            u = brake_acc
+        a_row[cav] = a_min if u < a_min else (a_max if u > a_max else u)
+
+        # HDVs: nonlinear OVM on the state delay_steps ago
+        for j, d, ss, al, be, vm, s_st, s_go in hdvs:
+            kd = k - d
+            if kd < 0:
+                sj = ss
+                sd = 0.0
+                vj = v_star
             else:
-                kd = k - delay_steps[j]
-                if kd < 0:
-                    sj = s_star[j]
-                    sd = 0.0
-                    vj = v_star
-                else:
-                    sj = pos[kd, j - 1] - pos[kd, j]
-                    sd = vel[kd, j - 1] - vel[kd, j]
-                    vj = vel[kd, j]
-                a = alpha[j] * (_desired_velocity(sj, vmax[j], sst[j], sgo[j]) - vj) + beta[j] * sd
-            if j == brake_col and brake_k0 <= k < brake_k1:
+                pd, vd = history[kd % window]
+                sj = pd[j - 1] - pd[j]
+                sd = vd[j - 1] - vd[j]
+                vj = vd[j]
+            a = al * (_desired_velocity(sj, vm, s_st, s_go) - vj) + be * sd
+            if braking and j == brake_col:
                 a = brake_acc
-            if a < a_min:
-                a = a_min
-            elif a > a_max:
-                a = a_max
-            acc[k, j] = a
+            a_row[j] = a_min if a < a_min else (a_max if a > a_max else a)
+        acc[k] = a_row
         if k == n_steps:
             break
+
         # state update
-        for j in range(n_veh):
-            pos[k + 1, j] = pos[k, j] + dt * vel[k, j]
-            if has_head and j == 0:
-                vel[k + 1, 0] = head_vel[k + 1]
-            else:
-                v_new = vel[k, j] + dt * acc[k, j]
-                vel[k + 1, j] = v_new if v_new > 0.0 else 0.0
+        p = [pj + dt * vj for pj, vj in zip(p, v)]
+        v = [w if (w := vj + dt * aj) > 0.0 else 0.0 for vj, aj in zip(v, a_row)]
+        if has_head:
+            v[0] = head_v[k + 1]
+        pos[k + 1] = p
+        vel[k + 1] = v
         for j in range(1, n_veh):
-            if pos[k + 1, j - 1] - pos[k + 1, j] <= 0.0:
+            if p[j - 1] - p[j] <= 0.0:
                 return 1, k + 1, j
     return 0, 0, 0

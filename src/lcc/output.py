@@ -61,21 +61,26 @@ def write_csv_atomic(path, header: Sequence[str], rows: Iterable[Sequence]) -> P
 
 
 def write_trace_csv(path, trace: SimulationTrace) -> Path:
-    """One row per (step, vehicle): t,vehicle,pos,vel,acc,spacing."""
+    """One row per (step, vehicle): t,vehicle,pos,vel,acc,spacing.
 
-    def rows():
-        for k, t in enumerate(trace.times):
-            for j, vid in enumerate(trace.ids):
-                yield (
-                    float(t),
-                    vid,
-                    float(trace.position[k, j]),
-                    float(trace.velocity[k, j]),
-                    float(trace.acceleration[k, j]),
-                    float(trace.spacing[k, j]),
-                )
-
-    return write_csv_atomic(path, ("t", "vehicle", "pos", "vel", "acc", "spacing"), rows())
+    Cells are formatted as ``fmt`` would format them; each step row is
+    converted with ``tolist()`` on its own, so the whole trace never
+    exists as Python floats at once.
+    """
+    ids = [str(vid) for vid in trace.ids]
+    lines = ["t,vehicle,pos,vel,acc,spacing"]
+    for k, t in enumerate(trace.times.tolist()):
+        lines.extend(
+            f"{t:.12g},{vid},{x:.12g},{v:.12g},{a:.12g},{s:.12g}"
+            for vid, x, v, a, s in zip(
+                ids,
+                trace.position[k].tolist(),
+                trace.velocity[k].tolist(),
+                trace.acceleration[k].tolist(),
+                trace.spacing[k].tolist(),
+            )
+        )
+    return write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_events_csv(path, trace: SimulationTrace) -> Path:

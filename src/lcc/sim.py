@@ -158,11 +158,29 @@ def sample_heterogeneous(
 
     Each parameter is independently uniform within its jitter band around
     the base value (delays around ``delay_base``).  Deterministic for a
-    given seed.
+    given seed.  Raises ValueError, before any draw, when a jitter is
+    negative or a band reaches a value ``DriverParams`` rejects.
     """
     if n_vehicles < 1:
         raise ValueError("need at least one vehicle")
     base = base or DriverParams()
+    for name in ("alpha_jitter", "beta_jitter", "s_go_jitter", "delay_jitter"):
+        value = getattr(spec, name)
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if not base.alpha - spec.alpha_jitter > 0:
+        raise ValueError(f"alpha_jitter must be < alpha = {base.alpha}, got {spec.alpha_jitter}")
+    if not base.beta - spec.beta_jitter > 0:
+        raise ValueError(f"beta_jitter must be < beta = {base.beta}, got {spec.beta_jitter}")
+    if not base.s_go - spec.s_go_jitter > base.s_st:
+        raise ValueError(
+            f"s_go_jitter must be < s_go - s_st = {base.s_go - base.s_st}, "
+            f"got {spec.s_go_jitter}"
+        )
+    if not spec.delay_base - spec.delay_jitter >= 0:
+        raise ValueError(
+            f"delay_jitter must be <= delay_base = {spec.delay_base}, got {spec.delay_jitter}"
+        )
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_vehicles):

@@ -193,6 +193,41 @@ def test_sample_heterogeneous():
         assert p == DriverParams(delay=0.4)
 
 
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (HeterogeneitySpec(delay_base=0.05, delay_jitter=0.1), "delay_jitter"),
+        (HeterogeneitySpec(alpha_jitter=-1.0), "alpha_jitter"),
+        (HeterogeneitySpec(beta_jitter=-0.1), "beta_jitter"),
+        (HeterogeneitySpec(s_go_jitter=-5.0), "s_go_jitter"),
+        (HeterogeneitySpec(delay_jitter=-0.1), "delay_jitter"),
+        (HeterogeneitySpec(alpha_jitter=0.6), "alpha_jitter"),
+        (HeterogeneitySpec(beta_jitter=1.0), "beta_jitter"),
+        (HeterogeneitySpec(s_go_jitter=30.0), "s_go_jitter"),
+        (HeterogeneitySpec(alpha_jitter=float("nan")), "alpha_jitter"),
+    ],
+)
+def test_sample_heterogeneous_rejects_bad_bands(spec, field):
+    # seed 1 raised only from inside DriverParams for the first spec; every
+    # seed must now fail up front, naming the field
+    for seed in (0, 1, 2):
+        with pytest.raises(ValueError, match=field):
+            sample_heterogeneous(spec, 10, seed=seed)
+
+
+def test_sample_heterogeneous_edge_bands_accepted():
+    base = DriverParams()
+    spec = HeterogeneitySpec(
+        alpha_jitter=0.59, beta_jitter=0.89, s_go_jitter=29.9, delay_base=0.1, delay_jitter=0.1
+    )
+    params = sample_heterogeneous(spec, 50, seed=1, base=base)
+    assert min(p.delay for p in params) >= 0.0
+    # the checks draw nothing: the first draws match a bare generator's
+    rng = np.random.default_rng(1)
+    assert params[0].alpha == base.alpha + rng.uniform(-0.59, 0.59)
+    assert params[0].beta == base.beta + rng.uniform(-0.89, 0.89)
+
 def test_config_validation_errors():
     with pytest.raises(TopologyError):
         simulate(ScenarioConfig(variant=V.FD_LCC, n=2, perturbation=HeadSinusoid()))
