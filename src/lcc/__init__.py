@@ -29,7 +29,6 @@ from .analysis import (
     ObservabilityReport,
     build_output_matrix,
     condition_check,
-    controllability_matrix,
     energy_scaling_study,
     gramian,
     min_energy,

@@ -1,10 +1,18 @@
 """Controllability, observability, Gramians, and control-energy metrics.
 
-Controllability verdicts come from the eigenvalue (PBH) test, with the
-rank of the controllability matrix as an independent cross-check; the two
-must agree.  Observability is computed through duality.  Open-loop chains
-carry a zero eigenvalue, so Gramians are only meaningful on a finite
-horizon; they are integrated as the matrix ODE
+Controllability comes from one orthogonal staircase (Van Dooren, "The
+generalized eigenstructure problem in linear system theory", IEEE TAC
+1981): an orthonormal basis of the controllable subspace, grown block by
+block from B without ever forming the Kalman matrix [B, AB, ...], which
+is numerically rank-deficient for chains of more than a few vehicles.
+Its size is the controllable dimension, and the eigenvalues of A on the
+orthogonal complement, listed with multiplicity, are the uncontrollable
+modes.  A mode repeated m times in a Jordan block, as the upstream HDV
+modes of a general chain are, is computed to about eps^(1/m) relative
+accuracy only; the dimension does not depend on it.  Observability runs
+the same staircase on the dual pair (A', C').  Open-loop chains carry a
+zero eigenvalue, so Gramians are only meaningful on a finite horizon;
+they are integrated as the matrix ODE
 
     dW/dt = A W + W A' + B B',   W(0) = 0,
 
@@ -13,11 +21,12 @@ with a classic fixed-step fourth-order Runge-Kutta scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from .errors import NumericalError, SingularGramianError, TopologyError
 from .systems import StateSpaceModel, SystemVariant, build_system
@@ -28,7 +37,6 @@ __all__ = [
     "ObservabilityReport",
     "GramianResult",
     "condition_check",
-    "controllability_matrix",
     "pbh_controllability",
     "pbh_observability",
     "build_output_matrix",
@@ -39,6 +47,11 @@ __all__ = [
 
 # Relative cutoff under which a Gramian eigenvalue counts as zero.
 GRAMIAN_SINGULAR_RTOL = 1e-12
+
+# A staircase singular value counts as zero at or below this many
+# d * eps * max(|A|, |B|).  The chains' staircase steps are O(1), so the
+# dimensions do not move for any factor from 1 to 1e9.
+STAIRCASE_TOL_FACTOR = 100.0
 
 
 @dataclass
@@ -76,78 +89,61 @@ def condition_check(c: LinearCoeffs) -> float:
     return c.alpha1 - c.alpha2 * c.alpha3 + c.alpha3**2
 
 
-def _rank(M: np.ndarray, rtol: float) -> int:
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    cutoff = sv[0] * max(rtol, max(M.shape) * np.finfo(float).eps)
-    return int(np.sum(sv > cutoff))
+def _controllable_basis(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the controllable subspace of (A, B), d x r.
 
-
-def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kalman controllability matrix [B, AB, ..., A^(d-1)B]."""
-    d = A.shape[0]
-    cols = [B.reshape(d, -1)]
-    for _ in range(d - 1):
-        cols.append(A @ cols[-1])
-    return np.hstack(cols)
-
-
-def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> List[complex]:
-    """Group nearly-equal eigenvalues and return one centroid per group.
-
-    Repeated eigenvalues of chained blocks are defective, so individually
-    computed copies scatter around the true value; their centroid is far
-    more accurate and is the right place to run the PBH rank test.
+    Orthogonal staircase: starting from B, each new block of directions
+    is A times the previous one, projected against the basis found so far (twice, to
+    keep the columns orthogonal to working precision); the singular
+    vectors whose singular values exceed one fixed tolerance join the
+    basis.  The search stops when a block adds nothing or the basis spans
+    the whole space.
     """
-    order = np.lexsort((eigs.imag, eigs.real))
-    groups: List[List[complex]] = []
-    for lam in eigs[order]:
-        if groups and abs(lam - np.mean(groups[-1])) <= tol:
-            groups[-1].append(lam)
-        else:
-            groups.append([lam])
-    return [complex(np.mean(g)) for g in groups]
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise NumericalError("system matrices contain non-finite entries")
+    d = A.shape[0]
+    scale = max(np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    tol = STAIRCASE_TOL_FACTOR * d * np.finfo(float).eps * scale
+    Q = np.zeros((d, 0))
+    block = B
+    while Q.shape[1] < d:
+        for _ in range(2):
+            block = block - Q @ (Q.T @ block)
+        U, sv, _ = np.linalg.svd(block, full_matrices=False)
+        new = U[:, sv > tol]
+        if new.shape[1] == 0:
+            break
+        Q = np.hstack([Q, new])
+        block = A @ new
+    return Q
 
 
 def pbh_controllability(
     A: np.ndarray,
     B: np.ndarray,
-    rtol: float = 1e-8,
     coeffs: Optional[LinearCoeffs] = None,
 ) -> ControllabilityReport:
-    """Eigenvalue test of controllability with a rank cross-check.
+    """Controllable subspace of (A, B) and its uncontrollable modes.
 
-    For every (clustered) eigenvalue of A the pencil [lambda*I - A, B]
-    must have full row rank; eigenvalues failing the test are reported as
-    uncontrollable modes.  The dimension of the controllable subspace is
-    the rank of the controllability matrix, and the two methods must
-    agree on the overall verdict.
+    The dimension is the size of the staircase basis Q.  In the basis
+    [Q, Q2], with Q2 the orthonormal complement of Q, A is block upper
+    triangular, and the eigenvalues of Q2' A Q2 (listed with
+    multiplicity) are exactly the lambda at which the PBH pencil
+    [lambda*I - A, B] loses rank.  A mode repeated m times in a Jordan
+    block is only accurate to about eps^(1/m) relative; the dimension is
+    unaffected.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
-    d = A.shape[0]
-    eigs = np.linalg.eigvals(A)
-    if not np.all(np.isfinite(eigs)):
-        raise NumericalError("eigenvalue computation returned non-finite values")
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    bad_modes = []
-    for lam in _cluster_eigenvalues(eigs, tol=1e-6 * scale):
-        pencil = np.hstack([lam * np.eye(d) - A, B])
-        if _rank(pencil, rtol) < d:
-            bad_modes.append(lam)
-    ctrb_dim = _rank(controllability_matrix(A, B), rtol)
-    pbh_ok = not bad_modes
-    rank_ok = ctrb_dim == d
-    if pbh_ok != rank_ok:
-        raise NumericalError(
-            f"PBH and rank tests disagree (pbh={pbh_ok}, rank dim={ctrb_dim}/{d}); "
-            "adjust rtol"
-        )
+    Q = _controllable_basis(A, B)
+    Q2 = null_space(Q.T)
+    modes = np.linalg.eigvals(Q2.T @ A @ Q2)
     return ControllabilityReport(
-        controllable=pbh_ok,
-        controllable_dim=ctrb_dim,
-        uncontrollable_mode_eigenvalues=bad_modes,
+        controllable=Q.shape[1] == A.shape[0],
+        controllable_dim=Q.shape[1],
+        uncontrollable_mode_eigenvalues=[
+            complex(z) for z in sorted(modes, key=lambda z: (z.real, z.imag))
+        ],
         condition_value=condition_check(coeffs) if coeffs is not None else None,
     )
 
@@ -155,33 +151,28 @@ def pbh_controllability(
 def pbh_observability(
     A: np.ndarray,
     C: np.ndarray,
-    rtol: float = 1e-8,
     model: Optional[StateSpaceModel] = None,
 ) -> ObservabilityReport:
     """Observability of (A, C), computed as controllability of (A', C').
 
-    When the originating model is supplied, the unobservable subspace
-    (kernel of the observability matrix) is intersected with each
-    vehicle's state pair: a vehicle is listed as unobservable when at
-    least one of its states lies in that kernel.
+    The staircase basis Q of (A', C') spans the row space of the
+    observability matrix, so its orthonormal complement Q2 spans the
+    unobservable subspace.  When the originating model is supplied, a
+    vehicle is listed as unobservable when at least one of its states
+    lies in that subspace (its row of Q2 has unit norm).
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float).reshape(-1, A.shape[0])
-    dual = pbh_controllability(A.T, C.T, rtol=rtol)
+    Q = _controllable_basis(A.T, C.T)
     unobservable_ids: List[int] = []
-    if model is not None and dual.controllable_dim < A.shape[0]:
-        obs_mat = controllability_matrix(A.T, C.T).T  # rows C, CA, CA^2, ...
-        _, sv, vt = np.linalg.svd(obs_mat)
-        cutoff = sv[0] * max(rtol, max(obs_mat.shape) * np.finfo(float).eps)
-        kernel = vt[int(np.sum(sv > cutoff)) :].T  # orthonormal basis, d x q
+    if model is not None:
+        Q2 = null_space(Q.T)
         for vid, rows in sorted(model.index_map.items()):
-            for r in rows:
-                if np.linalg.norm(kernel[r, :]) > 1.0 - 1e-6:
-                    unobservable_ids.append(vid)
-                    break
+            if any(np.linalg.norm(Q2[r, :]) > 1.0 - 1e-6 for r in rows):
+                unobservable_ids.append(vid)
     return ObservabilityReport(
-        observable=dual.controllable,
-        observable_dim=dual.controllable_dim,
+        observable=Q.shape[1] == A.shape[0],
+        observable_dim=Q.shape[1],
         unobservable_vehicle_ids=unobservable_ids,
     )
 
@@ -221,8 +212,10 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float, dt: float = 0.01) -> Gramian
     smallest eigenvalue falls below 1e-12 of the largest, which is the
     regime where the inverse stops being numerically meaningful.
     """
-    if t <= 0 or dt <= 0:
-        raise ValueError(f"need t > 0 and dt > 0, got t={t}, dt={dt}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"horizon t must be finite and > 0, got t={t}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"step dt must be finite and > 0, got dt={dt}")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     BBt = B @ B.T
@@ -290,12 +283,15 @@ def energy_scaling_study(
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise ValueError("n_range must be nonempty")
+    ts = [float(t) for t in t_list]
+    if not ts:
+        raise ValueError("t_list must be nonempty")
     if variant not in (SystemVariant.FD_LCC, SystemVariant.CF_LCC):
         raise TopologyError("energy scaling is defined for fd/cf chains")
     rows = []
     for n in ns:
         model = build_system(variant, 0, n, coeffs)
-        for t in t_list:
-            g = gramian(model.A, model.B, float(t), dt=dt)
-            rows.append((n, float(t), g.lambda_min, g.trace_inv))
+        for t in ts:
+            g = gramian(model.A, model.B, t, dt=dt)
+            rows.append((n, t, g.lambda_min, g.trace_inv))
     return rows

@@ -1,18 +1,21 @@
 """Controllability, observability, Gramian, and energy metrics."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from lcc import (
     LinearCoeffs,
+    NumericalError,
     SingularGramianError,
     SystemVariant,
     TopologyError,
     build_output_matrix,
     build_system,
     condition_check,
-    controllability_matrix,
     energy_scaling_study,
     gramian,
     min_energy,
@@ -216,6 +219,109 @@ def test_energy_scaling_rows(default_coeffs):
     assert lam_n2_t5 < lam_n1_t5
 
 
-def test_rank_helper_on_known_matrix():
-    M = controllability_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
-    assert np.linalg.matrix_rank(M) == 2
+def test_double_integrator_controllable():
+    rep = pbh_controllability(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+    assert rep.controllable and rep.controllable_dim == 2
+    assert rep.uncontrollable_mode_eigenvalues == []
+
+
+def _layout(variant, size):
+    """(m, n) of a paper-scale case; ccc counts the HDVs ahead, general has m = 2."""
+    return {V.GENERAL_LCC: (2, size), V.CCC: (size, 0)}.get(variant, (0, size))
+
+
+@pytest.mark.parametrize("size", [10, 20, 50])
+@pytest.mark.parametrize("variant", [V.FD_LCC, V.CF_LCC, V.GENERAL_LCC, V.CCC])
+def test_paper_scale_dimensions(default_coeffs, variant, size):
+    """Controllable and observable dimensions follow the paper's formulas
+    far beyond the sizes a Kalman-matrix rank can resolve."""
+    m, n = _layout(variant, size)
+    mod = build_system(variant, m, n, default_coeffs)
+    ctrb = pbh_controllability(mod.A, mod.B)
+    assert ctrb.controllable_dim == (2 if variant is V.CCC else 2 * n + 2)
+    assert len(ctrb.uncontrollable_mode_eigenvalues) == mod.dim - ctrb.controllable_dim
+    C = build_output_matrix(mod, 0 if variant is V.CCC else n)
+    obs = pbh_observability(mod.A, C, model=mod)
+    want = {
+        V.FD_LCC: 2 * n + 1,
+        V.CF_LCC: 2 * n + 2,
+        V.GENERAL_LCC: 2 * m + 2 * n + 2,
+        V.CCC: 2 * m + 2,
+    }[variant]
+    assert obs.observable_dim == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_condition_zero_loses_follower_modes(n):
+    """alpha1 - alpha2*alpha3 + alpha3^2 = 0 leaves only n + 2 states controllable."""
+    c = LinearCoeffs(alpha1=1.0, alpha2=2.0, alpha3=1.0)
+    mod = build_system(V.FD_LCC, 0, n, c)
+    rep = pbh_controllability(mod.A, mod.B, coeffs=c)
+    assert rep.condition_value == 0.0
+    assert not rep.controllable and rep.controllable_dim == n + 2
+
+
+@pytest.mark.parametrize(
+    "variant, expected", [(V.CF_LCC, set()), (V.FD_LCC, {0})], ids=["cf", "fd"]
+)
+def test_unobservable_vehicles_at_paper_scale(default_coeffs, variant, expected):
+    mod = build_system(variant, 0, 50, default_coeffs)
+    rep = pbh_observability(mod.A, build_output_matrix(mod, 30), model=mod)
+    assert set(rep.unobservable_vehicle_ids) == expected | set(range(31, 51))
+
+
+def test_general_uncontrollable_modes_at_paper_scale(default_coeffs):
+    """The m = 2 upstream HDVs contribute two copies of the roots of
+    s^2 + alpha2*s + alpha1, each pair a 2x2 Jordan block."""
+    c = default_coeffs
+    mod = build_system(V.GENERAL_LCC, 2, 50, c)
+    modes = pbh_controllability(mod.A, mod.B).uncontrollable_mode_eigenvalues
+    roots = np.roots([1.0, c.alpha2, c.alpha1])
+    assert len(modes) == 4
+    assert all(np.min(np.abs(roots - z)) < 1e-6 for z in modes)
+
+
+@pytest.mark.parametrize(
+    "variant, m, n",
+    [(V.FD_LCC, 0, 8), (V.CF_LCC, 0, 8), (V.GENERAL_LCC, 2, 6), (V.CCC, 6, 0)],
+    ids=["fd8", "cf8", "general2-6", "ccc6"],
+)
+def test_dimension_matches_high_precision_kalman_rank(default_coeffs, variant, m, n):
+    """Independent oracle: the rank of [B, AB, ..., A^(d-1)B] at 80 digits,
+    where double precision can no longer separate its singular values."""
+    mod = build_system(variant, m, n, default_coeffs)
+    d = mod.dim
+    with mpmath.workdps(80):
+        A = mpmath.matrix(mod.A.tolist())
+        col = mpmath.matrix(mod.B.tolist())
+        K = mpmath.matrix(d, d)
+        for j in range(d):
+            for i in range(d):
+                K[i, j] = col[i]
+            col = A * col
+        sv = mpmath.svd_r(K, compute_uv=False)
+        rank = sum(1 for i in range(d) if sv[i] > mpmath.mpf("1e-40") * max(sv))
+    assert pbh_controllability(mod.A, mod.B).controllable_dim == rank
+
+
+def test_non_finite_system_raises():
+    A = np.array([[0.0, np.nan], [0.0, 0.0]])
+    with pytest.raises(NumericalError):
+        pbh_controllability(A, np.array([[0.0], [1.0]]))
+    with pytest.raises(NumericalError):
+        pbh_observability(np.zeros((2, 2)), np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "t, dt, bad",
+    [(math.inf, 0.01, "t=inf"), (math.nan, 0.01, "t=nan"), (-1.0, 0.01, "t=-1"),
+     (10.0, math.inf, "dt=inf"), (10.0, math.nan, "dt=nan"), (10.0, 0.0, "dt=0")],
+)
+def test_gramian_rejects_bad_horizon(t, dt, bad):
+    with pytest.raises(ValueError, match=bad):
+        gramian(np.zeros((1, 1)), np.ones((1, 1)), t, dt=dt)
+
+
+def test_energy_scaling_rejects_empty_horizons(default_coeffs):
+    with pytest.raises(ValueError, match="t_list"):
+        energy_scaling_study(default_coeffs, [1], [])

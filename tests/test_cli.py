@@ -38,6 +38,30 @@ def test_analyze_observability(capsys):
     assert "observable=false dim=5 unobservable_vehicles=[0,3]" in out
 
 
+def test_analyze_fd_paper_scale(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--variant", "fd", "--n", "8")
+    assert code == 0
+    assert out.splitlines()[0].startswith("controllable=true dim=18 ")
+
+
+def test_analyze_general_lists_modes_with_multiplicity(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--variant", "general", "--m", "2", "--n", "20")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("controllable=false dim=42 ")
+    assert len(lines[1].removeprefix("uncontrollable_modes=").split()) == 4
+
+
+@pytest.mark.parametrize("horizons, bad", [("inf", "t=inf"), ("nan", "t=nan"), (",", "t_list")])
+def test_energy_bad_horizons_exit_code(capsys, tmp_path, horizons, bad):
+    code, _, err = run_cli(
+        capsys, "energy", "--n-range", "1:2", "--t", horizons, "-o", str(tmp_path)
+    )
+    assert code == 4
+    assert bad in err
+    assert not (tmp_path / "energy.csv").exists()
+
+
 def test_energy_csv_blank_when_singular(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "energy", "--n-range", "5:5", "--t", "10", "-o", str(tmp_path)
