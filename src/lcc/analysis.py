@@ -216,6 +216,8 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float, dt: float = 0.01) -> Gramian
         raise ValueError(f"horizon t must be finite and > 0, got t={t}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"step dt must be finite and > 0, got dt={dt}")
+    if not math.isfinite(t / dt):
+        raise ValueError(f"t/dt must be finite, got t={t} and dt={dt}")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     BBt = B @ B.T

@@ -5,7 +5,7 @@ Subcommands map one-to-one onto the library layers: ``analyze``
 ``stability`` (head-to-tail verdict and magnitude curve), ``scan``
 (gain-region map), ``simulate`` (nonlinear chain), and ``reproduce``
 (named end-to-end presets).  Every command reads the same JSON config
-document (all keys optional, see ``--help``), accepts ``--set`` dotted
+document (keys, units and bounds under ``--help``), accepts ``--set`` dotted
 overrides, and writes CSV artifacts atomically into the output
 directory (``-o``, or the LCC_OUTDIR environment variable).
 
@@ -33,60 +33,30 @@ from .config import (
     apply_overrides,
     axes_from_config,
     coeffs_from_config,
+    config_help,
     grid_from_config,
     load_config,
     parse_config,
     scenario_from_config,
     transfer_spec_from_config,
-    variant_from_config,
 )
 from .errors import ConfigError, LccError, NumericalError, SingularGramianError
 from .output import write_csv_atomic, write_events_csv, write_trace_csv
 from .presets import PRESETS, run_preset
 from .sim import simulate
 from .stability import is_string_stable, magnitude_curve, scan_region
-from .systems import build_system
+from .systems import SystemVariant, build_system
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
 EXIT_DOMAIN = 4
 EXIT_NUMERICAL = 5
 
-_CONFIG_HELP = """\
-configuration keys (JSON; every key optional):
-  schema                 document version, must be 1
-  variant                chain type: fd | cf | general | ccc
-  m, n                   HDVs ahead / behind the CAV (counts)
-  v_star                 equilibrium velocity (m/s)
-  dt                     integration / Gramian step (s)
-  horizon                simulation length (s)
-  seed                   RNG seed for heterogeneity sampling
-  driver.alpha           OVM desired-velocity gain (1/s)
-  driver.beta            OVM relative-velocity gain (1/s)
-  driver.v_max           free-flow velocity (m/s)
-  driver.s_st, .s_go     standstill / free-flow spacing (m)
-  driver.delay           HDV reaction delay (s)
-  gains                  {"id": [mu, k]} spacing (1/s^2) and velocity (1/s)
-                         feedback gains, id in -m..-1, 1..n (0: own state,
-                         explicit mode only)
-  controller.mode        hdv-baseline | explicit
-  controller.ovm_baseline  stack nonlinear OVM response under explicit row
-  perturbation.kind      none | head-sinusoid | follower-brake
-    head-sinusoid:       amplitude (m/s), period (s), start (s)
-    follower-brake:      vehicle (id), decel (m/s^2), duration (s), start (s)
-  heterogeneity          null, or jitter spec: alpha_jitter (1/s),
-                         beta_jitter (1/s), s_go_jitter (m),
-                         delay_base (s), delay_jitter (s)
-  frequency              omega_min/omega_max (rad/s), points
-  scan.axis1, .axis2     {vehicle, component: mu|k, lo, hi, points}
-"""
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcc",
         description=__doc__,
-        epilog=_CONFIG_HELP,
+        epilog=config_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"lcc {__version__}")
@@ -112,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="controllability / observability report")
     add_common(sp)
-    sp.add_argument("--variant", choices=["fd", "cf", "general", "ccc"], default=None)
+    sp.add_argument("--variant", choices=[v.value for v in SystemVariant], default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--v-star", type=float, default=None, help="equilibrium velocity (m/s)")
@@ -162,7 +132,7 @@ def _load_cfg(args, **cli_keys) -> dict:
 def _cmd_analyze(args) -> int:
     cfg = _load_cfg(args, variant=args.variant, m=args.m, n=args.n, v_star=args.v_star)
     coeffs = coeffs_from_config(cfg)
-    model = build_system(variant_from_config(cfg), cfg["m"], cfg["n"], coeffs)
+    model = build_system(SystemVariant(cfg["variant"]), cfg["m"], cfg["n"], coeffs)
     rep = pbh_controllability(model.A, model.B, coeffs=coeffs)
     print(
         f"controllable={str(rep.controllable).lower()} "

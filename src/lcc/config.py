@@ -1,22 +1,34 @@
 """Declarative JSON configuration for scenarios, analyses, and scans.
 
 One versioned document type covers every CLI command; each command reads
-the sections it needs.  Documents are validated against a JSON schema
-with unknown keys rejected, then merged over the documented defaults, so
-a minimal file like ``{"variant": "fd", "n": 2}`` is complete.
+the sections it needs.  Each key is one row of the table ``_KEYS``: its
+default, type, bound (allowed values, or a lower bound such as "> 0")
+and help text with units.  Where a dataclass (``ScenarioConfig``,
+``DriverParams``, ``CavController``, ``HeadSinusoid``, ``FollowerBrake``,
+``HeterogeneitySpec``, ``FrequencyGrid``) configures the key, the
+default is that dataclass field's.  ``parse_config`` walks a document
+against the table: it rejects unknown or missing required keys, integer
+keys that are not ``int``, number keys that are not a finite ``int`` or
+``float``, ``bool`` for either, and keys of another perturbation kind,
+naming the dotted key; it keeps given values as they are and fills in
+every default, so ``{"variant": "fd", "n": 2}`` is complete.
+``DEFAULTS`` is the parse of ``{}``; ``config_help`` renders the table.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import operator
+import re
+import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Tuple
-
-import jsonschema
+from typing import NamedTuple, Tuple
 
 from .errors import ConfigError
 from .sim import (
+    CONTROLLER_MODES,
     CavController,
     FollowerBrake,
     HeadSinusoid,
@@ -31,7 +43,7 @@ from .vehicles import DriverParams, equilibrium_spacing, linearize
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULTS",
-    "CONFIG_SCHEMA",
+    "config_help",
     "load_config",
     "parse_config",
     "serialize_config",
@@ -46,156 +58,163 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-DEFAULTS = {
-    "schema": SCHEMA_VERSION,
-    "variant": "fd",
-    "m": 0,
-    "n": 2,
-    "v_star": 15.0,
-    "dt": 0.01,
-    "horizon": 100.0,
-    "seed": 0,
-    "driver": {
-        "alpha": 0.6,
-        "beta": 0.9,
-        "v_max": 30.0,
-        "s_st": 5.0,
-        "s_go": 35.0,
-        "delay": 0.0,
-    },
-    "gains": {},
-    "controller": {"mode": "hdv-baseline", "ovm_baseline": False},
-    "perturbation": {"kind": "none"},
-    "heterogeneity": None,
-    "frequency": {"omega_min": 1e-2, "omega_max": 1e2, "points": 1000},
-    "scan": None,
+
+class _Key(NamedTuple):
+    default: object  # MISSING: the key is required
+    type: type  # int, float (any finite number), bool, str, or dict (the gains map)
+    bound: object  # None, a tuple of allowed values, or a lower bound "> x" / ">= x"
+    help: str
+
+
+class _Section(NamedTuple):
+    default: object  # value when absent: {} fills every key, None, or MISSING (required)
+    keys: dict
+
+
+def _rows(cls, **rows) -> dict:
+    """Keys (type, bound, help) named after fields of ``cls``, with its defaults."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {name: _Key(defaults[name], *row) for name, row in rows.items()}
+
+
+# perturbation.kind -> the dataclass it builds; a kind takes that class's fields
+_PERTURBATIONS = {"none": None, "head-sinusoid": HeadSinusoid, "follower-brake": FollowerBrake}
+_KIND_KEYS = {kind: {f.name for f in fields(cls)} if cls else set()
+              for kind, cls in _PERTURBATIONS.items()}
+
+_AXIS = _Section(MISSING, {
+    "vehicle": _Key(MISSING, int, None, "id of the vehicle whose gain is scanned"),
+    "component": _Key(MISSING, str, ("mu", "k"), "scanned gain"),
+    "lo": _Key(-10.0, float, None, "first gain value (1/s^2 for mu, 1/s for k)"),
+    "hi": _Key(10.0, float, None, "last gain value"),
+    "points": _Key(101, int, ">= 1", "gain values, evenly spaced"),
+})
+
+_KEYS = {
+    "schema": _Key(SCHEMA_VERSION, int, (SCHEMA_VERSION,), "document version"),
+    "variant": _Key(ScenarioConfig.variant.value, str, tuple(v.value for v in SystemVariant),
+                    "chain type"),
+    **_rows(
+        ScenarioConfig,
+        m=(int, ">= 0", "HDVs ahead of the CAV (count)"),
+        n=(int, ">= 0", "HDVs behind the CAV (count)"),
+        v_star=(float, "> 0", "equilibrium velocity (m/s)"),
+        dt=(float, "> 0", "integration / Gramian step (s)"),
+        horizon=(float, "> 0", "simulation length (s)"),
+        seed=(int, None, "RNG seed for heterogeneity sampling"),
+    ),
+    "driver": _Section({}, _rows(
+        DriverParams,
+        alpha=(float, "> 0", "OVM desired-velocity gain (1/s)"),
+        beta=(float, "> 0", "OVM relative-velocity gain (1/s)"),
+        v_max=(float, "> 0", "free-flow velocity (m/s)"),
+        s_st=(float, ">= 0", "standstill spacing (m)"),
+        s_go=(float, "> 0", "free-flow spacing (m)"),
+        delay=(float, ">= 0", "HDV reaction delay (s)"),
+    )),
+    "gains": _Key({}, dict, None, '{"id": [mu, k]}: spacing (1/s^2) and velocity (1/s) '
+                  "feedback gains,\nid in -m..-1, 1..n (0: own state, explicit mode only)"),
+    "controller": _Section({}, _rows(
+        CavController,
+        mode=(str, CONTROLLER_MODES, "CAV feedback law"),
+        ovm_baseline=(bool, None, "stack nonlinear OVM response under explicit row"),
+    )),
+    "perturbation": _Section({"kind": "none"}, {
+        "kind": _Key(MISSING, str, tuple(_PERTURBATIONS), "perturbation applied"),
+        **_rows(
+            HeadSinusoid,
+            amplitude=(float, None, "head velocity amplitude (m/s)"),
+            period=(float, "> 0", "head velocity period (s)"),
+            start=(float, ">= 0", "onset time (s)"),
+        ),
+        **_rows(
+            FollowerBrake,
+            vehicle=(int, None, "id of the braking HDV"),
+            decel=(float, None, "forced acceleration (m/s^2)"),
+            duration=(float, "> 0", "braking time (s)"),
+        ),
+    }),
+    "heterogeneity": _Section(None, _rows(
+        HeterogeneitySpec,
+        alpha_jitter=(float, ">= 0", "half-width of the alpha band (1/s)"),
+        beta_jitter=(float, ">= 0", "half-width of the beta band (1/s)"),
+        s_go_jitter=(float, ">= 0", "half-width of the s_go band (m)"),
+        delay_base=(float, ">= 0", "mean HDV reaction delay (s)"),
+        delay_jitter=(float, ">= 0", "half-width of the delay band (s)"),
+    )),
+    "frequency": _Section({}, _rows(
+        FrequencyGrid,
+        omega_min=(float, "> 0", "lowest grid frequency (rad/s)"),
+        omega_max=(float, "> 0", "highest grid frequency (rad/s)"),
+        points=(int, ">= 2", "log-spaced grid points"),
+    )),
+    "scan": _Section(None, {"axis1": _AXIS, "axis2": _AXIS}),
 }
 
-_AXIS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["vehicle", "component"],
-    "properties": {
-        "vehicle": {"type": "integer"},
-        "component": {"enum": ["mu", "k"]},
-        "lo": {"type": "number"},
-        "hi": {"type": "number"},
-        "points": {"type": "integer", "minimum": 1},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "variant": {"enum": ["fd", "cf", "general", "ccc"]},
-        "m": {"type": "integer", "minimum": 0},
-        "n": {"type": "integer", "minimum": 0},
-        "v_star": {"type": "number", "exclusiveMinimum": 0},
-        "dt": {"type": "number", "exclusiveMinimum": 0},
-        "horizon": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
-        "driver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "alpha": {"type": "number", "exclusiveMinimum": 0},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "v_max": {"type": "number", "exclusiveMinimum": 0},
-                "s_st": {"type": "number", "minimum": 0},
-                "s_go": {"type": "number", "exclusiveMinimum": 0},
-                "delay": {"type": "number", "minimum": 0},
-            },
-        },
-        "gains": {
-            "type": "object",
-            "additionalProperties": False,
-            "patternProperties": {
-                "^-?[0-9]+$": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                }
-            },
-        },
-        "controller": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["hdv-baseline", "explicit"]},
-                "ovm_baseline": {"type": "boolean"},
-            },
-        },
-        "perturbation": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["none", "head-sinusoid", "follower-brake"]},
-                "amplitude": {"type": "number"},
-                "period": {"type": "number", "exclusiveMinimum": 0},
-                "start": {"type": "number", "minimum": 0},
-                "vehicle": {"type": "integer"},
-                "decel": {"type": "number"},
-                "duration": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "heterogeneity": {
-            "oneOf": [
-                {"type": "null"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "alpha_jitter": {"type": "number", "minimum": 0},
-                        "beta_jitter": {"type": "number", "minimum": 0},
-                        "s_go_jitter": {"type": "number", "minimum": 0},
-                        "delay_base": {"type": "number", "minimum": 0},
-                        "delay_jitter": {"type": "number", "minimum": 0},
-                    },
-                },
-            ]
-        },
-        "frequency": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "omega_min": {"type": "number", "exclusiveMinimum": 0},
-                "omega_max": {"type": "number", "exclusiveMinimum": 0},
-                "points": {"type": "integer", "minimum": 2},
-            },
-        },
-        "scan": {
-            "oneOf": [
-                {"type": "null"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["axis1", "axis2"],
-                    "properties": {"axis1": _AXIS_SCHEMA, "axis2": _AXIS_SCHEMA},
-                },
-            ]
-        },
-    },
-}
-
-_PERTURBATION_DEFAULTS = {
-    "head-sinusoid": {"amplitude": 2.0, "period": 10.0, "start": 20.0},
-    "follower-brake": {"vehicle": 1, "decel": -5.0, "duration": 1.0, "start": 20.0},
-}
-_AXIS_DEFAULTS = {"lo": -10.0, "hi": 10.0, "points": 101}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+_LOWER = {">": operator.gt, ">=": operator.ge}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
+def _fail(where: str, message: str):
+    raise ConfigError(f"invalid config at {where}: {message}")
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # also rejects NaN and ints beyond the float range
+
+
+def _checked(value, key: _Key, where: str):
+    if key.type is dict:
+        return _checked_gains(value, where)
+    if key.type is float:
+        ok = _is_number(value)
+    else:
+        ok = isinstance(value, key.type) and not (key.type is int and isinstance(value, bool))
+    if not ok:
+        _fail(where, f"expected {_TYPE_NAMES[key.type]}, got {value!r}")
+    if isinstance(key.bound, tuple) and value not in key.bound:
+        _fail(where, f"expected one of {', '.join(map(repr, key.bound))}, got {value!r}")
+    if isinstance(key.bound, str):
+        op, limit = key.bound.split()
+        if not _LOWER[op](value, float(limit)):
+            _fail(where, f"must be {key.bound}, got {value!r}")
+    return value
+
+
+def _checked_gains(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(where, f"expected an object, got {value!r}")
+    for vid, pair in value.items():
+        if not (isinstance(vid, str) and re.fullmatch(r"-?[0-9]+", vid)):
+            _fail(f"{where}.{vid}", "a gain key must be an integer vehicle id")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+            _fail(f"{where}.{vid}", f"expected [mu, k], two finite numbers, got {pair!r}")
+    return copy.deepcopy(value)
+
+
+def _walk(doc, keys: dict, where: str) -> dict:
+    """Check one object against its keys and return it with defaults filled."""
+    if not isinstance(doc, dict):
+        _fail(where, f"expected an object, got {doc!r}")
+    if keys is _KEYS["perturbation"].keys and "kind" in doc:
+        names = _KIND_KEYS[_checked(doc["kind"], keys["kind"], f"{where}.kind")] | {"kind"}
+        keys = {name: key for name, key in keys.items() if name in names}
+    out = {}
+    for name, key in keys.items():
+        at = f"{where}.{name}"
+        value = doc.get(name, key.default)
+        if value is MISSING:
+            _fail(at, "required key is missing")
+        if isinstance(key, _Section):
+            nulled = value is None and key.default is None
+            out[name] = None if nulled else _walk(value, key.keys, at)
         else:
-            out[key] = copy.deepcopy(val)
+            out[name] = _checked(value, key, at) if name in doc else copy.deepcopy(value)
+    for name in doc:
+        if name not in keys:
+            _fail(f"{where}.{name}", f"unknown key; expected one of {', '.join(keys)}")
     return out
 
 
@@ -203,26 +222,42 @@ def parse_config(doc: dict) -> dict:
     """Validate a raw document and fill in all defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config at {exc.json_path}: {exc.message}") from exc
-    cfg = _deep_merge(DEFAULTS, doc)
-    kind = cfg["perturbation"]["kind"]
-    if kind != "none":
-        cfg["perturbation"] = _deep_merge(
-            {"kind": kind, **_PERTURBATION_DEFAULTS[kind]}, cfg["perturbation"]
-        )
-    if cfg["scan"] is not None:
-        cfg["scan"] = {
-            axis: _deep_merge(_AXIS_DEFAULTS, cfg["scan"][axis])
-            for axis in ("axis1", "axis2")
-        }
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config at {exc.json_path}: {exc.message}") from exc
-    return cfg
+    return _walk(doc, _KEYS, "$")
+
+
+DEFAULTS = parse_config({})
+
+
+def config_help() -> str:
+    """The configuration keys with their units and bounds, for ``--help``."""
+    lines = ["configuration keys (JSON; optional unless marked required in their object):"]
+    first_path = {}
+
+    def add(keys: dict, prefix: str) -> None:
+        for name, key in keys.items():
+            path, required = prefix + name, " (required)" if key.default is MISSING else ""
+            if isinstance(key, _Section):
+                if id(key.keys) in first_path:
+                    lines.append(f"  {path:<28} keys as {first_path[id(key.keys)]}{required}")
+                    continue
+                first_path[id(key.keys)] = path
+                if key.default is None or required:
+                    what = "null (default), or an" if key.default is None else "an"
+                    lines.append(f"  {path:<28} {what} object{required} of:")
+                add(key.keys, path + ".")
+                continue
+            kinds = [k for k, names in _KIND_KEYS.items()
+                     if path.removeprefix("perturbation.") in names]
+            text = f"{' / '.join(kinds)}: {key.help}" if kinds else key.help
+            if isinstance(key.bound, tuple):
+                text += ": " + " | ".join(map(str, key.bound))
+            elif key.bound:
+                text += ", " + key.bound
+            text = (text + required).replace("\n", "\n" + " " * 31)
+            lines.append(f"  {path:<28} {text}")
+
+    add(_KEYS, "")
+    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> dict:
@@ -263,15 +298,6 @@ def apply_overrides(doc: dict, overrides) -> dict:
     return doc
 
 
-def variant_from_config(cfg: dict) -> SystemVariant:
-    return {
-        "fd": SystemVariant.FD_LCC,
-        "cf": SystemVariant.CF_LCC,
-        "general": SystemVariant.GENERAL_LCC,
-        "ccc": SystemVariant.CCC,
-    }[cfg["variant"]]
-
-
 def driver_from_config(cfg: dict) -> DriverParams:
     return DriverParams(**cfg["driver"])
 
@@ -288,25 +314,15 @@ def gains_from_config(cfg: dict) -> FeedbackGains:
 
 
 def _perturbation_from_config(cfg: dict) -> Perturbation:
-    pert = cfg["perturbation"]
-    if pert["kind"] == "none":
-        return None
-    if pert["kind"] == "head-sinusoid":
-        return HeadSinusoid(
-            amplitude=pert["amplitude"], period=pert["period"], start=pert["start"]
-        )
-    return FollowerBrake(
-        vehicle=pert["vehicle"],
-        decel=pert["decel"],
-        duration=pert["duration"],
-        start=pert["start"],
-    )
+    params = dict(cfg["perturbation"])
+    cls = _PERTURBATIONS[params.pop("kind")]
+    return cls(**params) if cls else None
 
 
 def scenario_from_config(cfg: dict) -> ScenarioConfig:
     het = cfg["heterogeneity"]
     return ScenarioConfig(
-        variant=variant_from_config(cfg),
+        variant=SystemVariant(cfg["variant"]),
         m=cfg["m"],
         n=cfg["n"],
         v_star=cfg["v_star"],

@@ -39,6 +39,8 @@ __all__ = [
 A_MIN = -5.0
 A_MAX = 2.0
 
+CONTROLLER_MODES = ("hdv-baseline", "explicit")
+
 
 @dataclass(frozen=True)
 class HeadSinusoid:
@@ -79,7 +81,7 @@ class CavController:
     ovm_baseline: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("hdv-baseline", "explicit"):
+        if self.mode not in CONTROLLER_MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
 
 
@@ -198,10 +200,14 @@ def sample_heterogeneous(
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    if cfg.dt <= 0:
+    if not cfg.dt > 0:
         raise ValueError(f"dt must be > 0, got {cfg.dt}")
-    if cfg.horizon <= 0:
+    if not cfg.horizon > 0:
         raise ValueError(f"horizon must be > 0, got {cfg.horizon}")
+    if not math.isfinite(cfg.horizon / cfg.dt):
+        raise ValueError(
+            f"horizon/dt must be finite, got horizon={cfg.horizon} and dt={cfg.dt}"
+        )
     if cfg.variant in (SystemVariant.FD_LCC, SystemVariant.CF_LCC) and cfg.m != 0:
         raise TopologyError(f"{cfg.variant.value} scenario needs m = 0")
     if cfg.variant in (SystemVariant.GENERAL_LCC, SystemVariant.CCC) and cfg.m < 1:
@@ -281,7 +287,9 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
             p.s_st,
             p.s_go,
         )
-        delay_steps[j] = round(p.delay / dt) if vid not in ("h", 0) else 0
+        # A delay past the horizon reads no delayed state, so clamping it
+        # changes no trace and bounds the kernel's history window.
+        delay_steps[j] = round(min(p.delay / dt, n_steps + 1)) if vid not in ("h", 0) else 0
         if j > 0:
             s_star[j] = equilibrium_spacing(v_star, p).s_star
 

@@ -49,17 +49,17 @@ class DriverParams:
     delay: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.v_max <= 0:
+        if not self.v_max > 0:
             raise ValueError(f"v_max must be > 0, got {self.v_max}")
         if not 0 <= self.s_st < self.s_go:
             raise ValueError(
                 f"need 0 <= s_st < s_go, got s_st={self.s_st}, s_go={self.s_go}"
             )
-        if self.delay < 0:
+        if not self.delay >= 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
 
 

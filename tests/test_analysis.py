@@ -322,6 +322,11 @@ def test_gramian_rejects_bad_horizon(t, dt, bad):
         gramian(np.zeros((1, 1)), np.ones((1, 1)), t, dt=dt)
 
 
+def test_gramian_rejects_non_finite_step_count():
+    with pytest.raises(ValueError, match=r"t=1e\+300 and dt=1e-10"):
+        gramian(np.zeros((1, 1)), np.ones((1, 1)), 1e300, dt=1e-10)
+
+
 def test_energy_scaling_rejects_empty_horizons(default_coeffs):
     with pytest.raises(ValueError, match="t_list"):
         energy_scaling_study(default_coeffs, [1], [])

@@ -147,6 +147,67 @@ def test_bad_config_exit_code(capsys, tmp_path):
     assert "variant" in err
 
 
+_AXIS2 = '"axis2": {"vehicle": 1, "component": "k"}'
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["analyze", "--set", 'variant="general"', "--set", "m=2.0", "--set", "n=1"], "m"),
+        (["analyze", "--set", "seed=5.0"], "seed"),
+        (["stability", "--m", "2", "--n", "2", "--set", "frequency.points=50.0"],
+         "frequency.points"),
+        (["scan", "--set", "variant=general", "--set", "m=2",
+          "--set", 'scan={"axis1": {"vehicle": 1.0, "component": "mu"}, ' + _AXIS2 + "}"],
+         "scan.axis1.vehicle"),
+        (["simulate", "--set", "horizon=Infinity"], "horizon"),
+        (["simulate", "--set", "driver.delay=Infinity"], "driver.delay"),
+        (["simulate", "--set", "dt=NaN"], "dt"),
+        (["simulate", "--set", 'perturbation={"kind": "follower-brake", "amplitude": 9}'],
+         "perturbation.amplitude"),
+        (["simulate", "--set", 'perturbation={"kind": "head-sinusoid", "vehicle": 1}'],
+         "perturbation.vehicle"),
+    ],
+    ids=["int-as-float", "seed-float", "points-float", "axis-vehicle-float", "horizon-inf",
+         "delay-inf", "dt-nan", "brake-amplitude", "sinusoid-vehicle"],
+)
+def test_bad_config_value_names_key(capsys, tmp_path, argv, key):
+    code, _, err = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert code == 3
+    assert f"invalid config at $.{key}:" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--n-range", "1:1", "--t", "1e300", "--set", "dt=1e-10"],
+        ["simulate", "--set", 'variant="cf"', "--set", "n=1", "--set", "horizon=1e300",
+         "--set", "dt=1e-10"],
+    ],
+    ids=["energy", "simulate"],
+)
+def test_step_count_overflow_exit_code(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert code == 4
+    assert "1e+300" in err and "1e-10" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_delay_past_horizon(capsys, tmp_path):
+    traces = []
+    for delay in ("1e300", "6"):
+        out = tmp_path / delay
+        code, _, _ = run_cli(
+            capsys, "simulate", "--set", "variant=cf", "--set", "n=1", "--set", "horizon=5",
+            "--set", 'perturbation={"kind": "head-sinusoid", "start": 1}',
+            "--set", f"driver.delay={delay}", "-o", str(out),
+        )
+        assert code == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--variant", "general", "--m", "0", "--n", "2")
     assert code == 4

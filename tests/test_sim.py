@@ -1,5 +1,7 @@
 """Nonlinear chain simulation: scenarios, overrides, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,34 @@ def test_config_validation_errors():
                 perturbation=HeadSinusoid(start=20.0),
             )
         )
+
+
+@pytest.mark.parametrize("field", ["dt", "horizon"])
+def test_nan_step_or_horizon_rejected(field):
+    with pytest.raises(ValueError, match=f"{field} must be > 0"):
+        simulate(ScenarioConfig(variant=V.CF_LCC, n=1, **{field: math.nan}))
+
+
+def test_non_finite_step_count_rejected():
+    with pytest.raises(ValueError, match=r"horizon=1e\+300 and dt=1e-10"):
+        simulate(ScenarioConfig(variant=V.CF_LCC, n=1, horizon=1e300, dt=1e-10))
+
+
+def test_delay_past_horizon_reads_no_delayed_state():
+    def run(delay):
+        return simulate(
+            ScenarioConfig(
+                variant=V.CF_LCC,
+                n=2,
+                horizon=5.0,
+                perturbation=HeadSinusoid(start=1.0),
+                base_params=DriverParams(delay=delay),
+            )
+        )
+
+    ref = run(5.02)  # 502 steps, past the 500-step horizon
+    for delay in (6.0, 1e300, math.inf):
+        tr = run(delay)
+        for name in ("position", "velocity", "acceleration"):
+            assert np.array_equal(getattr(tr, name), getattr(ref, name))
+    assert not np.array_equal(run(0.5).velocity, ref.velocity)

@@ -176,6 +176,12 @@ def test_param_validation():
         DriverParams(delay=-0.1)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "v_max", "s_st", "s_go", "delay"])
+def test_param_validation_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        DriverParams(**{field: math.nan})
+
+
 @given(
     s1=st.floats(min_value=0.0, max_value=60.0),
     s2=st.floats(min_value=0.0, max_value=60.0),
