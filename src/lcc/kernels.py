@@ -4,8 +4,10 @@ Two inner loops dominate the package's runtime: the forward-Euler
 stepping of the nonlinear vehicle chain and the evaluation of the
 head-to-tail gain magnitude over dense frequency grids (thousands of
 cells in a region scan).  ``gamma_mag_sq_scalar`` evaluates one
-frequency, ``gamma_mag_sq_grid`` a whole grid vectorised with numpy,
-and ``simulate_loop`` steps the chain.
+frequency per gain set, ``gamma_mag_sq_grid`` a whole grid vectorised
+with numpy, and ``simulate_loop`` steps the chain.  Both magnitude
+kernels broadcast: given gain arrays with a trailing cell axis they
+evaluate many gain sets in one call (see their docstrings).
 
 ``simulate_loop`` steps on Python floats in lists, since indexing numpy
 arrays element by element boxes an ``np.float64`` per access, and keeps
@@ -32,10 +34,13 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 def gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
-    """|Gamma(j w)|^2 of the chain transfer function for one gain set.
+    """|Gamma(j w)|^2 of the chain transfer function.
 
     mu_p/k_p are ordered by distance ahead (index d-1 is vehicle -d),
-    mu_f/k_f by distance behind (index j-1 is vehicle j).
+    mu_f/k_f by distance behind (index j-1 is vehicle j).  With a float
+    ``w`` and 1-D gains this is one gain set at one frequency; with
+    ``w`` of shape ``(cells,)`` and gains of shape ``(m|n, cells)`` it is
+    one frequency per gain set, returning shape ``(cells,)``.
     """
     s = 1j * w
     phi = a1 + a3 * s
@@ -61,7 +66,13 @@ def gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
 
 
 def gamma_mag_sq_grid(omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f):
-    """``gamma_mag_sq_scalar`` over an array of frequencies, vectorised."""
+    """``gamma_mag_sq_scalar`` over an array of frequencies, vectorised.
+
+    With 1-D gains the result has the shape of ``omegas``.  Gains of
+    shape ``(m|n, cells, 1)`` evaluate every gain set on the whole grid,
+    returning ``(cells, omegas.size)``; with m = n = 0 there are no gains
+    to broadcast against and the result keeps the shape of ``omegas``.
+    """
     s = 1j * omegas
     phi = a1 + a3 * s
     gam = a1 + a2 * s + s * s

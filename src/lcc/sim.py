@@ -301,7 +301,17 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
     for vid, g in cfg.cav.gains.k.items():
         gain_k[ids.index(vid)] = g
 
-    head_vel = np.full(n_steps + 1, v_star)
+    try:
+        head_vel = np.full(n_steps + 1, v_star)
+        pos = np.zeros((n_steps + 1, n_veh))
+        vel = np.zeros((n_steps + 1, n_veh))
+        acc = np.zeros((n_steps + 1, n_veh))
+        override = np.zeros(n_steps + 1, dtype=np.uint8)
+    except MemoryError as exc:
+        raise ValueError(
+            f"horizon={cfg.horizon} at dt={cfg.dt} needs {n_steps + 1} trace rows, "
+            "more than fit in memory"
+        ) from exc
     if isinstance(cfg.perturbation, HeadSinusoid):
         t = np.arange(n_steps + 1) * dt
         active = t >= cfg.perturbation.start
@@ -315,13 +325,9 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         brake_k1 = round((cfg.perturbation.start + cfg.perturbation.duration) / dt)
         brake_acc = cfg.perturbation.decel
 
-    pos = np.zeros((n_steps + 1, n_veh))
-    vel = np.zeros((n_steps + 1, n_veh))
-    acc = np.zeros((n_steps + 1, n_veh))
     vel[0, :] = v_star
     for j in range(1, n_veh):
         pos[0, j] = pos[0, j - 1] - s_star[j]
-    override = np.zeros(n_steps + 1, dtype=np.uint8)
 
     status, step, col = kernels.simulate_loop(
         n_steps,

@@ -14,6 +14,10 @@ Verdicts are computed on a log-spaced frequency grid with golden-section
 refinement of the discrete peak; asymptotic stability is judged
 separately from the closed-loop eigenvalues, since a bounded transfer
 magnitude says nothing about internally unstable dynamics.
+
+Both run on batches of gain sets (``is_string_stable`` is a batch of
+one): a scan makes one ``eigvals`` call per chunk of cells, evaluates the
+grid per block of cells and runs the golden sections of a chunk in lockstep.
 """
 
 from __future__ import annotations
@@ -56,6 +60,12 @@ log = logging.getLogger(__name__)
 # Verdict margin on |Gamma| < 1 and eigenvalue real-part tolerance.
 PEAK_MARGIN = 1e-9
 EIG_TOL = 1e-6
+
+# Golden-section steps, cells x grid points per grid kernel call (16 cells
+# at 1000 points: 256 KiB temporaries) and matrix entries per scan chunk.
+_GOLDEN_ITERS = 60
+_GRID_ENTRIES = 16_000
+_CHUNK_ENTRIES = 2**16
 
 CLASS_STABLE = "SS"
 CLASS_UNSTABLE = "SU"
@@ -204,16 +214,9 @@ def head_to_tail(spec: TransferSpec, omega: float) -> complex:
 
 def magnitude_curve(spec: TransferSpec, omegas: np.ndarray) -> np.ndarray:
     """|Gamma(j w)| on an array of frequencies (kernel-accelerated)."""
-    mu_p, k_p, mu_f, k_f = _gain_arrays(spec)
+    c = spec.coeffs
     mags_sq = kernels.gamma_mag_sq_grid(
-        np.asarray(omegas, dtype=float),
-        spec.coeffs.alpha1,
-        spec.coeffs.alpha2,
-        spec.coeffs.alpha3,
-        mu_p,
-        k_p,
-        mu_f,
-        k_f,
+        np.asarray(omegas, dtype=float), c.alpha1, c.alpha2, c.alpha3, *_gain_arrays(spec)
     )
     return np.sqrt(mags_sq)
 
@@ -248,65 +251,53 @@ def state_space_gain(spec: TransferSpec, omega: float) -> complex:
     return complex(C @ x)
 
 
-def _golden_refine(f, lo: float, hi: float, iters: int = 60) -> Tuple[float, float]:
-    """Golden-section maximization of f over [lo, hi] in log-omega space."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
-            break
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _peak_magnitude(
     coeffs: LinearCoeffs, mu_p, k_p, mu_f, k_f, grid: FrequencyGrid
-) -> Tuple[float, float]:
-    """Max of |Gamma(j w)| over the grid, refined around the discrete peak."""
-    omegas = grid.omegas()
-    mags_sq = kernels.gamma_mag_sq_grid(
-        omegas, coeffs.alpha1, coeffs.alpha2, coeffs.alpha3, mu_p, k_p, mu_f, k_f
-    )
-    if not np.all(np.isfinite(mags_sq)):
-        raise EvaluationError(
-            f"non-finite gain at omega={omegas[int(np.argmax(~np.isfinite(mags_sq)))]:.4g}"
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max of |Gamma(j w)| over the grid, refined around the discrete peak.
+
+    Gains are ``(m|n, cells)`` arrays.  Returns per cell the peak omega and
+    magnitude, and the first omega of a non-finite grid value (else NaN).
+    """
+    a1, a2, a3, gains = coeffs.alpha1, coeffs.alpha2, coeffs.alpha3, (mu_p, k_p, mu_f, k_f)
+    omegas, cells = grid.omegas(), mu_p.shape[1]
+    i, grid_sq, bad_omega = np.zeros(cells, np.intp), np.zeros(cells), np.full(cells, np.nan)
+    block = max(1, _GRID_ENTRIES // omegas.size)
+    for start in range(0, cells, block):
+        blk = slice(start, start + block)
+        mags_sq = np.broadcast_to(
+            kernels.gamma_mag_sq_grid(omegas, a1, a2, a3, *(g[:, blk, None] for g in gains)),
+            i[blk].shape + omegas.shape,
         )
-    i = int(np.argmax(mags_sq))
-    lo = math.log(omegas[max(i - 1, 0)])
-    hi = math.log(omegas[min(i + 1, len(omegas) - 1)])
+        bad = ~np.isfinite(mags_sq)
+        bad_omega[blk] = np.where(bad.any(axis=1), omegas[np.argmax(bad, axis=1)], np.nan)
+        i[blk] = np.argmax(mags_sq, axis=1)
+        grid_sq[blk] = np.max(mags_sq, axis=1)
 
     def f(logw):
-        return kernels.gamma_mag_sq_scalar(
-            math.exp(logw),
-            coeffs.alpha1,
-            coeffs.alpha2,
-            coeffs.alpha3,
-            mu_p,
-            k_p,
-            mu_f,
-            k_f,
-        )
+        return kernels.gamma_mag_sq_scalar(np.exp(logw), a1, a2, a3, *gains)
 
-    logw, mag_sq = _golden_refine(f, lo, hi)
-    if mags_sq[i] >= mag_sq:
-        return float(omegas[i]), math.sqrt(float(mags_sq[i]))
-    return math.exp(logw), math.sqrt(mag_sq)
-
-
-def _max_real_eig(spec: TransferSpec) -> float:
-    _, A_cl, _ = _oracle_model(spec)
-    return float(np.max(np.linalg.eigvals(A_cl).real))
+    # Golden section in log-omega between the grid peak's neighbours, in lockstep.
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.log(omegas[np.maximum(i - 1, 0)])
+    b = np.log(omegas[np.minimum(i + 1, omegas.size - 1)])
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    live = np.ones(cells, dtype=bool)
+    for _ in range(_GOLDEN_ITERS):
+        left = fc > fd
+        lt, rt = left & live, ~left & live
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        fx = f(np.where(left, c, d))
+        fc[lt], fd[rt] = fx[lt], fx[rt]
+        live &= ~(b - a < 1e-12)
+    x = 0.5 * (a + b)
+    fx = f(x)
+    keep = grid_sq >= fx
+    return np.where(keep, omegas[i], np.exp(x)), np.sqrt(np.where(keep, grid_sq, fx)), bad_omega
 
 
 def is_string_stable(
@@ -314,13 +305,16 @@ def is_string_stable(
 ) -> StringStabilityResult:
     """Grid-plus-refinement string-stability verdict for one gain set."""
     grid = grid or FrequencyGrid()
-    mu_p, k_p, mu_f, k_f = _gain_arrays(spec)
-    peak_omega, peak_mag = _peak_magnitude(spec.coeffs, mu_p, k_p, mu_f, k_f, grid)
+    gains = (g[:, None] for g in _gain_arrays(spec))  # a batch of one cell
+    peak_omega, peak_mag, bad_omega = _peak_magnitude(spec.coeffs, *gains, grid)
+    if not np.isnan(bad_omega[0]):
+        raise EvaluationError(f"non-finite gain at omega={bad_omega[0]:.4g}")
+    A_cl = _oracle_model(spec)[1]
     return StringStabilityResult(
-        stable=peak_mag < 1.0 - PEAK_MARGIN,
-        peak_omega=peak_omega,
-        peak_mag=peak_mag,
-        asymptotically_stable=_max_real_eig(spec) <= EIG_TOL,
+        stable=bool(peak_mag[0] < 1.0 - PEAK_MARGIN),
+        peak_omega=float(peak_omega[0]),
+        peak_mag=float(peak_mag[0]),
+        asymptotically_stable=bool(np.max(np.linalg.eigvals(A_cl).real) <= EIG_TOL),
     )
 
 
@@ -331,6 +325,22 @@ def _axis_slot(spec: TransferSpec, axis: GainAxis):
         raise TopologyError(f"axis vehicle {vid} outside -{spec.m}..-1, 1..{spec.n}")
     side = "p" if vid < 0 else "f"
     return f"{axis.component}_{side}", abs(vid) - 1
+
+
+def _unstable_cells(stack: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Flag the matrices of a (cells, d, d) stack with an eigenvalue right of EIG_TOL.
+
+    A batch that fails is redone matrix by matrix; a failing matrix is flagged and logged.
+    """
+    try:
+        return np.max(np.linalg.eigvals(stack).real, axis=-1) > EIG_TOL
+    except np.linalg.LinAlgError as exc:
+        if len(stack) == 1:
+            log.warning("cell (%g, %g) failed to evaluate: %s", g1[0], g2[0], exc)
+            return np.ones(1, dtype=bool)
+    return np.concatenate(
+        [_unstable_cells(stack[q : q + 1], g1[q:], g2[q:]) for q in range(len(stack))]
+    )
 
 
 def scan_region(
@@ -350,40 +360,30 @@ def scan_region(
         raise TopologyError("scan axes must address distinct gain coordinates")
     grid = grid or FrequencyGrid()
     arrays = dict(zip(("mu_p", "k_p", "mu_f", "k_f"), _gain_arrays(base)))
-    slot1, slot2 = _axis_slot(base, axis1), _axis_slot(base, axis2)
-
+    slots = [_axis_slot(base, axis) for axis in (axis1, axis2)]
     model, A_base, _ = _oracle_model(base)
     u_row = model.index_map[0][1]
-    col1 = model.index_map[axis1.vehicle][0 if axis1.component == "mu" else 1]
-    col2 = model.index_map[axis2.vehicle][0 if axis2.component == "mu" else 1]
-    base1 = arrays[slot1[0]][slot1[1]]
-    base2 = arrays[slot2[0]][slot2[1]]
+    cols = [model.index_map[a.vehicle][0 if a.component == "mu" else 1] for a in (axis1, axis2)]
+    values = np.repeat(axis1.values(), axis2.points), np.tile(axis2.values(), axis1.points)
 
-    vals1, vals2 = axis1.values(), axis2.values()
-    classes = np.empty((axis1.points, axis2.points), dtype="<U2")
-    A_cell = A_base.copy()
-    for i, g1 in enumerate(vals1):
-        arrays[slot1[0]][slot1[1]] = g1
-        A_cell[u_row, col1] = A_base[u_row, col1] + (g1 - base1)
-        for j, g2 in enumerate(vals2):
-            arrays[slot2[0]][slot2[1]] = g2
-            A_cell[u_row, col2] = A_base[u_row, col2] + (g2 - base2)
-            try:
-                if np.max(np.linalg.eigvals(A_cell).real) > EIG_TOL:
-                    classes[i, j] = CLASS_ASYMP_UNSTABLE
-                    continue
-                _, peak = _peak_magnitude(
-                    base.coeffs,
-                    arrays["mu_p"],
-                    arrays["k_p"],
-                    arrays["mu_f"],
-                    arrays["k_f"],
-                    grid,
-                )
-                classes[i, j] = (
-                    CLASS_STABLE if peak < 1.0 - PEAK_MARGIN else CLASS_UNSTABLE
-                )
-            except (EvaluationError, np.linalg.LinAlgError) as exc:
-                log.warning("cell (%g, %g) failed to evaluate: %s", g1, g2, exc)
-                classes[i, j] = CLASS_ASYMP_UNSTABLE
-    return RegionMap(axis1=axis1, axis2=axis2, classes=classes)
+    classes = np.full(values[0].size, CLASS_ASYMP_UNSTABLE)
+    chunk = max(1, _CHUNK_ENTRIES // model.dim**2)
+    for start in range(0, classes.size, chunk):
+        g1, g2 = (v[start : start + chunk] for v in values)
+        stack = np.repeat(A_base[None], g1.size, axis=0)
+        gains = {k: np.repeat(v[:, None], g1.size, axis=1) for k, v in arrays.items()}
+        for (name, idx), col, g in zip(slots, cols, (g1, g2)):
+            stack[:, u_row, col] = A_base[u_row, col] + (g - arrays[name][idx])
+            gains[name][idx] = g
+        live = np.flatnonzero(~_unstable_cells(stack, g1, g2))
+        gains = {k: v[:, live] for k, v in gains.items()}
+        _, peak, bad_omega = _peak_magnitude(base.coeffs, **gains, grid=grid)
+        ok = np.isnan(bad_omega)
+        for q in np.flatnonzero(~ok):
+            log.warning(
+                "cell (%g, %g) failed to evaluate: non-finite gain at omega=%.4g",
+                g1[live[q]], g2[live[q]], bad_omega[q],
+            )
+        verdict = np.where(peak[ok] < 1.0 - PEAK_MARGIN, CLASS_STABLE, CLASS_UNSTABLE)
+        classes[start + live[ok]] = verdict
+    return RegionMap(axis1, axis2, classes.reshape(axis1.points, axis2.points))

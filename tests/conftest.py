@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lcc import (
@@ -16,3 +17,20 @@ def default_params() -> DriverParams:
 @pytest.fixture(scope="session")
 def default_coeffs(default_params) -> LinearCoeffs:
     return linearize(equilibrium_spacing(15.0, default_params), default_params)
+
+
+@pytest.fixture
+def trace_rows_out_of_memory(monkeypatch):
+    """Make ``np.full`` raise MemoryError for more than 1e9 elements.
+
+    ``simulate`` allocates its head-velocity trace with ``np.full``, so a
+    huge horizon fails as it would on a real machine, without allocating.
+    """
+    real_full = np.full
+
+    def full(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real_full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", full)

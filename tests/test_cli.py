@@ -194,6 +194,16 @@ def test_step_count_overflow_exit_code(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_out_of_memory_exit_code(capsys, tmp_path, trace_rows_out_of_memory):
+    code, _, err = run_cli(
+        capsys, "simulate", "--set", 'variant="cf"', "--set", "n=1", "--set", "horizon=1e12",
+        "-o", str(tmp_path),
+    )
+    assert code == 4
+    assert "horizon=1000000000000.0" in err and "trace rows" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_delay_past_horizon(capsys, tmp_path):
     traces = []
     for delay in ("1e300", "6"):
