@@ -274,13 +274,12 @@ def energy_scaling_study(
     n_range: Iterable[int],
     t_list: Sequence[float],
     dt: float = 0.01,
-    variant: SystemVariant = SystemVariant.FD_LCC,
 ) -> List[Tuple[int, float, float, Optional[float]]]:
     """Gramian energy metrics across chain sizes and horizons.
 
-    Builds the free-driving (or car-following) chain for each n, computes
-    the horizon-t Gramian, and emits (n, t, lambda_min, trace_inv) rows
-    ordered by (n, t).  trace_inv is None where the Gramian is singular.
+    Builds the free-driving chain for each n, computes the horizon-t
+    Gramian, and emits (n, t, lambda_min, trace_inv) rows ordered by
+    (n, t).  trace_inv is None where the Gramian is singular.
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
@@ -288,11 +287,9 @@ def energy_scaling_study(
     ts = [float(t) for t in t_list]
     if not ts:
         raise ValueError("t_list must be nonempty")
-    if variant not in (SystemVariant.FD_LCC, SystemVariant.CF_LCC):
-        raise TopologyError("energy scaling is defined for fd/cf chains")
     rows = []
     for n in ns:
-        model = build_system(variant, 0, n, coeffs)
+        model = build_system(SystemVariant.FD_LCC, 0, n, coeffs)
         for t in ts:
             g = gramian(model.A, model.B, t, dt=dt)
             rows.append((n, t, g.lambda_min, g.trace_inv))

@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp, config=False)
     sp.add_argument("preset", choices=sorted(PRESETS), metavar="PRESET",
                     help=f"one of: {', '.join(sorted(PRESETS))}")
-    sp.add_argument("--dt", type=float, default=0.01, help="integration step (s)")
     return parser
 
 
@@ -229,7 +228,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    for path in run_preset(args.preset, _outdir(args), dt=args.dt):
+    for path in run_preset(args.preset, _outdir(args)):
         print(f"wrote {path}")
     return EXIT_OK
 

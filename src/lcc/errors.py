@@ -23,11 +23,9 @@ class SingularGramianError(NumericalError):
     Carries the offending smallest eigenvalue so callers can report it.
     """
 
-    def __init__(self, lambda_min: float, message: str | None = None):
+    def __init__(self, lambda_min: float):
         self.lambda_min = lambda_min
-        super().__init__(
-            message or f"Gramian numerically singular (lambda_min={lambda_min:.3e})"
-        )
+        super().__init__(f"Gramian numerically singular (lambda_min={lambda_min:.3e})")
 
 
 class CollisionError(LccError):

@@ -3,11 +3,11 @@
 Two inner loops dominate the package's runtime: the forward-Euler
 stepping of the nonlinear vehicle chain and the evaluation of the
 head-to-tail gain magnitude over dense frequency grids (thousands of
-cells in a region scan).  ``gamma_mag_sq_scalar`` evaluates one
-frequency per gain set, ``gamma_mag_sq_grid`` a whole grid vectorised
-with numpy, and ``simulate_loop`` steps the chain.  Both magnitude
-kernels broadcast: given gain arrays with a trailing cell axis they
-evaluate many gain sets in one call (see their docstrings).
+cells in a region scan).  ``gamma_mag_sq_grid`` evaluates the magnitude
+vectorised with numpy, ``gamma_mag_sq_scalar`` is the same formula at
+one frequency per gain set, and ``simulate_loop`` steps the chain.  Both
+magnitude entry points broadcast: given gain arrays with a trailing cell
+axis they evaluate many gain sets in one call (see their docstrings).
 
 ``simulate_loop`` steps on Python floats in lists, since indexing numpy
 arrays element by element boxes an ``np.float64`` per access, and keeps
@@ -34,42 +34,23 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 def gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
-    """|Gamma(j w)|^2 of the chain transfer function.
+    """``gamma_mag_sq_grid`` at one frequency per gain set.
 
-    mu_p/k_p are ordered by distance ahead (index d-1 is vehicle -d),
-    mu_f/k_f by distance behind (index j-1 is vehicle j).  With a float
-    ``w`` and 1-D gains this is one gain set at one frequency; with
-    ``w`` of shape ``(cells,)`` and gains of shape ``(m|n, cells)`` it is
-    one frequency per gain set, returning shape ``(cells,)``.
+    With a float ``w`` and 1-D gains this is one gain set at one
+    frequency; with ``w`` of shape ``(cells,)`` and gains of shape
+    ``(m|n, cells)`` it is one frequency per gain set, returning shape
+    ``(cells,)``.
     """
-    s = 1j * w
-    phi = a1 + a3 * s
-    gam = a1 + a2 * s + s * s
-    r = phi / gam
-    inv_r = gam / phi
-    num = phi
-    den = gam
-    rp = 1.0 + 0.0j
-    for d in range(mu_p.shape[0]):
-        h = mu_p[d] * (inv_r - 1.0) + k_p[d] * s
-        num = num + h * rp
-        rp = rp * inv_r
-    rf = r
-    for j in range(mu_f.shape[0]):
-        h = mu_f[j] * (inv_r - 1.0) + k_f[j] * s
-        den = den - h * rf
-        rf = rf * r
-    g = num / den
-    for _ in range(mu_p.shape[0] + mu_f.shape[0]):
-        g = g * r
-    return g.real * g.real + g.imag * g.imag
+    return gamma_mag_sq_grid(np.asarray(w, dtype=float), a1, a2, a3, mu_p, k_p, mu_f, k_f)
 
 
 def gamma_mag_sq_grid(omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f):
-    """``gamma_mag_sq_scalar`` over an array of frequencies, vectorised.
+    """|Gamma(j w)|^2 of the chain transfer function, vectorised.
 
-    With 1-D gains the result has the shape of ``omegas``.  Gains of
-    shape ``(m|n, cells, 1)`` evaluate every gain set on the whole grid,
+    mu_p/k_p are ordered by distance ahead (index d-1 is vehicle -d),
+    mu_f/k_f by distance behind (index j-1 is vehicle j).  With 1-D gains
+    the result has the shape of ``omegas``.  Gains of shape
+    ``(m|n, cells, 1)`` evaluate every gain set on the whole grid,
     returning ``(cells, omegas.size)``; with m = n = 0 there are no gains
     to broadcast against and the result keeps the shape of ``omegas``.
     """

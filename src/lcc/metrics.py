@@ -61,19 +61,17 @@ def total_fuel(
 def aave(
     trace: SimulationTrace,
     window: Tuple[float, float],
-    v_star: Optional[float] = None,
     vehicles: Optional[Iterable] = None,
 ) -> float:
     """Average absolute velocity error (m/s) over a window and vehicle set.
 
-    Time-averages |v_i - v*| per vehicle (trapezoidal), then averages
-    across the set, which must not be empty.
+    Time-averages |v_i - v*| per vehicle (trapezoidal), with v* the
+    trace's equilibrium velocity, then averages across the set, which
+    must not be empty.
     """
     vids = _metric_vehicles(trace, vehicles)
     if not vids:
         raise ValueError("vehicle set is empty")
-    if v_star is None:
-        v_star = trace.v_star
     mask = trace.window_mask(*window)
     if mask.sum() < 2:
         return 0.0
@@ -81,6 +79,6 @@ def aave(
     span = t[-1] - t[0]
     acc = 0.0
     for vid in vids:
-        dev = np.abs(trace.velocity[mask, trace.col(vid)] - v_star)
+        dev = np.abs(trace.velocity[mask, trace.col(vid)] - trace.v_star)
         acc += float(np.trapezoid(dev, t)) / span
     return acc / len(vids)

@@ -1,8 +1,9 @@
 """Named end-to-end reproduction runs, each writing CSV artifacts.
 
 Every preset pins its full parameterization (chain layout, gains,
-perturbation, seed) and runs from a clean checkout with no arguments
-beyond its name.  The gain cases A-D step through progressively wider
+perturbation, seed, and the paper's step of 0.01 s for simulations and
+Gramians) and runs from a clean checkout with no arguments beyond its
+name.  The gain cases A-D step through progressively wider
 communication patterns: two vehicles ahead, then one and two vehicles
 behind added on top.
 """
@@ -60,11 +61,12 @@ CF_CONTROLLER = CavController(
 ZERO_RESPONSE = CavController(mode="explicit")
 
 HETEROGENEITY_SEED = 5
+_DT = 0.01
 
 
-def _default_coeffs(v_star: float = 15.0):
+def _default_coeffs():
     p = DriverParams()
-    return linearize(equilibrium_spacing(v_star, p), p)
+    return linearize(equilibrium_spacing(15.0, p), p)
 
 
 def _case_spec(case: str) -> TransferSpec:
@@ -73,13 +75,13 @@ def _case_spec(case: str) -> TransferSpec:
     )
 
 
-def _sinusoid_scenario(case: str, dt: float) -> ScenarioConfig:
+def _sinusoid_scenario(case: str) -> ScenarioConfig:
     return ScenarioConfig(
         variant=SystemVariant.GENERAL_LCC,
         m=2,
         n=2,
         horizon=100.0,
-        dt=dt,
+        dt=_DT,
         perturbation=HeadSinusoid(),
         cav=CavController(
             gains=FeedbackGains.from_pairs(GAIN_CASES[case]), mode="hdv-baseline"
@@ -87,7 +89,7 @@ def _sinusoid_scenario(case: str, dt: float) -> ScenarioConfig:
     )
 
 
-def _brake_scenario(controller: CavController, dt: float, heterogeneous: bool) -> ScenarioConfig:
+def _brake_scenario(controller: CavController, heterogeneous: bool) -> ScenarioConfig:
     variant = (
         SystemVariant.CF_LCC if 0 in controller.gains.mu else SystemVariant.FD_LCC
     )
@@ -96,7 +98,7 @@ def _brake_scenario(controller: CavController, dt: float, heterogeneous: bool) -
         m=0,
         n=10,
         horizon=40.0,
-        dt=dt,
+        dt=_DT,
         perturbation=FollowerBrake(),
         heterogeneity=HeterogeneitySpec() if heterogeneous else None,
         cav=controller,
@@ -104,14 +106,14 @@ def _brake_scenario(controller: CavController, dt: float, heterogeneous: bool) -
     )
 
 
-def preset_fig5(outdir: Path, dt: float = 0.01) -> List[Path]:
-    rows = energy_scaling_study(_default_coeffs(), range(1, 9), [10.0, 20.0, 30.0], dt=dt)
+def preset_fig5(outdir: Path) -> List[Path]:
+    rows = energy_scaling_study(_default_coeffs(), range(1, 9), [10.0, 20.0, 30.0], dt=_DT)
     return [
         write_csv_atomic(outdir / "fig5.csv", ("n", "t", "lambda_min", "trace_inv"), rows)
     ]
 
 
-def preset_fig8(outdir: Path, dt: float = 0.01) -> List[Path]:
+def preset_fig8(outdir: Path) -> List[Path]:
     omegas = FrequencyGrid().omegas()
     paths = []
     for case in GAIN_CASES:
@@ -127,8 +129,8 @@ def preset_fig8(outdir: Path, dt: float = 0.01) -> List[Path]:
 
 
 def _preset_fig9(case: str):
-    def run(outdir: Path, dt: float = 0.01) -> List[Path]:
-        trace = simulate(_sinusoid_scenario(case, dt))
+    def run(outdir: Path) -> List[Path]:
+        trace = simulate(_sinusoid_scenario(case))
         return [
             write_trace_csv(outdir / f"fig9-{case}.csv", trace),
             write_events_csv(outdir / f"fig9-{case}-events.csv", trace),
@@ -138,8 +140,8 @@ def _preset_fig9(case: str):
 
 
 def _preset_fig10(label: str, controller: CavController):
-    def run(outdir: Path, dt: float = 0.01) -> List[Path]:
-        trace = simulate(_brake_scenario(controller, dt, heterogeneous=False))
+    def run(outdir: Path) -> List[Path]:
+        trace = simulate(_brake_scenario(controller, heterogeneous=False))
         return [
             write_trace_csv(outdir / f"fig10-{label}.csv", trace),
             write_events_csv(outdir / f"fig10-{label}-events.csv", trace),
@@ -148,7 +150,7 @@ def _preset_fig10(label: str, controller: CavController):
     return run
 
 
-def preset_table1(outdir: Path, dt: float = 0.01) -> List[Path]:
+def preset_table1(outdir: Path) -> List[Path]:
     header = ["case"]
     for vid in (-2, -1, 1, 2):
         header += [f"mu_{vid}", f"k_{vid}"]
@@ -165,7 +167,7 @@ def preset_table1(outdir: Path, dt: float = 0.01) -> List[Path]:
     return [write_csv_atomic(outdir / "table1.csv", header, rows)]
 
 
-def _performance_rows(dt: float, heterogeneous: bool) -> List[list]:
+def _performance_rows(heterogeneous: bool) -> List[list]:
     window = (20.0, 40.0)
     vehicles = list(range(0, 11))
     strategies = [
@@ -175,7 +177,7 @@ def _performance_rows(dt: float, heterogeneous: bool) -> List[list]:
     ]
     results = {}
     for label, controller in strategies:
-        trace = simulate(_brake_scenario(controller, dt, heterogeneous))
+        trace = simulate(_brake_scenario(controller, heterogeneous))
         results[label] = (
             aave(trace, window, vehicles=vehicles),
             total_fuel(trace, window, vehicles=vehicles),
@@ -193,8 +195,8 @@ def _performance_rows(dt: float, heterogeneous: bool) -> List[list]:
     return rows
 
 
-def preset_table2(outdir: Path, dt: float = 0.01) -> List[Path]:
-    rows = _performance_rows(dt, heterogeneous=False)
+def preset_table2(outdir: Path) -> List[Path]:
+    rows = _performance_rows(heterogeneous=False)
     return [
         write_csv_atomic(
             outdir / "table2.csv",
@@ -204,8 +206,8 @@ def preset_table2(outdir: Path, dt: float = 0.01) -> List[Path]:
     ]
 
 
-def preset_appendix_c(outdir: Path, dt: float = 0.01) -> List[Path]:
-    rows = _performance_rows(dt, heterogeneous=True)
+def preset_appendix_c(outdir: Path) -> List[Path]:
+    rows = _performance_rows(heterogeneous=True)
     return [
         write_csv_atomic(
             outdir / "appendixC.csv",
@@ -230,7 +232,7 @@ PRESETS: Dict[str, Callable] = {
 }
 
 
-def run_preset(name: str, outdir, dt: float = 0.01) -> List[Path]:
+def run_preset(name: str, outdir) -> List[Path]:
     """Run one preset into ``outdir`` and return the files written."""
     if name not in PRESETS:
         raise KeyError(
@@ -238,4 +240,4 @@ def run_preset(name: str, outdir, dt: float = 0.01) -> List[Path]:
         )
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return PRESETS[name](outdir, dt=dt)
+    return PRESETS[name](outdir)

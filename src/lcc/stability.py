@@ -146,9 +146,6 @@ class RegionMap:
     axis2: GainAxis
     classes: np.ndarray  # (axis1.points, axis2.points) of SS/SU/AU codes
 
-    def cell_class(self, i: int, j: int) -> str:
-        return str(self.classes[i, j])
-
     def stable_mask(self) -> np.ndarray:
         return self.classes == CLASS_STABLE
 
@@ -230,7 +227,7 @@ def _oracle_model(spec: TransferSpec) -> Tuple[StateSpaceModel, np.ndarray, np.n
     else:
         variant = SystemVariant.CCC
     model = build_system(variant, spec.m, spec.n, spec.coeffs)
-    A_cl = closed_loop_matrix(model, spec.gains, baseline=True)
+    A_cl = closed_loop_matrix(model, spec.gains)
     tail = spec.n if spec.n >= 1 else 0
     C = np.zeros(model.dim)
     C[model.index_map[tail][1]] = 1.0
@@ -251,6 +248,7 @@ def state_space_gain(spec: TransferSpec, omega: float) -> complex:
     return complex(C @ x)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _peak_magnitude(
     coeffs: LinearCoeffs, mu_p, k_p, mu_f, k_f, grid: FrequencyGrid
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,6 +256,8 @@ def _peak_magnitude(
 
     Gains are ``(m|n, cells)`` arrays.  Returns per cell the peak omega and
     magnitude, and the first omega of a non-finite grid value (else NaN).
+    Floating-point overflow is silenced here: the callers report each
+    non-finite cell themselves.
     """
     a1, a2, a3, gains = coeffs.alpha1, coeffs.alpha2, coeffs.alpha3, (mu_p, k_p, mu_f, k_f)
     omegas, cells = grid.omegas(), mu_p.shape[1]

@@ -6,8 +6,8 @@ state stacks (spacing error, velocity error) pairs front to back:
 
 * GENERAL_LCC  head vehicle, m >= 1 HDVs ahead, n >= 1 HDVs behind
 * CF_LCC       CAV car-follows the head vehicle directly (m = 0)
-* FD_LCC       CAV free-drives, nothing ahead; its first state is the
-               negated position -p_0 instead of a spacing
+* FD_LCC       CAV free-drives, nothing ahead; its spacing row holds
+               the negated position -p_0
 * CCC          m >= 1 HDVs ahead, none behind
 
 The blocks of the dynamics matrix follow the linearized HDV model: an HDV
@@ -76,8 +76,7 @@ class StateSpaceModel:
     """Assembled (A, B, H) triple plus the bookkeeping to read it.
 
     ``index_map`` sends a vehicle id to its (spacing-row, velocity-row)
-    pair.  For FD chains the CAV's "spacing" row holds -p_0; the
-    ``negated_position`` flag records that sign convention.
+    pair.  For FD chains the CAV's "spacing" row holds -p_0.
     """
 
     variant: SystemVariant
@@ -88,7 +87,6 @@ class StateSpaceModel:
     B: np.ndarray
     H: Optional[np.ndarray]
     index_map: Dict[int, Tuple[int, int]]
-    negated_position: bool = False
 
     @property
     def dim(self) -> int:
@@ -97,15 +95,6 @@ class StateSpaceModel:
     @property
     def vehicle_ids(self) -> list:
         return sorted(self.index_map)
-
-    def vehicle_of_row(self, row: int) -> Tuple[int, str]:
-        """Inverse of index_map: state row -> (vehicle id, 'spacing'|'velocity')."""
-        for vid, (rs, rv) in self.index_map.items():
-            if row == rs:
-                return vid, "spacing"
-            if row == rv:
-                return vid, "velocity"
-        raise KeyError(f"row {row} out of range for dim {self.dim}")
 
 
 def _validate_topology(variant: SystemVariant, m: int, n: int) -> None:
@@ -181,7 +170,6 @@ def build_system(
         B=B,
         H=H,
         index_map=index_map,
-        negated_position=variant is SystemVariant.FD_LCC,
     )
 
 
@@ -192,16 +180,14 @@ def _allowed_gain_ids(model: StateSpaceModel) -> set:
     return ids
 
 
-def control_row(
-    model: StateSpaceModel, gains: FeedbackGains, baseline: bool = True
-) -> np.ndarray:
+def control_row(model: StateSpaceModel, gains: FeedbackGains) -> np.ndarray:
     """Row vector K of the CAV feedback law u = K x.
 
-    With ``baseline`` the CAV mimics an HDV toward vehicle -1 (alpha1 on
-    its own spacing, -alpha2 on its own velocity, alpha3 on the
-    predecessor's velocity); the gains add on top.  CF chains carry that
-    baseline inside A already, FD chains have no predecessor, so for both
-    the baseline contributes nothing and only the gain terms remain.
+    In general and CCC chains the CAV mimics an HDV toward vehicle -1
+    (alpha1 on its own spacing, -alpha2 on its own velocity, alpha3 on
+    the predecessor's velocity) and the gains add on top.  CF chains
+    carry that baseline inside A already and FD chains have no
+    predecessor, so for both only the gain terms remain.
     """
     bad = gains.ids() - _allowed_gain_ids(model)
     if bad:
@@ -211,7 +197,7 @@ def control_row(
         )
     K = np.zeros(model.dim)
     c = model.coeffs
-    if baseline and model.variant in (SystemVariant.GENERAL_LCC, SystemVariant.CCC):
+    if model.variant in (SystemVariant.GENERAL_LCC, SystemVariant.CCC):
         rs0, rv0 = model.index_map[0]
         K[rs0] += c.alpha1
         K[rv0] += -c.alpha2
@@ -223,9 +209,7 @@ def control_row(
     return K
 
 
-def closed_loop_matrix(
-    model: StateSpaceModel, gains: FeedbackGains, baseline: bool = True
-) -> np.ndarray:
+def closed_loop_matrix(model: StateSpaceModel, gains: FeedbackGains) -> np.ndarray:
     """Closed-loop dynamics A + B K under the CAV feedback law."""
-    K = control_row(model, gains, baseline=baseline)
+    K = control_row(model, gains)
     return model.A + model.B @ K[None, :]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 __all__ = [
     "DriverParams",
@@ -128,19 +127,13 @@ def ovm_acceleration(s: float, s_dot: float, v: float, p: DriverParams) -> float
     return p.alpha * (desired_velocity(s, p) - v) + p.beta * s_dot
 
 
-def equilibrium_spacing(
-    v_star: float,
-    p: DriverParams,
-    profile: Optional[Callable[[float], float]] = None,
-) -> Equilibrium:
+def equilibrium_spacing(v_star: float, p: DriverParams) -> Equilibrium:
     """Spacing at which a vehicle holds velocity v_star with zero acceleration.
 
-    Inverts V(s) = v_star.  The saturated branches make the inverse
-    non-unique at the endpoints; by convention v_star = 0 maps to s_st and
-    v_star = v_max maps to s_go (the continuous limits of the interior
-    branch).  The default half-cosine ramp is inverted in closed form; pass
-    ``profile`` (a monotone map of spacing to velocity on [s_st, s_go]) to
-    invert an alternative ramp by bisection instead.
+    Inverts V(s) = v_star in closed form on the half-cosine ramp.  The
+    saturated branches make the inverse non-unique at the endpoints; by
+    convention v_star = 0 maps to s_st and v_star = v_max maps to s_go
+    (the continuous limits of the interior branch).
     """
     if not 0 <= v_star <= p.v_max:
         raise ValueError(f"v_star must lie in [0, {p.v_max}], got {v_star}")
@@ -148,25 +141,8 @@ def equilibrium_spacing(
         return Equilibrium(v_star=v_star, s_star=p.s_st)
     if v_star == p.v_max:
         return Equilibrium(v_star=v_star, s_star=p.s_go)
-    if profile is None:
-        s_star = p.s_st + (p.s_go - p.s_st) * math.acos(1.0 - 2.0 * v_star / p.v_max) / math.pi
-    else:
-        s_star = _bisect_monotone(profile, p.s_st, p.s_go, v_star)
+    s_star = p.s_st + (p.s_go - p.s_st) * math.acos(1.0 - 2.0 * v_star / p.v_max) / math.pi
     return Equilibrium(v_star=v_star, s_star=s_star)
-
-
-def _bisect_monotone(f, lo: float, hi: float, target: float, tol: float = 1e-12) -> float:
-    """Solve f(x) = target for nondecreasing f on [lo, hi]."""
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if f(mid) < target:
-            a = mid
-        else:
-            b = mid
-        if b - a <= tol * max(1.0, abs(b)):
-            break
-    return 0.5 * (a + b)
 
 
 def linearize(eq: Equilibrium, p: DriverParams) -> LinearCoeffs:

@@ -285,7 +285,7 @@ def test_criterion_07_nonlinear_simulation(default_coeffs):
 
 
 def _performance(controller, heterogeneous=False):
-    trace = simulate(_brake_scenario(controller, 0.01, heterogeneous))
+    trace = simulate(_brake_scenario(controller, heterogeneous))
     window = (20.0, 40.0)
     vehicles = range(0, 11)
     return (

@@ -1,13 +1,20 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
 from lcc.cli import main
 from lcc.presets import PRESETS
+
+# SHA-256 of every file each preset writes, as the benchmark records them.
+_PRESET_DIGESTS = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "references.json").read_text()
+)["numpy"]["reproduce"]
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +289,7 @@ def test_reproduce_csv_mode_follows_umask(capsys, tmp_path, umask):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_every_preset_runs(capsys, tmp_path, preset):
+    """Each preset writes the bytes recorded in the benchmark's reference digests."""
     code, out, _ = run_cli(capsys, "reproduce", preset, "-o", str(tmp_path))
     assert code == 0
     assert "wrote" in out
@@ -289,3 +297,17 @@ def test_every_preset_runs(capsys, tmp_path, preset):
     for path in written:
         text = open(path).read()
         assert text.endswith("\n") and "," in text.splitlines()[0]
+    digests = {
+        Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in written
+    }
+    assert digests == _PRESET_DIGESTS[preset]
+
+
+def test_reproduce_rejects_step_option(capsys, tmp_path):
+    """Presets pin the paper's step; there is no --dt to override it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "table1", "--dt", "0.02", "-o", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--dt" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

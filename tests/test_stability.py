@@ -3,6 +3,7 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,20 @@ def test_scan_extreme_gains_fail_as_asymptotically_unstable(default_coeffs, capl
         caplog.messages
     )
     assert len(caplog.messages) == 14
+
+
+def test_scan_overflow_is_reported_per_cell_without_runtime_warnings(default_coeffs, caplog):
+    spec = spec_with(default_coeffs, 2, 2)
+    axes = tuple(
+        GainAxis(vehicle=-1, component=c, lo=-1e300, hi=1e300, points=p)
+        for c, p in (("mu", 5), ("k", 3))
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with caplog.at_level(logging.WARNING, logger="lcc.stability"):
+            scan_region(spec, *axes)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert any("failed to evaluate" in msg for msg in caplog.messages)
 
 
 def test_scan_eigvals_failure_marks_only_that_cell(default_coeffs, monkeypatch, caplog):

@@ -37,7 +37,7 @@ def test_fd_n0_is_double_integrator(default_coeffs):
     assert np.array_equal(mod.A, np.array([[0.0, -1.0], [0.0, 0.0]]))
     assert np.array_equal(mod.B.ravel(), [0.0, 1.0])
     assert mod.H is None
-    assert mod.negated_position
+    assert mod.index_map == {0: (0, 1)}
 
 
 def test_cf_n1_matrix(default_coeffs):
@@ -78,12 +78,9 @@ def test_topology_validation(default_coeffs):
 )
 def test_index_map_roundtrip(default_coeffs, variant, m, n):
     mod = build_system(variant, m, n, default_coeffs)
-    seen = set()
-    for vid, (rs, rv) in mod.index_map.items():
-        assert mod.vehicle_of_row(rs) == (vid, "spacing")
-        assert mod.vehicle_of_row(rv) == (vid, "velocity")
-        seen |= {rs, rv}
-    assert seen == set(range(mod.dim))
+    rows = [r for pair in mod.index_map.values() for r in pair]
+    assert sorted(rows) == list(range(mod.dim))
+    assert all(rv == rs + 1 for rs, rv in mod.index_map.values())
 
 
 @pytest.mark.parametrize(
@@ -156,7 +153,7 @@ def test_case_d_closed_loop_row(default_coeffs):
 def test_fd_explicit_self_gains(default_coeffs):
     mod = build_system(V.FD_LCC, 0, 2, default_coeffs)
     gains = FeedbackGains(mu={0: 0.3, 1: -0.2}, k={0: -0.5, 1: 0.05})
-    K = control_row(mod, gains, baseline=False)
+    K = control_row(mod, gains)
     assert K[0] == 0.3 and K[1] == -0.5 and K[2] == -0.2 and K[3] == 0.05
 
 
@@ -169,4 +166,4 @@ def test_gain_id_validation(default_coeffs):
     with pytest.raises(TopologyError):
         closed_loop_matrix(gen, FeedbackGains(mu={-2: 1.0}, k={}))
     fd = build_system(V.FD_LCC, 0, 1, default_coeffs)
-    closed_loop_matrix(fd, FeedbackGains(mu={0: 1.0}, k={0: -1.0}), baseline=False)
+    closed_loop_matrix(fd, FeedbackGains(mu={0: 1.0}, k={0: -1.0}))

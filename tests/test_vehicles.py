@@ -93,14 +93,6 @@ def test_equilibrium_inverse_identity(default_params):
         )
 
 
-def test_bisection_fallback_matches_closed_form(default_params):
-    profile = lambda s: desired_velocity(s, default_params)
-    for v in (3.0, 15.0, 27.5):
-        closed = equilibrium_spacing(v, default_params).s_star
-        bisected = equilibrium_spacing(v, default_params, profile=profile).s_star
-        assert bisected == pytest.approx(closed, abs=1e-9)
-
-
 def test_linearize_default_values(default_coeffs, default_params):
     assert default_coeffs.alpha1 == pytest.approx(0.9425, abs=1e-3)
     assert default_coeffs.alpha1 == pytest.approx(0.3 * math.pi, rel=1e-12)
