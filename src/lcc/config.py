@@ -144,9 +144,9 @@ _KEYS = {
     )),
     "frequency": _Section({}, _rows(
         FrequencyGrid,
-        omega_min=(float, "> 0", "lowest grid frequency (rad/s)"),
-        omega_max=(float, "> 0", "highest grid frequency (rad/s)"),
-        points=(int, ">= 2", "log-spaced grid points"),
+        omega_min=(float, "> 0", "lowest frequency of verdicts and magnitude CSV (rad/s)"),
+        omega_max=(float, "> 0", "highest frequency of verdicts and magnitude CSV (rad/s)"),
+        points=(int, ">= 2", "log-spaced points of the stability magnitude CSV only"),
     )),
     "scan": _Section(None, {"axis1": _AXIS, "axis2": _AXIS}),
 }

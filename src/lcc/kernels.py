@@ -2,12 +2,13 @@
 
 Two inner loops dominate the package's runtime: the forward-Euler
 stepping of the nonlinear vehicle chain and the evaluation of the
-head-to-tail gain magnitude over dense frequency grids (thousands of
-cells in a region scan).  ``gamma_mag_sq_grid`` evaluates the magnitude
-vectorised with numpy, ``gamma_mag_sq_scalar`` is the same formula at
-one frequency per gain set, and ``simulate_loop`` steps the chain.  Both
-magnitude entry points broadcast: given gain arrays with a trailing cell
-axis they evaluate many gain sets in one call (see their docstrings).
+head-to-tail gain magnitude, over frequency grids for plots and at the
+candidate peaks of every cell of a region scan.  ``gamma_mag_sq_grid``
+evaluates the magnitude vectorised with numpy, ``gamma_mag_sq_scalar``
+is the same formula at each gain set's own frequencies, and
+``simulate_loop`` steps the chain.  Both magnitude entry points
+broadcast: given gain arrays with a trailing cell axis they evaluate
+many gain sets in one call (see their docstrings).
 
 ``simulate_loop`` steps on Python floats in lists, since indexing numpy
 arrays element by element boxes an ``np.float64`` per access, and keeps
@@ -34,12 +35,12 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 def gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
-    """``gamma_mag_sq_grid`` at one frequency per gain set.
+    """``gamma_mag_sq_grid`` at frequencies of their own per gain set.
 
     With a float ``w`` and 1-D gains this is one gain set at one
-    frequency; with ``w`` of shape ``(cells,)`` and gains of shape
-    ``(m|n, cells)`` it is one frequency per gain set, returning shape
-    ``(cells,)``.
+    frequency; with ``w`` of shape ``(points, cells)`` and gains of shape
+    ``(m|n, cells)`` it evaluates each gain set at its own column of
+    frequencies, returning the shape of ``w``.
     """
     return gamma_mag_sq_grid(np.asarray(w, dtype=float), a1, a2, a3, mu_p, k_p, mu_f, k_f)
 

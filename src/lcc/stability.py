@@ -1,23 +1,23 @@
 """Head-to-tail transfer functions, string-stability verdicts, gain scans.
 
-The chain maps the head vehicle's velocity perturbation to the tail
-vehicle's through
+The head vehicle's velocity perturbation reaches the tail through
+Gamma(s) = G(s) (phi/gamma)^(n+m): phi = alpha3 s + alpha1 over
+gamma = s^2 + alpha2 s + alpha1 is an HDV's own transfer function, and G
+holds the CAV's feedback.  Clearing denominators, Gamma = Num phi^n / (Den gamma^m):
 
-    Gamma(s) = G(s) * (phi/gamma)^(n+m),
+    Num = phi^(m+1) + sum_i (mu_-i (gamma - phi) + k_-i s phi) gamma^(i-1) phi^(m-i)
+    Den = gamma^(n+1) - sum_i (mu_i (gamma - phi) + k_i s phi) phi^(i-1) gamma^(n-i)
 
-where phi(s) = alpha3*s + alpha1 and gamma(s) = s^2 + alpha2*s + alpha1
-form the local HDV transfer function, and G collects the CAV's feedback
-terms on the vehicles it listens to.  The chain is string stable when
-|Gamma(j w)| stays below one for every positive frequency.
+Both are affine in the gains, Den is monic of degree 2n+2, and Den gamma^m
+is det(sI - A_cl), the closed loop's characteristic polynomial.  Every
+verdict comes from these polynomials, with no frequency search:
 
-Verdicts are computed on a log-spaced frequency grid with golden-section
-refinement of the discrete peak; asymptotic stability is judged
-separately from the closed-loop eigenvalues, since a bounded transfer
-magnitude says nothing about internally unstable dynamics.
-
-Both run on batches of gain sets (``is_string_stable`` is a batch of
-one): a scan makes one ``eigvals`` call per chunk of cells, evaluates the
-grid per block of cells and runs the golden sections of a chunk in lockstep.
+* asymptotically unstable (AU): a root of Den has real part above
+  ``EIG_TOL`` (gamma's roots are stable for every ``LinearCoeffs``);
+* string stable: the peak of |Gamma(jw)| over [omega_min, omega_max] is
+  below one.  With x = w^2, |Gamma|^2 = A(x)/B(x) is a ratio of
+  polynomials, so the peak lies at an end of the range or at a root of
+  A'B - AB'; the grid kernel evaluates |Gamma| at these few candidates.
 """
 
 from __future__ import annotations
@@ -25,46 +25,29 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import kernels
 from .errors import EvaluationError, TopologyError
-from .systems import (
-    FeedbackGains,
-    StateSpaceModel,
-    SystemVariant,
-    build_system,
-    closed_loop_matrix,
-)
+from .systems import FeedbackGains, StateSpaceModel, SystemVariant, build_system, closed_loop_matrix
 from .vehicles import LinearCoeffs
 
 __all__ = [
-    "TransferSpec",
-    "FrequencyGrid",
-    "GainAxis",
-    "RegionMap",
-    "StringStabilityResult",
-    "phi_gamma",
-    "transfer_value",
-    "head_to_tail",
-    "magnitude_curve",
-    "state_space_gain",
-    "is_string_stable",
-    "scan_region",
+    "TransferSpec", "FrequencyGrid", "GainAxis", "RegionMap", "StringStabilityResult",
+    "phi_gamma", "transfer_value", "head_to_tail", "magnitude_curve", "state_space_gain",
+    "is_string_stable", "scan_region",
 ]
 
 log = logging.getLogger(__name__)
 
-# Verdict margin on |Gamma| < 1 and eigenvalue real-part tolerance.
+# Verdict margin on |Gamma| < 1 and root real-part tolerance.
 PEAK_MARGIN = 1e-9
 EIG_TOL = 1e-6
 
-# Golden-section steps, cells x grid points per grid kernel call (16 cells
-# at 1000 points: 256 KiB temporaries) and matrix entries per scan chunk.
-_GOLDEN_ITERS = 60
-_GRID_ENTRIES = 16_000
+# Companion-matrix entries per scan chunk.
 _CHUNK_ENTRIES = 2**16
 
 CLASS_STABLE = "SS"
@@ -94,17 +77,17 @@ class TransferSpec:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Log-spaced evaluation grid over strictly positive frequencies."""
+    """Frequency range of the verdicts, and the log-spaced grid of plots."""
 
     omega_min: float = 1e-2
     omega_max: float = 1e2
     points: int = 1000
 
     def __post_init__(self):
-        if not self.omega_min > 0:
-            raise ValueError(f"omega_min must be > 0, got {self.omega_min}")
-        if not self.omega_max > self.omega_min:
-            raise ValueError("omega_max must exceed omega_min")
+        if not 0 < self.omega_min < math.inf:
+            raise ValueError(f"omega_min must be finite and > 0, got {self.omega_min}")
+        if not self.omega_min < self.omega_max < math.inf:
+            raise ValueError(f"omega_max must be finite and exceed omega_min, got {self.omega_max}")
         if self.points < 2:
             raise ValueError("need at least 2 grid points")
 
@@ -127,15 +110,16 @@ class GainAxis:
     def __post_init__(self):
         if self.component not in ("mu", "k"):
             raise ValueError(f"component must be 'mu' or 'k', got {self.component!r}")
+        for name in ("lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.points < 1:
             raise ValueError("axis needs at least 1 point")
         if self.points > 1 and not self.hi > self.lo:
             raise ValueError("axis range must have hi > lo")
 
     def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.lo])
-        return np.linspace(self.lo, self.hi, self.points)
+        return np.linspace(self.lo, self.hi, self.points)  # [lo] for one point
 
 
 @dataclass
@@ -164,39 +148,138 @@ def phi_gamma(c: LinearCoeffs, s: complex) -> Tuple[complex, complex]:
 
 
 def _gain_arrays(spec: TransferSpec):
-    mu_p = np.zeros(spec.m)
-    k_p = np.zeros(spec.m)
-    mu_f = np.zeros(spec.n)
-    k_f = np.zeros(spec.n)
-    for vid, g in spec.gains.mu.items():
-        (mu_p if vid < 0 else mu_f)[abs(vid) - 1] = g
-    for vid, g in spec.gains.k.items():
-        (k_p if vid < 0 else k_f)[abs(vid) - 1] = g
+    mu_p, k_p, mu_f, k_f = np.zeros(spec.m), np.zeros(spec.m), np.zeros(spec.n), np.zeros(spec.n)
+    for gains, ahead, behind in ((spec.gains.mu, mu_p, mu_f), (spec.gains.k, k_p, k_f)):
+        for vid, g in gains.items():
+            (ahead if vid < 0 else behind)[abs(vid) - 1] = g
     return mu_p, k_p, mu_f, k_f
 
 
-def transfer_value(spec: TransferSpec, s: complex) -> complex:
-    """Closed-form Gamma(s) at an arbitrary complex point."""
+def _polynomials(spec: TransferSpec, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Num and Den of gain rows (1, mu_p, k_p, mu_f, k_f): affine, so one product with a basis."""
+    c, m, n = spec.coeffs, spec.m, spec.n
+    phi, gam = np.array([c.alpha1, c.alpha3]), np.array([c.alpha1, c.alpha2, 1.0])
+    phis, gams = [np.ones(1)], [np.ones(1)]  # powers 0..max(m, n)+1
+    for _ in range(max(m, n) + 1):
+        phis.append(np.convolve(phis[-1], phi))
+        gams.append(np.convolve(gams[-1], gam))
+    terms = (gam - np.append(phi, 0.0), np.append(0.0, phi))  # gamma - phi, s phi
+    pairs = [(phis[m + 1], gams[n + 1])]
+    for t in terms:  # mu_p, then k_p
+        pairs += [(np.convolve(t, np.convolve(gams[i], phis[m - 1 - i])), []) for i in range(m)]
+    for t in terms:  # mu_f, then k_f
+        pairs += [([], -np.convolve(t, np.convolve(phis[i], gams[n - 1 - i]))) for i in range(n)]
+    split = max(m + 1, 2 * m) + 1
+    basis = np.zeros((len(pairs), split + 2 * n + 3))
+    for row, (num, den) in zip(basis, pairs):
+        row[: len(num)], row[split : split + len(den)] = num, den
+    return np.split(rows @ basis, [split], axis=1)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of polynomials, ascending coefficients on the last axis (b may lack a's others)."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
+    for i in range(a.shape[-1]):
+        out[..., i : i + b.shape[-1]] += a[..., i, None] * b
+    return out
+
+
+def _mag_sq(p: np.ndarray) -> np.ndarray:
+    """|P(jw)|^2 as a polynomial in x = w^2: P(s) P(-s), even in s, at s^2 = -x."""
+    even = _mul(p, p * (-1.0) ** np.arange(p.shape[-1]))[..., ::2]
+    return even * (-1.0) ** np.arange(even.shape[-1])
+
+
+def _stationary(spec: TransferSpec, num: np.ndarray, den: np.ndarray, cut: int) -> np.ndarray:
+    """A'B - AB' over common factors, for |Gamma|^2 = A/B = N F^(n+cut) / (D G^(m+cut)), where
+    N, D, F, G are |Num|^2, |Den|^2, |phi|^2, |gamma|^2 in x = w^2 (Num, Den scaled to unit
+    maximum, so N and D stay finite)."""
     c = spec.coeffs
-    phi, gam = phi_gamma(c, s)
-    if phi == 0 or gam == 0:
-        raise EvaluationError(f"local transfer function singular at s={s}")
-    r = phi / gam
-    inv_r = gam / phi
-    mu_p, k_p, mu_f, k_f = _gain_arrays(spec)
-    num = phi
-    rp = 1.0 + 0.0j
-    for d in range(spec.m):
-        num += (mu_p[d] * (inv_r - 1.0) + k_p[d] * s) * rp
-        rp *= inv_r
-    den = gam
-    rf = r
-    for j in range(spec.n):
-        den -= (mu_f[j] * (inv_r - 1.0) + k_f[j] * s) * rf
-        rf *= r
-    if den == 0:
+    a, d = (_mag_sq(p / np.abs(p).max(axis=-1, keepdims=True)) for p in (num, den))
+    f, g = _mag_sq(np.array([c.alpha1, c.alpha3])), _mag_sq(np.array([c.alpha1, c.alpha2, 1.0]))
+    da, dd, dg = (P.polyder(p, axis=-1) for p in (a, d, g))
+    q = _mul(da, _mul(d, g)) - _mul(a, _mul(dd, g) + (spec.m + cut) * _mul(d, dg))
+    return _mul(q, f) + (spec.n + cut) * f[1] * _mul(_mul(a, d), g)
+
+
+def _roots(coefs: np.ndarray, degree: np.ndarray) -> Tuple[np.ndarray, Dict[int, str]]:
+    """Roots of each row of the given degree, by one companion-matrix stack per degree (redone
+    row by row if it fails), and the message of each failed row, whose roots are infinite."""
+    roots = np.full((coefs.shape[0], coefs.shape[1] - 1), np.inf, dtype=complex)
+    problems: Dict[int, str] = {}
+    for k in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == k)
+        companion = np.zeros((rows.size, k, k))
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        companion[:, :, -1] = -coefs[rows, :k] / coefs[rows, k, None]
+        try:
+            roots[rows, :k] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            for q, matrix in zip(rows, companion):
+                try:
+                    roots[q, :k] = np.linalg.eigvals(matrix)
+                except np.linalg.LinAlgError as exc:
+                    problems[int(q)] = str(exc)
+    return roots, problems
+
+
+def _shorten(spec: TransferSpec, *vehicles: int) -> Tuple[TransferSpec, int, np.ndarray]:
+    """The chain up to the farthest vehicle with a gain (or in ``vehicles``), the number of
+    HDVs cut, each of which only multiplies Gamma by phi/gamma, and the short gain row."""
+    ids = spec.gains.ids() | set(vehicles)
+    m, n = max([-i for i in ids if i < 0], default=0), max([i for i in ids if i > 0], default=0)
+    short = TransferSpec(m, n, spec.coeffs, spec.gains)
+    return short, spec.m + spec.n - m - n, np.concatenate([[1.0], *_gain_arrays(short)])
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _evaluate(spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: int, au_too=False):
+    """AU flags, peaks (omega, |Gamma|^2) and failure messages of gain rows of ``spec``
+    followed by ``cut`` HDVs.  AU rows (unless ``au_too``) and failed rows get NaN peaks.
+
+    The candidates are the range's ends and the real part of every root of ``_stationary``,
+    before and after a Newton step: each can only raise the maximum toward the true one.
+    A row fails on a root-finding error, or names the lowest omega of a non-finite |Gamma|.
+    """
+    num, den = _polynomials(spec, rows)
+    den_roots, problems = _roots(den, np.full(len(rows), 2 * spec.n + 2))
+    au = np.any(den_roots.real > EIG_TOL, axis=1)
+    live = np.arange(len(rows)) if au_too else np.flatnonzero(~au)
+    # The degree drops leading terms below round-off of the largest one at omega_max
+    # (so anywhere in range): they only add far-off roots and spoil the companion.
+    q = _stationary(spec, num[live], den[live], cut)
+    powers = np.arange(q.shape[1])
+    size = np.log(np.abs(q)) + powers * math.log(grid.omega_max**2)
+    keep = size > np.max(size, axis=1, keepdims=True) + math.log(np.finfo(float).eps)
+    roots, peak_problems = _roots(q, np.max(np.where(keep, powers, 0), axis=1))
+    x = roots.real.T  # (candidates, cells), with the range's ends as -inf and inf
+    step = P.polyval(x, q.T, tensor=False) / P.polyval(x, P.polyder(q.T), tensor=False)
+    x = np.pad(np.vstack([x, x - step]), [(1, 1), (0, 0)], constant_values=(-np.inf, np.inf))
+    omegas = np.sqrt(np.fmin(np.fmax(x, grid.omega_min**2), grid.omega_max**2))
+    c, (phi, gam) = spec.coeffs, phi_gamma(spec.coeffs, 1j * omegas)
+    gains = np.split(rows[live, 1:].T, [spec.m, 2 * spec.m, 2 * spec.m + spec.n])
+    mags_sq = kernels.gamma_mag_sq_scalar(omegas, c.alpha1, c.alpha2, c.alpha3, *gains)
+    mags_sq *= np.abs(phi / gam) ** (2 * cut)
+    first_bad = np.where(np.isfinite(mags_sq), np.inf, omegas).min(axis=0)
+    for i in np.flatnonzero(first_bad < np.inf):
+        peak_problems.setdefault(int(i), f"non-finite gain at omega={first_bad[i]:.4g}")
+    problems.update({int(live[i]): msg for i, msg in peak_problems.items()})
+    best = np.argmax(mags_sq, axis=0), np.arange(live.size)
+    peak = np.full((2, len(rows)), np.nan)
+    peak[:, live] = omegas[best], mags_sq[best]
+    peak[:, list(problems)] = np.nan
+    return au, peak, problems
+
+
+def transfer_value(spec: TransferSpec, s: complex) -> complex:
+    """Gamma(s) = Num(s) phi(s)^n / (Den(s) gamma(s)^m) at an arbitrary complex point."""
+    short, cut, row = _shorten(spec)
+    (num,), (den,) = _polynomials(short, row[None])
+    phi, gam = phi_gamma(spec.coeffs, s)
+    bottom = P.polyval(s, den) * gam ** (short.m + cut)
+    if bottom == 0:
         raise EvaluationError(f"transfer-function pole at s={s}")
-    value = (num / den) * r ** (spec.m + spec.n)
+    value = complex(P.polyval(s, num) * phi ** (short.n + cut) / bottom)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise EvaluationError(f"non-finite transfer value at s={s}")
     return value
@@ -248,74 +331,19 @@ def state_space_gain(spec: TransferSpec, omega: float) -> complex:
     return complex(C @ x)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _peak_magnitude(
-    coeffs: LinearCoeffs, mu_p, k_p, mu_f, k_f, grid: FrequencyGrid
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max of |Gamma(j w)| over the grid, refined around the discrete peak.
-
-    Gains are ``(m|n, cells)`` arrays.  Returns per cell the peak omega and
-    magnitude, and the first omega of a non-finite grid value (else NaN).
-    Floating-point overflow is silenced here: the callers report each
-    non-finite cell themselves.
-    """
-    a1, a2, a3, gains = coeffs.alpha1, coeffs.alpha2, coeffs.alpha3, (mu_p, k_p, mu_f, k_f)
-    omegas, cells = grid.omegas(), mu_p.shape[1]
-    i, grid_sq, bad_omega = np.zeros(cells, np.intp), np.zeros(cells), np.full(cells, np.nan)
-    block = max(1, _GRID_ENTRIES // omegas.size)
-    for start in range(0, cells, block):
-        blk = slice(start, start + block)
-        mags_sq = np.broadcast_to(
-            kernels.gamma_mag_sq_grid(omegas, a1, a2, a3, *(g[:, blk, None] for g in gains)),
-            i[blk].shape + omegas.shape,
-        )
-        bad = ~np.isfinite(mags_sq)
-        bad_omega[blk] = np.where(bad.any(axis=1), omegas[np.argmax(bad, axis=1)], np.nan)
-        i[blk] = np.argmax(mags_sq, axis=1)
-        grid_sq[blk] = np.max(mags_sq, axis=1)
-
-    def f(logw):
-        return kernels.gamma_mag_sq_scalar(np.exp(logw), a1, a2, a3, *gains)
-
-    # Golden section in log-omega between the grid peak's neighbours, in lockstep.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.log(omegas[np.maximum(i - 1, 0)])
-    b = np.log(omegas[np.minimum(i + 1, omegas.size - 1)])
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    live = np.ones(cells, dtype=bool)
-    for _ in range(_GOLDEN_ITERS):
-        left = fc > fd
-        lt, rt = left & live, ~left & live
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
-        fx = f(np.where(left, c, d))
-        fc[lt], fd[rt] = fx[lt], fx[rt]
-        live &= ~(b - a < 1e-12)
-    x = 0.5 * (a + b)
-    fx = f(x)
-    keep = grid_sq >= fx
-    return np.where(keep, omegas[i], np.exp(x)), np.sqrt(np.where(keep, grid_sq, fx)), bad_omega
-
-
 def is_string_stable(
     spec: TransferSpec, grid: Optional[FrequencyGrid] = None
 ) -> StringStabilityResult:
-    """Grid-plus-refinement string-stability verdict for one gain set."""
-    grid = grid or FrequencyGrid()
-    gains = (g[:, None] for g in _gain_arrays(spec))  # a batch of one cell
-    peak_omega, peak_mag, bad_omega = _peak_magnitude(spec.coeffs, *gains, grid)
-    if not np.isnan(bad_omega[0]):
-        raise EvaluationError(f"non-finite gain at omega={bad_omega[0]:.4g}")
-    A_cl = _oracle_model(spec)[1]
-    return StringStabilityResult(
-        stable=bool(peak_mag[0] < 1.0 - PEAK_MARGIN),
-        peak_omega=float(peak_omega[0]),
-        peak_mag=float(peak_mag[0]),
-        asymptotically_stable=bool(np.max(np.linalg.eigvals(A_cl).real) <= EIG_TOL),
-    )
+    """String-stability verdict for one gain set, from Gamma's polynomials.
+
+    Raises ``EvaluationError`` if root finding fails or |Gamma| is not finite.
+    """
+    short, cut, row = _shorten(spec)
+    au, peak, problems = _evaluate(short, row[None], grid or FrequencyGrid(), cut, au_too=True)
+    if problems:
+        raise EvaluationError(problems[0])
+    peak_mag = math.sqrt(peak[1, 0])
+    return StringStabilityResult(peak_mag < 1 - PEAK_MARGIN, float(peak[0, 0]), peak_mag, not au[0])
 
 
 def _axis_slot(spec: TransferSpec, axis: GainAxis):
@@ -327,63 +355,32 @@ def _axis_slot(spec: TransferSpec, axis: GainAxis):
     return f"{axis.component}_{side}", abs(vid) - 1
 
 
-def _unstable_cells(stack: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Flag the matrices of a (cells, d, d) stack with an eigenvalue right of EIG_TOL.
-
-    A batch that fails is redone matrix by matrix; a failing matrix is flagged and logged.
-    """
-    try:
-        return np.max(np.linalg.eigvals(stack).real, axis=-1) > EIG_TOL
-    except np.linalg.LinAlgError as exc:
-        if len(stack) == 1:
-            log.warning("cell (%g, %g) failed to evaluate: %s", g1[0], g2[0], exc)
-            return np.ones(1, dtype=bool)
-    return np.concatenate(
-        [_unstable_cells(stack[q : q + 1], g1[q:], g2[q:]) for q in range(len(stack))]
-    )
-
-
 def scan_region(
-    base: TransferSpec,
-    axis1: GainAxis,
-    axis2: GainAxis,
-    grid: Optional[FrequencyGrid] = None,
+    base: TransferSpec, axis1: GainAxis, axis2: GainAxis, grid: Optional[FrequencyGrid] = None
 ) -> RegionMap:
-    """Classify every cell of a 2-D gain grid.
+    """Classify every cell of a 2-D gain grid, row-major in (axis1, axis2).
 
-    Cells whose closed loop has an eigenvalue with real part above the
-    tolerance are marked AU outright; the remaining cells get the string
-    verdict.  Cells that fail to evaluate are marked AU with a logged
-    diagnostic.  Cell order is row-major in (axis1, axis2).
+    Cells with a root of Den right of the tolerance are AU; the others get
+    the string verdict.  Cells that fail to evaluate are AU, with a log line.
     """
     if (axis1.vehicle, axis1.component) == (axis2.vehicle, axis2.component):
         raise TopologyError("scan axes must address distinct gain coordinates")
-    grid = grid or FrequencyGrid()
-    arrays = dict(zip(("mu_p", "k_p", "mu_f", "k_f"), _gain_arrays(base)))
-    slots = [_axis_slot(base, axis) for axis in (axis1, axis2)]
-    model, A_base, _ = _oracle_model(base)
-    u_row = model.index_map[0][1]
-    cols = [model.index_map[a.vehicle][0 if a.component == "mu" else 1] for a in (axis1, axis2)]
+    slots = [_axis_slot(base, a) for a in (axis1, axis2)]
+    short, cut, row = _shorten(base, axis1.vehicle, axis2.vehicle)
+    m, n = short.m, short.n
+    offsets = {"mu_p": 1, "k_p": 1 + m, "mu_f": 1 + 2 * m, "k_f": 1 + 2 * m + n}
+    cols = [offsets[name] + idx for name, idx in slots]
     values = np.repeat(axis1.values(), axis2.points), np.tile(axis2.values(), axis1.points)
-
     classes = np.full(values[0].size, CLASS_ASYMP_UNSTABLE)
-    chunk = max(1, _CHUNK_ENTRIES // model.dim**2)
+    chunk = max(1, _CHUNK_ENTRIES // (2 * (m + n) + 6) ** 2)
     for start in range(0, classes.size, chunk):
         g1, g2 = (v[start : start + chunk] for v in values)
-        stack = np.repeat(A_base[None], g1.size, axis=0)
-        gains = {k: np.repeat(v[:, None], g1.size, axis=1) for k, v in arrays.items()}
-        for (name, idx), col, g in zip(slots, cols, (g1, g2)):
-            stack[:, u_row, col] = A_base[u_row, col] + (g - arrays[name][idx])
-            gains[name][idx] = g
-        live = np.flatnonzero(~_unstable_cells(stack, g1, g2))
-        gains = {k: v[:, live] for k, v in gains.items()}
-        _, peak, bad_omega = _peak_magnitude(base.coeffs, **gains, grid=grid)
-        ok = np.isnan(bad_omega)
-        for q in np.flatnonzero(~ok):
-            log.warning(
-                "cell (%g, %g) failed to evaluate: non-finite gain at omega=%.4g",
-                g1[live[q]], g2[live[q]], bad_omega[q],
-            )
-        verdict = np.where(peak[ok] < 1.0 - PEAK_MARGIN, CLASS_STABLE, CLASS_UNSTABLE)
-        classes[start + live[ok]] = verdict
+        rows = np.repeat(row[None], g1.size, axis=0)
+        rows[:, cols[0]], rows[:, cols[1]] = g1, g2
+        _, (_, peak_sq), problems = _evaluate(short, rows, grid or FrequencyGrid(), cut)
+        for q in sorted(problems):
+            log.warning("cell (%g, %g) failed to evaluate: %s", g1[q], g2[q], problems[q])
+        peak, block = np.sqrt(peak_sq), classes[start : start + g1.size]  # NaN peak: stays AU
+        block[peak < 1.0 - PEAK_MARGIN] = CLASS_STABLE
+        block[peak >= 1.0 - PEAK_MARGIN] = CLASS_UNSTABLE
     return RegionMap(axis1, axis2, classes.reshape(axis1.points, axis2.points))
