@@ -10,14 +10,19 @@ holds the CAV's feedback.  Clearing denominators, Gamma = Num phi^n / (Den gamma
 
 Both are affine in the gains, Den is monic of degree 2n+2, and Den gamma^m
 is det(sI - A_cl), the closed loop's characteristic polynomial.  Every
-verdict comes from these polynomials, with no frequency search:
+verdict comes from their roots, with no frequency search:
 
 * asymptotically unstable (AU): a root of Den has real part above
   ``EIG_TOL`` (gamma's roots are stable for every ``LinearCoeffs``);
 * string stable: the peak of |Gamma(jw)| over [omega_min, omega_max] is
-  below one.  With x = w^2, |Gamma|^2 = A(x)/B(x) is a ratio of
-  polynomials, so the peak lies at an end of the range or at a root of
-  A'B - AB'; the grid kernel evaluates |Gamma| at these few candidates.
+  below one.  In x = w^2, log|Gamma|^2 is a sum of log(x + z^2) over the
+  roots z of Num, Den, phi and gamma, so its stationary points are the
+  eigenvalues of a diagonal-plus-rank-one matrix; the grid kernel
+  evaluates |Gamma| at these few candidates and at the range's ends.
+
+Companion-matrix roots lose accuracy as the degree grows, so a verdict
+takes at most ``_MAX_REACH`` HDVs on each side of the CAV, counted up to
+the farthest gain.
 """
 
 from __future__ import annotations
@@ -28,17 +33,31 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import kernels
 from .errors import EvaluationError, TopologyError
-from .systems import FeedbackGains, StateSpaceModel, SystemVariant, build_system, closed_loop_matrix
+from .systems import (
+    FeedbackGains,
+    StateSpaceModel,
+    SystemVariant,
+    build_system,
+    closed_loop_matrix,
+)
 from .vehicles import LinearCoeffs
 
 __all__ = [
-    "TransferSpec", "FrequencyGrid", "GainAxis", "RegionMap", "StringStabilityResult",
-    "phi_gamma", "transfer_value", "head_to_tail", "magnitude_curve", "state_space_gain",
-    "is_string_stable", "scan_region",
+    "TransferSpec",
+    "FrequencyGrid",
+    "GainAxis",
+    "RegionMap",
+    "StringStabilityResult",
+    "phi_gamma",
+    "transfer_value",
+    "head_to_tail",
+    "magnitude_curve",
+    "state_space_gain",
+    "is_string_stable",
+    "scan_region",
 ]
 
 log = logging.getLogger(__name__)
@@ -47,8 +66,14 @@ log = logging.getLogger(__name__)
 PEAK_MARGIN = 1e-9
 EIG_TOL = 1e-6
 
-# Companion-matrix entries per scan chunk.
+# Matrix entries per scan chunk.
 _CHUNK_ENTRIES = 2**16
+
+# HDVs a verdict's chain may have on either side of the CAV, up to its farthest gain.
+# Companion-matrix roots of Num and Den lose accuracy as their degree grows: with a gain
+# on every HDV and slow, lightly damped HDVs (alpha1 = 0.01, zeta = 0.05), 12 on a side
+# put a peak 1e-2 low.  Up to 10, peaks and AU flags matched a dense grid and A_cl's poles.
+_MAX_REACH = 10
 
 CLASS_STABLE = "SS"
 CLASS_UNSTABLE = "SU"
@@ -119,7 +144,9 @@ class GainAxis:
             raise ValueError("axis range must have hi > lo")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)  # [lo] for one point
+        if self.points == 1:
+            return np.array([self.lo])
+        return np.linspace(self.lo, self.hi, self.points)
 
 
 @dataclass
@@ -148,10 +175,14 @@ def phi_gamma(c: LinearCoeffs, s: complex) -> Tuple[complex, complex]:
 
 
 def _gain_arrays(spec: TransferSpec):
-    mu_p, k_p, mu_f, k_f = np.zeros(spec.m), np.zeros(spec.m), np.zeros(spec.n), np.zeros(spec.n)
-    for gains, ahead, behind in ((spec.gains.mu, mu_p, mu_f), (spec.gains.k, k_p, k_f)):
-        for vid, g in gains.items():
-            (ahead if vid < 0 else behind)[abs(vid) - 1] = g
+    mu_p = np.zeros(spec.m)
+    k_p = np.zeros(spec.m)
+    mu_f = np.zeros(spec.n)
+    k_f = np.zeros(spec.n)
+    for vid, g in spec.gains.mu.items():
+        (mu_p if vid < 0 else mu_f)[abs(vid) - 1] = g
+    for vid, g in spec.gains.k.items():
+        (k_p if vid < 0 else k_f)[abs(vid) - 1] = g
     return mu_p, k_p, mu_f, k_f
 
 
@@ -176,58 +207,53 @@ def _polynomials(spec: TransferSpec, rows: np.ndarray) -> Tuple[np.ndarray, np.n
     return np.split(rows @ basis, [split], axis=1)
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of polynomials, ascending coefficients on the last axis (b may lack a's others)."""
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
-    for i in range(a.shape[-1]):
-        out[..., i : i + b.shape[-1]] += a[..., i, None] * b
-    return out
+def _eigvals(stack: np.ndarray) -> Tuple[np.ndarray, Dict[int, str]]:
+    """Eigenvalues of a stack of matrices, redone one by one if the batch fails, and the
+    message of each failed or non-finite matrix, whose values are NaN."""
+    values = np.full(stack.shape[:-1], np.nan, dtype=complex)
+    ok = np.isfinite(stack).all(axis=(1, 2))
+    problems = {int(q): "non-finite coefficients" for q in np.flatnonzero(~ok)}
+    finite = np.flatnonzero(ok)
+    try:
+        values[finite] = np.linalg.eigvals(stack[finite])
+    except np.linalg.LinAlgError:
+        for q in finite:
+            try:
+                values[q] = np.linalg.eigvals(stack[q])
+            except np.linalg.LinAlgError as exc:
+                problems[int(q)] = str(exc)
+    return values, problems
 
 
-def _mag_sq(p: np.ndarray) -> np.ndarray:
-    """|P(jw)|^2 as a polynomial in x = w^2: P(s) P(-s), even in s, at s^2 = -x."""
-    even = _mul(p, p * (-1.0) ** np.arange(p.shape[-1]))[..., ::2]
-    return even * (-1.0) ** np.arange(even.shape[-1])
-
-
-def _stationary(spec: TransferSpec, num: np.ndarray, den: np.ndarray, cut: int) -> np.ndarray:
-    """A'B - AB' over common factors, for |Gamma|^2 = A/B = N F^(n+cut) / (D G^(m+cut)), where
-    N, D, F, G are |Num|^2, |Den|^2, |phi|^2, |gamma|^2 in x = w^2 (Num, Den scaled to unit
-    maximum, so N and D stay finite)."""
-    c = spec.coeffs
-    a, d = (_mag_sq(p / np.abs(p).max(axis=-1, keepdims=True)) for p in (num, den))
-    f, g = _mag_sq(np.array([c.alpha1, c.alpha3])), _mag_sq(np.array([c.alpha1, c.alpha2, 1.0]))
-    da, dd, dg = (P.polyder(p, axis=-1) for p in (a, d, g))
-    q = _mul(da, _mul(d, g)) - _mul(a, _mul(dd, g) + (spec.m + cut) * _mul(d, dg))
-    return _mul(q, f) + (spec.n + cut) * f[1] * _mul(_mul(a, d), g)
-
-
-def _roots(coefs: np.ndarray, degree: np.ndarray) -> Tuple[np.ndarray, Dict[int, str]]:
-    """Roots of each row of the given degree, by one companion-matrix stack per degree (redone
-    row by row if it fails), and the message of each failed row, whose roots are infinite."""
-    roots = np.full((coefs.shape[0], coefs.shape[1] - 1), np.inf, dtype=complex)
+def _roots(coefs: np.ndarray) -> Tuple[np.ndarray, Dict[int, str]]:
+    """Roots of each row of ascending coefficients, from one companion-matrix stack per
+    degree, and the message of each failed row.  Slots past a row's degree are NaN."""
+    degree = np.max(np.where(coefs != 0, np.arange(coefs.shape[1]), 0), axis=1)
+    roots = np.full((coefs.shape[0], coefs.shape[1] - 1), np.nan, dtype=complex)
     problems: Dict[int, str] = {}
     for k in np.unique(degree[degree > 0]):
         rows = np.flatnonzero(degree == k)
         companion = np.zeros((rows.size, k, k))
         companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
         companion[:, :, -1] = -coefs[rows, :k] / coefs[rows, k, None]
-        try:
-            roots[rows, :k] = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError:
-            for q, matrix in zip(rows, companion):
-                try:
-                    roots[q, :k] = np.linalg.eigvals(matrix)
-                except np.linalg.LinAlgError as exc:
-                    problems[int(q)] = str(exc)
+        roots[rows, :k], failed = _eigvals(companion)
+        problems.update({int(rows[q]): msg for q, msg in failed.items()})
     return roots, problems
 
 
 def _shorten(spec: TransferSpec, *vehicles: int) -> Tuple[TransferSpec, int, np.ndarray]:
     """The chain up to the farthest vehicle with a gain (or in ``vehicles``), the number of
-    HDVs cut, each of which only multiplies Gamma by phi/gamma, and the short gain row."""
+    HDVs cut, each of which only multiplies Gamma by phi/gamma, and the short gain row.
+
+    Raises ``EvaluationError`` if it has more than ``_MAX_REACH`` HDVs on a side.
+    """
     ids = spec.gains.ids() | set(vehicles)
     m, n = max([-i for i in ids if i < 0], default=0), max([i for i in ids if i > 0], default=0)
+    if max(m, n) > _MAX_REACH:
+        raise EvaluationError(
+            f"the farthest gains are on vehicles {-m} and {n}; string-stability verdicts "
+            f"take at most {_MAX_REACH} HDVs on each side of the CAV"
+        )
     short = TransferSpec(m, n, spec.coeffs, spec.gains)
     return short, spec.m + spec.n - m - n, np.concatenate([[1.0], *_gain_arrays(short)])
 
@@ -237,49 +263,70 @@ def _evaluate(spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: in
     """AU flags, peaks (omega, |Gamma|^2) and failure messages of gain rows of ``spec``
     followed by ``cut`` HDVs.  AU rows (unless ``au_too``) and failed rows get NaN peaks.
 
-    The candidates are the range's ends and the real part of every root of ``_stationary``,
-    before and after a Newton step: each can only raise the maximum toward the true one.
-    A row fails on a root-finding error, or names the lowest omega of a non-finite |Gamma|.
+    A polynomial with roots z_k has |P(jw)|^2 = c^2 prod_k (x + z_k^2) in x = w^2, so
+    d/dx log|Gamma(jw)|^2 = sum_k w_k / (x - p_k) over p_k = -z_k^2 of the roots of Num
+    (w_k = 1), Den (-1), phi (n + cut) and gamma (-(m + cut)).  Its zeros, and x = 0, are
+    the eigenvalues of diag(p) - (w p) 1^T / sum(w).  The candidates are the range's ends
+    and the real part of each zero: each can only raise the maximum toward the true one.
+    A failed row names the lowest omega of a non-finite |Gamma|, else its root-finding error.
     """
+    c, cells = spec.coeffs, len(rows)
     num, den = _polynomials(spec, rows)
-    den_roots, problems = _roots(den, np.full(len(rows), 2 * spec.n + 2))
+    den_roots, problems = _roots(den)
     au = np.any(den_roots.real > EIG_TOL, axis=1)
-    live = np.arange(len(rows)) if au_too else np.flatnonzero(~au)
-    # The degree drops leading terms below round-off of the largest one at omega_max
-    # (so anywhere in range): they only add far-off roots and spoil the companion.
-    q = _stationary(spec, num[live], den[live], cut)
-    powers = np.arange(q.shape[1])
-    size = np.log(np.abs(q)) + powers * math.log(grid.omega_max**2)
-    keep = size > np.max(size, axis=1, keepdims=True) + math.log(np.finfo(float).eps)
-    roots, peak_problems = _roots(q, np.max(np.where(keep, powers, 0), axis=1))
-    x = roots.real.T  # (candidates, cells), with the range's ends as -inf and inf
-    step = P.polyval(x, q.T, tensor=False) / P.polyval(x, P.polyder(q.T), tensor=False)
-    x = np.pad(np.vstack([x, x - step]), [(1, 1), (0, 0)], constant_values=(-np.inf, np.inf))
+    live = np.arange(cells) if au_too else np.flatnonzero(~au)
+    num_roots, peak_problems = _roots(num[live])
+    local = np.roots([1.0, c.alpha2, c.alpha1]), -c.alpha1 / c.alpha3  # gamma's, phi's
+    z = np.hstack([num_roots, den_roots[live], np.broadcast_to(np.append(*local), (live.size, 3))])
+    weights = np.full(z.shape, 1.0)
+    weights[:, num_roots.shape[1] : -3] = -1.0
+    weights[:, -3:] = [-(spec.m + cut), -(spec.m + cut), spec.n + cut]
+    weights[np.isnan(z)], poles = 0.0, np.nan_to_num(-(z**2))
+    stack = poles[:, :, None] * np.eye(z.shape[1])
+    stack -= (weights * poles / weights.sum(axis=1, keepdims=True))[:, :, None]
+    zeros, failed = _eigvals(stack)
+    # (candidates, cells), with the range's ends as -inf and inf
+    x = np.pad(zeros.real.T, [(1, 1), (0, 0)], constant_values=(-np.inf, np.inf))
     omegas = np.sqrt(np.fmin(np.fmax(x, grid.omega_min**2), grid.omega_max**2))
-    c, (phi, gam) = spec.coeffs, phi_gamma(spec.coeffs, 1j * omegas)
+    phi, gam = phi_gamma(c, 1j * omegas)
     gains = np.split(rows[live, 1:].T, [spec.m, 2 * spec.m, 2 * spec.m + spec.n])
     mags_sq = kernels.gamma_mag_sq_scalar(omegas, c.alpha1, c.alpha2, c.alpha3, *gains)
     mags_sq *= np.abs(phi / gam) ** (2 * cut)
     first_bad = np.where(np.isfinite(mags_sq), np.inf, omegas).min(axis=0)
     for i in np.flatnonzero(first_bad < np.inf):
-        peak_problems.setdefault(int(i), f"non-finite gain at omega={first_bad[i]:.4g}")
+        peak_problems[int(i)] = f"non-finite gain at omega={first_bad[i]:.4g}"
+    for i, msg in failed.items():
+        peak_problems.setdefault(i, msg)
     problems.update({int(live[i]): msg for i, msg in peak_problems.items()})
     best = np.argmax(mags_sq, axis=0), np.arange(live.size)
-    peak = np.full((2, len(rows)), np.nan)
+    peak = np.full((2, cells), np.nan)
     peak[:, live] = omegas[best], mags_sq[best]
     peak[:, list(problems)] = np.nan
     return au, peak, problems
 
 
 def transfer_value(spec: TransferSpec, s: complex) -> complex:
-    """Gamma(s) = Num(s) phi(s)^n / (Den(s) gamma(s)^m) at an arbitrary complex point."""
-    short, cut, row = _shorten(spec)
-    (num,), (den,) = _polynomials(short, row[None])
-    phi, gam = phi_gamma(spec.coeffs, s)
-    bottom = P.polyval(s, den) * gam ** (short.m + cut)
-    if bottom == 0:
+    """Closed-form Gamma(s) at an arbitrary complex point."""
+    c = spec.coeffs
+    phi, gam = phi_gamma(c, s)
+    if phi == 0 or gam == 0:
+        raise EvaluationError(f"local transfer function singular at s={s}")
+    r = phi / gam
+    inv_r = gam / phi
+    mu_p, k_p, mu_f, k_f = _gain_arrays(spec)
+    num = phi
+    rp = 1.0 + 0.0j
+    for d in range(spec.m):
+        num += (mu_p[d] * (inv_r - 1.0) + k_p[d] * s) * rp
+        rp *= inv_r
+    den = gam
+    rf = r
+    for j in range(spec.n):
+        den -= (mu_f[j] * (inv_r - 1.0) + k_f[j] * s) * rf
+        rf *= r
+    if den == 0:
         raise EvaluationError(f"transfer-function pole at s={s}")
-    value = complex(P.polyval(s, num) * phi ** (short.n + cut) / bottom)
+    value = (num / den) * r ** (spec.m + spec.n)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise EvaluationError(f"non-finite transfer value at s={s}")
     return value
@@ -356,7 +403,10 @@ def _axis_slot(spec: TransferSpec, axis: GainAxis):
 
 
 def scan_region(
-    base: TransferSpec, axis1: GainAxis, axis2: GainAxis, grid: Optional[FrequencyGrid] = None
+    base: TransferSpec,
+    axis1: GainAxis,
+    axis2: GainAxis,
+    grid: Optional[FrequencyGrid] = None,
 ) -> RegionMap:
     """Classify every cell of a 2-D gain grid, row-major in (axis1, axis2).
 

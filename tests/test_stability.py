@@ -217,6 +217,57 @@ def test_long_chain_verdict_matches_dense_grid_and_poles(default_coeffs, n):
     assert res.asymptotically_stable == bool(poles.real.max() <= stability.EIG_TOL)
 
 
+# Lightly damped HDVs (zeta = 0.25 and 0.05) round off worst.
+REACH_COEFFS = {
+    "default": None,
+    "light": LinearCoeffs(alpha1=0.157, alpha2=0.2, alpha3=0.1),
+    "slow": LinearCoeffs(alpha1=0.01, alpha2=0.01, alpha3=0.005),
+}
+REACH = stability._MAX_REACH
+
+
+@pytest.mark.parametrize("coeffs", sorted(REACH_COEFFS))
+@pytest.mark.parametrize("m, n", [(REACH, REACH), (REACH, 0), (0, REACH), (3, REACH), (REACH, 3)])
+def test_verdict_at_max_reach_matches_dense_grid_and_poles(default_coeffs, coeffs, m, n):
+    """Gains on every vehicle of the longest chains a verdict accepts."""
+    c = REACH_COEFFS[coeffs] or default_coeffs
+    rng = np.random.default_rng(m + 100 * n)
+    omegas = FrequencyGrid(points=200_001).omegas()
+    for scale in (0.2, 1.0, 3.0):
+        ids = [*range(-m, 0), *range(1, n + 1)]
+        spec = spec_with(c, m, n, {i: tuple(rng.uniform(-scale, scale, 2)) for i in ids})
+        res = is_string_stable(spec)
+        assert res.peak_mag >= magnitude_curve(spec, omegas).max() * (1 - 1e-10), scale
+        poles = np.linalg.eigvals(stability._oracle_model(spec)[1])
+        assert res.asymptotically_stable == bool(poles.real.max() <= stability.EIG_TOL), scale
+
+
+def test_chain_past_max_reach_is_refused(default_coeffs):
+    """m = 2, n = 30 with gains on ~30% of the followers: monomial coefficients put the
+    peak 40-50% low, so past the reach the verdict is refused rather than returned."""
+    rng = np.random.default_rng(0)
+    pairs = {i: tuple(rng.uniform(-1.0, 1.0, 2)) for i in range(1, 31) if rng.random() < 0.3}
+    spec = spec_with(default_coeffs, 2, 30, {**pairs, 30: (0.1, 0.1), -1: (0.5, 0.5)})
+    with pytest.raises(EvaluationError, match="vehicles -1 and 30"):
+        is_string_stable(spec)
+    with pytest.raises(EvaluationError, match="vehicles -1 and 30"):
+        scan_region(spec, *_panel_axes(-1, points=3))
+    # a far scan axis counts too, even where the base chain has no gains
+    far = REACH + 1
+    with pytest.raises(EvaluationError, match=f"vehicles 0 and {far}"):
+        scan_region(spec_with(default_coeffs, 0, far), *_panel_axes(far, points=3))
+    with pytest.raises(EvaluationError, match=f"at most {REACH} HDVs on each side"):
+        is_string_stable(spec_with(default_coeffs, far, 0, {-far: (0.1, 0.1)}))
+
+
+def test_verdict_fails_on_overflowing_companion(default_coeffs):
+    """A subnormal leading coefficient of Num overflows its companion matrix: the
+    verdict fails rather than go on without Num's roots."""
+    spec = spec_with(default_coeffs, 2, 2, {-2: (1e-310, 0.0), -1: (1.0, 2.0)})
+    with pytest.raises(EvaluationError, match="non-finite coefficients"):
+        is_string_stable(spec)
+
+
 def test_evaluation_guards(default_coeffs):
     spec = spec_with(default_coeffs)
     with pytest.raises(ValueError):
