@@ -16,7 +16,12 @@ they are integrated as the matrix ODE
 
     dW/dt = A W + W A' + B B',   W(0) = 0,
 
-with a classic fixed-step fourth-order Runge-Kutta scheme.
+with a classic fixed-step fourth-order Runge-Kutta scheme.  Successive
+horizons of one pair (A, B) lie on one RK4 path when they share the step
+h = t / round(t/dt), so ``gramian`` keeps the last path's end state and a
+longer horizon continues from it: Fig. 5's t = 10, 20, 30 s integrate
+30 s per chain, not 60.  The rule goes away with RK4 itself once the
+Gramian is computed in factor form (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -52,6 +57,11 @@ GRAMIAN_SINGULAR_RTOL = 1e-12
 # d * eps * max(|A|, |B|).  The chains' staircase steps are O(1), so the
 # dimensions do not move for any factor from 1 to 1e9.
 STAIRCASE_TOL_FACTOR = 100.0
+
+# The last RK4 path of ``gramian``: (key, steps done, W before
+# symmetrisation), key = (h, A.shape, B.shape, A bytes, B bytes).  The
+# stored W is never returned, so no caller can write into it.
+_rk4_path: Optional[Tuple[tuple, int, np.ndarray]] = None
 
 
 @dataclass
@@ -211,7 +221,16 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float, dt: float = 0.01) -> Gramian
     and the trace of its inverse.  The trace is reported as None once the
     smallest eigenvalue falls below 1e-12 of the largest, which is the
     regime where the inverse stops being numerically meaningful.
+
+    Resume rule: when the previous call had the same A, B and step
+    h = t / round(t/dt) and took no more steps than this one needs, the
+    integration continues from that call's end state instead of from
+    zero.  It runs the very same step expressions with the same h, so W
+    is bit-for-bit what a fresh integration gives.  Any other call starts
+    from zero and becomes the path later calls continue.  The rule goes
+    away with RK4 (ROADMAP item 3).
     """
+    global _rk4_path
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"horizon t must be finite and > 0, got t={t}")
     if not (math.isfinite(dt) and dt > 0):
@@ -227,8 +246,13 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float, dt: float = 0.01) -> Gramian
     def f(W):
         return A @ W + W @ A.T + BBt
 
-    W = np.zeros_like(A)
-    for _ in range(n_steps):
+    key = (h, A.shape, B.shape, A.tobytes(), B.tobytes())
+    path = _rk4_path  # read once: another thread may replace it
+    if path is not None and path[0] == key and path[1] <= n_steps:
+        _, done, W = path
+    else:
+        done, W = 0, np.zeros_like(A)
+    for _ in range(n_steps - done):
         k1 = f(W)
         k2 = f(W + 0.5 * h * k1)
         k3 = f(W + 0.5 * h * k2)
@@ -236,6 +260,7 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float, dt: float = 0.01) -> Gramian
         W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(W)):
         raise NumericalError("Gramian integration produced non-finite entries")
+    _rk4_path = (key, n_steps, W)
     W = 0.5 * (W + W.T)
     lam = np.linalg.eigvalsh(W)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
@@ -278,8 +303,11 @@ def energy_scaling_study(
     """Gramian energy metrics across chain sizes and horizons.
 
     Builds the free-driving chain for each n, computes the horizon-t
-    Gramian, and emits (n, t, lambda_min, trace_inv) rows ordered by
-    (n, t).  trace_inv is None where the Gramian is singular.
+    Gramian, and emits (n, t, lambda_min, trace_inv) rows: n ascending,
+    and within each n the horizons in ``t_list``'s order, so [10.0, 5.0]
+    gives (1, 10.0), (1, 5.0), (2, 10.0), ...  trace_inv is None where
+    the Gramian is singular.  Ascending horizons with a common step share
+    one RK4 path per chain (see ``gramian``).
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns:

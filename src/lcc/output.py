@@ -7,6 +7,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .sim import SimulationTrace
 
 __all__ = [
@@ -16,6 +18,9 @@ __all__ = [
     "write_trace_csv",
     "write_events_csv",
 ]
+
+# Steps of a trace converted to Python floats at once by write_trace_csv.
+_TRACE_CHUNK = 512
 
 
 def fmt(value) -> str:
@@ -63,23 +68,26 @@ def write_csv_atomic(path, header: Sequence[str], rows: Iterable[Sequence]) -> P
 def write_trace_csv(path, trace: SimulationTrace) -> Path:
     """One row per (step, vehicle): t,vehicle,pos,vel,acc,spacing.
 
-    Cells are formatted as ``fmt`` would format them; each step row is
-    converted with ``tolist()`` on its own, so the whole trace never
-    exists as Python floats at once.
+    Cells are formatted as ``fmt`` would format them, with one ``%``
+    template per step that holds all of its vehicles' rows.  Steps are
+    converted with ``tolist()`` in chunks of ``_TRACE_CHUNK``, so at most
+    5 * vehicles * _TRACE_CHUNK cells exist as Python floats at once,
+    never the whole trace.
     """
-    ids = [str(vid) for vid in trace.ids]
+    step = "\n".join(f"%.12g,{vid},%.12g,%.12g,%.12g,%.12g" for vid in trace.ids)
     lines = ["t,vehicle,pos,vel,acc,spacing"]
-    for k, t in enumerate(trace.times.tolist()):
-        lines.extend(
-            f"{t:.12g},{vid},{x:.12g},{v:.12g},{a:.12g},{s:.12g}"
-            for vid, x, v, a, s in zip(
-                ids,
-                trace.position[k].tolist(),
-                trace.velocity[k].tolist(),
-                trace.acceleration[k].tolist(),
-                trace.spacing[k].tolist(),
-            )
+    for k in range(0, len(trace.times), _TRACE_CHUNK):
+        cells = np.stack(
+            np.broadcast_arrays(
+                trace.times[k : k + _TRACE_CHUNK, None],
+                trace.position[k : k + _TRACE_CHUNK],
+                trace.velocity[k : k + _TRACE_CHUNK],
+                trace.acceleration[k : k + _TRACE_CHUNK],
+                trace.spacing[k : k + _TRACE_CHUNK],
+            ),
+            axis=-1,
         )
+        lines.extend(step % tuple(row) for row in cells.reshape(len(cells), -1).tolist())
     return write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -13,6 +13,7 @@ from lcc import (
     SingularGramianError,
     SystemVariant,
     TopologyError,
+    analysis,
     build_output_matrix,
     build_system,
     condition_check,
@@ -174,6 +175,71 @@ def test_gramian_matches_direct_quadrature(default_coeffs):
     assert rel < 1e-6
 
 
+def _reference_gramian(A, B, t, dt=0.01):
+    """Fixed-step RK4 from W = 0 on every call, with ``gramian``'s step
+    expression and no resume.  Returns (W, lambda_min, trace_inv)."""
+    BBt = B @ B.T
+    n_steps = max(1, round(t / dt))
+    h = t / n_steps
+
+    def f(W):
+        return A @ W + W @ A.T + BBt
+
+    W = np.zeros_like(A)
+    for _ in range(n_steps):
+        k1 = f(W)
+        k2 = f(W + 0.5 * h * k1)
+        k3 = f(W + 0.5 * h * k2)
+        k4 = f(W + h * k3)
+        W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    W = 0.5 * (W + W.T)
+    lam = np.linalg.eigvalsh(W)
+    if lam[-1] <= 0 or lam[0] < analysis.GRAMIAN_SINGULAR_RTOL * lam[-1]:
+        trace_inv = None
+    else:
+        trace_inv = float(np.sum(1.0 / lam))
+    return W, float(lam[0]), trace_inv
+
+
+def _assert_bitwise(g, ref):
+    W, lam_min, trace_inv = ref
+    assert np.array_equal(g.W, W)
+    assert g.lambda_min == lam_min
+    assert g.trace_inv == trace_inv
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_gramian_matches_reference_bitwise_in_any_horizon_order(default_coeffs, n):
+    mod = build_system(V.FD_LCC, 0, n, default_coeffs)
+    ref = {t: _reference_gramian(mod.A, mod.B, t) for t in (10.0, 20.0, 30.0)}
+    for order in ([10.0, 20.0, 30.0], [30.0, 20.0, 10.0], [20.0, 20.0, 30.0, 30.0]):
+        for t in order:
+            g = gramian(mod.A, mod.B, t)
+            _assert_bitwise(g, ref[t])
+            g.W[:] = np.nan  # a caller's write must not reach the next call
+
+
+def test_gramian_restarts_on_another_step_or_input(default_coeffs):
+    mod = build_system(V.FD_LCC, 0, 2, default_coeffs)
+    B2 = 2.0 * mod.B
+    gramian(mod.A, mod.B, 10.0)
+    # round(10.005 / 0.01) steps of a step other than 0.01
+    _assert_bitwise(gramian(mod.A, mod.B, 10.005), _reference_gramian(mod.A, mod.B, 10.005))
+    gramian(mod.A, mod.B, 10.0)
+    _assert_bitwise(gramian(mod.A, B2, 20.0), _reference_gramian(mod.A, B2, 20.0))
+
+
+def test_gramian_resumes_the_last_path(monkeypatch):
+    """A longer horizon continues from the stored end state: planting a
+    marked state on the path shows up in the next result."""
+    A, B = np.zeros((1, 1)), np.ones((1, 1))
+    gramian(A, B, 10.0)
+    key, done, W = analysis._rk4_path
+    monkeypatch.setattr(analysis, "_rk4_path", (key, done, W + 100.0))
+    assert gramian(A, B, 20.0).W[0, 0] == pytest.approx(120.0, rel=1e-9)
+    assert gramian(A, B, 10.0).W[0, 0] == pytest.approx(10.0, rel=1e-9)
+
+
 def test_gramian_psd_and_loewner(default_coeffs):
     for n in (1, 2, 3):
         mod = build_system(V.FD_LCC, 0, n, default_coeffs)
@@ -214,6 +280,10 @@ def test_min_energy_singular_raise(default_coeffs):
 def test_energy_scaling_rows(default_coeffs):
     rows = energy_scaling_study(default_coeffs, [2, 1], [5.0, 10.0])
     assert [(r[0], r[1]) for r in rows] == [(1, 5.0), (1, 10.0), (2, 5.0), (2, 10.0)]
+    # horizons keep t_list's order within each n
+    swapped = energy_scaling_study(default_coeffs, [2, 1], [10.0, 5.0])
+    assert [(r[0], r[1]) for r in swapped] == [(1, 10.0), (1, 5.0), (2, 10.0), (2, 5.0)]
+    assert swapped == [rows[1], rows[0], rows[3], rows[2]]
     lam_n1_t5 = rows[0][2]
     lam_n2_t5 = rows[2][2]
     assert lam_n2_t5 < lam_n1_t5

@@ -21,6 +21,7 @@ from lcc import (
     SystemVariant,
     TransferSpec,
     kernels,
+    output,
     simulate,
 )
 from lcc.kernels import gamma_mag_sq_grid, gamma_mag_sq_scalar
@@ -276,29 +277,33 @@ def test_simulate_loop_matches_reference_bitwise(name):
 
 
 def test_trace_csv_matches_cell_formatting(tmp_path):
-    trace = simulate(
-        ScenarioConfig(
-            variant=V.CF_LCC,
-            n=2,
-            horizon=0.5,
-            dt=0.1,
-            perturbation=HeadSinusoid(amplitude=1.0, period=1.0, start=0.0),
-            cav=CF_CONTROLLER,
-        )
-    )
-    assert trace.ids[0] == "h" and np.isnan(trace.spacing[:, 0]).all()
-    lines = ["t,vehicle,pos,vel,acc,spacing"]
-    for k, t in enumerate(trace.times):
-        for j, vid in enumerate(trace.ids):
-            row = (
-                float(t),
-                vid,
-                float(trace.position[k, j]),
-                float(trace.velocity[k, j]),
-                float(trace.acceleration[k, j]),
-                float(trace.spacing[k, j]),
+    """Six steps, and a trace past two chunks that ends in a partial one."""
+    for horizon in (0.5, 110.0):
+        trace = simulate(
+            ScenarioConfig(
+                variant=V.CF_LCC,
+                n=2,
+                horizon=horizon,
+                dt=0.1,
+                perturbation=HeadSinusoid(amplitude=1.0, period=1.0, start=0.0),
+                cav=CF_CONTROLLER,
             )
-            lines.append(",".join(fmt(cell) for cell in row))
-    path = write_trace_csv(tmp_path / "trace.csv", trace)
-    assert path.read_text() == "\n".join(lines) + "\n"
-    assert ",h," in path.read_text() and ",nan\n" in path.read_text()
+        )
+        assert trace.ids[0] == "h" and np.isnan(trace.spacing[:, 0]).all()
+        lines = ["t,vehicle,pos,vel,acc,spacing"]
+        for k, t in enumerate(trace.times):
+            for j, vid in enumerate(trace.ids):
+                row = (
+                    float(t),
+                    vid,
+                    float(trace.position[k, j]),
+                    float(trace.velocity[k, j]),
+                    float(trace.acceleration[k, j]),
+                    float(trace.spacing[k, j]),
+                )
+                lines.append(",".join(fmt(cell) for cell in row))
+        path = write_trace_csv(tmp_path / "trace.csv", trace)
+        assert path.read_text() == "\n".join(lines) + "\n"
+        assert ",h," in path.read_text() and ",nan\n" in path.read_text()
+    assert len(trace.times) > 2 * output._TRACE_CHUNK
+    assert len(trace.times) % output._TRACE_CHUNK
