@@ -160,12 +160,17 @@ def _parse_n_range(text: str):
 
 def _cmd_energy(args) -> int:
     cfg = _load_cfg(args)
-    rows = energy_scaling_study(
-        coeffs_from_config(cfg),
-        _parse_n_range(args.n_range),
-        [float(x) for x in args.t.split(",") if x],
-        dt=cfg["dt"],
-    )
+    try:
+        n_list = _parse_n_range(args.n_range)
+    except ValueError:
+        raise ValueError(
+            f"--n-range takes lo:hi or a comma list of integers, got {args.n_range!r}"
+        ) from None
+    try:
+        t_list = [float(x) for x in args.t.split(",") if x]
+    except ValueError:
+        raise ValueError(f"--t takes a comma list of horizons (s), got {args.t!r}") from None
+    rows = energy_scaling_study(coeffs_from_config(cfg), n_list, t_list, dt=cfg["dt"])
     path = write_csv_atomic(
         _outdir(args) / "energy.csv", ("n", "t", "lambda_min", "trace_inv"), rows
     )

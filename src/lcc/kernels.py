@@ -3,12 +3,14 @@
 Two inner loops dominate the package's runtime: the forward-Euler
 stepping of the nonlinear vehicle chain and the evaluation of the
 head-to-tail gain magnitude, over frequency grids for plots and at the
-candidate peaks of every cell of a region scan.  ``gamma_mag_sq_grid``
-evaluates the magnitude vectorised with numpy, ``gamma_mag_sq_scalar``
-is the same formula at each gain set's own frequencies, and
-``simulate_loop`` steps the chain.  Both magnitude entry points
+candidate peaks of every cell of a region scan.  ``gamma`` is the one
+product form of the head-to-tail transfer function in the package:
+``stability.transfer_value`` calls it on a complex scalar,
+``gamma_mag_sq_grid`` on a frequency grid, and ``gamma_mag_sq_scalar``
+at each gain set's own frequencies.  Both magnitude entry points
 broadcast: given gain arrays with a trailing cell axis they evaluate
-many gain sets in one call (see their docstrings).
+many gain sets in one call (see their docstrings).  ``simulate_loop``
+steps the chain, with the OVM ramp taken from ``vehicles.ovm_ramp``.
 
 ``simulate_loop`` steps on Python floats in lists, since indexing numpy
 arrays element by element boxes an ``np.float64`` per access, and keeps
@@ -20,9 +22,9 @@ be reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .vehicles import ovm_ramp
 
 
 def backend_name() -> str:
@@ -33,6 +35,29 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 # head-to-tail gain magnitude
 # ---------------------------------------------------------------------------
+
+def gamma(s, a1, a2, a3, mu_p, k_p, mu_f, k_f):
+    """Gamma(s) = G(s) (phi/gamma)^(m+n) at a complex scalar or array ``s``.
+
+    mu_p/k_p are ordered by distance ahead (index d-1 is vehicle -d),
+    mu_f/k_f by distance behind (index j-1 is vehicle j).  On a Python
+    complex ``s`` a pole raises ZeroDivisionError.
+    """
+    phi = a1 + a3 * s
+    gam = a1 + a2 * s + s * s
+    r = phi / gam
+    inv_r = gam / phi
+    num, den = phi, gam
+    rp = 1.0
+    for d in range(len(mu_p)):
+        num = num + (mu_p[d] * (inv_r - 1.0) + k_p[d] * s) * rp
+        rp = rp * inv_r
+    rf = r
+    for j in range(len(mu_f)):
+        den = den - (mu_f[j] * (inv_r - 1.0) + k_f[j] * s) * rf
+        rf = rf * r
+    return (num / den) * r ** (len(mu_p) + len(mu_f))
+
 
 def gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
     """``gamma_mag_sq_grid`` at frequencies of their own per gain set.
@@ -48,43 +73,18 @@ def gamma_mag_sq_scalar(w, a1, a2, a3, mu_p, k_p, mu_f, k_f):
 def gamma_mag_sq_grid(omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f):
     """|Gamma(j w)|^2 of the chain transfer function, vectorised.
 
-    mu_p/k_p are ordered by distance ahead (index d-1 is vehicle -d),
-    mu_f/k_f by distance behind (index j-1 is vehicle j).  With 1-D gains
-    the result has the shape of ``omegas``.  Gains of shape
-    ``(m|n, cells, 1)`` evaluate every gain set on the whole grid,
+    With 1-D gains the result has the shape of ``omegas``.  Gains of
+    shape ``(m|n, cells, 1)`` evaluate every gain set on the whole grid,
     returning ``(cells, omegas.size)``; with m = n = 0 there are no gains
     to broadcast against and the result keeps the shape of ``omegas``.
     """
-    s = 1j * omegas
-    phi = a1 + a3 * s
-    gam = a1 + a2 * s + s * s
-    r = phi / gam
-    inv_r = gam / phi
-    num = phi.copy()
-    den = gam.copy()
-    rp = np.ones_like(s)
-    for d in range(mu_p.shape[0]):
-        num = num + (mu_p[d] * (inv_r - 1.0) + k_p[d] * s) * rp
-        rp = rp * inv_r
-    rf = r.copy()
-    for j in range(mu_f.shape[0]):
-        den = den - (mu_f[j] * (inv_r - 1.0) + k_f[j] * s) * rf
-        rf = rf * r
-    g = (num / den) * r ** (mu_p.shape[0] + mu_f.shape[0])
+    g = gamma(1j * omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f)
     return g.real**2 + g.imag**2
 
 
 # ---------------------------------------------------------------------------
 # nonlinear chain simulation
 # ---------------------------------------------------------------------------
-
-def _desired_velocity(s, vmax, sst, sgo):
-    if s <= sst:
-        return 0.0
-    if s >= sgo:
-        return vmax
-    return 0.5 * vmax * (1.0 - math.cos(math.pi * (s - sst) / (sgo - sst)))
-
 
 def simulate_loop(
     n_steps,
@@ -197,7 +197,7 @@ def simulate_loop(
             if ovm_baseline:
                 sc = p[cav - 1] - p[cav]
                 sd = v[cav - 1] - v[cav]
-                u += alpha[cav] * (_desired_velocity(sc, vmax[cav], sst[cav], sgo[cav]) - v[cav])
+                u += alpha[cav] * (ovm_ramp(sc, vmax[cav], sst[cav], sgo[cav]) - v[cav])
                 u += beta[cav] * sd
             s0 = p[cav - 1] - p[cav]
             if s0 > 0.0 and (v[cav] ** 2 - v[cav - 1] ** 2) / (2.0 * s0) >= -a_min:
@@ -219,7 +219,7 @@ def simulate_loop(
                 sj = pd[j - 1] - pd[j]
                 sd = vd[j - 1] - vd[j]
                 vj = vd[j]
-            a = al * (_desired_velocity(sj, vm, s_st, s_go) - vj) + be * sd
+            a = al * (ovm_ramp(sj, vm, s_st, s_go) - vj) + be * sd
             if braking and j == brake_col:
                 a = brake_acc
             a_row[j] = a_min if a < a_min else (a_max if a > a_max else a)

@@ -32,7 +32,10 @@ def fuel_rate(v, a):
 def _metric_vehicles(trace: SimulationTrace, vehicles) -> list:
     if vehicles is None:
         return [vid for vid in trace.ids if vid != "h"]
-    return list(vehicles)
+    vids = list(vehicles)
+    if not vids:
+        raise ValueError("vehicle set is empty")
+    return vids
 
 
 def total_fuel(
@@ -43,15 +46,17 @@ def total_fuel(
     """Fuel burned (mL) by a set of vehicles over a time window.
 
     Trapezoidal time integral of each vehicle's instantaneous rate,
-    summed over the set (all non-head vehicles by default).  An empty
-    window integrates to zero.
+    summed over the set (all non-head vehicles by default), which must
+    not be empty.  A window holding fewer than two samples integrates to
+    zero; a reversed or non-finite window raises ValueError.
     """
+    vids = _metric_vehicles(trace, vehicles)
     mask = trace.window_mask(*window)
     if mask.sum() < 2:
         return 0.0
     t = trace.times[mask]
     total = 0.0
-    for vid in _metric_vehicles(trace, vehicles):
+    for vid in vids:
         j = trace.col(vid)
         rate = fuel_rate(trace.velocity[mask, j], trace.acceleration[mask, j])
         total += float(np.trapezoid(rate, t))
@@ -67,11 +72,9 @@ def aave(
 
     Time-averages |v_i - v*| per vehicle (trapezoidal), with v* the
     trace's equilibrium velocity, then averages across the set, which
-    must not be empty.
+    must not be empty.  Windows are checked as in ``total_fuel``.
     """
     vids = _metric_vehicles(trace, vehicles)
-    if not vids:
-        raise ValueError("vehicle set is empty")
     mask = trace.window_mask(*window)
     if mask.sum() < 2:
         return 0.0

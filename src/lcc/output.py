@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,25 +31,19 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def write_text_atomic(path, text: str) -> Path:
     """Write via a temp file and rename, so readers never see a torn file.
 
-    The file gets the mode a plain ``open()`` would give it; mkstemp's
-    private 0600 would otherwise survive the rename.
+    The temp file is opened with mode 0666 and the kernel applies the
+    umask, so the file gets the mode a plain ``open()`` would give it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

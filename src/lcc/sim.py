@@ -1,10 +1,11 @@
 """Nonlinear time-domain simulation of the mixed vehicle chain.
 
 Vehicles run front to back: an optional head vehicle with a prescribed
-velocity, m HDVs ahead of the CAV, the CAV, and n HDVs behind.  HDVs
-follow the nonlinear OVM with optional per-vehicle reaction delay; the
-CAV applies a feedback controller on error states plus an emergency
-braking override, and every acceleration is saturated to [a_min, a_max].
+velocity, m HDVs ahead of the CAV, the CAV, and n HDVs behind; the
+layouts allowed are those of ``systems.validate_topology``.  HDVs follow
+the nonlinear OVM with optional per-vehicle reaction delay; the CAV
+applies a feedback controller on error states plus an emergency braking
+override, and every acceleration is saturated to [a_min, a_max].
 Integration is forward Euler on a fixed step, delegated to
 ``kernels.simulate_loop``.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CollisionError, TopologyError
-from .systems import FeedbackGains, SystemVariant
+from .systems import FeedbackGains, SystemVariant, validate_topology
 from .vehicles import DriverParams, equilibrium_spacing, linearize
 
 __all__ = [
@@ -146,6 +147,8 @@ class SimulationTrace:
         return self.velocity[:, self.col(vid)]
 
     def window_mask(self, t_a: float, t_b: float) -> np.ndarray:
+        if not (math.isfinite(t_a) and math.isfinite(t_b) and t_a <= t_b):
+            raise ValueError(f"window must be finite with start <= end, got ({t_a}, {t_b})")
         half = 0.5 * self.dt
         return (self.times >= t_a - half) & (self.times <= t_b + half)
 
@@ -208,12 +211,7 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ValueError(
             f"horizon/dt must be finite, got horizon={cfg.horizon} and dt={cfg.dt}"
         )
-    if cfg.variant in (SystemVariant.FD_LCC, SystemVariant.CF_LCC) and cfg.m != 0:
-        raise TopologyError(f"{cfg.variant.value} scenario needs m = 0")
-    if cfg.variant in (SystemVariant.GENERAL_LCC, SystemVariant.CCC) and cfg.m < 1:
-        raise TopologyError(f"{cfg.variant.value} scenario needs m >= 1")
-    if cfg.variant is SystemVariant.CCC and cfg.n != 0:
-        raise TopologyError("ccc scenario needs n = 0")
+    validate_topology(cfg.variant, cfg.m, cfg.n)
     if isinstance(cfg.perturbation, (HeadSinusoid, FollowerBrake)):
         if cfg.perturbation.start >= cfg.horizon:
             raise ValueError("perturbation must start before the horizon ends")
@@ -263,13 +261,11 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
     _validate(cfg)
     dt, v_star = cfg.dt, cfg.v_star
     n_steps = max(1, round(cfg.horizon / dt))
-    hdvs = _resolve_hdv_params(cfg)
-    hdv_ids = cfg.hdv_ids()
+    params = dict(zip(cfg.hdv_ids(), _resolve_hdv_params(cfg)))
 
-    ids: List = (["h"] if cfg.has_head else []) + hdv_ids[: cfg.m] + [0] + hdv_ids[cfg.m :]
+    ids: List = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
     n_veh = len(ids)
     cav = ids.index(0)
-    params = {vid: p for vid, p in zip(hdv_ids, hdvs)}
 
     alpha = np.zeros(n_veh)
     beta = np.zeros(n_veh)

@@ -306,27 +306,16 @@ def _evaluate(spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: in
 
 
 def transfer_value(spec: TransferSpec, s: complex) -> complex:
-    """Closed-form Gamma(s) at an arbitrary complex point."""
+    """Closed-form Gamma(s) at an arbitrary complex point (``kernels.gamma``)."""
     c = spec.coeffs
     phi, gam = phi_gamma(c, s)
     if phi == 0 or gam == 0:
         raise EvaluationError(f"local transfer function singular at s={s}")
-    r = phi / gam
-    inv_r = gam / phi
-    mu_p, k_p, mu_f, k_f = _gain_arrays(spec)
-    num = phi
-    rp = 1.0 + 0.0j
-    for d in range(spec.m):
-        num += (mu_p[d] * (inv_r - 1.0) + k_p[d] * s) * rp
-        rp *= inv_r
-    den = gam
-    rf = r
-    for j in range(spec.n):
-        den -= (mu_f[j] * (inv_r - 1.0) + k_f[j] * s) * rf
-        rf *= r
-    if den == 0:
-        raise EvaluationError(f"transfer-function pole at s={s}")
-    value = (num / den) * r ** (spec.m + spec.n)
+    gains = (g.tolist() for g in _gain_arrays(spec))
+    try:
+        value = kernels.gamma(complex(s), c.alpha1, c.alpha2, c.alpha3, *gains)
+    except ZeroDivisionError:
+        raise EvaluationError(f"transfer-function pole at s={s}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise EvaluationError(f"non-finite transfer value at s={s}")
     return value

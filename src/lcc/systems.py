@@ -10,6 +10,9 @@ state stacks (spacing error, velocity error) pairs front to back:
                the negated position -p_0
 * CCC          m >= 1 HDVs ahead, none behind
 
+``validate_topology`` is the one statement of these rules in the package;
+the simulator applies it to its scenarios too.
+
 The blocks of the dynamics matrix follow the linearized HDV model: an HDV
 pair contributes P1 on the diagonal and P2 coupling to its predecessor,
 the CAV contributes the double-integrator pair S1/S2.  The single input
@@ -32,6 +35,7 @@ __all__ = [
     "SystemVariant",
     "FeedbackGains",
     "StateSpaceModel",
+    "validate_topology",
     "build_system",
     "control_row",
     "closed_loop_matrix",
@@ -97,7 +101,8 @@ class StateSpaceModel:
         return sorted(self.index_map)
 
 
-def _validate_topology(variant: SystemVariant, m: int, n: int) -> None:
+def validate_topology(variant: SystemVariant, m: int, n: int) -> None:
+    """Raise ``TopologyError`` unless (m, n) is a valid chain of ``variant``."""
     if m < 0 or n < 0:
         raise TopologyError(f"m and n must be >= 0, got m={m}, n={n}")
     if variant is SystemVariant.GENERAL_LCC and (m < 1 or n < 1):
@@ -118,19 +123,14 @@ def build_system(
     (S2 | S1), and the head vehicle's velocity error feeds the front
     vehicle through H (absent for FD chains, which have no head).
     """
-    _validate_topology(variant, m, n)
+    validate_topology(variant, m, n)
     a1, a2, a3 = c.alpha1, c.alpha2, c.alpha3
     P1 = np.array([[0.0, -1.0], [a1, -a2]])
     P2 = np.array([[0.0, 1.0], [0.0, a3]])
     S1 = np.array([[0.0, -1.0], [0.0, 0.0]])
     S2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
-    if variant is SystemVariant.GENERAL_LCC:
-        ids = list(range(-m, n + 1))
-    elif variant is SystemVariant.CCC:
-        ids = list(range(-m, 1))
-    else:
-        ids = list(range(0, n + 1))
+    ids = range(-m, n + 1)
     dim = 2 * len(ids)
 
     A = np.zeros((dim, dim))

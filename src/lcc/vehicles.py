@@ -8,7 +8,9 @@ velocity, and on the vehicle's own velocity,
 
 V(s) is zero below a standstill spacing ``s_st``, saturates at ``v_max``
 above a free-flow spacing ``s_go``, and rises smoothly (half-cosine) in
-between.  All functions here are pure and operate on plain floats.
+between.  ``ovm_ramp`` is the package's one expression of V(s): the
+simulation kernel calls it directly, so traces depend on its rounding.
+All functions here are pure and operate on plain floats.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "DriverParams",
     "Equilibrium",
     "LinearCoeffs",
+    "ovm_ramp",
     "desired_velocity",
     "desired_velocity_slope",
     "ovm_acceleration",
@@ -95,20 +98,20 @@ class LinearCoeffs:
             )
 
 
-def desired_velocity(s: float, p: DriverParams) -> float:
-    """Spacing-dependent desired velocity V(s) of a human driver.
+def ovm_ramp(s: float, v_max: float, s_st: float, s_go: float) -> float:
+    """V(s) on plain floats: zero up to s_st, v_max beyond s_go, half-cosine in between."""
+    if s <= s_st:
+        return 0.0
+    if s >= s_go:
+        return v_max
+    return 0.5 * v_max * (1.0 - math.cos(math.pi * (s - s_st) / (s_go - s_st)))
 
-    Zero up to s_st, v_max beyond s_go, half-cosine ramp in between.
-    Continuous and nondecreasing.  Raises for negative spacing.
-    """
+
+def desired_velocity(s: float, p: DriverParams) -> float:
+    """Desired velocity V(s) of a human driver (``ovm_ramp``); raises for negative spacing."""
     if s < 0:
         raise ValueError(f"spacing must be >= 0, got {s}")
-    if s <= p.s_st:
-        return 0.0
-    if s >= p.s_go:
-        return p.v_max
-    x = (s - p.s_st) / (p.s_go - p.s_st)
-    return 0.5 * p.v_max * (1.0 - math.cos(math.pi * x))
+    return ovm_ramp(s, p.v_max, p.s_st, p.s_go)
 
 
 def desired_velocity_slope(s: float, p: DriverParams) -> float:

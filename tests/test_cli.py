@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lcc.cli import main
+from lcc.output import write_text_atomic
 from lcc.presets import PRESETS
 
 # SHA-256 of every file each preset writes, as the benchmark records them.
@@ -59,10 +60,23 @@ def test_analyze_general_lists_modes_with_multiplicity(capsys):
     assert len(lines[1].removeprefix("uncontrollable_modes=").split()) == 4
 
 
-@pytest.mark.parametrize("horizons, bad", [("inf", "t=inf"), ("nan", "t=nan"), (",", "t_list")])
-def test_energy_bad_horizons_exit_code(capsys, tmp_path, horizons, bad):
+@pytest.mark.parametrize(
+    "n_range, horizons, bad",
+    [
+        pytest.param("1:2", "inf", "t=inf", id="inf-t=inf"),
+        pytest.param("1:2", "nan", "t=nan", id="nan-t=nan"),
+        pytest.param("1:2", ",", "t_list", id=",-t_list"),
+        pytest.param("1:2", "10,abc", "--t takes a comma list of horizons (s), got '10,abc'",
+                     id="t-10,abc"),
+        pytest.param("1:2:3", "10", "--n-range takes lo:hi or a comma list of integers, "
+                     "got '1:2:3'", id="n-range-1:2:3"),
+        pytest.param("a:3", "10", "--n-range takes lo:hi or a comma list of integers, "
+                     "got 'a:3'", id="n-range-a:3"),
+    ],
+)
+def test_energy_bad_horizons_exit_code(capsys, tmp_path, n_range, horizons, bad):
     code, _, err = run_cli(
-        capsys, "energy", "--n-range", "1:2", "--t", horizons, "-o", str(tmp_path)
+        capsys, "energy", "--n-range", n_range, "--t", horizons, "-o", str(tmp_path)
     )
     assert code == 4
     assert bad in err
@@ -286,6 +300,18 @@ def test_reproduce_csv_mode_follows_umask(capsys, tmp_path, umask):
     mode = stat.S_IMODE((tmp_path / "table1.csv").stat().st_mode)
     assert mode == 0o666 & ~umask
     assert mode == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+
+
+def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    """Changing the umask is process-wide: another thread's files would get 0666."""
+
+    def umask(mask):
+        raise AssertionError(f"umask set to {mask:o}")
+
+    monkeypatch.setattr(os, "umask", umask)
+    path = write_text_atomic(tmp_path / "out.csv", "a,b\n")
+    assert path.read_text() == "a,b\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_every_preset_runs(capsys, tmp_path, preset):

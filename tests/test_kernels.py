@@ -1,6 +1,6 @@
-"""Kernel checks: the transfer-magnitude kernels against the closed form,
-and the chain-stepping loop bit for bit against its element-indexing
-reference."""
+"""Kernel checks: the transfer-magnitude kernels against the state-space
+realization, and the chain-stepping loop bit for bit against its
+element-indexing reference."""
 
 import copy
 import math
@@ -27,7 +27,8 @@ from lcc import (
 from lcc.kernels import gamma_mag_sq_grid, gamma_mag_sq_scalar
 from lcc.output import fmt, write_trace_csv
 from lcc.presets import CF_CONTROLLER, FD_CONTROLLER, GAIN_CASES
-from lcc.stability import _gain_arrays, transfer_value
+from lcc.stability import _gain_arrays, state_space_gain
+from lcc.vehicles import desired_velocity
 
 
 @pytest.mark.parametrize(
@@ -46,10 +47,9 @@ def test_gamma_grid_matches_scalar_and_closed_form(default_coeffs, m, n, pairs):
     omegas = np.logspace(-2, 2, 500)
     grid = gamma_mag_sq_grid(omegas, *args)
     scalar = np.array([gamma_mag_sq_scalar(w, *args) for w in omegas])
-    closed = np.array([abs(transfer_value(spec, 1j * w)) ** 2 for w in omegas])
+    oracle = np.array([abs(state_space_gain(spec, w)) ** 2 for w in omegas.tolist()])
     np.testing.assert_allclose(grid, scalar, rtol=1e-12)
-    np.testing.assert_allclose(grid, closed, rtol=1e-12)
-    np.testing.assert_allclose(scalar, closed, rtol=1e-12)
+    np.testing.assert_allclose(grid, oracle, rtol=1e-12)
 
 
 V = SystemVariant
@@ -65,6 +65,14 @@ def _desired_velocity(s, vmax, sst, sgo):
     if s >= sgo:
         return vmax
     return 0.5 * vmax * (1.0 - math.cos(math.pi * (s - sst) / (sgo - sst)))
+
+
+def test_desired_velocity_is_the_kernel_ramp_bitwise():
+    """The public V(s) rounds exactly as the ramp the traces are built on."""
+    rng = np.random.default_rng(7)
+    for p in (DriverParams(), DriverParams(v_max=33.3, s_st=4.1, s_go=38.7)):
+        for s in rng.uniform(0.0, 45.0, 10_000).tolist():
+            assert desired_velocity(s, p) == _desired_velocity(s, p.v_max, p.s_st, p.s_go)
 
 
 def _reference_simulate_loop(

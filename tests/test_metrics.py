@@ -62,6 +62,21 @@ def test_total_fuel_empty_window():
     assert total_fuel(tr, (20.0, 30.0)) == 0.0
 
 
+@pytest.mark.parametrize("window", [(25.0, 20.0), (float("nan"), 5.0), (0.0, float("inf"))])
+def test_metrics_reject_reversed_or_non_finite_window(window):
+    tr = _equilibrium_trace(n=2, horizon=40.0)
+    with pytest.raises(ValueError, match="window"):
+        total_fuel(tr, window)
+    with pytest.raises(ValueError, match="window"):
+        aave(tr, window)
+
+
+def test_total_fuel_empty_vehicle_set_raises():
+    tr = _equilibrium_trace(n=2, horizon=10.0)
+    with pytest.raises(ValueError, match="vehicle set is empty"):
+        total_fuel(tr, (0.0, 10.0), vehicles=[])
+
+
 def test_aave_at_equilibrium():
     tr = _equilibrium_trace(n=3, horizon=30.0)
     assert aave(tr, (10.0, 30.0)) == pytest.approx(0.0, abs=1e-12)

@@ -16,6 +16,7 @@ from lcc import (
     ScenarioConfig,
     SystemVariant,
     TopologyError,
+    build_system,
     sample_heterogeneous,
     simulate,
 )
@@ -232,6 +233,10 @@ def test_sample_heterogeneous_edge_bands_accepted():
 
 def test_config_validation_errors():
     with pytest.raises(TopologyError):
+        simulate(ScenarioConfig(variant=V.FD_LCC, n=-1, cav=CavController(mode="explicit")))
+    with pytest.raises(TopologyError):
+        simulate(ScenarioConfig(variant=V.GENERAL_LCC, m=1, n=0))
+    with pytest.raises(TopologyError):
         simulate(ScenarioConfig(variant=V.FD_LCC, n=2, perturbation=HeadSinusoid()))
     with pytest.raises(TopologyError):
         simulate(ScenarioConfig(variant=V.FD_LCC, n=2))  # hdv-baseline needs a predecessor
@@ -279,6 +284,24 @@ def test_config_validation_errors():
                 perturbation=HeadSinusoid(start=20.0),
             )
         )
+
+
+def test_simulate_and_build_system_admit_the_same_topologies(default_coeffs):
+    for variant in V:
+        for m in range(-1, 3):
+            for n in range(-1, 3):
+                cfg = ScenarioConfig(
+                    variant=variant, m=m, n=n, horizon=0.5, dt=0.1,
+                    cav=CavController(mode="explicit"),
+                )
+                try:
+                    build_system(variant, m, n, default_coeffs)
+                except TopologyError:
+                    with pytest.raises(TopologyError):
+                        simulate(cfg)
+                else:
+                    ids = [vid for vid in simulate(cfg).ids if vid != "h"]
+                    assert ids == list(range(-m, n + 1))
 
 
 @pytest.mark.parametrize("field", ["dt", "horizon"])
