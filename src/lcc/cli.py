@@ -166,6 +166,8 @@ def _cmd_energy(args) -> int:
         raise ValueError(
             f"--n-range takes lo:hi or a comma list of integers, got {args.n_range!r}"
         ) from None
+    if not n_list:
+        raise ValueError(f"--n-range names no chain length, got {args.n_range!r}")
     try:
         t_list = [float(x) for x in args.t.split(",") if x]
     except ValueError:

@@ -9,9 +9,10 @@ and help text with units.  Where a dataclass (``ScenarioConfig``,
 default is that dataclass field's.  ``parse_config`` walks a document
 against the table: it rejects unknown or missing required keys, integer
 keys that are not ``int``, number keys that are not a finite ``int`` or
-``float``, ``bool`` for either, and keys of another perturbation kind,
-naming the dotted key; it keeps given values as they are and fills in
-every default, so ``{"variant": "fd", "n": 2}`` is complete.
+``float``, ``bool`` for any key (none takes one), and keys of another
+perturbation kind, naming the dotted key; it keeps given values as they
+are and fills in every default, so ``{"variant": "fd", "n": 2}`` is
+complete.
 ``DEFAULTS`` is the parse of ``{}``; ``config_help`` renders the table.
 """
 
@@ -61,7 +62,7 @@ SCHEMA_VERSION = 1
 
 class _Key(NamedTuple):
     default: object  # MISSING: the key is required
-    type: type  # int, float (any finite number), bool, str, or dict (the gains map)
+    type: type  # int, float (any finite number), str, or dict (the gains map)
     bound: object  # None, a tuple of allowed values, or a lower bound "> x" / ">= x"
     help: str
 
@@ -117,7 +118,6 @@ _KEYS = {
     "controller": _Section({}, _rows(
         CavController,
         mode=(str, CONTROLLER_MODES, "CAV feedback law"),
-        ovm_baseline=(bool, None, "stack nonlinear OVM response under explicit row"),
     )),
     "perturbation": _Section({"kind": "none"}, {
         "kind": _Key(MISSING, str, tuple(_PERTURBATIONS), "perturbation applied"),
@@ -151,7 +151,7 @@ _KEYS = {
     "scan": _Section(None, {"axis1": _AXIS, "axis2": _AXIS}),
 }
 
-_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 _LOWER = {">": operator.gt, ">=": operator.ge}
 
 
@@ -171,7 +171,7 @@ def _checked(value, key: _Key, where: str):
     if key.type is float:
         ok = _is_number(value)
     else:
-        ok = isinstance(value, key.type) and not (key.type is int and isinstance(value, bool))
+        ok = isinstance(value, key.type) and not isinstance(value, bool)
     if not ok:
         _fail(where, f"expected {_TYPE_NAMES[key.type]}, got {value!r}")
     if isinstance(key.bound, tuple) and value not in key.bound:
@@ -334,7 +334,6 @@ def scenario_from_config(cfg: dict) -> ScenarioConfig:
         cav=CavController(
             gains=gains_from_config(cfg),
             mode=cfg["controller"]["mode"],
-            ovm_baseline=cfg["controller"]["ovm_baseline"],
         ),
         seed=cfg["seed"],
     )

@@ -12,9 +12,11 @@ broadcast: given gain arrays with a trailing cell axis they evaluate
 many gain sets in one call (see their docstrings).  ``simulate_loop``
 steps the chain, with the OVM ramp taken from ``vehicles.ovm_ramp``.
 
-``simulate_loop`` steps on Python floats in lists, since indexing numpy
-arrays element by element boxes an ``np.float64`` per access, and keeps
-a history window of only ``max(delay_steps) + 1`` rows.  It does not
+``simulate_loop`` takes the chain as ``sim.simulate`` lays it out: the
+CAV's law as one list of linear feedback terms, the HDVs as one tuple of
+constants each.  It steps on Python floats in lists, since indexing
+numpy arrays element by element boxes an ``np.float64`` per access, and
+keeps a history window of only ``max(delay) + 1`` rows.  It does not
 vectorise over vehicles: a chain has about a dozen, and ``np.cos`` is
 not guaranteed to round as ``math.cos`` does, so traces would no longer
 be reproducible bit for bit.
@@ -92,80 +94,54 @@ def simulate_loop(
     pos,
     vel,
     acc,
-    has_head,
     head_vel,
     cav,
-    alpha,
-    beta,
-    vmax,
-    sst,
-    sgo,
-    delay_steps,
-    s_star,
+    own,
+    feedback,
+    hdvs,
     v_star,
-    mode_baseline,
-    ovm_baseline,
-    a1,
-    a2,
-    a3,
-    gain_mu,
-    gain_k,
-    brake_col,
-    brake_k0,
-    brake_k1,
-    brake_acc,
+    brake,
     a_min,
     a_max,
     override_flag,
 ):
     """Forward-Euler integration of the mixed chain.
 
-    Column 0 is the front-most vehicle (prescribed head, or the CAV in a
-    free-driving chain).  Row 0 of pos/vel holds the initial state; the
-    function fills pos/vel/acc in place and sets ``override_flag[k]`` at
-    every step where the CAV's emergency brake fires.  Returns
-    (status, step, column): status 0 on success, 1 on collision at the
-    reported step between column-1 and column, with pos/vel filled
-    through that step and acc through the one before.
+    Column 0 is the front-most vehicle: the head, whose velocity at every
+    step is ``head_vel`` (a list of n_steps + 1 floats), or the CAV in a
+    free-driving chain (``head_vel`` None).  Row 0 of pos/vel holds the
+    initial state; the function fills pos/vel/acc in place and sets
+    ``override_flag[k]`` at every step where the CAV's emergency brake
+    fires.  Returns (status, step, column): status 0 on success, 1 on
+    collision at the reported step between column-1 and column, with
+    pos/vel filled through that step and acc through the one before.
+
+    The CAV in column ``cav`` applies u = k0 (v_cav - v*) + mu0 (s_cav -
+    s*_cav) with ``own = (k0, mu0, s*_cav)``, then adds each term
+    ``(column, mu, k, s*)`` of ``feedback`` in order, a zero gain adding
+    nothing.  ``hdvs`` holds one ``(column, delay steps, s*, alpha, beta,
+    v_max, s_st, s_go)`` per HDV, which follows the OVM on the state
+    that many steps ago.  ``brake = (column, k0, k1, decel)`` forces that
+    column's acceleration to ``decel`` for steps k0 <= k < k1.
 
     Each step runs on Python floats held in lists, with ``math.cos`` in
     the OVM, so every operation rounds as it would on numpy scalars.
-    Only the last ``max(delay_steps) + 1`` position and velocity rows
-    are kept as lists, for the delayed HDV reads; each finished row is
-    written to pos/vel/acc with one row assignment.  Vehicles are not
-    vectorised with numpy: ``np.cos`` may differ from ``math.cos`` in
-    the last bit.
+    Only the last ``max(delay) + 1`` position and velocity rows are kept
+    as lists, for the delayed HDV reads; each finished row is written to
+    pos/vel/acc with one row assignment.  Vehicles are not vectorised
+    with numpy: ``np.cos`` may differ from ``math.cos`` in the last bit.
     """
     n_veh = pos.shape[1]
-    head_v = head_vel.tolist()
-    alpha, beta, vmax, sst, sgo, s_star, gain_mu, gain_k = (
-        x.tolist() for x in (alpha, beta, vmax, sst, sgo, s_star, gain_mu, gain_k)
-    )
-    delay_steps = delay_steps.tolist()
+    has_head = head_vel is not None
+    own_k, own_mu, own_ss = own
+    brake_col, brake_k0, brake_k1, brake_acc = brake
 
-    # HDV constants, in column order: column, delay, equilibrium spacing,
-    # alpha, beta, v_max, s_st, s_go.
-    hdvs = tuple(
-        (j, delay_steps[j], s_star[j], alpha[j], beta[j], vmax[j], sst[j], sgo[j])
-        for j in range(1 if has_head else 0, n_veh)
-        if j != cav
-    )
-    # CAV feedback terms on the other vehicles, in column order: column,
-    # mu (zero for column 0, which has no spacing), k, equilibrium spacing.
-    feedback = tuple(
-        (j2, gain_mu[j2] if j2 > 0 else 0.0, gain_k[j2], s_star[j2])
-        for j2 in range(n_veh)
-        if j2 != cav and ((j2 > 0 and gain_mu[j2] != 0.0) or gain_k[j2] != 0.0)
-    )
-    own_k = gain_k[cav]
-    own_mu = gain_mu[cav] if cav > 0 else 0.0
-
-    window = max(delay_steps) + 1
+    window = max((h[1] for h in hdvs), default=0) + 1
     history = [None] * window
     p = pos[0].tolist()
     v = vel[0].tolist()
     if has_head:
-        vel[0, 0] = v[0] = head_v[0]
+        vel[0, 0] = v[0] = head_vel[0]
     head_a = 0.0
     for k in range(n_steps + 1):
         history[k % window] = p, v
@@ -173,32 +149,21 @@ def simulate_loop(
         braking = brake_k0 <= k < brake_k1
         if has_head:
             if k < n_steps:
-                head_a = (head_v[k + 1] - head_v[k]) / dt
+                head_a = (head_vel[k + 1] - head_vel[k]) / dt
             a_row[0] = head_a
 
         # CAV
         u = 0.0
-        if mode_baseline:
-            # HDV-like linear law toward the predecessor
-            sc = p[cav - 1] - p[cav]
-            u += a1 * (sc - s_star[cav]) - a2 * (v[cav] - v_star)
-            u += a3 * (v[cav - 1] - v_star)
-        else:
-            if own_k != 0.0:
-                u += own_k * (v[cav] - v_star)
-            if own_mu != 0.0:
-                u += own_mu * (p[cav - 1] - p[cav] - s_star[cav])
+        if own_k != 0.0:
+            u += own_k * (v[cav] - v_star)
+        if own_mu != 0.0:
+            u += own_mu * (p[cav - 1] - p[cav] - own_ss)
         for j2, mu2, k2, ss2 in feedback:
             if mu2 != 0.0:
                 u += mu2 * (p[j2 - 1] - p[j2] - ss2)
             if k2 != 0.0:
                 u += k2 * (v[j2] - v_star)
         if cav > 0:
-            if ovm_baseline:
-                sc = p[cav - 1] - p[cav]
-                sd = v[cav - 1] - v[cav]
-                u += alpha[cav] * (ovm_ramp(sc, vmax[cav], sst[cav], sgo[cav]) - v[cav])
-                u += beta[cav] * sd
             s0 = p[cav - 1] - p[cav]
             if s0 > 0.0 and (v[cav] ** 2 - v[cav - 1] ** 2) / (2.0 * s0) >= -a_min:
                 u = a_min
@@ -207,7 +172,7 @@ def simulate_loop(
             u = brake_acc
         a_row[cav] = a_min if u < a_min else (a_max if u > a_max else u)
 
-        # HDVs: nonlinear OVM on the state delay_steps ago
+        # HDVs: nonlinear OVM on the state d steps ago
         for j, d, ss, al, be, vm, s_st, s_go in hdvs:
             kd = k - d
             if kd < 0:
@@ -231,7 +196,7 @@ def simulate_loop(
         p = [pj + dt * vj for pj, vj in zip(p, v)]
         v = [w if (w := vj + dt * aj) > 0.0 else 0.0 for vj, aj in zip(v, a_row)]
         if has_head:
-            v[0] = head_v[k + 1]
+            v[0] = head_vel[k + 1]
         pos[k + 1] = p
         vel[k + 1] = v
         for j in range(1, n_veh):

@@ -4,10 +4,11 @@ Vehicles run front to back: an optional head vehicle with a prescribed
 velocity, m HDVs ahead of the CAV, the CAV, and n HDVs behind; the
 layouts allowed are those of ``systems.validate_topology``.  HDVs follow
 the nonlinear OVM with optional per-vehicle reaction delay; the CAV
-applies a feedback controller on error states plus an emergency braking
-override, and every acceleration is saturated to [a_min, a_max].
-Integration is forward Euler on a fixed step, delegated to
-``kernels.simulate_loop``.
+applies one linear feedback sum on error states plus an emergency
+braking override, and every acceleration is saturated to [a_min, a_max].
+``simulate`` turns a scenario into the columns, HDV constants and
+feedback terms that ``kernels.simulate_loop`` steps with forward Euler
+on a fixed step.
 """
 
 from __future__ import annotations
@@ -72,14 +73,14 @@ class CavController:
     mode "hdv-baseline": the CAV mimics an HDV toward its predecessor
     (linearized gains) and adds the feedback terms; gains may not touch
     id 0.  mode "explicit": the input is exactly the printed feedback
-    row, which may include the CAV's own states (id 0); ``ovm_baseline``
-    additionally stacks the nonlinear OVM response toward the
-    predecessor on top (car-following chains only).
+    row, which may include the CAV's own states (id 0).  Either way the
+    input is one linear sum over error states, u = sum mu_i s~_i + k_i v~_i;
+    the baseline's terms alpha1 s~_0 - alpha2 v~_0 + alpha3 v~_pred, on
+    the CAV's own errors and its predecessor's velocity error, come first.
     """
 
     gains: FeedbackGains = field(default_factory=FeedbackGains)
     mode: str = "hdv-baseline"
-    ovm_baseline: bool = False
 
     def __post_init__(self):
         if self.mode not in CONTROLLER_MODES:
@@ -203,8 +204,8 @@ def sample_heterogeneous(
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    if not cfg.dt > 0:
-        raise ValueError(f"dt must be > 0, got {cfg.dt}")
+    if not 0 < cfg.dt < math.inf:
+        raise ValueError(f"dt must be > 0 and finite, got {cfg.dt}")
     if not cfg.horizon > 0:
         raise ValueError(f"horizon must be > 0, got {cfg.horizon}")
     if not math.isfinite(cfg.horizon / cfg.dt):
@@ -212,28 +213,37 @@ def _validate(cfg: ScenarioConfig) -> None:
             f"horizon/dt must be finite, got horizon={cfg.horizon} and dt={cfg.dt}"
         )
     validate_topology(cfg.variant, cfg.m, cfg.n)
-    if isinstance(cfg.perturbation, (HeadSinusoid, FollowerBrake)):
-        if cfg.perturbation.start >= cfg.horizon:
+    pert = cfg.perturbation
+    if isinstance(pert, (HeadSinusoid, FollowerBrake)):
+        size, length = (
+            ("amplitude", "period") if isinstance(pert, HeadSinusoid) else ("decel", "duration")
+        )
+        if not math.isfinite(getattr(pert, size)):
+            raise ValueError(f"{size} must be finite, got {getattr(pert, size)}")
+        if not 0 < getattr(pert, length) < math.inf:
+            raise ValueError(f"{length} must be > 0 and finite, got {getattr(pert, length)}")
+        if not pert.start >= 0:
+            raise ValueError(f"start must be >= 0, got {pert.start}")
+        if pert.start >= cfg.horizon:
             raise ValueError("perturbation must start before the horizon ends")
-    if isinstance(cfg.perturbation, HeadSinusoid) and not cfg.has_head:
+    if isinstance(pert, HeadSinusoid) and not cfg.has_head:
         raise TopologyError("free-driving scenario has no head vehicle to perturb")
-    if isinstance(cfg.perturbation, FollowerBrake):
-        if cfg.perturbation.vehicle not in cfg.hdv_ids():
-            raise TopologyError(
-                f"brake vehicle {cfg.perturbation.vehicle} is not an HDV of this chain"
-            )
+    if isinstance(pert, FollowerBrake) and pert.vehicle not in cfg.hdv_ids():
+        raise TopologyError(f"brake vehicle {pert.vehicle} is not an HDV of this chain")
     allowed = set(cfg.hdv_ids())
     if cfg.cav.mode == "explicit":
         allowed.add(0)
     bad = cfg.cav.gains.ids() - allowed
     if bad:
         raise TopologyError(f"controller gain ids {sorted(bad)} invalid for this chain")
+    for name, gains in (("mu", cfg.cav.gains.mu), ("k", cfg.cav.gains.k)):
+        for vid, g in gains.items():
+            if not math.isfinite(g):
+                raise ValueError(f"gain {name}[{vid}] must be finite, got {g}")
     if cfg.cav.mode == "hdv-baseline" and not cfg.has_head:
         raise TopologyError("hdv-baseline controller needs a vehicle ahead of the CAV")
     if cfg.cav.gains.mu.get(0, 0.0) != 0.0 and not cfg.has_head:
         raise TopologyError("mu[0] needs a spacing, which a free-driving CAV lacks")
-    if cfg.cav.ovm_baseline and not cfg.has_head:
-        raise TopologyError("ovm baseline needs a vehicle ahead of the CAV")
     if cfg.hdv_params is not None and len(cfg.hdv_params) != cfg.m + cfg.n:
         raise ValueError(
             f"hdv_params must list {cfg.m + cfg.n} vehicles, got {len(cfg.hdv_params)}"
@@ -261,41 +271,34 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
     _validate(cfg)
     dt, v_star = cfg.dt, cfg.v_star
     n_steps = max(1, round(cfg.horizon / dt))
-    params = dict(zip(cfg.hdv_ids(), _resolve_hdv_params(cfg)))
+    params = {0: cfg.base_params, **dict(zip(cfg.hdv_ids(), _resolve_hdv_params(cfg)))}
 
     ids: List = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
     n_veh = len(ids)
     cav = ids.index(0)
+    # equilibrium spacing of each column; the front column has no spacing
+    s_star = [0.0] + [float(equilibrium_spacing(v_star, params[vid]).s_star) for vid in ids[1:]]
 
-    alpha = np.zeros(n_veh)
-    beta = np.zeros(n_veh)
-    vmax = np.zeros(n_veh)
-    sst = np.zeros(n_veh)
-    sgo = np.zeros(n_veh)
-    delay_steps = np.zeros(n_veh, dtype=np.int64)
-    s_star = np.zeros(n_veh)
+    gains = cfg.cav.gains
+    own = (float(gains.k.get(0, 0.0)), float(gains.mu.get(0, 0.0)), s_star[cav])
+    hdvs, feedback = [], []
     for j, vid in enumerate(ids):
-        p = cfg.base_params if vid in ("h", 0) else params[vid]
-        alpha[j], beta[j], vmax[j], sst[j], sgo[j] = (
-            p.alpha,
-            p.beta,
-            p.v_max,
-            p.s_st,
-            p.s_go,
-        )
+        if vid in ("h", 0):
+            continue
+        p = params[vid]
         # A delay past the horizon reads no delayed state, so clamping it
         # changes no trace and bounds the kernel's history window.
-        delay_steps[j] = round(min(p.delay / dt, n_steps + 1)) if vid not in ("h", 0) else 0
-        if j > 0:
-            s_star[j] = equilibrium_spacing(v_star, p).s_star
-
-    coeffs = linearize(equilibrium_spacing(v_star, cfg.base_params), cfg.base_params)
-    gain_mu = np.zeros(n_veh)
-    gain_k = np.zeros(n_veh)
-    for vid, g in cfg.cav.gains.mu.items():
-        gain_mu[ids.index(vid)] = g
-    for vid, g in cfg.cav.gains.k.items():
-        gain_k[ids.index(vid)] = g
+        delay = round(min(p.delay / dt, n_steps + 1))
+        hdvs.append((j, delay, s_star[j], *map(float, (p.alpha, p.beta, p.v_max, p.s_st, p.s_go))))
+        mu, k = float(gains.mu.get(vid, 0.0)), float(gains.k.get(vid, 0.0))
+        if mu != 0.0 or k != 0.0:
+            feedback.append((j, mu, k, s_star[j]))
+    if cfg.cav.mode == "hdv-baseline":
+        # The HDV-like linear law toward the predecessor is own-state
+        # feedback plus a velocity term on the predecessor, added first.
+        c = linearize(equilibrium_spacing(v_star, cfg.base_params), cfg.base_params)
+        own = (-c.alpha2, c.alpha1, s_star[cav])
+        feedback.insert(0, (cav - 1, 0.0, c.alpha3, s_star[cav - 1]))
 
     try:
         head_vel = np.full(n_steps + 1, v_star)
@@ -314,12 +317,14 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         head_vel[active] = v_star + cfg.perturbation.amplitude * np.sin(
             2.0 * math.pi * (t[active] - cfg.perturbation.start) / cfg.perturbation.period
         )
-    brake_col, brake_k0, brake_k1, brake_acc = -1, 0, 0, 0.0
+    brake = (-1, 0, 0, 0.0)
     if isinstance(cfg.perturbation, FollowerBrake):
-        brake_col = ids.index(cfg.perturbation.vehicle)
-        brake_k0 = round(cfg.perturbation.start / dt)
-        brake_k1 = round((cfg.perturbation.start + cfg.perturbation.duration) / dt)
-        brake_acc = cfg.perturbation.decel
+        brake = (
+            ids.index(cfg.perturbation.vehicle),
+            round(cfg.perturbation.start / dt),
+            round((cfg.perturbation.start + cfg.perturbation.duration) / dt),
+            cfg.perturbation.decel,
+        )
 
     vel[0, :] = v_star
     for j in range(1, n_veh):
@@ -331,28 +336,13 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         pos,
         vel,
         acc,
-        cfg.has_head,
-        head_vel,
+        head_vel.tolist() if cfg.has_head else None,
         cav,
-        alpha,
-        beta,
-        vmax,
-        sst,
-        sgo,
-        delay_steps,
-        s_star,
+        own,
+        feedback,
+        hdvs,
         v_star,
-        cfg.cav.mode == "hdv-baseline",
-        cfg.cav.ovm_baseline,
-        coeffs.alpha1,
-        coeffs.alpha2,
-        coeffs.alpha3,
-        gain_mu,
-        gain_k,
-        brake_col,
-        brake_k0,
-        brake_k1,
-        brake_acc,
+        brake,
         A_MIN,
         A_MAX,
         override,

@@ -72,6 +72,8 @@ def test_analyze_general_lists_modes_with_multiplicity(capsys):
                      "got '1:2:3'", id="n-range-1:2:3"),
         pytest.param("a:3", "10", "--n-range takes lo:hi or a comma list of integers, "
                      "got 'a:3'", id="n-range-a:3"),
+        pytest.param("5:1", "10", "--n-range names no chain length, got '5:1'",
+                     id="n-range-5:1"),
     ],
 )
 def test_energy_bad_horizons_exit_code(capsys, tmp_path, n_range, horizons, bad):
@@ -188,9 +190,10 @@ _AXIS2 = '"axis2": {"vehicle": 1, "component": "k"}'
          "perturbation.amplitude"),
         (["simulate", "--set", 'perturbation={"kind": "head-sinusoid", "vehicle": 1}'],
          "perturbation.vehicle"),
+        (["simulate", "--set", 'controller={"ovm_baseline": true}'], "controller.ovm_baseline"),
     ],
     ids=["int-as-float", "seed-float", "points-float", "axis-vehicle-float", "horizon-inf",
-         "delay-inf", "dt-nan", "brake-amplitude", "sinusoid-vehicle"],
+         "delay-inf", "dt-nan", "brake-amplitude", "sinusoid-vehicle", "ovm-baseline-unknown"],
 )
 def test_bad_config_value_names_key(capsys, tmp_path, argv, key):
     code, _, err = run_cli(capsys, *argv, "-o", str(tmp_path))

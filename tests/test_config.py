@@ -82,6 +82,9 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config({"variant": "fd", "bogus": 1})
     assert "bogus" in str(err.value)
+    # controller takes mode only
+    with pytest.raises(ConfigError, match=r"\$\.controller\.ovm_baseline: unknown key"):
+        parse_config({"controller": {"ovm_baseline": True}})
 
 
 def test_nested_error_names_path():
@@ -172,7 +175,7 @@ EXPECTED_DEFAULTS = {
         "alpha": 0.6, "beta": 0.9, "v_max": 30.0, "s_st": 5.0, "s_go": 35.0, "delay": 0.0,
     },
     "gains": {},
-    "controller": {"mode": "hdv-baseline", "ovm_baseline": False},
+    "controller": {"mode": "hdv-baseline"},
     "perturbation": {"kind": "none"},
     "heterogeneity": None,
     "frequency": {"omega_min": 0.01, "omega_max": 100.0, "points": 1000},
@@ -191,12 +194,12 @@ PARITY = [
     (
         {
             "driver": {"alpha": 1, "beta": 0.5, "v_max": 40, "s_st": 0, "s_go": 30.5, "delay": 0.2},
-            "controller": {"mode": "explicit", "ovm_baseline": True},
+            "controller": {"mode": "explicit"},
             "gains": {"0": [0.1, -0.2], "1": [-1, 2]},
         },
         {
             "driver": {"alpha": 1, "beta": 0.5, "v_max": 40, "s_st": 0, "s_go": 30.5, "delay": 0.2},
-            "controller": {"mode": "explicit", "ovm_baseline": True},
+            "controller": {"mode": "explicit"},
             "gains": {"0": [0.1, -0.2], "1": [-1, 2]},
         },
     ),
@@ -257,9 +260,7 @@ def test_defaults_are_the_dataclass_defaults():
     for key in ("m", "n", "v_star", "dt", "horizon", "seed"):
         assert DEFAULTS[key] == getattr(scenario, key)
     assert DEFAULTS["driver"] == asdict(DriverParams())
-    controller = CavController()
-    assert DEFAULTS["controller"] == {"mode": controller.mode,
-                                      "ovm_baseline": controller.ovm_baseline}
+    assert DEFAULTS["controller"] == {"mode": CavController().mode}
     assert DEFAULTS["frequency"] == asdict(FrequencyGrid())
     assert parse_config({"heterogeneity": {}})["heterogeneity"] == asdict(HeterogeneitySpec())
     for kind, cls in (("head-sinusoid", HeadSinusoid), ("follower-brake", FollowerBrake)):
@@ -293,7 +294,6 @@ BAD_VALUES = [
     ("driver.delay", -0.1),
     ("gains", {"x": [1, 2]}),
     ("controller.mode", "auto"),
-    ("controller.ovm_baseline", 1),
     ("perturbation.kind", "brake"),
     ("perturbation.amplitude", "big"),
     ("perturbation.period", 0),
@@ -347,7 +347,7 @@ def test_bad_value_table_covers_every_key():
                 yield prefix + name
 
     keys = [key for key, _ in BAD_VALUES]
-    assert len(keys) == len(set(keys)) == 42
+    assert len(keys) == len(set(keys)) == 41
     covered = set()
     for probe in ("perturbation.amplitude", "perturbation.vehicle"):
         covered |= set(leaves(parse_config(_document_with(probe, 1))))

@@ -2,7 +2,6 @@
 realization, and the chain-stepping loop bit for bit against its
 element-indexing reference."""
 
-import copy
 import math
 from unittest import mock
 
@@ -27,8 +26,9 @@ from lcc import (
 from lcc.kernels import gamma_mag_sq_grid, gamma_mag_sq_scalar
 from lcc.output import fmt, write_trace_csv
 from lcc.presets import CF_CONTROLLER, FD_CONTROLLER, GAIN_CASES
+from lcc.sim import A_MAX, A_MIN, _resolve_hdv_params
 from lcc.stability import _gain_arrays, state_space_gain
-from lcc.vehicles import desired_velocity
+from lcc.vehicles import desired_velocity, equilibrium_spacing, linearize
 
 
 @pytest.mark.parametrize(
@@ -93,7 +93,6 @@ def _reference_simulate_loop(
     s_star,
     v_star,
     mode_baseline,
-    ovm_baseline,
     a1,
     a2,
     a3,
@@ -109,10 +108,12 @@ def _reference_simulate_loop(
 ):
     """The element-indexing chain loop that ``simulate_loop`` replaced.
 
-    Column 0 is the front-most vehicle (prescribed head, or the CAV in a
-    free-driving chain); fills pos/vel/acc in place.  Returns
-    (status, step, column): status 0 on success, 1 on collision at the
-    reported step between column-1 and column.
+    Takes the chain as per-column arrays (see ``_reference_args``), with
+    the hdv-baseline law as its own branch.  Column 0 is the front-most
+    vehicle (prescribed head, or the CAV in a free-driving chain); fills
+    pos/vel/acc in place.  Returns (status, step, column): status 0 on
+    success, 1 on collision at the reported step between column-1 and
+    column.
     """
     n_veh = pos.shape[1]
     for k in range(n_steps + 1):
@@ -145,11 +146,6 @@ def _reference_simulate_loop(
                         u += gain_mu[j2] * (pos[k, j2 - 1] - pos[k, j2] - s_star[j2])
                     if gain_k[j2] != 0.0:
                         u += gain_k[j2] * (vel[k, j2] - v_star)
-                if ovm_baseline and j > 0:
-                    sc = pos[k, j - 1] - pos[k, j]
-                    sd = vel[k, j - 1] - vel[k, j]
-                    u += alpha[j] * (_desired_velocity(sc, vmax[j], sst[j], sgo[j]) - vel[k, j])
-                    u += beta[j] * sd
                 if j > 0:
                     s0 = pos[k, j - 1] - pos[k, j]
                     if s0 > 0.0 and (vel[k, j] ** 2 - vel[k, j - 1] ** 2) / (2.0 * s0) >= -a_min:
@@ -190,18 +186,55 @@ def _reference_simulate_loop(
     return 0, 0, 0
 
 
-def _loop_args(cfg):
-    """The arguments ``simulate`` passes to ``kernels.simulate_loop``."""
-    captured = []
-
-    def record(*args):
-        captured.append(copy.deepcopy(args))
-        return 0, 0, 0
-
-    with mock.patch.object(kernels, "simulate_loop", record):
-        simulate(cfg)
-    (args,) = captured
-    return args
+def _reference_args(cfg):
+    """The reference's arguments for ``cfg``: one slot per column in each
+    per-vehicle array, flat scalars for the baseline and the brake."""
+    dt, v_star = cfg.dt, cfg.v_star
+    n_steps = max(1, round(cfg.horizon / dt))
+    params = dict(zip(cfg.hdv_ids(), _resolve_hdv_params(cfg)))
+    ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
+    n_veh = len(ids)
+    cav = ids.index(0)
+    alpha, beta, vmax, sst, sgo, s_star = (np.zeros(n_veh) for _ in range(6))
+    delay_steps = np.zeros(n_veh, dtype=np.int64)
+    for j, vid in enumerate(ids):
+        p = cfg.base_params if vid in ("h", 0) else params[vid]
+        alpha[j], beta[j], vmax[j], sst[j], sgo[j] = p.alpha, p.beta, p.v_max, p.s_st, p.s_go
+        delay_steps[j] = round(min(p.delay / dt, n_steps + 1)) if vid not in ("h", 0) else 0
+        if j > 0:
+            s_star[j] = equilibrium_spacing(v_star, p).s_star
+    coeffs = linearize(equilibrium_spacing(v_star, cfg.base_params), cfg.base_params)
+    gain_mu, gain_k = np.zeros(n_veh), np.zeros(n_veh)
+    for vid, g in cfg.cav.gains.mu.items():
+        gain_mu[ids.index(vid)] = g
+    for vid, g in cfg.cav.gains.k.items():
+        gain_k[ids.index(vid)] = g
+    head_vel = np.full(n_steps + 1, v_star)
+    pert = cfg.perturbation
+    if isinstance(pert, HeadSinusoid):
+        t = np.arange(n_steps + 1) * dt
+        active = t >= pert.start
+        head_vel[active] = v_star + pert.amplitude * np.sin(
+            2.0 * math.pi * (t[active] - pert.start) / pert.period
+        )
+    brake = (-1, 0, 0, 0.0)
+    if isinstance(pert, FollowerBrake):
+        brake = (
+            ids.index(pert.vehicle),
+            round(pert.start / dt),
+            round((pert.start + pert.duration) / dt),
+            pert.decel,
+        )
+    pos, vel, acc = (np.zeros((n_steps + 1, n_veh)) for _ in range(3))
+    vel[0, :] = v_star
+    for j in range(1, n_veh):
+        pos[0, j] = pos[0, j - 1] - s_star[j]
+    return (
+        n_steps, dt, pos, vel, acc, cfg.has_head, head_vel, cav,
+        alpha, beta, vmax, sst, sgo, delay_steps, s_star, v_star,
+        cfg.cav.mode == "hdv-baseline", coeffs.alpha1, coeffs.alpha2, coeffs.alpha3,
+        gain_mu, gain_k, *brake, A_MIN, A_MAX, np.zeros(n_steps + 1, dtype=np.uint8),
+    )
 
 
 LOOP_CASES = {
@@ -227,16 +260,15 @@ LOOP_CASES = {
         perturbation=FollowerBrake(start=5.0),
         cav=FD_CONTROLLER,
     ),
-    "hdv-baseline-ovm": ScenarioConfig(
+    # the predecessor (-1) carries gains too: the baseline's term on it
+    # must come first, not be summed into them
+    "hdv-baseline-predecessor-gains": ScenarioConfig(
         variant=V.GENERAL_LCC,
         m=1,
         n=2,
         horizon=30.0,
         perturbation=HeadSinusoid(amplitude=4.0, start=5.0),
-        cav=CavController(
-            gains=FeedbackGains(mu={-1: 0.5, 2: -0.3}, k={-1: -0.4, 1: 0.2}),
-            ovm_baseline=True,
-        ),
+        cav=CavController(gains=FeedbackGains(mu={-1: 0.5, 2: -0.3}, k={-1: -0.4, 1: 0.2})),
     ),
     "appendixC-delays-brake": ScenarioConfig(
         variant=V.FD_LCC,
@@ -267,21 +299,34 @@ LOOP_CASES = {
 
 @pytest.mark.parametrize("name", LOOP_CASES)
 def test_simulate_loop_matches_reference_bitwise(name):
-    args = _loop_args(LOOP_CASES[name])
-    ref_args, new_args = copy.deepcopy(args), copy.deepcopy(args)
-    ref = _reference_simulate_loop(*ref_args)
-    new = kernels.simulate_loop(*new_args)
-    assert new == ref
-    # pos, vel, acc and override_flag
-    for i in (2, 3, 4, 29):
-        assert new_args[i].dtype == ref_args[i].dtype
-        assert new_args[i].tobytes() == ref_args[i].tobytes()
+    """``simulate`` reproduces the reference on the per-column arrays bit
+    for bit: positions, velocities, accelerations and safety-brake times,
+    or the collision."""
+    cfg = LOOP_CASES[name]
+    args = _reference_args(cfg)
+    status, step, col = _reference_simulate_loop(*args)
+    n_steps, dt, pos, vel, acc, override = *args[:5], args[-1]
+    ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
+    with mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop:
+        if status == 1:
+            with pytest.raises(CollisionError) as err:
+                simulate(cfg)
+            assert (err.value.time, err.value.follower, err.value.leader) == (
+                step * dt, ids[col], ids[col - 1]
+            )
+            new = loop.call_args.args[2:5]
+        else:
+            trace = simulate(cfg)
+            new = trace.position, trace.velocity, trace.acceleration
+            times = np.arange(n_steps + 1) * dt
+            assert [t for t, _, _ in trace.events] == times[np.nonzero(override)[0]].tolist()
+    for got, want in zip(new, (pos, vel, acc)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
     if name == "safety-override":
-        assert ref_args[29].any()
+        assert override.any()
     if name == "collision":
-        assert ref[0] == 1
-        with pytest.raises(CollisionError):
-            simulate(LOOP_CASES[name])
+        assert status == 1
 
 
 def test_trace_csv_matches_cell_formatting(tmp_path):

@@ -310,6 +310,31 @@ def test_nan_step_or_horizon_rejected(field):
         simulate(ScenarioConfig(variant=V.CF_LCC, n=1, **{field: math.nan}))
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param({"perturbation": HeadSinusoid(period=0.0)}, "period must be > 0",
+                     id="period=0"),
+        pytest.param({"perturbation": HeadSinusoid(amplitude=math.nan)},
+                     "amplitude must be finite", id="amplitude=nan"),
+        pytest.param({"perturbation": HeadSinusoid(start=math.nan)}, "start must be >= 0",
+                     id="start=nan"),
+        pytest.param({"perturbation": FollowerBrake(decel=math.nan)}, "decel must be finite",
+                     id="decel=nan"),
+        pytest.param({"perturbation": FollowerBrake(duration=-1.0)}, "duration must be > 0",
+                     id="duration=-1"),
+        pytest.param({"dt": math.inf}, "dt must be > 0 and finite", id="dt=inf"),
+        pytest.param({"cav": CavController(gains=FeedbackGains(mu={1: math.nan}, k={}))},
+                     r"gain mu\[1\] must be finite", id="mu=nan"),
+    ],
+)
+def test_scenario_values_the_config_rejects_are_rejected(change, message):
+    """Library callers get the config's bounds too, not a NaN, unperturbed or
+    stalled trace."""
+    with pytest.raises(ValueError, match=message):
+        simulate(ScenarioConfig(variant=V.CF_LCC, n=1, horizon=30.0, **change))
+
+
 def test_non_finite_step_count_rejected():
     with pytest.raises(ValueError, match=r"horizon=1e\+300 and dt=1e-10"):
         simulate(ScenarioConfig(variant=V.CF_LCC, n=1, horizon=1e300, dt=1e-10))
