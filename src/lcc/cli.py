@@ -35,8 +35,8 @@ from .config import (
     coeffs_from_config,
     config_help,
     grid_from_config,
-    load_config,
     parse_config,
+    read_config,
     scenario_from_config,
     transfer_spec_from_config,
 )
@@ -120,7 +120,8 @@ def _outdir(args) -> Path:
 
 
 def _load_cfg(args, **cli_keys) -> dict:
-    doc = load_config(args.config) if args.config else {}
+    """The config file, with ``--set`` and the flags applied, validated once."""
+    doc = read_config(args.config) if args.config else {}
     doc = apply_overrides(doc, getattr(args, "overrides", []))
     for key, value in cli_keys.items():
         if value is not None:

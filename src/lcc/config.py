@@ -14,6 +14,8 @@ perturbation kind, naming the dotted key; it keeps given values as they
 are and fills in every default, so ``{"variant": "fd", "n": 2}`` is
 complete.
 ``DEFAULTS`` is the parse of ``{}``; ``config_help`` renders the table.
+The CLI reads a file with ``read_config``, applies ``--set`` overrides and
+its flags to the raw document, and only then calls ``parse_config``, once.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "DEFAULTS",
     "config_help",
     "load_config",
+    "read_config",
     "parse_config",
     "serialize_config",
     "apply_overrides",
@@ -260,16 +263,20 @@ def config_help() -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path) -> dict:
-    """Read, validate, and default-fill a JSON config file."""
+def read_config(path):
+    """Read a JSON config file as it stands, neither validated nor default-filled."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}): {exc}") from exc
-    return parse_config(doc)
+
+
+def load_config(path) -> dict:
+    """Read, validate, and default-fill a JSON config file."""
+    return parse_config(read_config(path))
 
 
 def serialize_config(cfg: dict) -> str:
@@ -278,7 +285,9 @@ def serialize_config(cfg: dict) -> str:
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
-    """Apply dotted key=value pairs (values parsed as JSON when possible)."""
+    """Apply dotted key=value pairs (JSON values when possible) to a raw, unparsed document."""
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration must be a JSON object")
     doc = copy.deepcopy(doc)
     for item in overrides or ():
         if "=" not in item:

@@ -13,10 +13,11 @@ many gain sets in one call (see their docstrings).  ``simulate_loop``
 steps the chain, with the OVM ramp taken from ``vehicles.ovm_ramp``.
 
 ``simulate_loop`` takes the chain as ``sim.simulate`` lays it out: the
-CAV's law as one list of linear feedback terms, the HDVs as one tuple of
-constants each.  It steps on Python floats in lists, since indexing
-numpy arrays element by element boxes an ``np.float64`` per access, and
-keeps a history window of only ``max(delay) + 1`` rows.  It does not
+CAV's law as one list of linear feedback terms, its own errors first,
+the HDVs as one tuple of constants each.  It steps on Python floats in
+lists, since indexing numpy arrays element by element boxes an
+``np.float64`` per access, and keeps a history window of only
+``max(delay) + 1`` rows.  It does not
 vectorise over vehicles: a chain has about a dozen, and ``np.cos`` is
 not guaranteed to round as ``math.cos`` does, so traces would no longer
 be reproducible bit for bit.
@@ -96,7 +97,6 @@ def simulate_loop(
     acc,
     head_vel,
     cav,
-    own,
     feedback,
     hdvs,
     v_star,
@@ -116,13 +116,14 @@ def simulate_loop(
     collision at the reported step between column-1 and column, with
     pos/vel filled through that step and acc through the one before.
 
-    The CAV in column ``cav`` applies u = k0 (v_cav - v*) + mu0 (s_cav -
-    s*_cav) with ``own = (k0, mu0, s*_cav)``, then adds each term
-    ``(column, mu, k, s*)`` of ``feedback`` in order, a zero gain adding
-    nothing.  ``hdvs`` holds one ``(column, delay steps, s*, alpha, beta,
-    v_max, s_st, s_go)`` per HDV, which follows the OVM on the state
-    that many steps ago.  ``brake = (column, k0, k1, decel)`` forces that
-    column's acceleration to ``decel`` for steps k0 <= k < k1.
+    The CAV in column ``cav`` applies u = sum mu (s - s*) + k (v - v*)
+    over the terms ``(column, mu, k, s*)`` of ``feedback``, in order from
+    u = 0.0, a zero gain adding nothing; its own errors are a term like
+    any other.  ``hdvs`` holds one ``(column, delay steps, s*, alpha,
+    beta, v_max, s_st, s_go)`` per HDV, which follows the OVM on the
+    state that many steps ago.  ``brake = (column, k0, k1, decel)``
+    forces that HDV column's acceleration to ``decel`` for steps
+    k0 <= k < k1.
 
     Each step runs on Python floats held in lists, with ``math.cos`` in
     the OVM, so every operation rounds as it would on numpy scalars.
@@ -133,7 +134,6 @@ def simulate_loop(
     """
     n_veh = pos.shape[1]
     has_head = head_vel is not None
-    own_k, own_mu, own_ss = own
     brake_col, brake_k0, brake_k1, brake_acc = brake
 
     window = max((h[1] for h in hdvs), default=0) + 1
@@ -154,10 +154,6 @@ def simulate_loop(
 
         # CAV
         u = 0.0
-        if own_k != 0.0:
-            u += own_k * (v[cav] - v_star)
-        if own_mu != 0.0:
-            u += own_mu * (p[cav - 1] - p[cav] - own_ss)
         for j2, mu2, k2, ss2 in feedback:
             if mu2 != 0.0:
                 u += mu2 * (p[j2 - 1] - p[j2] - ss2)
@@ -168,8 +164,6 @@ def simulate_loop(
             if s0 > 0.0 and (v[cav] ** 2 - v[cav - 1] ** 2) / (2.0 * s0) >= -a_min:
                 u = a_min
                 override_flag[k] = 1
-        if braking and cav == brake_col:
-            u = brake_acc
         a_row[cav] = a_min if u < a_min else (a_max if u > a_max else u)
 
         # HDVs: nonlinear OVM on the state d steps ago

@@ -8,12 +8,14 @@ applies one linear feedback sum on error states plus an emergency
 braking override, and every acceleration is saturated to [a_min, a_max].
 ``simulate`` turns a scenario into the columns, HDV constants and
 feedback terms that ``kernels.simulate_loop`` steps with forward Euler
-on a fixed step.
+on a fixed step; it alone lays out the CAV's law, its own errors as the
+first feedback term.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -164,11 +166,14 @@ def sample_heterogeneous(
 
     Each parameter is independently uniform within its jitter band around
     the base value (delays around ``delay_base``).  Deterministic for a
-    given seed.  Raises ValueError, before any draw, when a jitter is
-    negative or a band reaches a value ``DriverParams`` rejects.
+    given seed.  Raises ValueError, before any draw, when the seed is not
+    an integer >= 0 (a bool is not one), a jitter is negative, or a band
+    reaches a value ``DriverParams`` rejects.
     """
     if n_vehicles < 1:
         raise ValueError("need at least one vehicle")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     base = base or DriverParams()
     for name in ("alpha_jitter", "beta_jitter", "s_go_jitter", "delay_jitter"):
         value = getattr(spec, name)
@@ -279,9 +284,16 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
     # equilibrium spacing of each column; the front column has no spacing
     s_star = [0.0] + [float(equilibrium_spacing(v_star, params[vid]).s_star) for vid in ids[1:]]
 
+    # u = sum_i mu_i s~_i + k_i v~_i with the CAV's own errors (i = 0) first;
+    # the HDV-like baseline then adds alpha3 v~ of the predecessor.
     gains = cfg.cav.gains
-    own = (float(gains.k.get(0, 0.0)), float(gains.mu.get(0, 0.0)), s_star[cav])
-    hdvs, feedback = [], []
+    if cfg.cav.mode == "hdv-baseline":
+        c = linearize(equilibrium_spacing(v_star, cfg.base_params), cfg.base_params)
+        feedback = [(cav, c.alpha1, -c.alpha2, s_star[cav]),
+                    (cav - 1, 0.0, c.alpha3, s_star[cav - 1])]
+    else:
+        feedback = [(cav, float(gains.mu.get(0, 0.0)), float(gains.k.get(0, 0.0)), s_star[cav])]
+    hdvs = []
     for j, vid in enumerate(ids):
         if vid in ("h", 0):
             continue
@@ -293,12 +305,6 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         mu, k = float(gains.mu.get(vid, 0.0)), float(gains.k.get(vid, 0.0))
         if mu != 0.0 or k != 0.0:
             feedback.append((j, mu, k, s_star[j]))
-    if cfg.cav.mode == "hdv-baseline":
-        # The HDV-like linear law toward the predecessor is own-state
-        # feedback plus a velocity term on the predecessor, added first.
-        c = linearize(equilibrium_spacing(v_star, cfg.base_params), cfg.base_params)
-        own = (-c.alpha2, c.alpha1, s_star[cav])
-        feedback.insert(0, (cav - 1, 0.0, c.alpha3, s_star[cav - 1]))
 
     try:
         head_vel = np.full(n_steps + 1, v_star)
@@ -338,7 +344,6 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         acc,
         head_vel.tolist() if cfg.has_head else None,
         cav,
-        own,
         feedback,
         hdvs,
         v_star,

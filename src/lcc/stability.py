@@ -42,6 +42,7 @@ from .systems import (
     SystemVariant,
     build_system,
     closed_loop_matrix,
+    validate_count,
 )
 from .vehicles import LinearCoeffs
 
@@ -90,8 +91,8 @@ class TransferSpec:
     gains: FeedbackGains = field(default_factory=FeedbackGains)
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise TopologyError(f"m and n must be >= 0, got m={self.m}, n={self.n}")
+        validate_count("m", self.m)
+        validate_count("n", self.n)
         allowed = set(range(-self.m, 0)) | set(range(1, self.n + 1))
         bad = self.gains.ids() - allowed
         if bad:

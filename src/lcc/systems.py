@@ -11,7 +11,9 @@ state stacks (spacing error, velocity error) pairs front to back:
 * CCC          m >= 1 HDVs ahead, none behind
 
 ``validate_topology`` is the one statement of these rules in the package;
-the simulator applies it to its scenarios too.
+the simulator applies it to its scenarios too.  ``validate_count`` is the
+one rule for m and n themselves (an integer, not a bool, >= 0), which
+``stability.TransferSpec`` shares.
 
 The blocks of the dynamics matrix follow the linearized HDV model: an HDV
 pair contributes P1 on the diagonal and P2 coupling to its predecessor,
@@ -22,6 +24,7 @@ through the disturbance column H.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Mapping, Optional, Tuple
@@ -35,6 +38,7 @@ __all__ = [
     "SystemVariant",
     "FeedbackGains",
     "StateSpaceModel",
+    "validate_count",
     "validate_topology",
     "build_system",
     "control_row",
@@ -101,10 +105,16 @@ class StateSpaceModel:
         return sorted(self.index_map)
 
 
+def validate_count(name: str, value) -> None:
+    """Raise ``TopologyError``, naming ``name``, unless ``value`` is a vehicle count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise TopologyError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def validate_topology(variant: SystemVariant, m: int, n: int) -> None:
     """Raise ``TopologyError`` unless (m, n) is a valid chain of ``variant``."""
-    if m < 0 or n < 0:
-        raise TopologyError(f"m and n must be >= 0, got m={m}, n={n}")
+    validate_count("m", m)
+    validate_count("n", n)
     if variant is SystemVariant.GENERAL_LCC and (m < 1 or n < 1):
         raise TopologyError(f"general chain needs m >= 1 and n >= 1, got m={m}, n={n}")
     if variant in (SystemVariant.CF_LCC, SystemVariant.FD_LCC) and m != 0:

@@ -50,6 +50,28 @@ def test_pbh_examples(default_coeffs):
     assert rep.controllable_dim == 2
 
 
+@pytest.mark.parametrize("variant, m, n", [(V.CF_LCC, 0, 3), (V.GENERAL_LCC, 2, 2)])
+def test_pbh_at_rank_zero_and_full_rank(default_coeffs, variant, m, n):
+    """The complement of the staircase basis at its two ends: with B = 0
+    every eigenvalue of A is an uncontrollable mode; with B = I none is."""
+    mod = build_system(variant, m, n, default_coeffs)
+    zero = pbh_controllability(mod.A, np.zeros_like(mod.B))
+    assert not zero.controllable and zero.controllable_dim == 0
+    want = sorted(np.linalg.eigvals(mod.A), key=lambda z: (z.real, z.imag))
+    assert np.allclose(zero.uncontrollable_mode_eigenvalues, want, atol=1e-6)
+
+    full = pbh_controllability(mod.A, np.eye(mod.dim))
+    assert full.controllable and full.controllable_dim == mod.dim
+    assert full.uncontrollable_mode_eigenvalues == []
+
+
+def test_observability_with_no_measurement(default_coeffs):
+    mod = build_system(V.GENERAL_LCC, 2, 2, default_coeffs)
+    rep = pbh_observability(mod.A, np.zeros((1, mod.dim)), model=mod)
+    assert not rep.observable and rep.observable_dim == 0
+    assert rep.unobservable_vehicle_ids == mod.vehicle_ids
+
+
 def test_uncontrollable_modes_match_upstream_block(default_coeffs):
     """For the general chain, the PBH failures are exactly the eigenvalues
     of the upstream (vehicles ahead) block."""

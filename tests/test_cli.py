@@ -162,6 +162,32 @@ def test_overrides_through_cli(capsys, tmp_path):
     assert "condition=0.4025" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--set", "variant=general", "--set", "m=2", "--set", "scan.axis1.vehicle=1",
+         "--set", "scan.axis1.component=mu", "--set", "scan.axis1.points=3",
+         "--set", "scan.axis2.vehicle=1", "--set", "scan.axis2.component=k",
+         "--set", "scan.axis2.points=3"],
+        ["simulate", "--set", "variant=fd", "--set", "controller.mode=explicit",
+         "--set", "horizon=2", "--set", "heterogeneity.delay_base=0.2"],
+    ],
+    ids=["scan-axes", "heterogeneity"],
+)
+def test_set_completes_an_empty_config_file(capsys, tmp_path, argv):
+    """``--set`` applies to the file as written, before validation: it can
+    fill a section that ``{}`` leaves null, as it does with no file."""
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    outputs = []
+    for config in (["--config", str(path)], []):
+        out = tmp_path / ("with" if config else "without")
+        code, _, err = run_cli(capsys, *argv, *config, "-o", str(out))
+        assert code == 0, err
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+
+
 def test_bad_config_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"variant": "warp-drive"}))
@@ -203,18 +229,20 @@ def test_bad_config_value_names_key(capsys, tmp_path, argv, key):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, dt",
     [
-        ["energy", "--n-range", "1:1", "--t", "1e300", "--set", "dt=1e-10"],
-        ["simulate", "--set", 'variant="cf"', "--set", "n=1", "--set", "horizon=1e300",
-         "--set", "dt=1e-10"],
+        (["energy", "--n-range", "1:1", "--t", "1e300", "--set", "dt=1e-10"], "1e-10"),
+        (["simulate", "--set", 'variant="cf"', "--set", "n=1", "--set", "horizon=1e300",
+          "--set", "dt=1e-10"], "1e-10"),
+        # a finite step count, but 1e302 RK4 steps: refused, not run
+        (["energy", "--n-range", "1:1", "--t", "1e300"], "dt=0.01"),
     ],
-    ids=["energy", "simulate"],
+    ids=["energy", "simulate", "energy-default-dt"],
 )
-def test_step_count_overflow_exit_code(capsys, tmp_path, argv):
+def test_step_count_overflow_exit_code(capsys, tmp_path, argv, dt):
     code, _, err = run_cli(capsys, *argv, "-o", str(tmp_path))
     assert code == 4
-    assert "1e+300" in err and "1e-10" in err
+    assert "1e+300" in err and dt in err
     assert not list(tmp_path.iterdir())
 
 

@@ -153,6 +153,8 @@ def test_overrides():
     assert cfg["controller"]["mode"] == "explicit"
     with pytest.raises(ConfigError):
         apply_overrides({}, ["no-equals-sign"])
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        apply_overrides([1], [])
     with pytest.raises(ConfigError):
         parse_config(apply_overrides({}, ["driver.unknown=1"]))
 
@@ -361,9 +363,11 @@ def test_bad_value_names_its_key(key, value):
 
 
 def test_import_does_not_load_jsonschema():
+    """Nor scipy.linalg, which only ``min_energy`` imports, when called."""
     import lcc
 
-    probe = "import sys, lcc.cli; print(sorted(m for m in sys.modules if 'jsonschema' in m))"
+    probe = ("import sys, lcc.cli; "
+             "print(sorted(m for m in sys.modules if 'jsonschema' in m or m == 'scipy.linalg'))")
     src = str(Path(lcc.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", probe],

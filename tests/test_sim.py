@@ -326,6 +326,10 @@ def test_nan_step_or_horizon_rejected(field):
         pytest.param({"dt": math.inf}, "dt must be > 0 and finite", id="dt=inf"),
         pytest.param({"cav": CavController(gains=FeedbackGains(mu={1: math.nan}, k={}))},
                      r"gain mu\[1\] must be finite", id="mu=nan"),
+        pytest.param({"seed": 1.5, "heterogeneity": HeterogeneitySpec()},
+                     "seed must be an integer", id="seed=1.5"),
+        pytest.param({"seed": True, "heterogeneity": HeterogeneitySpec()},
+                     "seed must be an integer", id="seed=True"),
     ],
 )
 def test_scenario_values_the_config_rejects_are_rejected(change, message):

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from lcc import (
+    CavController,
     FeedbackGains,
+    ScenarioConfig,
     SystemVariant,
     TopologyError,
+    TransferSpec,
     build_system,
     closed_loop_matrix,
     control_row,
+    simulate,
 )
 
 V = SystemVariant
@@ -70,6 +74,24 @@ def test_topology_validation(default_coeffs):
                 (V.FD_LCC, 2, 2), (V.CCC, 0, 0), (V.CCC, 2, 1)]:
         with pytest.raises(TopologyError):
             build_system(bad[0], bad[1], bad[2], default_coeffs)
+
+
+@pytest.mark.parametrize(
+    "variant, m, n, field",
+    [(V.GENERAL_LCC, 1.5, 1, "m"), (V.CF_LCC, 0, True, "n"), (V.CF_LCC, 0, 2.0, "n"),
+     (V.FD_LCC, 0, -1, "n")],
+    ids=["m=1.5", "n=True", "n=2.0", "n=-1"],
+)
+def test_counts_must_be_integers(default_coeffs, variant, m, n, field):
+    """One count rule for the model, the transfer function and the simulator,
+    and each error names its field."""
+    match = f"{field} must be an integer >= 0"
+    with pytest.raises(TopologyError, match=match):
+        build_system(variant, m, n, default_coeffs)
+    with pytest.raises(TopologyError, match=match):
+        TransferSpec(m=m, n=n, coeffs=default_coeffs)
+    with pytest.raises(TopologyError, match=match):
+        simulate(ScenarioConfig(variant=variant, m=m, n=n, cav=CavController(mode="explicit")))
 
 
 @pytest.mark.parametrize(
