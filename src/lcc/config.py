@@ -105,7 +105,7 @@ _KEYS = {
         v_star=(float, "> 0", "equilibrium velocity (m/s)"),
         dt=(float, "> 0", "integration / Gramian step (s)"),
         horizon=(float, "> 0", "simulation length (s)"),
-        seed=(int, None, "RNG seed for heterogeneity sampling"),
+        seed=(int, ">= 0", "RNG seed for heterogeneity sampling"),
     ),
     "driver": _Section({}, _rows(
         DriverParams,
@@ -266,10 +266,12 @@ def config_help() -> str:
 def read_config(path):
     """Read a JSON config file as it stands, neither validated nor default-filled."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}): {exc}") from exc
 

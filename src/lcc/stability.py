@@ -259,6 +259,23 @@ def _shorten(spec: TransferSpec, *vehicles: int) -> Tuple[TransferSpec, int, np.
     return short, spec.m + spec.n - m - n, np.concatenate([[1.0], *_gain_arrays(short)])
 
 
+def _secular_stack(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Real matrices similar to diag(p) - u 1^T, p = -z^2 and u = w p / sum(w), one per
+    row of roots z and weights w (0 on NaN slots), with each conjugate pair of z in
+    adjacent slots, positive imaginary part first (see ``_evaluate``)."""
+    poles = np.nan_to_num(-(z**2))
+    u = weights * poles / weights.sum(axis=1, keepdims=True)
+    first = z.imag > 0  # the first slot of each conjugate pair; the next slot is its conjugate
+    second = np.pad(first[:, :-1], [(0, 0), (1, 0)])
+    cell, slot = np.nonzero(first)
+    stack = poles.real[:, :, None] * np.eye(z.shape[1])
+    stack[cell, slot, slot + 1] = -poles.imag[cell, slot]
+    stack[cell, slot + 1, slot] = poles.imag[cell, slot]
+    u_real = np.where(first, 2.0 * u.real, np.where(second, -2.0 * u.imag, u.real))
+    stack -= u_real[:, :, None] * np.where(second, 0.0, 1.0)[:, None, :]
+    return stack
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _evaluate(spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: int, au_too=False):
     """AU flags, peaks (omega, |Gamma|^2) and failure messages of gain rows of ``spec``
@@ -267,9 +284,18 @@ def _evaluate(spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: in
     A polynomial with roots z_k has |P(jw)|^2 = c^2 prod_k (x + z_k^2) in x = w^2, so
     d/dx log|Gamma(jw)|^2 = sum_k w_k / (x - p_k) over p_k = -z_k^2 of the roots of Num
     (w_k = 1), Den (-1), phi (n + cut) and gamma (-(m + cut)).  Its zeros, and x = 0, are
-    the eigenvalues of diag(p) - (w p) 1^T / sum(w).  The candidates are the range's ends
-    and the real part of each zero: each can only raise the maximum toward the true one.
-    A failed row names the lowest omega of a non-finite |Gamma|, else its root-finding error.
+    the eigenvalues of diag(p) - u 1^T with u = w p / sum(w).  The candidates are the
+    range's ends and the real part of each zero: each can only raise the maximum toward
+    the true one.  A failed row names the lowest omega of a non-finite |Gamma|, else its
+    root-finding error.
+
+    The matrix is solved in real form.  Every root comes from the eigenvalues of a real
+    matrix, which LAPACK returns with each conjugate pair in adjacent slots, positive
+    imaginary part first; so p and u hold each pair as (p_i, conj(p_i)) and (u_i,
+    conj(u_i)).  The similarity P = [[1, 1], [-i, i]] on each pair's two slots turns the
+    diagonal block into [[Re p_i, -Im p_i], [Im p_i, Re p_i]], the pair's entries of u
+    into (2 Re u_i, 2 Im u_i) and those of 1^T into (1, 0): the same eigenvalues from a
+    real matrix.
     """
     c, cells = spec.coeffs, len(rows)
     num, den = _polynomials(spec, rows)
@@ -282,10 +308,8 @@ def _evaluate(spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: in
     weights = np.full(z.shape, 1.0)
     weights[:, num_roots.shape[1] : -3] = -1.0
     weights[:, -3:] = [-(spec.m + cut), -(spec.m + cut), spec.n + cut]
-    weights[np.isnan(z)], poles = 0.0, np.nan_to_num(-(z**2))
-    stack = poles[:, :, None] * np.eye(z.shape[1])
-    stack -= (weights * poles / weights.sum(axis=1, keepdims=True))[:, :, None]
-    zeros, failed = _eigvals(stack)
+    weights[np.isnan(z)] = 0.0
+    zeros, failed = _eigvals(_secular_stack(z, weights))
     # (candidates, cells), with the range's ends as -inf and inf
     x = np.pad(zeros.real.T, [(1, 1), (0, 0)], constant_values=(-np.inf, np.inf))
     omegas = np.sqrt(np.fmin(np.fmax(x, grid.omega_min**2), grid.omega_max**2))

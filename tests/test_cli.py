@@ -196,6 +196,25 @@ def test_bad_config_exit_code(capsys, tmp_path):
     assert "variant" in err
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"\xff\xfe{\x00}\x00"), "can't decode byte 0xff"),
+        (lambda path: path.write_text("{"), "is not valid JSON"),
+    ],
+    ids=["missing", "directory", "utf-16", "not-json"],
+)
+def test_unreadable_config_is_a_config_error(capsys, tmp_path, make, reason):
+    path = tmp_path / "config.json"
+    make(path)
+    code, _, err = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 3
+    assert err.startswith("lcc: config error: ")
+    assert str(path) in err and reason in err
+
+
 _AXIS2 = '"axis2": {"vehicle": 1, "component": "k"}'
 
 
@@ -217,9 +236,12 @@ _AXIS2 = '"axis2": {"vehicle": 1, "component": "k"}'
         (["simulate", "--set", 'perturbation={"kind": "head-sinusoid", "vehicle": 1}'],
          "perturbation.vehicle"),
         (["simulate", "--set", 'controller={"ovm_baseline": true}'], "controller.ovm_baseline"),
+        (["simulate", "--set", "variant=cf", "--set", "n=1",
+          "--set", "heterogeneity.delay_base=0.4", "--set", "seed=-1"], "seed"),
     ],
     ids=["int-as-float", "seed-float", "points-float", "axis-vehicle-float", "horizon-inf",
-         "delay-inf", "dt-nan", "brake-amplitude", "sinusoid-vehicle", "ovm-baseline-unknown"],
+         "delay-inf", "dt-nan", "brake-amplitude", "sinusoid-vehicle", "ovm-baseline-unknown",
+         "seed-negative"],
 )
 def test_bad_config_value_names_key(capsys, tmp_path, argv, key):
     code, _, err = run_cli(capsys, *argv, "-o", str(tmp_path))

@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from lcc import (
+    DriverParams,
     EvaluationError,
     FeedbackGains,
     FrequencyGrid,
@@ -16,8 +18,10 @@ from lcc import (
     LinearCoeffs,
     TopologyError,
     TransferSpec,
+    equilibrium_spacing,
     head_to_tail,
     is_string_stable,
+    linearize,
     magnitude_curve,
     phi_gamma,
     scan_region,
@@ -588,3 +592,71 @@ def test_string_verdict_raises_on_non_finite_grid(default_coeffs):
         _reference_is_string_stable(spec)
     with pytest.raises(EvaluationError, match="non-finite gain at omega=0.01"):
         is_string_stable(spec)
+
+
+def _complex_secular_stack(z, weights):
+    """diag(p) - u 1^T with p = -z^2 and u = w p / sum(w), in the complex coordinates of
+    the poles: the oracle of ``_secular_stack``'s real form."""
+    poles = np.nan_to_num(-(z**2))
+    u = weights * poles / weights.sum(axis=1, keepdims=True)
+    return poles[:, :, None] * np.eye(z.shape[1]) - u[:, :, None]
+
+
+# gamma's roots complex (the first three) and real (the last)
+SECULAR_COEFFS = [*REACH_COEFFS.values(), LinearCoeffs(alpha1=0.1, alpha2=1.0, alpha3=0.5)]
+
+
+def _random_roots_and_weights(rng, coeffs, rows):
+    """Roots of two random real polynomials per row, of degree up to Den's largest, then
+    gamma's and phi's, and their weights as ``_evaluate`` lays them out."""
+    top = 2 * REACH + 2
+    polys = []
+    for _ in range(2):
+        coefs = rng.standard_normal((rows, top + 1))
+        coefs[np.arange(top + 1) > rng.integers(1, top + 1, size=(rows, 1))] = 0.0
+        polys.append(stability._roots(coefs)[0])
+    local = np.append(np.roots([1.0, coeffs.alpha2, coeffs.alpha1]), -coeffs.alpha1 / coeffs.alpha3)
+    z = np.hstack([*polys, np.broadcast_to(local, (rows, 3))])
+    weights = np.repeat([[1.0] * top + [-1.0] * top + [0.0] * 3], rows, axis=0)
+    behind, ahead = rng.integers(0, 4, size=2)
+    weights[:, -3:] = [-ahead, -ahead, behind]
+    weights[np.isnan(z)] = 0.0
+    proper = weights.sum(axis=1) != 0  # as Gamma is, so the stack is finite
+    return z[proper], weights[proper]
+
+
+@pytest.mark.parametrize("coeffs", SECULAR_COEFFS, ids=["default", "light", "slow", "real"])
+def test_secular_stack_real_form_matches_complex_form(default_coeffs, coeffs):
+    """The real form relies on each conjugate pair of roots sitting in adjacent slots,
+    positive imaginary part first, and has the complex form's eigenvalues."""
+    z, weights = _random_roots_and_weights(np.random.default_rng(16), coeffs or default_coeffs, 200)
+    first = z.imag > 0
+    assert not first[:, -1].any()
+    assert np.array_equal(z[:, 1:][first[:, :-1]], z[:, :-1][first[:, :-1]].conj())
+    assert np.array_equal(z.imag < 0, np.pad(first[:, :-1], [(0, 0), (1, 0)]))
+    real = stability._secular_stack(z, weights)
+    assert real.dtype == np.float64
+    got, want = np.linalg.eigvals(real), np.linalg.eigvals(_complex_secular_stack(z, weights))
+    for g, w in zip(got, want):
+        rows, cols = linear_sum_assignment(np.abs(g[:, None] - w[None, :]))
+        assert np.abs(g[rows] - w[cols]).max() <= 1e-10 * np.abs(w).max()
+
+
+def _random_chain(rng):
+    params = DriverParams(alpha=rng.uniform(0.2, 1.2), beta=rng.uniform(0.2, 1.5))
+    coeffs = linearize(equilibrium_spacing(15.0, params), params)
+    m, n = int(rng.integers(0, 6)), int(rng.integers(0, 11))
+    ids = [i for i in [*range(-m, 0), *range(1, n + 1)] if rng.random() < 0.6]
+    scale = rng.choice([0.1, 0.5, 2.0])
+    return spec_with(coeffs, m, n, {i: tuple(rng.uniform(-scale, scale, 2)) for i in ids})
+
+
+def test_verdicts_match_complex_secular_form(monkeypatch):
+    rng = np.random.default_rng(293)
+    specs = [_random_chain(rng) for _ in range(80)]
+    got = [is_string_stable(spec) for spec in specs]
+    monkeypatch.setattr(stability, "_secular_stack", _complex_secular_stack)
+    for spec, g in zip(specs, got):
+        want = is_string_stable(spec)
+        assert (g.stable, g.asymptotically_stable) == (want.stable, want.asymptotically_stable)
+        assert g.peak_mag == pytest.approx(want.peak_mag, rel=1e-12, abs=0), spec
