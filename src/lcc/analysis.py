@@ -23,7 +23,7 @@ horizons of one pair (A, B) lie on one RK4 path when they share the step
 h = t / round(t/dt), so ``gramian`` keeps the last path's end state and a
 longer horizon continues from it: Fig. 5's t = 10, 20, 30 s integrate
 30 s per chain, not 60.  The rule goes away with RK4 itself once the
-Gramian is computed in factor form (ROADMAP item 3).
+Gramian is computed in factor form (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float, dt: float = 0.01) -> Gramian
     zero.  It runs the very same step expressions with the same h, so W
     is bit-for-bit what a fresh integration gives.  Any other call starts
     from zero and becomes the path later calls continue.  The rule goes
-    away with RK4 (ROADMAP item 3).
+    away with RK4 (ROADMAP item 2).
     """
     global _rk4_path
     if not (math.isfinite(t) and t > 0):

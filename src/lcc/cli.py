@@ -10,7 +10,7 @@ overrides, and writes CSV artifacts atomically into the output
 directory (``-o``, or the LCC_OUTDIR environment variable).
 
 Exit codes: 0 success, 2 usage error, 3 bad configuration, 4 domain or
-topology error, 5 numerical failure.
+topology error or out of memory, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -263,6 +263,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (LccError, ValueError, KeyError) as exc:
         print(f"lcc: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"lcc: error: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -13,9 +13,11 @@ keys that are not ``int``, number keys that are not a finite ``int`` or
 perturbation kind, naming the dotted key; it keeps given values as they
 are and fills in every default, so ``{"variant": "fd", "n": 2}`` is
 complete.
-``DEFAULTS`` is the parse of ``{}``; ``config_help`` renders the table.
-The CLI reads a file with ``read_config``, applies ``--set`` overrides and
-its flags to the raw document, and only then calls ``parse_config``, once.
+``DEFAULTS`` is the parse of ``{}``, a ``cf`` chain that ``simulate``
+runs as it stands; ``config_help`` renders the table.
+A file's config is ``parse_config(read_config(path))``: the CLI reads a
+file with ``read_config``, applies ``--set`` overrides and its flags to
+the raw document, and only then calls ``parse_config``, once.
 """
 
 from __future__ import annotations
@@ -47,10 +49,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "DEFAULTS",
     "config_help",
-    "load_config",
     "read_config",
     "parse_config",
-    "serialize_config",
     "apply_overrides",
     "driver_from_config",
     "coeffs_from_config",
@@ -274,16 +274,6 @@ def read_config(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}): {exc}") from exc
-
-
-def load_config(path) -> dict:
-    """Read, validate, and default-fill a JSON config file."""
-    return parse_config(read_config(path))
-
-
-def serialize_config(cfg: dict) -> str:
-    """Canonical JSON form; load(serialize(load(x))) equals load(x)."""
-    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
 
 
 def apply_overrides(doc: dict, overrides) -> dict:

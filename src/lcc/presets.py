@@ -128,23 +128,14 @@ def preset_fig8(outdir: Path) -> List[Path]:
     return paths
 
 
-def _preset_fig9(case: str):
+def _trace_preset(name: str, scenario: ScenarioConfig):
+    """Simulate ``scenario`` and write ``<name>.csv`` and ``<name>-events.csv``."""
+
     def run(outdir: Path) -> List[Path]:
-        trace = simulate(_sinusoid_scenario(case))
+        trace = simulate(scenario)
         return [
-            write_trace_csv(outdir / f"fig9-{case}.csv", trace),
-            write_events_csv(outdir / f"fig9-{case}-events.csv", trace),
-        ]
-
-    return run
-
-
-def _preset_fig10(label: str, controller: CavController):
-    def run(outdir: Path) -> List[Path]:
-        trace = simulate(_brake_scenario(controller, heterogeneous=False))
-        return [
-            write_trace_csv(outdir / f"fig10-{label}.csv", trace),
-            write_events_csv(outdir / f"fig10-{label}-events.csv", trace),
+            write_trace_csv(outdir / f"{name}.csv", trace),
+            write_events_csv(outdir / f"{name}-events.csv", trace),
         ]
 
     return run
@@ -167,68 +158,53 @@ def preset_table1(outdir: Path) -> List[Path]:
     return [write_csv_atomic(outdir / "table1.csv", header, rows)]
 
 
-def _performance_rows(heterogeneous: bool) -> List[list]:
-    window = (20.0, 40.0)
-    vehicles = list(range(0, 11))
-    strategies = [
-        ("looking-ahead", ZERO_RESPONSE),
-        ("fd-lcc", FD_CONTROLLER),
-        ("cf-lcc", CF_CONTROLLER),
-    ]
-    results = {}
-    for label, controller in strategies:
-        trace = simulate(_brake_scenario(controller, heterogeneous))
-        results[label] = (
-            aave(trace, window, vehicles=vehicles),
-            total_fuel(trace, window, vehicles=vehicles),
-        )
-    base_aave, base_fc = results["looking-ahead"]
-    rows = []
-    for label, _ in strategies:
-        a, f = results[label]
-        if label == "looking-ahead":
-            rows.append([label, a, f, None, None])
-        else:
-            rows.append(
-                [label, a, f, 100.0 * (1.0 - a / base_aave), 100.0 * (1.0 - f / base_fc)]
+def _performance_preset(name: str, heterogeneous: bool):
+    """Write ``<name>.csv``: each strategy's AAVE and fuel in the brake
+    scenario, and the LCC strategies' reductions against looking-ahead."""
+
+    def run(outdir: Path) -> List[Path]:
+        window = (20.0, 40.0)
+        vehicles = list(range(0, 11))
+        strategies = [
+            ("looking-ahead", ZERO_RESPONSE),
+            ("fd-lcc", FD_CONTROLLER),
+            ("cf-lcc", CF_CONTROLLER),
+        ]
+        rows = []
+        for label, controller in strategies:
+            trace = simulate(_brake_scenario(controller, heterogeneous))
+            a = aave(trace, window, vehicles=vehicles)
+            f = total_fuel(trace, window, vehicles=vehicles)
+            if label == "looking-ahead":
+                base_aave, base_fc = a, f
+                rows.append([label, a, f, None, None])
+            else:
+                rows.append(
+                    [label, a, f, 100.0 * (1.0 - a / base_aave), 100.0 * (1.0 - f / base_fc)]
+                )
+        return [
+            write_csv_atomic(
+                outdir / f"{name}.csv",
+                ("strategy", "aave", "fc", "aave_reduction_pct", "fc_reduction_pct"),
+                rows,
             )
-    return rows
+        ]
 
-
-def preset_table2(outdir: Path) -> List[Path]:
-    rows = _performance_rows(heterogeneous=False)
-    return [
-        write_csv_atomic(
-            outdir / "table2.csv",
-            ("strategy", "aave", "fc", "aave_reduction_pct", "fc_reduction_pct"),
-            rows,
-        )
-    ]
-
-
-def preset_appendix_c(outdir: Path) -> List[Path]:
-    rows = _performance_rows(heterogeneous=True)
-    return [
-        write_csv_atomic(
-            outdir / "appendixC.csv",
-            ("strategy", "aave", "fc", "aave_reduction_pct", "fc_reduction_pct"),
-            rows,
-        )
-    ]
+    return run
 
 
 PRESETS: Dict[str, Callable] = {
     "fig5": preset_fig5,
     "fig8": preset_fig8,
-    "fig9-caseA": _preset_fig9("caseA"),
-    "fig9-caseB": _preset_fig9("caseB"),
-    "fig9-caseC": _preset_fig9("caseC"),
-    "fig9-caseD": _preset_fig9("caseD"),
-    "fig10-fd": _preset_fig10("fd", FD_CONTROLLER),
-    "fig10-cf": _preset_fig10("cf", CF_CONTROLLER),
+    "fig9-caseA": _trace_preset("fig9-caseA", _sinusoid_scenario("caseA")),
+    "fig9-caseB": _trace_preset("fig9-caseB", _sinusoid_scenario("caseB")),
+    "fig9-caseC": _trace_preset("fig9-caseC", _sinusoid_scenario("caseC")),
+    "fig9-caseD": _trace_preset("fig9-caseD", _sinusoid_scenario("caseD")),
+    "fig10-fd": _trace_preset("fig10-fd", _brake_scenario(FD_CONTROLLER, heterogeneous=False)),
+    "fig10-cf": _trace_preset("fig10-cf", _brake_scenario(CF_CONTROLLER, heterogeneous=False)),
     "table1": preset_table1,
-    "table2": preset_table2,
-    "appendixC": preset_appendix_c,
+    "table2": _performance_preset("table2", heterogeneous=False),
+    "appendixC": _performance_preset("appendixC", heterogeneous=True),
 }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -102,7 +102,17 @@ class HeterogeneitySpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    variant: SystemVariant = SystemVariant.FD_LCC
+    """One simulation run: chain layout, horizon, perturbation and CAV law.
+
+    Every HDV drives with ``base_params``, or, when ``heterogeneity`` is
+    set, with its own draw around them (``sample_heterogeneous`` with
+    ``seed``); the CAV's equilibrium spacing uses ``base_params``.  The
+    default chain, a CAV behind a head vehicle with two HDVs following,
+    suits the default ``hdv-baseline`` controller, which needs a vehicle
+    ahead.
+    """
+
+    variant: SystemVariant = SystemVariant.CF_LCC
     m: int = 0
     n: int = 2
     v_star: float = 15.0
@@ -110,7 +120,6 @@ class ScenarioConfig:
     dt: float = 0.01
     perturbation: Perturbation = None
     base_params: DriverParams = field(default_factory=DriverParams)
-    hdv_params: Optional[Sequence[DriverParams]] = None
     heterogeneity: Optional[HeterogeneitySpec] = None
     cav: CavController = field(default_factory=CavController)
     seed: int = 0
@@ -249,15 +258,9 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise TopologyError("hdv-baseline controller needs a vehicle ahead of the CAV")
     if cfg.cav.gains.mu.get(0, 0.0) != 0.0 and not cfg.has_head:
         raise TopologyError("mu[0] needs a spacing, which a free-driving CAV lacks")
-    if cfg.hdv_params is not None and len(cfg.hdv_params) != cfg.m + cfg.n:
-        raise ValueError(
-            f"hdv_params must list {cfg.m + cfg.n} vehicles, got {len(cfg.hdv_params)}"
-        )
 
 
-def _resolve_hdv_params(cfg: ScenarioConfig) -> List[DriverParams]:
-    if cfg.hdv_params is not None:
-        return list(cfg.hdv_params)
+def _hdv_drivers(cfg: ScenarioConfig) -> List[DriverParams]:
     if cfg.heterogeneity is not None:
         return sample_heterogeneous(
             cfg.heterogeneity, cfg.m + cfg.n, cfg.seed, base=cfg.base_params
@@ -276,7 +279,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
     _validate(cfg)
     dt, v_star = cfg.dt, cfg.v_star
     n_steps = max(1, round(cfg.horizon / dt))
-    params = {0: cfg.base_params, **dict(zip(cfg.hdv_ids(), _resolve_hdv_params(cfg)))}
+    params = {0: cfg.base_params, **dict(zip(cfg.hdv_ids(), _hdv_drivers(cfg)))}
 
     ids: List = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
     n_veh = len(ids)

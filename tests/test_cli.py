@@ -6,8 +6,10 @@ import os
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lcc import ScenarioConfig, simulate
 from lcc.cli import main
 from lcc.output import write_text_atomic
 from lcc.presets import PRESETS
@@ -276,6 +278,43 @@ def test_simulate_out_of_memory_exit_code(capsys, tmp_path, trace_rows_out_of_me
     assert code == 4
     assert "horizon=1000000000000.0" in err and "trace rows" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_scan_out_of_memory_exit_code(capsys, tmp_path, monkeypatch):
+    """A gain grid too large for memory exits 4 and names the command.
+
+    ``scan_region`` lays out the grid's cells with ``np.repeat``; past
+    1e5 cells it raises numpy's MemoryError here, without allocating.
+    """
+    real_repeat = np.repeat
+
+    def repeat(a, repeats, *args, **kwargs):
+        if np.size(a) * np.max(repeats) > 1e5:
+            raise MemoryError("Unable to allocate 7.45 MiB for an array")
+        return real_repeat(a, repeats, *args, **kwargs)
+
+    monkeypatch.setattr(np, "repeat", repeat)
+    axes = {
+        "axis1": {"vehicle": 1, "component": "mu", "points": 1000},
+        "axis2": {"vehicle": 1, "component": "k", "points": 1000},
+    }
+    code, _, err = run_cli(
+        capsys, "scan", "--set", "n=2", "--set", f"scan={json.dumps(axes)}", "-o", str(tmp_path)
+    )
+    assert code == 4
+    assert err == "lcc: error: scan ran out of memory: Unable to allocate 7.45 MiB for an array\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_default_chain_simulates(capsys, tmp_path):
+    """The default scenario and the default config run as they stand."""
+    trace = simulate(ScenarioConfig())
+    assert np.abs(trace.velocity - trace.v_star).max() < 1e-9
+    code, _, err = run_cli(capsys, "simulate", "-o", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "trace.csv"]
+    code, out, _ = run_cli(capsys, "analyze", "-o", str(tmp_path))
+    assert (code, out) == (0, "controllable=true dim=6 condition=0.4025\n")
 
 
 def test_simulate_delay_past_horizon(capsys, tmp_path):

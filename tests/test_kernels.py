@@ -26,7 +26,7 @@ from lcc import (
 from lcc.kernels import gamma_mag_sq_grid, gamma_mag_sq_scalar
 from lcc.output import fmt, write_trace_csv
 from lcc.presets import CF_CONTROLLER, FD_CONTROLLER, GAIN_CASES
-from lcc.sim import A_MAX, A_MIN, _resolve_hdv_params
+from lcc.sim import A_MAX, A_MIN, _hdv_drivers
 from lcc.stability import _gain_arrays, state_space_gain
 from lcc.vehicles import desired_velocity, equilibrium_spacing, linearize
 
@@ -191,7 +191,7 @@ def _reference_args(cfg):
     per-vehicle array, flat scalars for the baseline and the brake."""
     dt, v_star = cfg.dt, cfg.v_star
     n_steps = max(1, round(cfg.horizon / dt))
-    params = dict(zip(cfg.hdv_ids(), _resolve_hdv_params(cfg)))
+    params = dict(zip(cfg.hdv_ids(), _hdv_drivers(cfg)))
     ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
     n_veh = len(ids)
     cav = ids.index(0)
@@ -291,7 +291,7 @@ LOOP_CASES = {
         n=2,
         horizon=40.0,
         perturbation=FollowerBrake(vehicle=1, decel=-5.0, duration=3.0, start=5.0),
-        hdv_params=[DriverParams(), DriverParams(delay=2.5)],
+        base_params=DriverParams(delay=2.5),
         cav=CavController(mode="explicit"),
     ),
 }
@@ -326,7 +326,7 @@ def test_simulate_loop_matches_reference_bitwise(name):
     if name == "safety-override":
         assert override.any()
     if name == "collision":
-        assert status == 1
+        assert (status, ids[col], ids[col - 1]) == (1, 2, 1)
 
 
 def test_trace_csv_matches_cell_formatting(tmp_path):

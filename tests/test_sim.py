@@ -159,13 +159,12 @@ def test_trace_determinism():
 
 
 def test_collision_detected_and_reported():
-    sluggish = DriverParams(delay=2.5)
     cfg = ScenarioConfig(
         variant=V.FD_LCC,
         n=2,
         horizon=40.0,
         perturbation=FollowerBrake(vehicle=1, decel=-5.0, duration=3.0, start=5.0),
-        hdv_params=[DriverParams(), sluggish],
+        base_params=DriverParams(delay=2.5),
         cav=CavController(mode="explicit"),
     )
     with pytest.raises(CollisionError) as err:
@@ -264,15 +263,6 @@ def test_config_validation_errors():
                 variant=V.FD_LCC,
                 n=2,
                 cav=CavController(gains=FeedbackGains(mu={0: 0.1}, k={}), mode="explicit"),
-            )
-        )
-    with pytest.raises(ValueError):
-        simulate(
-            ScenarioConfig(
-                variant=V.FD_LCC,
-                n=2,
-                hdv_params=[DriverParams()],
-                cav=CavController(mode="explicit"),
             )
         )
     with pytest.raises(ValueError):
