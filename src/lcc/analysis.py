@@ -18,12 +18,13 @@ they are integrated as the matrix ODE
 
     dW/dt = A W + W A' + B B',   W(0) = 0,
 
-with a classic fixed-step fourth-order Runge-Kutta scheme.  Successive
-horizons of one pair (A, B) lie on one RK4 path when they share the step
-h = t / round(t/dt), so ``gramian`` keeps the last path's end state and a
-longer horizon continues from it: Fig. 5's t = 10, 20, 30 s integrate
-30 s per chain, not 60.  The rule goes away with RK4 itself once the
-Gramian is computed in factor form (ROADMAP item 2).
+with a classic fourth-order Runge-Kutta scheme at the paper's fixed step
+``GRAMIAN_DT`` = 0.01 s; no caller picks another.  Successive horizons
+of one pair (A, B) lie on one RK4 path when they share the step
+h = t / round(t/GRAMIAN_DT), so ``gramian`` keeps the last path's end
+state and a longer horizon continues from it: Fig. 5's t = 10, 20, 30 s
+integrate 30 s per chain, not 60.  The rule goes away with RK4 itself
+once the Gramian is computed in factor form (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -54,8 +55,11 @@ __all__ = [
 # Relative cutoff under which a Gramian eigenvalue counts as zero.
 GRAMIAN_SINGULAR_RTOL = 1e-12
 
+# Step of every Gramian integration (s), the paper's Fig. 5 step.
+GRAMIAN_DT = 0.01
+
 # Most RK4 steps one ``gramian`` call takes: about 28 h of horizon at
-# dt = 0.01, where Fig. 5 takes 3,000 per chain.
+# ``GRAMIAN_DT``, where Fig. 5 takes 3,000 per chain.
 GRAMIAN_MAX_STEPS = 10**7
 
 # A staircase singular value counts as zero at or below this many
@@ -218,37 +222,37 @@ def build_output_matrix(model: StateSpaceModel, k: int) -> np.ndarray:
     return C
 
 
-def gramian(A: np.ndarray, B: np.ndarray, t: float, dt: float = 0.01) -> GramianResult:
+def gramian(A: np.ndarray, B: np.ndarray, t: float) -> GramianResult:
     """Finite-horizon controllability Gramian of (A, B).
 
-    Integrates dW/dt = A W + W A' + B B' from zero with fixed-step RK4,
-    symmetrizes the result, and summarizes it by its smallest eigenvalue
-    and the trace of its inverse.  The trace is reported as None once the
-    smallest eigenvalue falls below 1e-12 of the largest, which is the
-    regime where the inverse stops being numerically meaningful.  Raises
-    ValueError, naming t and dt, past ``GRAMIAN_MAX_STEPS`` steps.
+    Integrates dW/dt = A W + W A' + B B' from zero with RK4 at
+    ``GRAMIAN_DT``, symmetrizes the result, and summarizes it by its
+    smallest eigenvalue and the trace of its inverse.  The trace is
+    reported as None once the smallest eigenvalue falls below 1e-12 of the
+    largest, which is the regime where the inverse stops being numerically
+    meaningful.  Raises ValueError, naming t, past ``GRAMIAN_MAX_STEPS``
+    steps.
 
     Resume rule: when the previous call had the same A, B and step
-    h = t / round(t/dt) and took no more steps than this one needs, the
-    integration continues from that call's end state instead of from
-    zero.  It runs the very same step expressions with the same h, so W
-    is bit-for-bit what a fresh integration gives.  Any other call starts
-    from zero and becomes the path later calls continue.  The rule goes
-    away with RK4 (ROADMAP item 2).
+    h = t / round(t/GRAMIAN_DT) and took no more steps than this one
+    needs, the integration continues from that call's end state instead
+    of from zero.  It runs the very same step expressions with the same
+    h, so W is bit-for-bit what a fresh integration gives.  Any other call
+    starts from zero and becomes the path later calls continue.  The rule
+    goes away with RK4 (ROADMAP item 2).
     """
     global _rk4_path
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"horizon t must be finite and > 0, got t={t}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"step dt must be finite and > 0, got dt={dt}")
-    if not t / dt <= GRAMIAN_MAX_STEPS:
+    if not t / GRAMIAN_DT <= GRAMIAN_MAX_STEPS:
         raise ValueError(
-            f"t/dt must be at most {GRAMIAN_MAX_STEPS:.0e} steps, got t={t} and dt={dt}"
+            f"horizon t must take at most {GRAMIAN_MAX_STEPS:.0e} steps of "
+            f"{GRAMIAN_DT} s, got t={t}"
         )
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     BBt = B @ B.T
-    n_steps = max(1, round(t / dt))
+    n_steps = max(1, round(t / GRAMIAN_DT))
     h = t / n_steps
 
     def f(W):
@@ -285,7 +289,6 @@ def min_energy(
     t: float,
     x0: np.ndarray,
     x_tar: np.ndarray,
-    dt: float = 0.01,
 ) -> float:
     """Minimum input energy to steer from x0 to x_tar in time t.
 
@@ -298,7 +301,7 @@ def min_energy(
     from scipy.linalg import expm
 
     A = np.asarray(A, dtype=float)
-    g = gramian(A, B, t, dt=dt)
+    g = gramian(A, B, t)
     if g.singular:
         raise SingularGramianError(g.lambda_min)
     d = np.asarray(x_tar, dtype=float) - expm(A * t) @ np.asarray(x0, dtype=float)
@@ -310,7 +313,6 @@ def energy_scaling_study(
     coeffs: LinearCoeffs,
     n_range: Iterable[int],
     t_list: Sequence[float],
-    dt: float = 0.01,
 ) -> List[Tuple[int, float, float, Optional[float]]]:
     """Gramian energy metrics across chain sizes and horizons.
 
@@ -318,8 +320,8 @@ def energy_scaling_study(
     Gramian, and emits (n, t, lambda_min, trace_inv) rows: n ascending,
     and within each n the horizons in ``t_list``'s order, so [10.0, 5.0]
     gives (1, 10.0), (1, 5.0), (2, 10.0), ...  trace_inv is None where
-    the Gramian is singular.  Ascending horizons with a common step share
-    one RK4 path per chain (see ``gramian``).
+    the Gramian is singular.  Ascending horizons share one RK4 path per
+    chain (see ``gramian``).
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
@@ -331,6 +333,6 @@ def energy_scaling_study(
     for n in ns:
         model = build_system(SystemVariant.FD_LCC, 0, n, coeffs)
         for t in ts:
-            g = gramian(model.A, model.B, t, dt=dt)
+            g = gramian(model.A, model.B, t)
             rows.append((n, t, g.lambda_min, g.trace_inv))
     return rows

@@ -4,13 +4,17 @@ Subcommands map one-to-one onto the library layers: ``analyze``
 (controllability/observability), ``energy`` (Gramian scaling study),
 ``stability`` (head-to-tail verdict and magnitude curve), ``scan``
 (gain-region map), ``simulate`` (nonlinear chain), and ``reproduce``
-(named end-to-end presets).  Every command reads the same JSON config
-document (keys, units and bounds under ``--help``), accepts ``--set`` dotted
-overrides, and writes CSV artifacts atomically into the output
-directory (``-o``, or the LCC_OUTDIR environment variable).
+(named end-to-end presets).  Every command but ``reproduce`` reads the
+same JSON config document (keys, units and bounds under ``--help``),
+whose keys are set only by the ``--config`` file and ``--set`` dotted
+overrides; no other flag names a key.  Each command computes its results
+and writes its CSV artifacts atomically into the output directory
+(``-o``, or the LCC_OUTDIR environment variable) before it prints, so a
+failed run prints only its error.
 
 Exit codes: 0 success, 2 usage error, 3 bad configuration, 4 domain or
-topology error or out of memory, 5 numerical failure.
+topology error, out of memory, or an output path that cannot be written,
+5 numerical failure.
 """
 
 from __future__ import annotations
@@ -82,10 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="controllability / observability report")
     add_common(sp)
-    sp.add_argument("--variant", choices=[v.value for v in SystemVariant], default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--v-star", type=float, default=None, help="equilibrium velocity (m/s)")
     sp.add_argument(
         "--k", type=int, default=None, help="also report observability measuring vehicle k"
     )
@@ -97,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stability", help="head-to-tail string-stability verdict")
     add_common(sp)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--label", default="spec", help="label used in the magnitude CSV name")
 
     sp = sub.add_parser("scan", help="string-stable region over a 2-D gain grid")
@@ -119,36 +117,33 @@ def _outdir(args) -> Path:
     return Path(out)
 
 
-def _load_cfg(args, **cli_keys) -> dict:
-    """The config file, with ``--set`` and the flags applied, validated once."""
+def _load_cfg(args) -> dict:
+    """The config file, with ``--set`` applied, validated once."""
     doc = read_config(args.config) if args.config else {}
-    doc = apply_overrides(doc, getattr(args, "overrides", []))
-    for key, value in cli_keys.items():
-        if value is not None:
-            doc[key] = value
-    return parse_config(doc)
+    return parse_config(apply_overrides(doc, args.overrides))
 
 
 def _cmd_analyze(args) -> int:
-    cfg = _load_cfg(args, variant=args.variant, m=args.m, n=args.n, v_star=args.v_star)
+    cfg = _load_cfg(args)
     coeffs = coeffs_from_config(cfg)
     model = build_system(SystemVariant(cfg["variant"]), cfg["m"], cfg["n"], coeffs)
     rep = pbh_controllability(model.A, model.B, coeffs=coeffs)
-    print(
+    lines = [
         f"controllable={str(rep.controllable).lower()} "
         f"dim={rep.controllable_dim} condition={rep.condition_value:.4g}"
-    )
+    ]
     if rep.uncontrollable_mode_eigenvalues:
         modes = " ".join(f"{z:.4g}" for z in rep.uncontrollable_mode_eigenvalues)
-        print(f"uncontrollable_modes={modes}")
+        lines.append(f"uncontrollable_modes={modes}")
     if args.k is not None:
         C = build_output_matrix(model, args.k)
         orep = pbh_observability(model.A, C, model=model)
         ids = ",".join(str(v) for v in orep.unobservable_vehicle_ids)
-        print(
+        lines.append(
             f"observable={str(orep.observable).lower()} dim={orep.observable_dim} "
             f"unobservable_vehicles=[{ids}]"
         )
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -173,7 +168,7 @@ def _cmd_energy(args) -> int:
         t_list = [float(x) for x in args.t.split(",") if x]
     except ValueError:
         raise ValueError(f"--t takes a comma list of horizons (s), got {args.t!r}") from None
-    rows = energy_scaling_study(coeffs_from_config(cfg), n_list, t_list, dt=cfg["dt"])
+    rows = energy_scaling_study(coeffs_from_config(cfg), n_list, t_list)
     path = write_csv_atomic(
         _outdir(args) / "energy.csv", ("n", "t", "lambda_min", "trace_inv"), rows
     )
@@ -185,21 +180,21 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    cfg = _load_cfg(args, m=args.m, n=args.n)
+    cfg = _load_cfg(args)
     spec = transfer_spec_from_config(cfg)
     grid = grid_from_config(cfg)
     res = is_string_stable(spec, grid)
-    print(
-        f"string_stable={str(res.stable).lower()} peak_mag={res.peak_mag:.6g} "
-        f"peak_omega={res.peak_omega:.6g} "
-        f"asymptotically_stable={str(res.asymptotically_stable).lower()}"
-    )
     omegas = grid.omegas()
     mags = magnitude_curve(spec, omegas)
     path = write_csv_atomic(
         _outdir(args) / f"magnitude-{args.label}.csv",
         ("omega", "mag"),
         zip(omegas.tolist(), mags.tolist()),
+    )
+    print(
+        f"string_stable={str(res.stable).lower()} peak_mag={res.peak_mag:.6g} "
+        f"peak_omega={res.peak_omega:.6g} "
+        f"asymptotically_stable={str(res.asymptotically_stable).lower()}"
     )
     print(f"wrote {path}")
     return EXIT_OK
@@ -266,6 +261,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except MemoryError as exc:
         print(f"lcc: error: {args.command} ran out of memory: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:
+        print(f"lcc: error: {args.command} cannot write its output: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -16,8 +16,11 @@ complete.
 ``DEFAULTS`` is the parse of ``{}``, a ``cf`` chain that ``simulate``
 runs as it stands; ``config_help`` renders the table.
 A file's config is ``parse_config(read_config(path))``: the CLI reads a
-file with ``read_config``, applies ``--set`` overrides and its flags to
-the raw document, and only then calls ``parse_config``, once.
+file with ``read_config``, applies ``--set`` overrides to the raw
+document, and only then calls ``parse_config``, once; no other CLI option
+sets a key.  Each command reads the keys it needs and ignores the rest:
+``energy`` takes its Gramian step from ``analysis.GRAMIAN_DT``, not from
+``dt``, as ``analyze`` ignores ``horizon``.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ _KEYS = {
         m=(int, ">= 0", "HDVs ahead of the CAV (count)"),
         n=(int, ">= 0", "HDVs behind the CAV (count)"),
         v_star=(float, "> 0", "equilibrium velocity (m/s)"),
-        dt=(float, "> 0", "integration / Gramian step (s)"),
+        dt=(float, "> 0", "simulation step (s)"),
         horizon=(float, "> 0", "simulation length (s)"),
         seed=(int, ">= 0", "RNG seed for heterogeneity sampling"),
     ),

@@ -1,11 +1,11 @@
 """Named end-to-end reproduction runs, each writing CSV artifacts.
 
 Every preset pins its full parameterization (chain layout, gains,
-perturbation, seed, and the paper's step of 0.01 s for simulations and
-Gramians) and runs from a clean checkout with no arguments beyond its
-name.  The gain cases A-D step through progressively wider
-communication patterns: two vehicles ahead, then one and two vehicles
-behind added on top.
+perturbation, seed; the paper's 0.01 s step is ``ScenarioConfig``'s for
+simulations and ``analysis.GRAMIAN_DT`` for Gramians) and runs from a
+clean checkout with no arguments beyond its name.  The gain cases A-D
+step through progressively wider communication patterns: two vehicles
+ahead, then one and two vehicles behind added on top.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ CF_CONTROLLER = CavController(
 ZERO_RESPONSE = CavController(mode="explicit")
 
 HETEROGENEITY_SEED = 5
-_DT = 0.01
 
 
 def _default_coeffs():
@@ -81,7 +80,6 @@ def _sinusoid_scenario(case: str) -> ScenarioConfig:
         m=2,
         n=2,
         horizon=100.0,
-        dt=_DT,
         perturbation=HeadSinusoid(),
         cav=CavController(
             gains=FeedbackGains.from_pairs(GAIN_CASES[case]), mode="hdv-baseline"
@@ -98,7 +96,6 @@ def _brake_scenario(controller: CavController, heterogeneous: bool) -> ScenarioC
         m=0,
         n=10,
         horizon=40.0,
-        dt=_DT,
         perturbation=FollowerBrake(),
         heterogeneity=HeterogeneitySpec() if heterogeneous else None,
         cav=controller,
@@ -107,7 +104,7 @@ def _brake_scenario(controller: CavController, heterogeneous: bool) -> ScenarioC
 
 
 def preset_fig5(outdir: Path) -> List[Path]:
-    rows = energy_scaling_study(_default_coeffs(), range(1, 9), [10.0, 20.0, 30.0], dt=_DT)
+    rows = energy_scaling_study(_default_coeffs(), range(1, 9), [10.0, 20.0, 30.0])
     return [
         write_csv_atomic(outdir / "fig5.csv", ("n", "t", "lambda_min", "trace_inv"), rows)
     ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CollisionError, TopologyError
-from .systems import FeedbackGains, SystemVariant, validate_topology
+from .systems import FeedbackGains, SystemVariant, validate_gain_ids, validate_topology
 from .vehicles import DriverParams, equilibrium_spacing, linearize
 
 __all__ = [
@@ -244,12 +244,7 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise TopologyError("free-driving scenario has no head vehicle to perturb")
     if isinstance(pert, FollowerBrake) and pert.vehicle not in cfg.hdv_ids():
         raise TopologyError(f"brake vehicle {pert.vehicle} is not an HDV of this chain")
-    allowed = set(cfg.hdv_ids())
-    if cfg.cav.mode == "explicit":
-        allowed.add(0)
-    bad = cfg.cav.gains.ids() - allowed
-    if bad:
-        raise TopologyError(f"controller gain ids {sorted(bad)} invalid for this chain")
+    validate_gain_ids(cfg.cav.gains.ids(), cfg.m, cfg.n, cfg.cav.mode == "explicit")
     for name, gains in (("mu", cfg.cav.gains.mu), ("k", cfg.cav.gains.k)):
         for vid, g in gains.items():
             if not math.isfinite(g):
@@ -315,7 +310,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         vel = np.zeros((n_steps + 1, n_veh))
         acc = np.zeros((n_steps + 1, n_veh))
         override = np.zeros(n_steps + 1, dtype=np.uint8)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # numpy: ValueError past its dimension limit
         raise ValueError(
             f"horizon={cfg.horizon} at dt={cfg.dt} needs {n_steps + 1} trace rows, "
             "more than fit in memory"

@@ -43,6 +43,7 @@ from .systems import (
     build_system,
     closed_loop_matrix,
     validate_count,
+    validate_gain_ids,
 )
 from .vehicles import LinearCoeffs
 
@@ -93,12 +94,7 @@ class TransferSpec:
     def __post_init__(self):
         validate_count("m", self.m)
         validate_count("n", self.n)
-        allowed = set(range(-self.m, 0)) | set(range(1, self.n + 1))
-        bad = self.gains.ids() - allowed
-        if bad:
-            raise TopologyError(
-                f"gain ids {sorted(bad)} outside -{self.m}..-1, 1..{self.n}"
-            )
+        validate_gain_ids(self.gains.ids(), self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -410,8 +406,7 @@ def is_string_stable(
 def _axis_slot(spec: TransferSpec, axis: GainAxis):
     """(array-name, index) the axis writes into the kernel gain arrays."""
     vid = axis.vehicle
-    if vid == 0 or not -spec.m <= vid <= spec.n:
-        raise TopologyError(f"axis vehicle {vid} outside -{spec.m}..-1, 1..{spec.n}")
+    validate_gain_ids([vid], spec.m, spec.n)
     side = "p" if vid < 0 else "f"
     return f"{axis.component}_{side}", abs(vid) - 1
 

@@ -13,7 +13,8 @@ state stacks (spacing error, velocity error) pairs front to back:
 ``validate_topology`` is the one statement of these rules in the package;
 the simulator applies it to its scenarios too.  ``validate_count`` is the
 one rule for m and n themselves (an integer, not a bool, >= 0), which
-``stability.TransferSpec`` shares.
+``stability.TransferSpec`` shares, and ``validate_gain_ids`` the one rule
+for the vehicles a CAV gain may name.
 
 The blocks of the dynamics matrix follow the linearized HDV model: an HDV
 pair contributes P1 on the diagonal and P2 coupling to its predecessor,
@@ -40,6 +41,7 @@ __all__ = [
     "StateSpaceModel",
     "validate_count",
     "validate_topology",
+    "validate_gain_ids",
     "build_system",
     "control_row",
     "closed_loop_matrix",
@@ -123,6 +125,24 @@ def validate_topology(variant: SystemVariant, m: int, n: int) -> None:
         raise TopologyError(f"ccc chain needs m >= 1 and n = 0, got m={m}, n={n}")
 
 
+def validate_gain_ids(ids, m: int, n: int, own_state: bool = False) -> None:
+    """Raise ``TopologyError`` unless every id in ``ids`` may carry a CAV gain.
+
+    The HDVs -m..-1 and 1..n may; the CAV itself (id 0) only with
+    ``own_state``, where the law feeds back the CAV's own errors: CF/FD
+    closed loops and the simulator's explicit mode.
+    """
+    groups = {
+        f"-{m}..-1": range(-m, 0),
+        "0": [0] if own_state else [],
+        f"1..{n}": range(1, n + 1),
+    }
+    bad = set(ids).difference(*groups.values())
+    if bad:
+        allowed = ", ".join(name for name, group in groups.items() if group)
+        raise TopologyError(f"gain ids {sorted(bad)} outside {allowed or 'a chain with no HDV'}")
+
+
 def build_system(
     variant: SystemVariant, m: int, n: int, c: LinearCoeffs
 ) -> StateSpaceModel:
@@ -183,13 +203,6 @@ def build_system(
     )
 
 
-def _allowed_gain_ids(model: StateSpaceModel) -> set:
-    ids = set(model.index_map) - {0}
-    if model.variant in (SystemVariant.CF_LCC, SystemVariant.FD_LCC):
-        ids.add(0)
-    return ids
-
-
 def control_row(model: StateSpaceModel, gains: FeedbackGains) -> np.ndarray:
     """Row vector K of the CAV feedback law u = K x.
 
@@ -199,12 +212,8 @@ def control_row(model: StateSpaceModel, gains: FeedbackGains) -> np.ndarray:
     carry that baseline inside A already and FD chains have no
     predecessor, so for both only the gain terms remain.
     """
-    bad = gains.ids() - _allowed_gain_ids(model)
-    if bad:
-        raise TopologyError(
-            f"gain ids {sorted(bad)} outside the {model.variant.value} "
-            f"topology m={model.m}, n={model.n}"
-        )
+    own_state = model.variant in (SystemVariant.CF_LCC, SystemVariant.FD_LCC)
+    validate_gain_ids(gains.ids(), model.m, model.n, own_state)
     K = np.zeros(model.dim)
     c = model.coeffs
     if model.variant in (SystemVariant.GENERAL_LCC, SystemVariant.CCC):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import stat
 from pathlib import Path
 
@@ -27,13 +29,15 @@ def run_cli(capsys, *argv):
 
 
 def test_analyze_line(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--variant", "fd", "--n", "2")
+    code, out, _ = run_cli(capsys, "analyze", "--set", "variant=fd", "--set", "n=2")
     assert code == 0
     assert out.splitlines()[0] == "controllable=true dim=6 condition=0.4025"
 
 
 def test_analyze_uncontrollable_reports_modes(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--variant", "general", "--m", "1", "--n", "1")
+    code, out, _ = run_cli(
+        capsys, "analyze", "--set", "variant=general", "--set", "m=1", "--set", "n=1"
+    )
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("controllable=false dim=4")
@@ -42,20 +46,22 @@ def test_analyze_uncontrollable_reports_modes(capsys):
 
 def test_analyze_observability(capsys):
     code, out, _ = run_cli(
-        capsys, "analyze", "--variant", "fd", "--n", "3", "--k", "2"
+        capsys, "analyze", "--set", "variant=fd", "--set", "n=3", "--k", "2"
     )
     assert code == 0
     assert "observable=false dim=5 unobservable_vehicles=[0,3]" in out
 
 
 def test_analyze_fd_paper_scale(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--variant", "fd", "--n", "8")
+    code, out, _ = run_cli(capsys, "analyze", "--set", "variant=fd", "--set", "n=8")
     assert code == 0
     assert out.splitlines()[0].startswith("controllable=true dim=18 ")
 
 
 def test_analyze_general_lists_modes_with_multiplicity(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--variant", "general", "--m", "2", "--n", "20")
+    code, out, _ = run_cli(
+        capsys, "analyze", "--set", "variant=general", "--set", "m=2", "--set", "n=20"
+    )
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("controllable=false dim=42 ")
@@ -101,7 +107,7 @@ def test_energy_csv_blank_when_singular(capsys, tmp_path):
 
 def test_stability_command(capsys, tmp_path):
     code, out, _ = run_cli(
-        capsys, "stability", "--m", "2", "--n", "2", "-o", str(tmp_path)
+        capsys, "stability", "--set", "m=2", "--set", "n=2", "-o", str(tmp_path)
     )
     assert code == 0
     assert "string_stable=false" in out
@@ -152,10 +158,10 @@ def test_overrides_through_cli(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
         "analyze",
-        "--variant",
-        "fd",
-        "--n",
-        "2",
+        "--set",
+        "variant=fd",
+        "--set",
+        "n=2",
         "--set",
         "driver.beta=2.0",
     )
@@ -225,7 +231,7 @@ _AXIS2 = '"axis2": {"vehicle": 1, "component": "k"}'
     [
         (["analyze", "--set", 'variant="general"', "--set", "m=2.0", "--set", "n=1"], "m"),
         (["analyze", "--set", "seed=5.0"], "seed"),
-        (["stability", "--m", "2", "--n", "2", "--set", "frequency.points=50.0"],
+        (["stability", "--set", "m=2", "--set", "n=2", "--set", "frequency.points=50.0"],
          "frequency.points"),
         (["scan", "--set", "variant=general", "--set", "m=2",
           "--set", 'scan={"axis1": {"vehicle": 1.0, "component": "mu"}, ' + _AXIS2 + "}"],
@@ -253,21 +259,82 @@ def test_bad_config_value_names_key(capsys, tmp_path, argv, key):
 
 
 @pytest.mark.parametrize(
-    "argv, dt",
+    "argv, named",
     [
-        (["energy", "--n-range", "1:1", "--t", "1e300", "--set", "dt=1e-10"], "1e-10"),
+        # Gramians take the paper's fixed step: the config's dt does not reach them
+        (["energy", "--n-range", "1:1", "--t", "1e300", "--set", "dt=1e-10"],
+         "steps of 0.01 s, got t=1e+300"),
         (["simulate", "--set", 'variant="cf"', "--set", "n=1", "--set", "horizon=1e300",
-          "--set", "dt=1e-10"], "1e-10"),
+          "--set", "dt=1e-10"], "dt=1e-10"),
         # a finite step count, but 1e302 RK4 steps: refused, not run
-        (["energy", "--n-range", "1:1", "--t", "1e300"], "dt=0.01"),
+        (["energy", "--n-range", "1:1", "--t", "1e300"], "steps of 0.01 s, got t=1e+300"),
     ],
     ids=["energy", "simulate", "energy-default-dt"],
 )
-def test_step_count_overflow_exit_code(capsys, tmp_path, argv, dt):
+def test_step_count_overflow_exit_code(capsys, tmp_path, argv, named):
     code, _, err = run_cli(capsys, *argv, "-o", str(tmp_path))
     assert code == 4
-    assert "1e+300" in err and dt in err
+    assert "1e+300" in err and named in err
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_step_beyond_numpy_dimension_limit(capsys, tmp_path):
+    """numpy refuses 1e302 trace rows with a ValueError, not a MemoryError;
+    the message still names the horizon and the step."""
+    with pytest.raises(ValueError, match=r"horizon=100.0 at dt=1e-300 needs \d+ trace rows"):
+        simulate(ScenarioConfig(dt=1e-300))
+    code, out, err = run_cli(capsys, "simulate", "--set", "dt=1e-300", "-o", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err.startswith("lcc: error: horizon=100.0 at dt=1e-300 needs ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["reproduce", "table1"], ""),
+        (["simulate"], "x"),
+        (["stability", "--set", "m=2", "--set", "n=2"], ""),
+    ],
+    ids=["reproduce-existing-file", "simulate-below-a-file", "stability-existing-file"],
+)
+def test_unwritable_output_exit_code(capsys, tmp_path, argv, where):
+    """An -o that names a file, or a path below one, exits 4 naming the
+    path, and prints no result before the failed write."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out_dir = blocker / where if where else blocker
+    code, out, err = run_cli(capsys, *argv, "-o", str(out_dir))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"lcc: error: {argv[0]} cannot write its output: ")
+    assert str(out_dir) in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
+
+
+def test_failed_analyze_prints_nothing(capsys):
+    """The controllability lines wait for the observability report."""
+    code, out, err = run_cli(
+        capsys, "analyze", "--set", "variant=general", "--set", "m=1", "--set", "n=1",
+        "--k", "5",
+    )
+    assert (code, out) == (4, "")
+    assert err == "lcc: error: k must lie in 1..1, got 5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--set", 'gains={"0": [1, 1]}'],
+        ["scan", "--set", "n=2", "--set", 'scan={"axis1": {"vehicle": 0, "component": "mu"}, '
+         + _AXIS2 + "}"],
+    ],
+    ids=["stability", "scan-axis"],
+)
+def test_gain_on_the_cav_is_refused(capsys, tmp_path, argv):
+    """With m = 0 the message names the followers only, not "-0..-1"."""
+    code, out, err = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err == "lcc: error: gain ids [0] outside 1..2\n"
 
 
 def test_simulate_out_of_memory_exit_code(capsys, tmp_path, trace_rows_out_of_memory):
@@ -332,7 +399,9 @@ def test_simulate_delay_past_horizon(capsys, tmp_path):
 
 
 def test_domain_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--variant", "general", "--m", "0", "--n", "2")
+    code, _, err = run_cli(
+        capsys, "analyze", "--set", "variant=general", "--set", "m=0", "--set", "n=2"
+    )
     assert code == 4
     assert "general" in err
 
@@ -429,3 +498,24 @@ def test_reproduce_rejects_step_option(capsys, tmp_path):
     assert exc.value.code == 2
     assert "--dt" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    """Every ``lcc`` line of README's CLI block exits 0, with the example
+    config files it names written from README's JSON blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1]
+    commands = re.search(r"```bash\n(.*?)```", cli_section, re.S).group(1)
+    lines = [line for line in commands.splitlines() if line.startswith("lcc ")]
+    assert len(lines) >= 7
+    examples = dict(re.findall(r"Example `([\w.]+)`[^`]*?```json\n(.*?)```", cli_section, re.S))
+    assert sorted(examples) == ["scan.json", "scenario.json"]
+    monkeypatch.chdir(tmp_path)
+    for name, text in examples.items():
+        Path(name).write_text(text)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if "-o" not in argv:
+            argv += ["-o", "out"]
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), line

@@ -6,6 +6,7 @@ import pytest
 from lcc import (
     CavController,
     FeedbackGains,
+    GainAxis,
     ScenarioConfig,
     SystemVariant,
     TopologyError,
@@ -13,6 +14,7 @@ from lcc import (
     build_system,
     closed_loop_matrix,
     control_row,
+    scan_region,
     simulate,
 )
 
@@ -189,3 +191,24 @@ def test_gain_id_validation(default_coeffs):
         closed_loop_matrix(gen, FeedbackGains(mu={-2: 1.0}, k={}))
     fd = build_system(V.FD_LCC, 0, 1, default_coeffs)
     closed_loop_matrix(fd, FeedbackGains(mu={0: 1.0}, k={0: -1.0}))
+
+
+def test_gain_ids_share_one_rule_and_message(default_coeffs):
+    """Transfer functions, scan axes, closed loops and simulations refuse a
+    gain on the CAV of an m = 0 chain with the same message, which names
+    only the followers (never "-0..-1")."""
+    message = r"^gain ids \[0\] outside 1\.\.2$"
+    on_cav = FeedbackGains(mu={0: 1.0}, k={0: 1.0})
+    with pytest.raises(TopologyError, match=message):
+        TransferSpec(m=0, n=2, coeffs=default_coeffs, gains=on_cav)
+    spec = TransferSpec(m=0, n=2, coeffs=default_coeffs)
+    with pytest.raises(TopologyError, match=message):
+        scan_region(spec, GainAxis(0, "mu", -1.0, 1.0, 2), GainAxis(1, "k", -1.0, 1.0, 2))
+    with pytest.raises(TopologyError, match=message):
+        simulate(ScenarioConfig(n=2, cav=CavController(gains=on_cav)))
+    ccc = build_system(V.CCC, 2, 0, default_coeffs)
+    with pytest.raises(TopologyError, match=r"^gain ids \[0, 1\] outside -2\.\.-1$"):
+        control_row(ccc, FeedbackGains(mu={0: 1.0, 1: 1.0}))
+    fd = build_system(V.FD_LCC, 0, 2, default_coeffs)
+    with pytest.raises(TopologyError, match=r"^gain ids \[3\] outside 0, 1\.\.2$"):
+        control_row(fd, FeedbackGains(k={3: 1.0}))
