@@ -62,11 +62,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         epilog=config_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"lcc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_common(sp, config=True):
+    def add_command(name, help, config=True):
+        """A subcommand with -o, and --config/--set unless ``config`` is false; no
+        abbreviated flags, so a removed flag's old spelling lands on no other option."""
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.add_argument(
             "-o",
             "--output",
@@ -83,30 +87,24 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar="KEY=VALUE",
                 help="override a config key (dotted path, JSON value)",
             )
+        return sp
 
-    sp = sub.add_parser("analyze", help="controllability / observability report")
-    add_common(sp)
+    sp = add_command("analyze", "controllability / observability report")
     sp.add_argument(
         "--k", type=int, default=None, help="also report observability measuring vehicle k"
     )
 
-    sp = sub.add_parser("energy", help="Gramian energy metrics across chain sizes")
-    add_common(sp)
+    sp = add_command("energy", "Gramian energy metrics across chain sizes")
     sp.add_argument("--n-range", default="1:5", help="chain sizes, as lo:hi or comma list")
     sp.add_argument("--t", default="10,20,30", help="comma list of horizons (s)")
 
-    sp = sub.add_parser("stability", help="head-to-tail string-stability verdict")
-    add_common(sp)
+    sp = add_command("stability", "head-to-tail string-stability verdict")
     sp.add_argument("--label", default="spec", help="label used in the magnitude CSV name")
 
-    sp = sub.add_parser("scan", help="string-stable region over a 2-D gain grid")
-    add_common(sp)
+    add_command("scan", "string-stable region over a 2-D gain grid")
+    add_command("simulate", "nonlinear chain simulation")
 
-    sp = sub.add_parser("simulate", help="nonlinear chain simulation")
-    add_common(sp)
-
-    sp = sub.add_parser("reproduce", help="run a named reproduction preset")
-    add_common(sp, config=False)
+    sp = add_command("reproduce", "run a named reproduction preset", config=False)
     sp.add_argument("preset", choices=sorted(PRESETS), metavar="PRESET",
                     help=f"one of: {', '.join(sorted(PRESETS))}")
     return parser

@@ -312,7 +312,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         override = np.zeros(n_steps + 1, dtype=np.uint8)
     except (MemoryError, ValueError) as exc:  # numpy: ValueError past its dimension limit
         raise ValueError(
-            f"horizon={cfg.horizon} at dt={cfg.dt} needs {n_steps + 1} trace rows, "
+            f"horizon={cfg.horizon} at dt={cfg.dt} needs {n_steps + 1:.3g} trace rows, "
             "more than fit in memory"
         ) from exc
     if isinstance(cfg.perturbation, HeadSinusoid):

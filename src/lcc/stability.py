@@ -9,16 +9,25 @@ holds the CAV's feedback.  Clearing denominators, Gamma = Num phi^n / (Den gamma
     Den = gamma^(n+1) - sum_i (mu_i (gamma - phi) + k_i s phi) phi^(i-1) gamma^(n-i)
 
 Both are affine in the gains, Den is monic of degree 2n+2, and Den gamma^m
-is det(sI - A_cl), the closed loop's characteristic polynomial.  Every
-verdict comes from their roots, with no frequency search:
+is det(sI - A_cl), the closed loop's characteristic polynomial.  Num holds
+only the gains ahead of the CAV and Den only those of the CAV's followers,
+so across a scan panel one of them repeats, often in every cell; each
+distinct polynomial has its roots found once.  Every verdict comes from
+these roots, with no frequency search, in this order:
 
-* asymptotically unstable (AU): a root of Den has real part above
-  ``EIG_TOL`` (gamma's roots are stable for every ``LinearCoeffs``);
-* string stable: the peak of |Gamma(jw)| over [omega_min, omega_max] is
-  below one.  In x = w^2, log|Gamma|^2 is a sum of log(x + z^2) over the
-  roots z of Num, Den, phi and gamma, so its stationary points are the
-  eigenvalues of a diagonal-plus-rank-one matrix; the grid kernel
-  evaluates |Gamma| at these few candidates and at the range's ends.
+1. asymptotically unstable (AU): a root of Den has real part above
+   ``EIG_TOL`` (gamma's roots are stable for every ``LinearCoeffs``);
+2. string unstable, from the range's ends: Gamma(0) = 1, so |Gamma| at
+   omega_min or omega_max often already reaches 1 - ``PEAK_MARGIN``, and
+   a scan cell whose end value does so needs no search between them;
+3. string stable or not, from the stationary points: the peak of
+   |Gamma(jw)| over [omega_min, omega_max] is below one or not.  In
+   x = w^2, log|Gamma|^2 is a sum of log(x + z^2) over the roots z of
+   Num, Den, phi and gamma, so its stationary points are the eigenvalues
+   of a diagonal-plus-rank-one matrix; the grid kernel evaluates |Gamma|
+   at these few candidates, and the ends' values count as candidates too.
+
+``is_string_stable`` reports the true peak, so it always takes step 3.
 
 Companion-matrix roots lose accuracy as the degree grows, so a verdict
 takes at most ``_MAX_REACH`` HDVs on each side of the CAV, counted up to
@@ -224,17 +233,24 @@ def _eigvals(stack: np.ndarray) -> Tuple[np.ndarray, Dict[int, str]]:
 
 def _roots(coefs: np.ndarray) -> Tuple[np.ndarray, Dict[int, str]]:
     """Roots of each row of ascending coefficients, from one companion-matrix stack per
-    degree, and the message of each failed row.  Slots past a row's degree are NaN."""
+    degree that holds each distinct row once, and the message of each failed row.  Slots
+    past a row's degree are NaN."""
     degree = np.max(np.where(coefs != 0, np.arange(coefs.shape[1]), 0), axis=1)
     roots = np.full((coefs.shape[0], coefs.shape[1] - 1), np.nan, dtype=complex)
     problems: Dict[int, str] = {}
     for k in np.unique(degree[degree > 0]):
         rows = np.flatnonzero(degree == k)
-        companion = np.zeros((rows.size, k, k))
+        # one bytes key per row: sorting these beats np.unique's axis=0 field-by-field sort
+        keys = np.ascontiguousarray(coefs[rows, : k + 1]).view(f"V{coefs.itemsize * (k + 1)}")
+        distinct, inverse = np.unique(keys[:, 0], return_inverse=True)
+        distinct = distinct.view(coefs.dtype).reshape(-1, k + 1)
+        companion = np.zeros((len(distinct), k, k))
         companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        companion[:, :, -1] = -coefs[rows, :k] / coefs[rows, k, None]
-        roots[rows, :k], failed = _eigvals(companion)
-        problems.update({int(rows[q]): msg for q, msg in failed.items()})
+        companion[:, :, -1] = -distinct[:, :k] / distinct[:, k, None]
+        found, failed = _eigvals(companion)
+        roots[rows, :k] = found[inverse]
+        for q, msg in failed.items():
+            problems.update(dict.fromkeys(rows[inverse == q].tolist(), msg))
     return roots, problems
 
 
@@ -273,9 +289,18 @@ def _secular_stack(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _evaluate(spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: int, au_too=False):
+def _evaluate(
+    spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: int, exact_peaks=False
+):
     """AU flags, peaks (omega, |Gamma|^2) and failure messages of gain rows of ``spec``
-    followed by ``cut`` HDVs.  AU rows (unless ``au_too``) and failed rows get NaN peaks.
+    followed by ``cut`` HDVs.  Failed rows get NaN peaks, and so do AU rows unless
+    ``exact_peaks``.
+
+    Gamma(0) = 1, so |Gamma| at the range's ends often settles a row: unless
+    ``exact_peaks``, a row whose end values are finite and the larger reaches
+    1 - PEAK_MARGIN takes that end as its peak, a lower bound that already makes it
+    string unstable, and skips Num's roots and the stationary points (so a failure
+    there goes unseen).  The other rows search them, the ends' values included.
 
     A polynomial with roots z_k has |P(jw)|^2 = c^2 prod_k (x + z_k^2) in x = w^2, so
     d/dx log|Gamma(jw)|^2 = sum_k w_k / (x - p_k) over p_k = -z_k^2 of the roots of Num
@@ -297,31 +322,44 @@ def _evaluate(spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: in
     num, den = _polynomials(spec, rows)
     den_roots, problems = _roots(den)
     au = np.any(den_roots.real > EIG_TOL, axis=1)
-    live = np.arange(cells) if au_too else np.flatnonzero(~au)
-    num_roots, peak_problems = _roots(num[live])
-    local = np.roots([1.0, c.alpha2, c.alpha1]), -c.alpha1 / c.alpha3  # gamma's, phi's
-    z = np.hstack([num_roots, den_roots[live], np.broadcast_to(np.append(*local), (live.size, 3))])
+    live = np.arange(cells) if exact_peaks else np.flatnonzero(~au)
+    gains = np.split(rows[:, 1:].T, [spec.m, 2 * spec.m, 2 * spec.m + spec.n])
+    x_range = grid.omega_min**2, grid.omega_max**2
+
+    def mags_sq(x, at):
+        """Candidate omegas sqrt(x) and their |Gamma|^2, one column per row in ``at``."""
+        omegas = np.sqrt(x)
+        phi, gam = phi_gamma(c, 1j * omegas)
+        sets = (g[:, at] for g in gains)
+        values = kernels.gamma_mag_sq_scalar(omegas, c.alpha1, c.alpha2, c.alpha3, *sets)
+        return omegas, values * np.abs(phi / gam) ** (2 * cut)
+
+    ends = mags_sq(np.repeat(np.array(x_range)[:, None], live.size, axis=1), live)
+    end_peak = ends[1].max(axis=0)
+    searched = exact_peaks | ~(np.isfinite(end_peak) & (np.sqrt(end_peak) >= 1.0 - PEAK_MARGIN))
+    search = live[searched]
+    num_roots, peak_problems = _roots(num[search])
+    local = np.append(np.roots([1.0, c.alpha2, c.alpha1]), -c.alpha1 / c.alpha3)  # gamma's, phi's
+    z = np.hstack([num_roots, den_roots[search], np.broadcast_to(local, (search.size, 3))])
     weights = np.full(z.shape, 1.0)
     weights[:, num_roots.shape[1] : -3] = -1.0
     weights[:, -3:] = [-(spec.m + cut), -(spec.m + cut), spec.n + cut]
     weights[np.isnan(z)] = 0.0
     zeros, failed = _eigvals(_secular_stack(z, weights))
-    # (candidates, cells), with the range's ends as -inf and inf
-    x = np.pad(zeros.real.T, [(1, 1), (0, 0)], constant_values=(-np.inf, np.inf))
-    omegas = np.sqrt(np.fmin(np.fmax(x, grid.omega_min**2), grid.omega_max**2))
-    phi, gam = phi_gamma(c, 1j * omegas)
-    gains = np.split(rows[live, 1:].T, [spec.m, 2 * spec.m, 2 * spec.m + spec.n])
-    mags_sq = kernels.gamma_mag_sq_scalar(omegas, c.alpha1, c.alpha2, c.alpha3, *gains)
-    mags_sq *= np.abs(phi / gam) ** (2 * cut)
-    first_bad = np.where(np.isfinite(mags_sq), np.inf, omegas).min(axis=0)
+    inner = mags_sq(np.fmin(np.fmax(zeros.real.T, x_range[0]), x_range[1]), search)
+    # (candidates, rows): the range's low end, the stationary points, its high end
+    omegas, values = (np.vstack([e[:1, searched], i, e[1:, searched]]) for e, i in zip(ends, inner))
+    first_bad = np.where(np.isfinite(values), np.inf, omegas).min(axis=0)
     for i in np.flatnonzero(first_bad < np.inf):
         peak_problems[int(i)] = f"non-finite gain at omega={first_bad[i]:.4g}"
     for i, msg in failed.items():
         peak_problems.setdefault(i, msg)
-    problems.update({int(live[i]): msg for i, msg in peak_problems.items()})
-    best = np.argmax(mags_sq, axis=0), np.arange(live.size)
+    problems.update({int(search[i]): msg for i, msg in peak_problems.items()})
     peak = np.full((2, cells), np.nan)
-    peak[:, live] = omegas[best], mags_sq[best]
+    best = np.argmax(ends[1], axis=0), np.arange(live.size)
+    peak[:, live] = ends[0][best], ends[1][best]
+    best = np.argmax(values, axis=0), np.arange(search.size)
+    peak[:, search] = omegas[best], values[best]
     peak[:, list(problems)] = np.nan
     return au, peak, problems
 
@@ -396,7 +434,7 @@ def is_string_stable(
     Raises ``EvaluationError`` if root finding fails or |Gamma| is not finite.
     """
     short, cut, row = _shorten(spec)
-    au, peak, problems = _evaluate(short, row[None], grid or FrequencyGrid(), cut, au_too=True)
+    au, peak, problems = _evaluate(short, row[None], grid or FrequencyGrid(), cut, exact_peaks=True)
     if problems:
         raise EvaluationError(problems[0])
     peak_mag = math.sqrt(peak[1, 0])
@@ -420,7 +458,9 @@ def scan_region(
     """Classify every cell of a 2-D gain grid, row-major in (axis1, axis2).
 
     Cells with a root of Den right of the tolerance are AU; the others get
-    the string verdict.  Cells that fail to evaluate are AU, with a log line.
+    the string verdict, SU without a peak search when |Gamma| at an end of
+    the frequency range already reaches 1 - ``PEAK_MARGIN``.  Cells that
+    fail to evaluate are AU, with a log line.
     """
     if (axis1.vehicle, axis1.component) == (axis2.vehicle, axis2.component):
         raise TopologyError("scan axes must address distinct gain coordinates")

@@ -281,7 +281,7 @@ def test_step_count_overflow_exit_code(capsys, tmp_path, argv, named):
 def test_simulate_step_beyond_numpy_dimension_limit(capsys, tmp_path):
     """numpy refuses 1e302 trace rows with a ValueError, not a MemoryError;
     the message still names the horizon and the step."""
-    with pytest.raises(ValueError, match=r"horizon=100.0 at dt=1e-300 needs \d+ trace rows"):
+    with pytest.raises(ValueError, match=r"horizon=100.0 at dt=1e-300 needs 1e\+302 trace rows"):
         simulate(ScenarioConfig(dt=1e-300))
     code, out, err = run_cli(capsys, "simulate", "--set", "dt=1e-300", "-o", str(tmp_path))
     assert (code, out) == (4, "")
@@ -497,6 +497,22 @@ def test_reproduce_rejects_step_option(capsys, tmp_path):
         main(["reproduce", "table1", "--dt", "0.02", "-o", str(tmp_path)])
     assert exc.value.code == 2
     assert "--dt" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["energy", "--n", "1", "--t", "5"], "--n 1"),
+        (["stability", "--s", "m=2", "--l", "x"], "--s m=2 --l x"),
+    ],
+)
+def test_abbreviated_flags_are_usage_errors(capsys, tmp_path, argv, unknown):
+    """A prefix of a flag is not that flag: ``--n`` is not ``--n-range``."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-o", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -338,7 +338,7 @@ def test_trace_allocation_failure_names_horizon(trace_rows_out_of_memory):
     cfg = ScenarioConfig(variant=V.CF_LCC, n=1, horizon=1e12, dt=0.1)
     with pytest.raises(ValueError) as err:
         simulate(cfg)
-    assert "horizon=1000000000000.0 at dt=0.1 needs 10000000000001 trace rows" in str(err.value)
+    assert "horizon=1000000000000.0 at dt=0.1 needs 1e+13 trace rows" in str(err.value)
 
 
 def test_delay_past_horizon_reads_no_delayed_state():

@@ -660,3 +660,132 @@ def test_verdicts_match_complex_secular_form(monkeypatch):
         want = is_string_stable(spec)
         assert (g.stable, g.asymptotically_stable) == (want.stable, want.asymptotically_stable)
         assert g.peak_mag == pytest.approx(want.peak_mag, rel=1e-12, abs=0), spec
+
+
+def _mixed_panel(default_coeffs):
+    """Predecessor mu by follower k: Num varies only along axis 1, Den only along axis 2."""
+    spec = spec_with(default_coeffs, 2, 2)
+    return spec, (GainAxis(-1, "mu", -2.0, 2.0, 7), GainAxis(1, "k", -2.0, 2.0, 9))
+
+
+def test_scan_finds_roots_once_per_distinct_polynomial(default_coeffs, monkeypatch):
+    """The short chain is m = n = 1: Num has degree 2, Den degree 4, and the
+    stationary-point stack is 9 wide."""
+    spec, axes = _mixed_panel(default_coeffs)
+    stacks = []
+    real_eigvals = stability._eigvals
+
+    def eigvals(stack):
+        stacks.append(stack.shape)
+        return real_eigvals(stack)
+
+    monkeypatch.setattr(stability, "_eigvals", eigvals)
+    classes = scan_region(spec, *axes).classes
+    np.testing.assert_array_equal(classes, _reference_scan_region(spec, *axes))
+    assert {size for _, size, _ in stacks} == {2, 4, 9}
+    assert sum(rows for rows, size, _ in stacks if size == 2) == 7
+    assert sum(rows for rows, size, _ in stacks if size == 4) == 9
+
+
+def test_scan_den_failure_marks_its_column(default_coeffs, monkeypatch, caplog):
+    """Root finding fails on the one Den that column 3 shares, found by its closed-loop poles."""
+    spec, axes = _mixed_panel(default_coeffs)
+    g2 = axes[1].values()[3]
+    poles = np.linalg.eigvals(
+        stability._oracle_model(spec_with(default_coeffs, 2, 2, {1: (0.0, g2)}))[1]
+    )
+    hdv_poles = np.roots([1.0, default_coeffs.alpha2, default_coeffs.alpha1])
+    bad = poles[np.abs(poles[:, None] - hdv_poles).min(axis=1) > 1e-3]
+    assert bad.size == 4
+    real_eigvals = np.linalg.eigvals
+
+    def eigvals(a):
+        roots = real_eigvals(a)
+        for r in roots.reshape(-1, roots.shape[-1]):
+            if r.size == bad.size and np.all(np.abs(bad[:, None] - r).min(axis=1) < 1e-6):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return roots
+
+    expected = _reference_scan_region(spec, *axes)
+    assert len(set(expected[:, 3])) > 1
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with caplog.at_level(logging.WARNING, logger="lcc.stability"):
+        classes = scan_region(spec, *axes).classes
+    assert np.all(classes[:, 3] == CLASS_ASYMP_UNSTABLE)
+    np.testing.assert_array_equal(np.delete(classes, 3, 1), np.delete(expected, 3, 1))
+    assert caplog.messages == [
+        f"cell ({g1:g}, {g2:g}) failed to evaluate: Eigenvalues did not converge"
+        for g1 in axes[0].values()
+    ]
+
+
+def _end_decided_panel(default_coeffs):
+    """A 9x9 panel "a": cells whose |Gamma| at either end of the range reaches
+    1 - PEAK_MARGIN, from the closed form at those two frequencies alone."""
+    spec = spec_with(default_coeffs, 2, 2)
+    axes = _panel_axes(-1, points=9)
+    grid = FrequencyGrid()
+    ends = [grid.omega_min, grid.omega_max]
+    cells = [(g1, g2) for g1 in axes[0].values() for g2 in axes[1].values()]
+    decided = np.array(
+        [
+            magnitude_curve(spec_with(default_coeffs, 2, 2, {-1: cell}), ends).max()
+            >= 1.0 - stability.PEAK_MARGIN
+            for cell in cells
+        ]
+    )
+    return spec, axes, cells, decided.reshape(9, 9)
+
+
+def test_scan_searches_stationary_points_only_below_one_at_the_ends(
+    default_coeffs, monkeypatch
+):
+    """The cells ``_secular_stack`` receives are the undecided ones, in row-major order,
+    each identified by the roots of Num = phi^2 + mu (gamma - phi) + k s phi (m = 1)."""
+    spec, axes, cells, decided = _end_decided_panel(default_coeffs)
+    assert 0 < decided.sum() < decided.size
+    received = []
+    real_stack = stability._secular_stack
+
+    def secular_stack(z, weights):
+        received.append(z)
+        return real_stack(z, weights)
+
+    monkeypatch.setattr(stability, "_secular_stack", secular_stack)
+    classes = scan_region(spec, *axes).classes
+    expected = _reference_scan_region(spec, *axes)
+    np.testing.assert_array_equal(classes, expected)
+    assert np.all(expected[decided] == CLASS_UNSTABLE)
+    a1, a2, a3 = default_coeffs.alpha1, default_coeffs.alpha2, default_coeffs.alpha3
+    num_roots = [
+        np.roots([a3 * a3 + mu + k * a3, 2 * a1 * a3 + mu * (a2 - a3) + k * a1, a1 * a1])
+        for (mu, k), done in zip(cells, decided.ravel())
+        if not done
+    ]
+    z = np.vstack(received)
+    assert len(z) == len(num_roots)
+    for got, want in zip(z[:, :2], num_roots):
+        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want), rtol=1e-9)
+
+
+def test_scan_end_decided_cells_skip_a_failing_search(default_coeffs, monkeypatch, caplog):
+    """With every stationary-point solve failing, an end-decided cell stays SU with no
+    log line; every other cell is AU with its warning (the stack is 7 wide)."""
+    spec, axes, cells, decided = _end_decided_panel(default_coeffs)
+    expected = _reference_scan_region(spec, *axes)
+    real_eigvals = np.linalg.eigvals
+
+    def eigvals(a):
+        if a.shape[-1] == 7:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with caplog.at_level(logging.WARNING, logger="lcc.stability"):
+        classes = scan_region(spec, *axes).classes
+    np.testing.assert_array_equal(classes, np.where(decided, expected, CLASS_ASYMP_UNSTABLE))
+    assert caplog.messages == [
+        f"cell ({g1:g}, {g2:g}) failed to evaluate: Eigenvalues did not converge"
+        for (g1, g2), done in zip(cells, decided.ravel())
+        if not done
+    ]
