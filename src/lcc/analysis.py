@@ -12,7 +12,9 @@ d x r basis itself, so the staircase alone decides the rank.  A mode
 repeated m times in a Jordan block, as the upstream HDV modes of a
 general chain are, is computed to about eps^(1/m) relative accuracy
 only; the dimension does not depend on it.  Observability runs
-the same staircase on the dual pair (A', C').  Open-loop chains carry a
+the same staircase on the dual pair (A', C'), and its basis alone names
+the unobservable vehicles: a state lies in the unobservable subspace
+when its row of the basis vanishes.  Open-loop chains carry a
 zero eigenvalue, so Gramians are only meaningful on a finite horizon;
 they are integrated as the matrix ODE
 
@@ -178,16 +180,17 @@ def pbh_observability(
     observability matrix, so its orthonormal complement Q2 spans the
     unobservable subspace.  When the originating model is supplied, a
     vehicle is listed as unobservable when at least one of its states
-    lies in that subspace (its row of Q2 has unit norm).
+    lies in that subspace: its row of Q2 has unit norm.  [Q, Q2] is
+    orthogonal, so |Q2[r]|^2 = 1 - |Q[r]|^2 is read off Q itself.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float).reshape(-1, A.shape[0])
     Q = _controllable_basis(A.T, C.T)
     unobservable_ids: List[int] = []
     if model is not None:
-        Q2 = np.linalg.svd(Q)[0][:, Q.shape[1]:]
+        q2_norms = np.sqrt(np.maximum(1.0 - np.sum(Q**2, axis=1), 0.0))
         for vid, rows in sorted(model.index_map.items()):
-            if any(np.linalg.norm(Q2[r, :]) > 1.0 - 1e-6 for r in rows):
+            if any(q2_norms[r] > 1.0 - 1e-6 for r in rows):
                 unobservable_ids.append(vid)
     return ObservabilityReport(
         observable=Q.shape[1] == A.shape[0],
@@ -264,14 +267,18 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float) -> GramianResult:
         _, done, W = path
     else:
         done, W = 0, np.zeros_like(A)
-    for _ in range(n_steps - done):
-        k1 = f(W)
-        k2 = f(W + 0.5 * h * k1)
-        k3 = f(W + 0.5 * h * k2)
-        k4 = f(W + h * k3)
-        W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
+        for _ in range(n_steps - done):
+            k1 = f(W)
+            k2 = f(W + 0.5 * h * k1)
+            k3 = f(W + 0.5 * h * k2)
+            k4 = f(W + h * k3)
+            W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(W)):
-        raise NumericalError("Gramian integration produced non-finite entries")
+        raise NumericalError(
+            f"Gramian integration produced non-finite entries at horizon t={t} "
+            f"with RK4 step GRAMIAN_DT={GRAMIAN_DT} s"
+        )
     _rk4_path = (key, n_steps, W)
     W = 0.5 * (W + W.T)
     lam = np.linalg.eigvalsh(W)

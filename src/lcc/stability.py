@@ -16,18 +16,23 @@ distinct polynomial has its roots found once.  Every verdict comes from
 these roots, with no frequency search, in this order:
 
 1. asymptotically unstable (AU): a root of Den has real part above
-   ``EIG_TOL`` (gamma's roots are stable for every ``LinearCoeffs``);
-2. string unstable, from the range's ends: Gamma(0) = 1, so |Gamma| at
-   omega_min or omega_max often already reaches 1 - ``PEAK_MARGIN``, and
-   a scan cell whose end value does so needs no search between them;
-3. string stable or not, from the stationary points: the peak of
-   |Gamma(jw)| over [omega_min, omega_max] is below one or not.  In
-   x = w^2, log|Gamma|^2 is a sum of log(x + z^2) over the roots z of
-   Num, Den, phi and gamma, so its stationary points are the eigenvalues
-   of a diagonal-plus-rank-one matrix; the grid kernel evaluates |Gamma|
-   at these few candidates, and the ends' values count as candidates too.
+   ``EIG_TOL`` (gamma's roots are stable for every ``LinearCoeffs``), or
+   the chain fails to evaluate.  |Gamma(jw)| is a steady-state gain only
+   of a stable closed loop, so an AU chain is never string stable;
+2. string unstable (SU), from the range's ends: Gamma(0) = 1, so |Gamma|
+   at omega_min or omega_max often already reaches 1 - ``PEAK_MARGIN``,
+   and a scan cell whose end value does so needs no search between them;
+3. string stable (SS) or SU, from the stationary points: the peak of
+   |Gamma(jw)| over [omega_min, omega_max] is below 1 - ``PEAK_MARGIN``
+   or not.  In x = w^2, log|Gamma|^2 is a sum of log(x + z^2) over the
+   roots z of Num, Den, phi and gamma, so its stationary points are the
+   eigenvalues of a diagonal-plus-rank-one matrix; the grid kernel
+   evaluates |Gamma| at these few candidates, and the ends' values count
+   as candidates too.
 
-``is_string_stable`` reports the true peak, so it always takes step 3.
+``_evaluate`` is the one place this class rule lives: ``scan_region``
+stores the class of each cell, and ``is_string_stable`` reports the class
+of its one chain, with the true peak even for AU, so it always takes step 3.
 
 Companion-matrix roots lose accuracy as the degree grows, so a verdict
 takes at most ``_MAX_REACH`` HDVs on each side of the CAV, counted up to
@@ -115,10 +120,16 @@ class FrequencyGrid:
     points: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.omega_min < math.inf:
-            raise ValueError(f"omega_min must be finite and > 0, got {self.omega_min}")
-        if not self.omega_min < self.omega_max < math.inf:
-            raise ValueError(f"omega_max must be finite and exceed omega_min, got {self.omega_max}")
+        # the verdicts work in x = omega^2, so each bound's square must be finite too
+        if not (0 < self.omega_min and math.isfinite(self.omega_min * self.omega_min)):
+            raise ValueError(
+                f"omega_min must be finite and > 0, with a finite square, got {self.omega_min}"
+            )
+        if not (self.omega_min < self.omega_max and math.isfinite(self.omega_max * self.omega_max)):
+            raise ValueError(
+                "omega_max must be finite, with a finite square, and exceed omega_min, "
+                f"got {self.omega_max}"
+            )
         if self.points < 2:
             raise ValueError("need at least 2 grid points")
 
@@ -167,12 +178,22 @@ class RegionMap:
         return self.classes == CLASS_STABLE
 
 
-@dataclass
+@dataclass(frozen=True)
 class StringStabilityResult:
-    stable: bool
+    """One chain's class (SS, SU or AU, as a scan cell gets it) and the peak of
+    |Gamma(jw)| over the frequency range, reported for AU chains too."""
+
+    verdict: str
     peak_omega: float
     peak_mag: float
-    asymptotically_stable: bool
+
+    @property
+    def stable(self) -> bool:
+        return self.verdict == CLASS_STABLE
+
+    @property
+    def asymptotically_stable(self) -> bool:
+        return self.verdict != CLASS_ASYMP_UNSTABLE
 
 
 def phi_gamma(c: LinearCoeffs, s: complex) -> Tuple[complex, complex]:
@@ -292,9 +313,10 @@ def _secular_stack(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _evaluate(
     spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: int, exact_peaks=False
 ):
-    """AU flags, peaks (omega, |Gamma|^2) and failure messages of gain rows of ``spec``
-    followed by ``cut`` HDVs.  Failed rows get NaN peaks, and so do AU rows unless
-    ``exact_peaks``.
+    """Classes, peaks (omega, |Gamma|^2) and failure messages of gain rows of ``spec``
+    followed by ``cut`` HDVs.  A row is AU when a root of Den lies right of ``EIG_TOL``
+    or the row fails, else SS or SU from its peak against 1 - ``PEAK_MARGIN``.  Failed
+    rows get NaN peaks, and so do AU rows unless ``exact_peaks``.
 
     Gamma(0) = 1, so |Gamma| at the range's ends often settles a row: unless
     ``exact_peaks``, a row whose end values are finite and the larger reaches
@@ -326,6 +348,10 @@ def _evaluate(
     gains = np.split(rows[:, 1:].T, [spec.m, 2 * spec.m, 2 * spec.m + spec.n])
     x_range = grid.omega_min**2, grid.omega_max**2
 
+    def reaches_one(mag_sq):
+        """The SS/SU threshold, false for NaN."""
+        return np.sqrt(mag_sq) >= 1.0 - PEAK_MARGIN
+
     def mags_sq(x, at):
         """Candidate omegas sqrt(x) and their |Gamma|^2, one column per row in ``at``."""
         omegas = np.sqrt(x)
@@ -336,7 +362,7 @@ def _evaluate(
 
     ends = mags_sq(np.repeat(np.array(x_range)[:, None], live.size, axis=1), live)
     end_peak = ends[1].max(axis=0)
-    searched = exact_peaks | ~(np.isfinite(end_peak) & (np.sqrt(end_peak) >= 1.0 - PEAK_MARGIN))
+    searched = exact_peaks | ~(np.isfinite(end_peak) & reaches_one(end_peak))
     search = live[searched]
     num_roots, peak_problems = _roots(num[search])
     local = np.append(np.roots([1.0, c.alpha2, c.alpha1]), -c.alpha1 / c.alpha3)  # gamma's, phi's
@@ -361,7 +387,10 @@ def _evaluate(
     best = np.argmax(values, axis=0), np.arange(search.size)
     peak[:, search] = omegas[best], values[best]
     peak[:, list(problems)] = np.nan
-    return au, peak, problems
+    au[list(problems)] = True
+    classes = np.where(reaches_one(peak[1]), CLASS_UNSTABLE, CLASS_STABLE)
+    classes[au] = CLASS_ASYMP_UNSTABLE
+    return classes, peak, problems
 
 
 def transfer_value(spec: TransferSpec, s: complex) -> complex:
@@ -434,11 +463,12 @@ def is_string_stable(
     Raises ``EvaluationError`` if root finding fails or |Gamma| is not finite.
     """
     short, cut, row = _shorten(spec)
-    au, peak, problems = _evaluate(short, row[None], grid or FrequencyGrid(), cut, exact_peaks=True)
+    classes, peak, problems = _evaluate(
+        short, row[None], grid or FrequencyGrid(), cut, exact_peaks=True
+    )
     if problems:
         raise EvaluationError(problems[0])
-    peak_mag = math.sqrt(peak[1, 0])
-    return StringStabilityResult(peak_mag < 1 - PEAK_MARGIN, float(peak[0, 0]), peak_mag, not au[0])
+    return StringStabilityResult(str(classes[0]), float(peak[0, 0]), math.sqrt(peak[1, 0]))
 
 
 def _axis_slot(spec: TransferSpec, axis: GainAxis):
@@ -457,10 +487,10 @@ def scan_region(
 ) -> RegionMap:
     """Classify every cell of a 2-D gain grid, row-major in (axis1, axis2).
 
-    Cells with a root of Den right of the tolerance are AU; the others get
-    the string verdict, SU without a peak search when |Gamma| at an end of
-    the frequency range already reaches 1 - ``PEAK_MARGIN``.  Cells that
-    fail to evaluate are AU, with a log line.
+    Each cell gets the class ``_evaluate`` gives it: AU with a root of Den
+    right of the tolerance, else SS or SU, SU without a peak search when
+    |Gamma| at an end of the frequency range already reaches
+    1 - ``PEAK_MARGIN``.  Cells that fail to evaluate are AU, with a log line.
     """
     if (axis1.vehicle, axis1.component) == (axis2.vehicle, axis2.component):
         raise TopologyError("scan axes must address distinct gain coordinates")
@@ -470,16 +500,14 @@ def scan_region(
     offsets = {"mu_p": 1, "k_p": 1 + m, "mu_f": 1 + 2 * m, "k_f": 1 + 2 * m + n}
     cols = [offsets[name] + idx for name, idx in slots]
     values = np.repeat(axis1.values(), axis2.points), np.tile(axis2.values(), axis1.points)
-    classes = np.full(values[0].size, CLASS_ASYMP_UNSTABLE)
+    classes = np.empty(values[0].size, dtype="<U2")
     chunk = max(1, _CHUNK_ENTRIES // (2 * (m + n) + 6) ** 2)
     for start in range(0, classes.size, chunk):
         g1, g2 = (v[start : start + chunk] for v in values)
         rows = np.repeat(row[None], g1.size, axis=0)
         rows[:, cols[0]], rows[:, cols[1]] = g1, g2
-        _, (_, peak_sq), problems = _evaluate(short, rows, grid or FrequencyGrid(), cut)
+        block, _, problems = _evaluate(short, rows, grid or FrequencyGrid(), cut)
         for q in sorted(problems):
             log.warning("cell (%g, %g) failed to evaluate: %s", g1[q], g2[q], problems[q])
-        peak, block = np.sqrt(peak_sq), classes[start : start + g1.size]  # NaN peak: stays AU
-        block[peak < 1.0 - PEAK_MARGIN] = CLASS_STABLE
-        block[peak >= 1.0 - PEAK_MARGIN] = CLASS_UNSTABLE
+        classes[start : start + g1.size] = block
     return RegionMap(axis1, axis2, classes.reshape(axis1.points, axis2.points))

@@ -6,6 +6,7 @@ import os
 import re
 import shlex
 import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,42 @@ def test_step_count_overflow_exit_code(capsys, tmp_path, argv, named):
     code, _, err = run_cli(capsys, *argv, "-o", str(tmp_path))
     assert code == 4
     assert "1e+300" in err and named in err
+    assert not list(tmp_path.iterdir())
+
+
+_SCAN_PANEL = [
+    "--set", "variant=general", "--set", "m=2",
+    "--set", 'scan={"axis1": {"vehicle": 1, "component": "mu"}, ' + _AXIS2 + "}",
+]
+
+
+@pytest.mark.parametrize("argv", [["stability"], ["scan", *_SCAN_PANEL]], ids=["stability", "scan"])
+def test_omega_max_with_overflowing_square_exit_code(capsys, tmp_path, argv):
+    """The verdicts work in x = omega^2: an omega_max whose square overflows is
+    refused by name, not left to raise OverflowError."""
+    code, out, err = run_cli(
+        capsys, *argv, "--set", "frequency.omega_max=1e300", "-o", str(tmp_path)
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("lcc: error: omega_max must be finite, with a finite square")
+    assert "got 1e+300" in err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_gramian_blow_up_exit_code(capsys, tmp_path):
+    """A fast driver (alpha = 1e3) makes the t = 10 s RK4 path overflow: one line
+    that names the horizon and the step, and no numpy warning before it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "energy", "--set", "driver.alpha=1e3", "--n-range", "1", "--t", "10",
+            "-o", str(tmp_path),
+        )
+    assert (code, out, caught) == (5, "", [])
+    assert err == (
+        "lcc: numerical error: Gramian integration produced non-finite entries at "
+        "horizon t=10.0 with RK4 step GRAMIAN_DT=0.01 s\n"
+    )
     assert not list(tmp_path.iterdir())
 
 

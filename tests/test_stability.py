@@ -166,8 +166,47 @@ def test_degenerate_scan_matches_verdict(default_coeffs):
         axis1 = GainAxis(vehicle=-1, component="mu", lo=0.0, hi=0.0, points=1)
         axis2 = GainAxis(vehicle=-1, component="k", lo=0.0, hi=0.0, points=1)
         region = scan_region(spec, axis1, axis2)
-        expected = CLASS_STABLE if res.stable else CLASS_UNSTABLE
-        assert region.classes[0, 0] == expected
+        assert region.classes[0, 0] == res.verdict
+
+
+def _one_cell_scan(spec):
+    """The class a 1x1 scan gives ``spec`` at its own gains on vehicle 1."""
+    mu, k = spec.gains.mu.get(1, 0.0), spec.gains.k.get(1, 0.0)
+    axes = (GainAxis(1, "mu", mu, mu, 1), GainAxis(1, "k", k, k, 1))
+    return scan_region(spec, *axes).classes[0, 0]
+
+
+def test_asymptotically_unstable_chain_is_not_string_stable(default_coeffs):
+    """|Gamma| stays below one over the range, but a closed-loop pole has real part
+    +1.69: the verdict is AU, as its scan cell is, and the peak is still reported."""
+    spec = spec_with(default_coeffs, 1, 1, {1: (5.0, 5.0)})
+    assert np.linalg.eigvals(stability._oracle_model(spec)[1]).real.max() == pytest.approx(
+        1.69, abs=0.01
+    )
+    res = is_string_stable(spec)
+    assert res.verdict == CLASS_ASYMP_UNSTABLE
+    assert not res.stable and not res.asymptotically_stable
+    assert (res.peak_mag, res.peak_omega) == (pytest.approx(0.998006, rel=1e-6), 0.01)
+    assert _one_cell_scan(spec) == CLASS_ASYMP_UNSTABLE
+
+
+def test_verdict_is_the_class_of_its_one_cell_scan(default_coeffs):
+    """Random short chains, gains on about 70% of the HDVs: ``is_string_stable`` and a
+    1x1 scan at the chain's own gains give every chain one class."""
+    rng = np.random.default_rng(20)
+    seen = set()
+    for _ in range(200):
+        m, n = int(rng.integers(0, 3)), int(rng.integers(1, 3))
+        ids = [i for i in [*range(-m, 0), *range(1, n + 1)] if rng.random() < 0.7]
+        pairs = {i: tuple(rng.uniform(-3.0, 3.0, 2)) for i in ids}
+        spec = spec_with(default_coeffs, m, n, pairs)
+        try:
+            verdict = is_string_stable(spec).verdict
+        except EvaluationError:
+            continue
+        assert verdict == _one_cell_scan(spec), pairs
+        seen.add(verdict)
+    assert seen == {CLASS_STABLE, CLASS_UNSTABLE, CLASS_ASYMP_UNSTABLE}
 
 
 def test_scan_contains_known_stable_cell(default_coeffs):
@@ -301,8 +340,9 @@ def test_grid_and_axis_validation(default_coeffs):
 
 
 @pytest.mark.parametrize("field", ["omega_min", "omega_max"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2e154, 1e300])
 def test_grid_rejects_non_finite_bounds(field, value):
+    """Infinite and NaN bounds, and bounds whose square overflows."""
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         FrequencyGrid(**{field: value})
 
@@ -373,13 +413,13 @@ def _reference_is_string_stable(spec, grid=None):
         spec.coeffs, *stability._gain_arrays(spec), grid
     )
     _, A_cl, _ = stability._oracle_model(spec)
-    return StringStabilityResult(
-        stable=peak_mag < 1.0 - stability.PEAK_MARGIN,
-        peak_omega=peak_omega,
-        peak_mag=peak_mag,
-        asymptotically_stable=float(np.max(np.linalg.eigvals(A_cl).real))
-        <= stability.EIG_TOL,
-    )
+    if float(np.max(np.linalg.eigvals(A_cl).real)) > stability.EIG_TOL:
+        verdict = CLASS_ASYMP_UNSTABLE
+    elif peak_mag < 1.0 - stability.PEAK_MARGIN:
+        verdict = CLASS_STABLE
+    else:
+        verdict = CLASS_UNSTABLE
+    return StringStabilityResult(verdict, peak_omega, peak_mag)
 
 
 def _reference_scan_region(base, axis1, axis2, grid=None):
@@ -582,7 +622,7 @@ def test_string_verdict_matches_per_call_refinement(default_coeffs, case):
     got, ref = is_string_stable(spec), _reference_is_string_stable(spec)
     assert got.peak_mag == pytest.approx(ref.peak_mag, rel=1e-12, abs=0)
     assert f"{got.peak_mag:.12g}" == f"{ref.peak_mag:.12g}"
-    assert (got.stable, got.asymptotically_stable) == (ref.stable, ref.asymptotically_stable)
+    assert got.verdict == ref.verdict
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -658,7 +698,7 @@ def test_verdicts_match_complex_secular_form(monkeypatch):
     monkeypatch.setattr(stability, "_secular_stack", _complex_secular_stack)
     for spec, g in zip(specs, got):
         want = is_string_stable(spec)
-        assert (g.stable, g.asymptotically_stable) == (want.stable, want.asymptotically_stable)
+        assert g.verdict == want.verdict
         assert g.peak_mag == pytest.approx(want.peak_mag, rel=1e-12, abs=0), spec
 
 
