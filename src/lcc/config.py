@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import operator
 import re
 import sys
@@ -150,7 +151,9 @@ _KEYS = {
     )),
     "frequency": _Section({}, _rows(
         FrequencyGrid,
-        omega_min=(float, "> 0", "lowest frequency of verdicts and magnitude CSV (rad/s)"),
+        # the lowest omega_min whose square is a normal float (FrequencyGrid)
+        omega_min=(float, f">= {math.sqrt(sys.float_info.min)!r}",
+                   "lowest frequency of verdicts and magnitude CSV (rad/s)"),
         omega_max=(float, "> 0", "highest frequency of verdicts and magnitude CSV (rad/s)"),
         points=(int, ">= 2", "log-spaced points of the stability magnitude CSV only"),
     )),

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -120,10 +121,14 @@ class FrequencyGrid:
     points: int = 1000
 
     def __post_init__(self):
-        # the verdicts work in x = omega^2, so each bound's square must be finite too
-        if not (0 < self.omega_min and math.isfinite(self.omega_min * self.omega_min)):
+        # the verdicts work in x = omega^2, so each bound's square must be finite
+        # too, and omega_min's a normal float: a subnormal square loses the range's
+        # low end (it underflows to 0 below ~1.6e-162)
+        square = self.omega_min * self.omega_min
+        if not (0 < self.omega_min and sys.float_info.min <= square < math.inf):
             raise ValueError(
-                f"omega_min must be finite and > 0, with a finite square, got {self.omega_min}"
+                f"omega_min must be finite and >= {math.sqrt(sys.float_info.min)!r}, "
+                f"so that its square is a normal float, got {self.omega_min}"
             )
         if not (self.omega_min < self.omega_max and math.isfinite(self.omega_max * self.omega_max)):
             raise ValueError(

@@ -8,8 +8,10 @@ velocity, and on the vehicle's own velocity,
 
 V(s) is zero below a standstill spacing ``s_st``, saturates at ``v_max``
 above a free-flow spacing ``s_go``, and rises smoothly (half-cosine) in
-between.  ``ovm_ramp`` is the package's one expression of V(s): the
-simulation kernel calls it directly, so traces depend on its rounding.
+between.  ``ovm_ramp`` is V(s) of one spacing, and the simulation
+kernel's per-step loop calls it directly; its block stepper evaluates
+the same expression elementwise (``kernels.ovm_ramp_array``), which
+rounds as ``ovm_ramp`` does.  Traces depend on that rounding.
 All functions here are pure and operate on plain floats.
 """
 

@@ -298,6 +298,19 @@ def test_omega_max_with_overflowing_square_exit_code(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_omega_min_with_subnormal_square_exit_code(capsys, tmp_path):
+    """An omega_min whose square underflows is a config error naming the key,
+    not a verdict with its peak at omega = 0, outside the range."""
+    code, out, err = run_cli(
+        capsys, "stability", "--set", "frequency.omega_min=1e-170",
+        "--set", "frequency.omega_max=1e-160", "-o", str(tmp_path),
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("lcc: config error: invalid config at $.frequency.omega_min: ")
+    assert "got 1e-170" in err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_gramian_blow_up_exit_code(capsys, tmp_path):
     """A fast driver (alpha = 1e3) makes the t = 10 s RK4 path overflow: one line
     that names the horizon and the step, and no numpy warning before it."""

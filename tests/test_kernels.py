@@ -23,7 +23,7 @@ from lcc import (
     output,
     simulate,
 )
-from lcc.kernels import gamma_mag_sq_grid, gamma_mag_sq_scalar
+from lcc.kernels import BLOCK_MIN_DELAY, gamma_mag_sq_grid, gamma_mag_sq_scalar, ovm_ramp_array
 from lcc.output import fmt, write_trace_csv
 from lcc.presets import CF_CONTROLLER, FD_CONTROLLER, GAIN_CASES
 from lcc.sim import A_MAX, A_MIN, _hdv_drivers
@@ -68,11 +68,14 @@ def _desired_velocity(s, vmax, sst, sgo):
 
 
 def test_desired_velocity_is_the_kernel_ramp_bitwise():
-    """The public V(s) rounds exactly as the ramp the traces are built on."""
+    """The public V(s) and the block stepper's elementwise V(s) round exactly
+    as the ramp the traces are built on."""
     rng = np.random.default_rng(7)
     for p in (DriverParams(), DriverParams(v_max=33.3, s_st=4.1, s_go=38.7)):
-        for s in rng.uniform(0.0, 45.0, 10_000).tolist():
-            assert desired_velocity(s, p) == _desired_velocity(s, p.v_max, p.s_st, p.s_go)
+        spacings = rng.uniform(0.0, 45.0, 10_000)
+        want = [_desired_velocity(s, p.v_max, p.s_st, p.s_go) for s in spacings.tolist()]
+        assert [desired_velocity(s, p) for s in spacings.tolist()] == want
+        assert ovm_ramp_array(spacings, p.v_max, p.s_st, p.s_go).tobytes() == np.array(want).tobytes()
 
 
 def _reference_simulate_loop(
@@ -294,6 +297,81 @@ LOOP_CASES = {
         base_params=DriverParams(delay=2.5),
         cav=CavController(mode="explicit"),
     ),
+    # the cases below, but for "min-delay-below-block", step in blocks
+    "general-delayed-ahead-sinusoid": ScenarioConfig(
+        variant=V.GENERAL_LCC,
+        m=2,
+        n=2,
+        horizon=30.0,
+        perturbation=HeadSinusoid(start=5.0),
+        heterogeneity=HeterogeneitySpec(),
+        seed=3,
+        cav=CavController(gains=FeedbackGains.from_pairs(GAIN_CASES["caseD"])),
+    ),
+    # blocks of 21 steps: the brake runs from step 500 (17 into a block) to
+    # step 600 (12 into one)
+    "brake-inside-blocks": ScenarioConfig(
+        variant=V.CF_LCC,
+        n=3,
+        horizon=10.0,
+        perturbation=FollowerBrake(vehicle=2, start=5.0),
+        base_params=DriverParams(delay=0.2),
+        cav=CF_CONTROLLER,
+    ),
+    # the last vehicle brakes to a stop, so its velocity clamps to 0 mid-block
+    "hdv-stops": ScenarioConfig(
+        variant=V.FD_LCC,
+        n=2,
+        horizon=20.0,
+        perturbation=FollowerBrake(vehicle=2, duration=5.0, start=5.0),
+        base_params=DriverParams(delay=0.35),
+        cav=FD_CONTROLLER,
+    ),
+    "safety-override-delayed": ScenarioConfig(
+        variant=V.CF_LCC,
+        n=1,
+        horizon=60.0,
+        perturbation=HeadSinusoid(amplitude=6.0, period=8.0, start=5.0),
+        base_params=DriverParams(delay=0.2),
+        cav=CavController(gains=FeedbackGains(mu={0: 2.0}, k={}), mode="explicit"),
+    ),
+    "min-delay-at-block": ScenarioConfig(
+        variant=V.CF_LCC,
+        n=3,
+        horizon=20.0,
+        perturbation=HeadSinusoid(start=2.0),
+        base_params=DriverParams(delay=BLOCK_MIN_DELAY * 0.01),
+        cav=CF_CONTROLLER,
+    ),
+    "min-delay-below-block": ScenarioConfig(
+        variant=V.CF_LCC,
+        n=3,
+        horizon=20.0,
+        perturbation=HeadSinusoid(start=2.0),
+        base_params=DriverParams(delay=(BLOCK_MIN_DELAY - 1) * 0.01),
+        cav=CF_CONTROLLER,
+    ),
+    # 401 steps in blocks of 31: the last block holds 29 of them
+    "horizon-not-block-multiple": ScenarioConfig(
+        variant=V.FD_LCC,
+        n=4,
+        horizon=4.0,
+        perturbation=FollowerBrake(vehicle=1, start=0.5),
+        base_params=DriverParams(delay=0.3),
+        cav=FD_CONTROLLER,
+    ),
+}
+
+# the cases whose every HDV reacts at least kernels.BLOCK_MIN_DELAY steps late
+BLOCK_CASES = {
+    "appendixC-delays-brake",
+    "collision",
+    "general-delayed-ahead-sinusoid",
+    "brake-inside-blocks",
+    "hdv-stops",
+    "safety-override-delayed",
+    "min-delay-at-block",
+    "horizon-not-block-multiple",
 }
 
 
@@ -307,7 +385,8 @@ def test_simulate_loop_matches_reference_bitwise(name):
     status, step, col = _reference_simulate_loop(*args)
     n_steps, dt, pos, vel, acc, override = *args[:5], args[-1]
     ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
-    with mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop:
+    with mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop, \
+            mock.patch.object(kernels, "_simulate_blocks", wraps=kernels._simulate_blocks) as blocks:
         if status == 1:
             with pytest.raises(CollisionError) as err:
                 simulate(cfg)
@@ -323,8 +402,13 @@ def test_simulate_loop_matches_reference_bitwise(name):
     for got, want in zip(new, (pos, vel, acc)):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    if name == "safety-override":
+    assert blocks.called == (name in BLOCK_CASES)
+    if name.startswith("safety-override"):
         assert override.any()
+    if name == "hdv-stops":
+        # held at 0 for more than a block of 36 steps, from a row inside one
+        stopped = np.flatnonzero(vel[:, 2] == 0.0)
+        assert stopped.size > 36 and stopped[0] % 36 != 0
     if name == "collision":
         assert (status, ids[col], ids[col - 1]) == (1, 2, 1)
 
@@ -360,3 +444,100 @@ def test_trace_csv_matches_cell_formatting(tmp_path):
         assert ",h," in path.read_text() and ",nan\n" in path.read_text()
     assert len(trace.times) > 2 * output._TRACE_CHUNK
     assert len(trace.times) % output._TRACE_CHUNK
+
+
+def test_block_collision_leaves_later_steps_unwritten():
+    """A collision early in a block, while the CAV's safety brake fires on
+    every step: the block stepper writes positions and velocities through
+    the collision row and accelerations and safety-brake steps before it,
+    as the per-step loop does, and leaves every later row as it was."""
+
+    def run(min_delay):
+        n_steps = 100
+        pos, vel, acc = (np.zeros((n_steps + 1, 4)) for _ in range(3))
+        # head, CAV closing fast on it, HDV 1, HDV 2 closing on HDV 1 from 8 cm
+        pos[0] = 0.0, -20.0, -40.0, -40.08
+        vel[0] = 15.0, 25.0, 15.0, 20.0
+        override = np.zeros(n_steps + 1, dtype=np.uint8)
+        hdvs = [(j, 50, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (2, 3)]
+        with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay):
+            status = kernels.simulate_loop(
+                n_steps, 0.01, pos, vel, acc, [15.0] * (n_steps + 1), 1, [(1, 2.0, 0.0, 20.0)],
+                hdvs, 15.0, (-1, 0, 0, 0.0), A_MIN, A_MAX, override,
+            )
+        return status, pos, vel, acc, override
+
+    status, pos, vel, acc, override = run(0)
+    assert status == (1, 2, 3)
+    assert override[:2].all() and not override[2:].any()
+    assert not pos[3:].any() and not vel[3:].any() and not acc[2:].any()
+    for got, want in zip(run(0)[1:], run(10**9)[1:]):
+        assert got.tobytes() == want.tobytes()
+
+
+def _random_scenario(rng):
+    """A valid scenario of any variant, with random delays, gains and
+    perturbation, short enough for the element-indexing reference."""
+    variant = V(rng.choice([v.value for v in (V.CF_LCC, V.FD_LCC, V.GENERAL_LCC, V.CCC)]))
+    m = int(rng.integers(1, 4)) if variant in (V.GENERAL_LCC, V.CCC) else 0
+    n = 0 if variant is V.CCC else int(rng.integers(1, 4))
+    ids = list(range(-m, 0)) + list(range(1, n + 1))
+    has_head = variant is not V.FD_LCC
+    horizon = float(rng.uniform(3.0, 15.0))
+    start = float(rng.uniform(0.0, horizon / 2))
+    perturbation = [
+        None,
+        FollowerBrake(vehicle=int(rng.choice(ids)), decel=float(rng.uniform(-10.0, -1.0)),
+                      duration=float(rng.uniform(0.1, 8.0)), start=start),
+        HeadSinusoid(amplitude=float(rng.uniform(0.5, 8.0)),
+                     period=float(rng.uniform(2.0, 15.0)), start=start),
+    ][rng.integers(3 if has_head else 2)]
+    mode = "explicit" if not has_head or rng.random() < 0.6 else "hdv-baseline"
+    gain_ids = ids + ([0] if mode == "explicit" else [])
+    mu = {i: float(rng.uniform(-1.5, 1.5)) for i in gain_ids
+          if rng.random() < 0.6 and (i != 0 or has_head)}
+    k = {i: float(rng.uniform(-1.5, 1.5)) for i in gain_ids if rng.random() < 0.6}
+    delay_base = float(rng.uniform(0.0, 1.5))
+    return ScenarioConfig(
+        variant=variant,
+        m=m,
+        n=n,
+        v_star=float(rng.uniform(5.0, 25.0)),
+        horizon=horizon,
+        dt=float(rng.choice([0.02, 0.05, 0.1])),
+        perturbation=perturbation,
+        base_params=DriverParams(delay=delay_base),
+        heterogeneity=HeterogeneitySpec(delay_base=delay_base,
+                                        delay_jitter=float(rng.uniform(0.0, delay_base)))
+        if rng.random() < 0.6 else None,
+        cav=CavController(gains=FeedbackGains(mu=mu, k=k), mode=mode),
+        seed=int(rng.integers(1000)),
+    )
+
+
+def test_both_stepping_paths_match_reference_on_random_scenarios():
+    """Forced through blocks (any delay, down to one-step blocks) and through
+    the per-step loop, random chains give the reference's arrays, safety-brake
+    steps and collisions bit for bit."""
+    rng = np.random.default_rng(2024)
+    collisions = 0
+    for _ in range(60):
+        cfg = _random_scenario(rng)
+        args = _reference_args(cfg)
+        status, step, col = _reference_simulate_loop(*args)
+        ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
+        want = (step * cfg.dt, ids[col], ids[col - 1]) if status else None
+        collisions += status
+        for min_delay in (0, 10**9):
+            with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay), \
+                    mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop:
+                try:
+                    simulate(cfg)
+                    got = None
+                except CollisionError as err:
+                    got = err.time, err.follower, err.leader
+            assert got == want
+            new = loop.call_args.args
+            for got_array, want_array in zip(new[2:5] + new[13:], args[2:5] + args[-1:]):
+                assert got_array.tobytes() == want_array.tobytes()
+    assert collisions > 0

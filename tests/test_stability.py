@@ -3,6 +3,7 @@
 
 import logging
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -345,6 +346,15 @@ def test_grid_rejects_non_finite_bounds(field, value):
     """Infinite and NaN bounds, and bounds whose square overflows."""
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         FrequencyGrid(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1e-170, 1e-155, math.nextafter(2.0**-511, 0.0)])
+def test_grid_rejects_omega_min_with_subnormal_square(value):
+    """The verdicts take omega_min**2 as the range's low end: a square that is
+    subnormal, or underflows to 0, is refused; the least normal one is not."""
+    with pytest.raises(ValueError, match="omega_min must be finite and >= 1.49"):
+        FrequencyGrid(omega_min=value, omega_max=1.0)
+    assert FrequencyGrid(omega_min=2.0**-511, omega_max=1.0).omega_min**2 == sys.float_info.min
 
 
 @pytest.mark.parametrize(
