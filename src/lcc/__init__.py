@@ -9,11 +9,9 @@ from .vehicles import (
     DriverParams,
     Equilibrium,
     LinearCoeffs,
-    desired_velocity,
     desired_velocity_slope,
     equilibrium_spacing,
     linearize,
-    ovm_acceleration,
 )
 from .systems import (
     FeedbackGains,
@@ -31,7 +29,6 @@ from .analysis import (
     condition_check,
     energy_scaling_study,
     gramian,
-    min_energy,
     pbh_controllability,
     pbh_observability,
 )
@@ -41,12 +38,10 @@ from .stability import (
     RegionMap,
     StringStabilityResult,
     TransferSpec,
-    head_to_tail,
     is_string_stable,
     magnitude_curve,
     phi_gamma,
     scan_region,
-    state_space_gain,
     transfer_value,
 )
 from .sim import (
@@ -68,7 +63,6 @@ from .errors import (
     EvaluationError,
     LccError,
     NumericalError,
-    SingularGramianError,
     TopologyError,
 )
 

@@ -37,7 +37,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericalError, SingularGramianError, TopologyError
+from .errors import NumericalError, TopologyError
 from .systems import StateSpaceModel, SystemVariant, build_system
 from .vehicles import LinearCoeffs
 
@@ -50,7 +50,6 @@ __all__ = [
     "pbh_observability",
     "build_output_matrix",
     "gramian",
-    "min_energy",
     "energy_scaling_study",
 ]
 
@@ -96,10 +95,6 @@ class GramianResult:
     t_horizon: float
     lambda_min: float
     trace_inv: Optional[float]  # None marks a numerically singular Gramian
-
-    @property
-    def singular(self) -> bool:
-        return self.trace_inv is None
 
 
 def condition_check(c: LinearCoeffs) -> float:
@@ -288,32 +283,6 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float) -> GramianResult:
     else:
         trace_inv = float(np.sum(1.0 / lam))
     return GramianResult(W=W, t_horizon=t, lambda_min=lam_min, trace_inv=trace_inv)
-
-
-def min_energy(
-    A: np.ndarray,
-    B: np.ndarray,
-    t: float,
-    x0: np.ndarray,
-    x_tar: np.ndarray,
-) -> float:
-    """Minimum input energy to steer from x0 to x_tar in time t.
-
-    Evaluates d' W(t)^{-1} d with d = x_tar - e^{At} x0 through a linear
-    solve (never an explicit inverse).  Raises SingularGramianError when
-    the Gramian is too close to singular for the solve to mean anything.
-    """
-    # Imported here, at its one use: scipy.linalg would add ~0.14 s and
-    # ~28 MiB to ``import lcc`` (2-vCPU x86-64 host, warm file cache).
-    from scipy.linalg import expm
-
-    A = np.asarray(A, dtype=float)
-    g = gramian(A, B, t)
-    if g.singular:
-        raise SingularGramianError(g.lambda_min)
-    d = np.asarray(x_tar, dtype=float) - expm(A * t) @ np.asarray(x0, dtype=float)
-    energy = float(d @ np.linalg.solve(g.W, d))
-    return max(energy, 0.0)
 
 
 def energy_scaling_study(

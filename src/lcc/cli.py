@@ -44,7 +44,7 @@ from .config import (
     scenario_from_config,
     transfer_spec_from_config,
 )
-from .errors import ConfigError, LccError, NumericalError, SingularGramianError
+from .errors import ConfigError, LccError, NumericalError
 from .output import write_csv_atomic, write_events_csv, write_trace_csv
 from .presets import PRESETS, run_preset
 from .sim import simulate
@@ -55,6 +55,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 3
 EXIT_DOMAIN = 4
 EXIT_NUMERICAL = 5
+
+
+def _label(text: str) -> str:
+    """A ``--label`` value: it names a file inside -o, so it holds no path separator."""
+    if any(sep and sep in text for sep in ("/", os.sep, os.altsep)):
+        raise argparse.ArgumentTypeError(f"must not contain a path separator, got {text!r}")
+    return text
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -99,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", default="10,20,30", help="comma list of horizons (s)")
 
     sp = add_command("stability", "head-to-tail string-stability verdict")
-    sp.add_argument("--label", default="spec", help="label used in the magnitude CSV name")
+    sp.add_argument(
+        "--label", default="spec", type=_label, help="label used in the magnitude CSV name"
+    )
 
     add_command("scan", "string-stable region over a 2-D gain grid")
     add_command("simulate", "nonlinear chain simulation")
@@ -251,7 +261,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"lcc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularGramianError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"lcc: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (LccError, ValueError, KeyError) as exc:

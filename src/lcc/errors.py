@@ -17,17 +17,6 @@ class NumericalError(LccError):
     """Raised when a numerical routine produces non-finite results."""
 
 
-class SingularGramianError(NumericalError):
-    """Raised when a Gramian is too close to singular to invert.
-
-    Carries the offending smallest eigenvalue so callers can report it.
-    """
-
-    def __init__(self, lambda_min: float):
-        self.lambda_min = lambda_min
-        super().__init__(f"Gramian numerically singular (lambda_min={lambda_min:.3e})")
-
-
 class CollisionError(LccError):
     """Raised when a simulated spacing reaches zero."""
 

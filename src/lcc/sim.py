@@ -155,9 +155,6 @@ class SimulationTrace:
     def col(self, vid) -> int:
         return self.ids.index(vid)
 
-    def velocity_of(self, vid) -> np.ndarray:
-        return self.velocity[:, self.col(vid)]
-
     def window_mask(self, t_a: float, t_b: float) -> np.ndarray:
         if not (math.isfinite(t_a) and math.isfinite(t_b) and t_a <= t_b):
             raise ValueError(f"window must be finite with start <= end, got ({t_a}, {t_b})")

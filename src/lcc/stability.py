@@ -51,15 +51,7 @@ import numpy as np
 
 from . import kernels
 from .errors import EvaluationError, TopologyError
-from .systems import (
-    FeedbackGains,
-    StateSpaceModel,
-    SystemVariant,
-    build_system,
-    closed_loop_matrix,
-    validate_count,
-    validate_gain_ids,
-)
+from .systems import FeedbackGains, validate_count, validate_gain_ids
 from .vehicles import LinearCoeffs
 
 __all__ = [
@@ -70,9 +62,7 @@ __all__ = [
     "StringStabilityResult",
     "phi_gamma",
     "transfer_value",
-    "head_to_tail",
     "magnitude_curve",
-    "state_space_gain",
     "is_string_stable",
     "scan_region",
 ]
@@ -178,9 +168,6 @@ class RegionMap:
     axis1: GainAxis
     axis2: GainAxis
     classes: np.ndarray  # (axis1.points, axis2.points) of SS/SU/AU codes
-
-    def stable_mask(self) -> np.ndarray:
-        return self.classes == CLASS_STABLE
 
 
 @dataclass(frozen=True)
@@ -414,13 +401,6 @@ def transfer_value(spec: TransferSpec, s: complex) -> complex:
     return value
 
 
-def head_to_tail(spec: TransferSpec, omega: float) -> complex:
-    """Gamma(j omega) for a positive excitation frequency."""
-    if not omega > 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    return transfer_value(spec, 1j * omega)
-
-
 def magnitude_curve(spec: TransferSpec, omegas: np.ndarray) -> np.ndarray:
     """|Gamma(j w)| on an array of frequencies (kernel-accelerated)."""
     c = spec.coeffs
@@ -428,36 +408,6 @@ def magnitude_curve(spec: TransferSpec, omegas: np.ndarray) -> np.ndarray:
         np.asarray(omegas, dtype=float), c.alpha1, c.alpha2, c.alpha3, *_gain_arrays(spec)
     )
     return np.sqrt(mags_sq)
-
-
-def _oracle_model(spec: TransferSpec) -> Tuple[StateSpaceModel, np.ndarray, np.ndarray]:
-    """Closed-loop state-space realization with head input and tail output."""
-    if spec.m >= 1 and spec.n >= 1:
-        variant = SystemVariant.GENERAL_LCC
-    elif spec.m == 0:
-        variant = SystemVariant.CF_LCC
-    else:
-        variant = SystemVariant.CCC
-    model = build_system(variant, spec.m, spec.n, spec.coeffs)
-    A_cl = closed_loop_matrix(model, spec.gains)
-    tail = spec.n if spec.n >= 1 else 0
-    C = np.zeros(model.dim)
-    C[model.index_map[tail][1]] = 1.0
-    return model, A_cl, C
-
-
-def state_space_gain(spec: TransferSpec, omega: float) -> complex:
-    """Frequency response C (j w I - A_cl)^(-1) H of the closed-loop chain.
-
-    Independent of the closed-form path: goes through the assembled
-    matrices and a dense linear solve.
-    """
-    if not omega > 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    model, A_cl, C = _oracle_model(spec)
-    lhs = 1j * omega * np.eye(model.dim) - A_cl
-    x = np.linalg.solve(lhs, model.H[:, 0].astype(complex))
-    return complex(C @ x)
 
 
 def is_string_stable(

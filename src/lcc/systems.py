@@ -102,10 +102,6 @@ class StateSpaceModel:
     def dim(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def vehicle_ids(self) -> list:
-        return sorted(self.index_map)
-
 
 def validate_count(name: str, value) -> None:
     """Raise ``TopologyError``, naming ``name``, unless ``value`` is a vehicle count."""

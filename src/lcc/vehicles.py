@@ -25,9 +25,7 @@ __all__ = [
     "Equilibrium",
     "LinearCoeffs",
     "ovm_ramp",
-    "desired_velocity",
     "desired_velocity_slope",
-    "ovm_acceleration",
     "equilibrium_spacing",
     "linearize",
 ]
@@ -109,13 +107,6 @@ def ovm_ramp(s: float, v_max: float, s_st: float, s_go: float) -> float:
     return 0.5 * v_max * (1.0 - math.cos(math.pi * (s - s_st) / (s_go - s_st)))
 
 
-def desired_velocity(s: float, p: DriverParams) -> float:
-    """Desired velocity V(s) of a human driver (``ovm_ramp``); raises for negative spacing."""
-    if s < 0:
-        raise ValueError(f"spacing must be >= 0, got {s}")
-    return ovm_ramp(s, p.v_max, p.s_st, p.s_go)
-
-
 def desired_velocity_slope(s: float, p: DriverParams) -> float:
     """Derivative dV/ds; zero outside the (s_st, s_go) ramp."""
     if s < 0:
@@ -125,11 +116,6 @@ def desired_velocity_slope(s: float, p: DriverParams) -> float:
     width = p.s_go - p.s_st
     x = (s - p.s_st) / width
     return 0.5 * p.v_max * math.pi / width * math.sin(math.pi * x)
-
-
-def ovm_acceleration(s: float, s_dot: float, v: float, p: DriverParams) -> float:
-    """OVM acceleration alpha*(V(s) - v) + beta*s_dot (m/s^2)."""
-    return p.alpha * (desired_velocity(s, p) - v) + p.beta * s_dot
 
 
 def equilibrium_spacing(v_star: float, p: DriverParams) -> Equilibrium:

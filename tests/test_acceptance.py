@@ -30,14 +30,12 @@ from lcc import (
     condition_check,
     energy_scaling_study,
     gramian,
-    head_to_tail,
     is_string_stable,
     magnitude_curve,
     pbh_controllability,
     pbh_observability,
     scan_region,
     simulate,
-    state_space_gain,
     total_fuel,
     transfer_value,
 )
@@ -49,7 +47,7 @@ from lcc.presets import (
     ZERO_RESPONSE,
     _brake_scenario,
 )
-from lcc.vehicles import ovm_acceleration
+from oracles import ovm_acceleration, state_space_gain
 
 V = SystemVariant
 
@@ -179,7 +177,7 @@ def test_criterion_05_transfer_oracle(default_coeffs):
                 m=m, n=n, coeffs=default_coeffs, gains=FeedbackGains.from_pairs(pairs)
             )
             for w in 10 ** rng.uniform(-2, 2, size=20):
-                closed = head_to_tail(spec, float(w))
+                closed = transfer_value(spec, 1j * float(w))
                 oracle = state_space_gain(spec, float(w))
                 assert abs(closed - oracle) <= 1e-6 * (1.0 + abs(closed))
 
@@ -219,7 +217,7 @@ def test_criterion_06_string_stability_facts(default_coeffs):
             ("e", {2: (-1.0, -1.0)}, -1),
             ("f", {2: (-1.0, -1.0)}, -2),
         ]:
-            masks[name] = scan_region(spec(base_pairs), *axes(vid)).stable_mask()
+            masks[name] = scan_region(spec(base_pairs), *axes(vid)).classes == "SS"
         for new, base in [("c", "a"), ("d", "b"), ("e", "a"), ("f", "b")]:
             assert np.all(~masks[base] | masks[new]), f"panel {new} lost cells vs {base}"
             assert masks[new].sum() > masks[base].sum(), f"panel {new} did not expand"
@@ -250,7 +248,7 @@ def test_criterion_07_nonlinear_simulation(default_coeffs):
         for case in ("caseA", "caseB", "caseC", "caseD"):
             tr = simulate(_sinusoid_scenario(case))
             sel = tr.times >= 20.0
-            peaks[case] = float(np.abs(tr.velocity_of(2)[sel] - 15.0).max())
+            peaks[case] = float(np.abs(tr.velocity[:, tr.col(2)][sel] - 15.0).max())
         assert peaks["caseA"] >= peaks["caseB"] >= peaks["caseC"] >= peaks["caseD"]
 
         model = build_system(V.GENERAL_LCC, 2, 2, default_coeffs)
@@ -267,7 +265,7 @@ def test_criterion_07_nonlinear_simulation(default_coeffs):
                     perturbation=HeadSinusoid(amplitude=eps, period=10.0, start=20.0),
                 )
             )
-            head_dev = tr.velocity_of("h") - 15.0
+            head_dev = tr.velocity[:, tr.col("h")] - 15.0
             steps = len(tr.times) - 1
             x = np.zeros(model.dim)
             linear = np.zeros((steps + 1, model.dim))
@@ -277,7 +275,7 @@ def test_criterion_07_nonlinear_simulation(default_coeffs):
             linear[steps] = x
             worst = 0.0
             for vid in (-2, -1, 0, 1, 2):
-                nonlinear = tr.velocity_of(vid) - 15.0
+                nonlinear = tr.velocity[:, tr.col(vid)] - 15.0
                 predicted = linear[:, model.index_map[vid][1]]
                 worst = max(worst, float(np.abs(nonlinear - predicted).max()))
             errors[eps] = worst

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 from lcc import (
     LinearCoeffs,
     NumericalError,
-    SingularGramianError,
     SystemVariant,
     TopologyError,
     analysis,
@@ -19,7 +18,6 @@ from lcc import (
     condition_check,
     energy_scaling_study,
     gramian,
-    min_energy,
     pbh_controllability,
     pbh_observability,
 )
@@ -69,7 +67,7 @@ def test_observability_with_no_measurement(default_coeffs):
     mod = build_system(V.GENERAL_LCC, 2, 2, default_coeffs)
     rep = pbh_observability(mod.A, np.zeros((1, mod.dim)), model=mod)
     assert not rep.observable and rep.observable_dim == 0
-    assert rep.unobservable_vehicle_ids == mod.vehicle_ids
+    assert rep.unobservable_vehicle_ids == sorted(mod.index_map)
 
 
 def test_uncontrollable_modes_match_upstream_block(default_coeffs):
@@ -273,30 +271,6 @@ def test_gramian_psd_and_loewner(default_coeffs):
             if prev is not None:
                 assert np.linalg.eigvalsh(g.W - prev).min() >= -1e-8
             prev = g.W
-
-
-def test_min_energy_examples(default_coeffs):
-    A = np.zeros((1, 1))
-    B = np.ones((1, 1))
-    assert min_energy(A, B, 1.0, np.zeros(1), np.ones(1)) == pytest.approx(1.0, rel=1e-9)
-
-    mod = build_system(V.FD_LCC, 0, 2, default_coeffs)
-    x0 = np.full(mod.dim, 0.3)
-    x_same = expm(mod.A * 5.0) @ x0
-    assert min_energy(mod.A, mod.B, 5.0, x0, x_same) == pytest.approx(0.0, abs=1e-10)
-
-    d = np.ones(mod.dim)
-    e1 = min_energy(mod.A, mod.B, 5.0, np.zeros(mod.dim), d)
-    e2 = min_energy(mod.A, mod.B, 5.0, np.zeros(mod.dim), 2 * d)
-    assert e2 == pytest.approx(4.0 * e1, rel=1e-9)
-    assert e1 > 0
-
-
-def test_min_energy_singular_raise(default_coeffs):
-    mod = build_system(V.FD_LCC, 0, 5, default_coeffs)
-    with pytest.raises(SingularGramianError) as err:
-        min_energy(mod.A, mod.B, 10.0, np.zeros(mod.dim), np.ones(mod.dim))
-    assert err.value.lambda_min < 1e-10
 
 
 def test_energy_scaling_rows(default_coeffs):

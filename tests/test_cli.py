@@ -117,6 +117,17 @@ def test_stability_command(capsys, tmp_path):
     assert len(lines) == 1001
 
 
+@pytest.mark.parametrize("label", ["../../etc", "a/b"])
+def test_stability_label_with_path_separator_is_usage_error(capsys, tmp_path, label):
+    """The label names a file inside -o, so one with a path separator is refused
+    before anything is written, inside -o or beside it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--label", label, "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --label: must not contain a path separator" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_scan_command(capsys, tmp_path):
     cfg = {
         "variant": "general",
@@ -585,3 +596,15 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
             argv += ["-o", "out"]
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), line
+
+
+def test_readme_library_example_runs(capsys):
+    """README's Library block runs as written, so ``lcc`` still exports every
+    name it shows."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    verdict, metrics = capsys.readouterr().out.splitlines()
+    assert verdict.startswith("StringStabilityResult(verdict='SS', ")
+    assert all(float(x) > 0 for x in metrics.split())

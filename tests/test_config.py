@@ -363,7 +363,8 @@ def test_bad_value_names_its_key(key, value):
 
 
 def test_import_does_not_load_jsonschema():
-    """Nor scipy.linalg, which only ``min_energy`` imports, when called."""
+    """Nor scipy.linalg: no module of ``lcc`` imports it, and a Gramian that needs
+    its ``expm`` must import it where it is called, not on ``import lcc``."""
     import lcc
 
     probe = ("import sys, lcc.cli; "

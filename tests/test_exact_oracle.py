@@ -3,7 +3,7 @@
 ``stability`` builds Num and Den as one product with a fixed basis.
 With dyadic coefficients and gains every float here is an exact rational,
 so sympy can check both against the state-space realization of
-``_oracle_model``: Den * gamma^m = det(sI - A_cl) and
+``oracles.oracle_model``: Den * gamma^m = det(sI - A_cl) and
 Num * phi^n = C adj(sI - A_cl) H.  The adjugate side is a polynomial of
 degree below dim(A_cl), so it is compared at dim integer points, each
 as det(sI - A_cl) times one exact linear solve.
@@ -16,6 +16,7 @@ import pytest
 
 from lcc import FeedbackGains, LinearCoeffs, TransferSpec
 from lcc import stability
+from oracles import oracle_model
 
 sympy = pytest.importorskip("sympy")
 
@@ -36,7 +37,7 @@ def test_polynomials_match_exact_state_space(m, n):
     spec = TransferSpec(m=m, n=n, coeffs=COEFFS, gains=_dyadic_gains(m, n))
     row = np.concatenate([[1.0], *stability._gain_arrays(spec)])
     num, den = stability._polynomials(spec, row[None])
-    model, A_cl, C = stability._oracle_model(spec)
+    model, A_cl, C = oracle_model(spec)
 
     def exact(a):
         return sympy.Matrix(a).applyfunc(sympy.Rational)

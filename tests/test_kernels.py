@@ -27,8 +27,9 @@ from lcc.kernels import BLOCK_MIN_DELAY, gamma_mag_sq_grid, gamma_mag_sq_scalar,
 from lcc.output import fmt, write_trace_csv
 from lcc.presets import CF_CONTROLLER, FD_CONTROLLER, GAIN_CASES
 from lcc.sim import A_MAX, A_MIN, _hdv_drivers
-from lcc.stability import _gain_arrays, state_space_gain
-from lcc.vehicles import desired_velocity, equilibrium_spacing, linearize
+from lcc.stability import _gain_arrays
+from lcc.vehicles import equilibrium_spacing, linearize, ovm_ramp
+from oracles import state_space_gain
 
 
 @pytest.mark.parametrize(
@@ -74,7 +75,7 @@ def test_desired_velocity_is_the_kernel_ramp_bitwise():
     for p in (DriverParams(), DriverParams(v_max=33.3, s_st=4.1, s_go=38.7)):
         spacings = rng.uniform(0.0, 45.0, 10_000)
         want = [_desired_velocity(s, p.v_max, p.s_st, p.s_go) for s in spacings.tolist()]
-        assert [desired_velocity(s, p) for s in spacings.tolist()] == want
+        assert [ovm_ramp(s, p.v_max, p.s_st, p.s_go) for s in spacings.tolist()] == want
         assert ovm_ramp_array(spacings, p.v_max, p.s_st, p.s_go).tobytes() == np.array(want).tobytes()
 
 

@@ -57,7 +57,7 @@ def test_forced_brake_kinematics():
     )
     tr = simulate(cfg)
     k21 = round(21.0 / cfg.dt)
-    assert tr.velocity_of(1)[k21] == pytest.approx(10.0, abs=1e-9)
+    assert tr.velocity[:, tr.col(1)][k21] == pytest.approx(10.0, abs=1e-9)
     k_forced = slice(round(20.0 / cfg.dt), round(21.0 / cfg.dt))
     assert np.all(tr.acceleration[k_forced, tr.col(1)] == -5.0)
 
@@ -70,7 +70,7 @@ def test_head_sinusoid_is_exact():
     expected = np.where(
         t >= 20.0, 15.0 + 2.0 * np.sin(2.0 * np.pi * (t - 20.0) / 10.0), 15.0
     )
-    assert np.array_equal(tr.velocity_of("h"), expected)
+    assert np.array_equal(tr.velocity[:, tr.col("h")], expected)
 
 
 def test_accelerations_saturated():
@@ -119,7 +119,7 @@ def test_velocities_never_negative():
     )
     tr = simulate(cfg)
     assert tr.velocity.min() >= 0.0
-    assert tr.velocity_of(1).min() == 0.0  # braking 4 s from 15 m/s reaches standstill
+    assert tr.velocity[:, tr.col(1)].min() == 0.0  # braking 4 s from 15 m/s reaches standstill
 
 
 def test_spacing_matches_positions_bitwise():

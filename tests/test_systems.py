@@ -114,7 +114,7 @@ def test_index_map_roundtrip(default_coeffs, variant, m, n):
 def test_spacing_rows_conserve_kinematics(default_coeffs, variant, m, n):
     """Every spacing row differentiates positions: +1 predecessor, -1 self."""
     mod = build_system(variant, m, n, default_coeffs)
-    ids = mod.vehicle_ids
+    ids = sorted(mod.index_map)
     for pos, vid in enumerate(ids):
         rs, rv = mod.index_map[vid]
         row = mod.A[rs].copy()

