@@ -24,21 +24,35 @@ steppers:
   written, so one numpy pass gives all the block's HDV accelerations and
   running sums give its head and HDV rows; only the CAV, whose law reads
   the current row, steps one step at a time on Python floats.
-- Any other chain steps one step at a time on Python floats in lists,
-  since indexing numpy arrays element by element boxes an ``np.float64``
-  per access, keeping a history window of only ``max(delay) + 1`` rows.
+- Any other chain steps one step at a time on Python floats, since
+  indexing numpy arrays element by element boxes an ``np.float64`` per
+  access, in chunks of ``ROW_CHUNK`` rows converted with ``tolist()`` and
+  written back at once.  Each chunk goes column by column in dependency
+  order: the head; each HDV ahead of the CAV, alone; the CAV with the
+  followers its law reads, row by row; each HDV behind those, alone.  An
+  HDV's OVM reads only its predecessor's column and its own (the time
+  form of Gamma = G (phi/gamma)^(m+n): an HDV past the last feedback gain
+  only multiplies Gamma by its own phi/gamma), so once its predecessor's
+  rows are written its own follow from them, one step after another.
 
-Both give the same traces bit for bit.  numpy's float64 +, -, * and /
-round as Python's do, at every SIMD level; the OVM cosine is
-``math.cos`` on each spacing in both (``np.cos`` may differ in the last
-bit); and no sum is reordered: ``np.add.accumulate`` adds each column's
-increments in sequence, as the per-step update does, and the CAV sums
-its feedback terms in order.
+Both give the same traces bit for bit, and so does a column stepped alone
+or in its row: each value comes from the same expression on the same
+operands.  numpy's float64 +, -, * and / round as Python's do, at every
+SIMD level; the OVM cosine is ``math.cos`` on each spacing in both
+(``np.cos`` may differ in the last bit); and no sum is reordered:
+``np.add.accumulate`` adds each column's increments in sequence, as the
+per-step update does, and the CAV sums its feedback terms in order.
+
+Both end a run at the first colliding pair in row-major order, the
+earliest step and then the front-most column, as stepping every column
+one row at a time would, and leave every later row as it was: a stepper
+that ran columns past that row puts its saved rows back.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -124,6 +138,10 @@ def ovm_ramp_array(s, v_max, s_st, s_go):
 # and 20 with one or two.
 BLOCK_MIN_DELAY = 20
 
+# Rows the per-step stepper converts to Python floats and writes back at
+# once, so no list ever holds a whole column's horizon.
+ROW_CHUNK = 512
+
 
 def _cav_acceleration(p, v, cav, feedback, v_star, a_min, a_max):
     """The CAV's clamped acceleration on the positions ``p`` and velocities
@@ -167,7 +185,9 @@ def simulate_loop(
     fires.  Returns (status, step, column): status 0 on success, 1 on
     collision at the reported step between column-1 and column, with
     pos/vel filled through that step, acc and override_flag through the
-    one before, and every later row left as it was.
+    one before, and every later row left as it was.  When several pairs
+    meet, the first in row-major order (earliest step, then front-most
+    column) is the one reported.
 
     The CAV in column ``cav`` applies u = sum mu (s - s*) + k (v - v*)
     over the terms ``(column, mu, k, s*)`` of ``feedback``, in order from
@@ -179,12 +199,17 @@ def simulate_loop(
     k0 <= k < k1.
 
     A chain whose HDVs all react at least ``BLOCK_MIN_DELAY`` steps late
-    steps in blocks (``_simulate_blocks``); any other steps one step at a
-    time on Python floats, with ``math.cos`` in the OVM, keeping only the
-    last ``max(delay) + 1`` position and velocity rows as lists for the
-    delayed HDV reads and writing each finished row to pos/vel/acc with
-    one row assignment.  Both round every operation alike (see the module
-    docstring), so the arrays do not depend on which one ran.
+    steps in blocks (``_simulate_blocks``).  Any other steps in chunks of
+    ``ROW_CHUNK`` rows, each chunk column by column in dependency order:
+    the head from ``head_vel``; each HDV ahead of the CAV alone, front to
+    back (``_step_alone``); the CAV together with its followers up to the
+    farthest column a ``feedback`` term reads, one row at a time
+    (``_step_coupled``); then each HDV behind those alone, front to back.
+    An HDV reads only its predecessor's column and its own, so once the
+    predecessor's rows are written the HDV's whole chunk follows from
+    them.  Every column takes the same float operations in the same order
+    however it steps (see the module docstring), so the arrays do not
+    depend on which stepper ran.
     """
     if hdvs and min(h[1] for h in hdvs) >= BLOCK_MIN_DELAY:
         return _simulate_blocks(
@@ -192,30 +217,144 @@ def simulate_loop(
             a_min, a_max, override_flag,
         )
     n_veh = pos.shape[1]
-    has_head = head_vel is not None
-    brake_col, brake_k0, brake_k1, brake_acc = brake
+    last = max([cav] + [term[0] for term in feedback])
+    hdvs = sorted(hdvs)
+    ahead = [h for h in hdvs if h[0] < cav]
+    coupled = [h for h in hdvs if cav < h[0] <= last]
+    tail = [h for h in hdvs if h[0] > last]
+    window = max((h[1] for h in coupled), default=0)
+    history = [None] * (window + 1) if window else []
+    if head_vel is not None:
+        hv = np.array(head_vel, dtype=float)
+        vel[0, 0] = hv[0]
+        head_acc = (hv[1:] - hv[:-1]) / dt
+        head_acc = np.append(head_acc, head_acc[-1] if n_steps else 0.0)
 
-    window = max((h[1] for h in hdvs), default=0) + 1
-    history = [None] * window
-    p = pos[0].tolist()
-    v = vel[0].tolist()
-    if has_head:
-        vel[0, 0] = v[0] = head_vel[0]
-    head_a = 0.0
-    for k in range(n_steps + 1):
-        history[k % window] = p, v
-        a_row = [0.0] * n_veh
-        braking = brake_k0 <= k < brake_k1
-        if has_head:
-            if k < n_steps:
-                head_a = (head_vel[k + 1] - head_vel[k]) / dt
-            a_row[0] = head_a
+    r0 = 0
+    while True:
+        r1 = min(r0 + ROW_CHUNK, n_steps + 1)  # this chunk's steps are r0 .. r1 - 1
+        nu = min(r1, n_steps) - r0  # its state updates give rows r0 + 1 .. r0 + nu
+        kept = pos[r0 + 1:r0 + nu + 1].copy(), vel[r0 + 1:r0 + nu + 1].copy(), acc[r0:r1].copy()
+        if head_vel is not None:
+            acc[r0:r1, 0] = head_acc[r0:r1]
+            vel[r0 + 1:r0 + nu + 1, 0] = hv[r0 + 1:r0 + nu + 1]
+            P = np.empty(nu + 1)
+            P[0] = pos[r0, 0]
+            np.multiply(dt, hv[r0:r0 + nu], out=P[1:])
+            pos[r0 + 1:r0 + nu + 1, 0] = np.add.accumulate(P)[1:]
+        for hdv in ahead:
+            _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
+        flags = _step_coupled(
+            pos, vel, acc, r0, r1, nu, dt, cav, last, feedback, coupled, history, v_star,
+            brake, a_min, a_max,
+        )
+        for hdv in tail:
+            _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
 
-        a_row[cav], overridden = _cav_acceleration(p, v, cav, feedback, v_star, a_min, a_max)
+        hit = pos[r0 + 1:r0 + nu + 1, :-1] - pos[r0 + 1:r0 + nu + 1, 1:] <= 0.0
+        if hit.any():
+            # the first colliding row (row-major) ends the run: put back
+            # every row after it as it was
+            i, j = divmod(int(hit.argmax()), n_veh - 1)
+            pos[r0 + i + 2:r0 + nu + 1] = kept[0][i + 1:]
+            vel[r0 + i + 2:r0 + nu + 1] = kept[1][i + 1:]
+            acc[r0 + i + 1:r1] = kept[2][i + 1:]
+            override_flag[[k for k in flags if k <= r0 + i]] = 1
+            return 1, r0 + i + 1, j + 1
+        override_flag[flags] = 1
+        if r1 > n_steps:
+            return 0, 0, 0
+        r0 = r1
+
+
+def _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max):
+    """Steps r0 .. r1 - 1 of one HDV column whose predecessor column is
+    written through row r1 - 1: writes acc rows r0 .. r1 - 1 and pos/vel
+    rows r0 + 1 .. r0 + nu of the column.
+
+    The OVM reads rows k - d of both columns.  A row before 0 reads the
+    equilibrium: spacing s* - 0.0 == s*, relative velocity v* - v* == 0.0
+    and velocity v*, bit for bit the values ``_step_coupled`` takes.
+    """
+    j, d, ss, al, be, vm, s_st, s_go = hdv
+    n_pre = min(max(d - r0, 0), r1 - r0)
+    lo = max(r0 - d, 0)
+    hi = max(r1 - d, lo)
+    own = min(hi, r0 + 1)
+    pred_p = [ss] * n_pre + pos[lo:hi, j - 1].tolist()
+    pred_v = [v_star] * n_pre + vel[lo:hi, j - 1].tolist()
+    # own rows r0 - d .. and then every new row, appended as it is stepped,
+    # so a delay shorter than the chunk reads rows of this chunk
+    own_p = [0.0] * n_pre + pos[lo:own, j].tolist()
+    own_v = [v_star] * n_pre + vel[lo:own, j].tolist()
+    start = len(own_p)
+    p, v = pos[r0, j].item(), vel[r0, j].item()
+
+    brake_col, k0, k1, brake_acc = brake
+    segments = [(r1 - r0, None)]
+    if j == brake_col:
+        b0, b1 = min(max(k0, r0), r1), min(max(k1, r0), r1)
+        if b0 < b1:
+            forced = a_min if brake_acc < a_min else (a_max if brake_acc > a_max else brake_acc)
+            segments = [(b0 - r0, None), (b1 - b0, forced), (r1 - b1, None)]
+
+    a_out = []
+    add_a, add_p, add_v = a_out.append, own_p.append, own_v.append
+    ramp = ovm_ramp
+    rows = zip(pred_p, pred_v, own_p, own_v)
+    for count, forced in segments:
+        if forced is None:
+            for sp, sv, dp, dv in islice(rows, count):
+                a = al * (ramp(sp - dp, vm, s_st, s_go) - dv) + be * (sv - dv)
+                a = a_min if a < a_min else (a_max if a > a_max else a)
+                add_a(a)
+                p = p + dt * v
+                v = w if (w := v + dt * a) > 0.0 else 0.0
+                add_p(p)
+                add_v(v)
+        else:
+            for _ in islice(rows, count):
+                add_a(forced)
+                p = p + dt * v
+                v = w if (w := v + dt * forced) > 0.0 else 0.0
+                add_p(p)
+                add_v(v)
+    acc[r0:r1, j] = a_out
+    pos[r0 + 1:r0 + nu + 1, j] = own_p[start:start + nu]
+    vel[r0 + 1:r0 + nu + 1, j] = own_v[start:start + nu]
+
+
+def _step_coupled(
+    pos, vel, acc, r0, r1, nu, dt, cav, last, feedback, hdvs, history, v_star, brake,
+    a_min, a_max,
+):
+    """Steps r0 .. r1 - 1 of columns cav .. last one row at a time, reading
+    the columns ahead of the CAV from rows already written; returns the
+    steps where the CAV's emergency brake fired.
+
+    ``hdvs`` are the HDVs among those columns.  A delayed one reads its
+    row k - d from ``history``, a ring of the last len(history) rows that
+    persists from chunk to chunk; a zero-delay one reads the current row.
+    """
+    brake_col, k0, k1, brake_acc = brake
+    window = len(history)
+    end = last + 1
+    # rows r0 .. r1 of columns 0 .. last: the columns ahead are written,
+    # and each step fills the next row's group columns before it is read
+    rows_p = pos[r0:r0 + nu + 1, :end].tolist()
+    rows_v = vel[r0:r0 + nu + 1, :end].tolist()
+    if nu < r1 - r0:  # the horizon's last step updates no state
+        rows_p.append(rows_p[-1][:])
+        rows_v.append(rows_v[-1][:])
+    group = range(cav, end)
+    rows_a, flags = [], []
+    for k, p, v, p_next, v_next in zip(range(r0, r1), rows_p, rows_v, rows_p[1:], rows_v[1:]):
+        if window:
+            history[k % window] = p, v
+        a_cav, overridden = _cav_acceleration(p, v, cav, feedback, v_star, a_min, a_max)
         if overridden:
-            override_flag[k] = 1
-
-        # HDVs: nonlinear OVM on the state d steps ago
+            flags.append(k)
+        a_row = [a_cav]
         for j, d, ss, al, be, vm, s_st, s_go in hdvs:
             kd = k - d
             if kd < 0:
@@ -223,29 +362,24 @@ def simulate_loop(
                 sd = 0.0
                 vj = v_star
             else:
-                pd, vd = history[kd % window]
+                pd, vd = history[kd % window] if d else (p, v)
                 sj = pd[j - 1] - pd[j]
                 sd = vd[j - 1] - vd[j]
                 vj = vd[j]
             a = al * (ovm_ramp(sj, vm, s_st, s_go) - vj) + be * sd
-            if braking and j == brake_col:
+            if j == brake_col and k0 <= k < k1:
                 a = brake_acc
-            a_row[j] = a_min if a < a_min else (a_max if a > a_max else a)
-        acc[k] = a_row
-        if k == n_steps:
-            break
-
-        # state update
-        p = [pj + dt * vj for pj, vj in zip(p, v)]
-        v = [w if (w := vj + dt * aj) > 0.0 else 0.0 for vj, aj in zip(v, a_row)]
-        if has_head:
-            v[0] = head_vel[k + 1]
-        pos[k + 1] = p
-        vel[k + 1] = v
-        for j in range(1, n_veh):
-            if p[j - 1] - p[j] <= 0.0:
-                return 1, k + 1, j
-    return 0, 0, 0
+            a_row.append(a_min if a < a_min else (a_max if a > a_max else a))
+        rows_a.append(a_row)
+        for c, a in zip(group, a_row):
+            vc = v[c]
+            p_next[c] = p[c] + dt * vc
+            v_next[c] = w if (w := vc + dt * a) > 0.0 else 0.0
+    acc[r0:r1, cav:end] = rows_a
+    if nu:
+        pos[r0 + 1:r0 + nu + 1, :end] = rows_p[1:nu + 1]
+        vel[r0 + 1:r0 + nu + 1, :end] = rows_v[1:nu + 1]
+    return flags
 
 
 def _simulate_blocks(

@@ -61,18 +61,19 @@ def write_csv_atomic(path, header: Sequence[str], rows: Iterable[Sequence]) -> P
 def write_trace_csv(path, trace: SimulationTrace) -> Path:
     """One row per (step, vehicle): t,vehicle,pos,vel,acc,spacing.
 
-    Cells are formatted as ``fmt`` would format them, with one ``%``
-    template per step that holds all of its vehicles' rows.  Steps are
-    converted with ``tolist()`` in chunks of ``_TRACE_CHUNK``, so at most
-    5 * vehicles * _TRACE_CHUNK cells exist as Python floats at once,
+    Cells are formatted as ``fmt`` would format them.  Each step's time is
+    formatted once and joined between the pieces of a ``%`` template that
+    holds the rest of all of its vehicles' rows.  Steps are converted with
+    ``tolist()`` in chunks of ``_TRACE_CHUNK``, so at most
+    4 * vehicles * _TRACE_CHUNK cells exist as Python floats at once,
     never the whole trace.
     """
-    step = "\n".join(f"%.12g,{vid},%.12g,%.12g,%.12g,%.12g" for vid in trace.ids)
+    pieces = [""] + [f",{vid},%.12g,%.12g,%.12g,%.12g\n" for vid in trace.ids]
+    pieces[-1] = pieces[-1][:-1]
     lines = ["t,vehicle,pos,vel,acc,spacing"]
     for k in range(0, len(trace.times), _TRACE_CHUNK):
         cells = np.stack(
-            np.broadcast_arrays(
-                trace.times[k : k + _TRACE_CHUNK, None],
+            (
                 trace.position[k : k + _TRACE_CHUNK],
                 trace.velocity[k : k + _TRACE_CHUNK],
                 trace.acceleration[k : k + _TRACE_CHUNK],
@@ -80,7 +81,13 @@ def write_trace_csv(path, trace: SimulationTrace) -> Path:
             ),
             axis=-1,
         )
-        lines.extend(step % tuple(row) for row in cells.reshape(len(cells), -1).tolist())
+        lines.extend(
+            ("%.12g" % t).join(pieces) % tuple(row)
+            for t, row in zip(
+                trace.times[k : k + _TRACE_CHUNK].tolist(),
+                cells.reshape(len(cells), -1).tolist(),
+            )
+        )
     return write_text_atomic(path, "\n".join(lines) + "\n")
 
 

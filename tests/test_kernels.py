@@ -25,7 +25,7 @@ from lcc import (
 )
 from lcc.kernels import BLOCK_MIN_DELAY, gamma_mag_sq_grid, gamma_mag_sq_scalar, ovm_ramp_array
 from lcc.output import fmt, write_trace_csv
-from lcc.presets import CF_CONTROLLER, FD_CONTROLLER, GAIN_CASES
+from lcc.presets import CF_CONTROLLER, FD_CONTROLLER, GAIN_CASES, ZERO_RESPONSE
 from lcc.sim import A_MAX, A_MIN, _hdv_drivers
 from lcc.stability import _gain_arrays
 from lcc.vehicles import equilibrium_spacing, linearize, ovm_ramp
@@ -298,6 +298,71 @@ LOOP_CASES = {
         base_params=DriverParams(delay=2.5),
         cav=CavController(mode="explicit"),
     ),
+    # no feedback past the CAV's own column: every HDV steps alone
+    "fd-all-alone": ScenarioConfig(
+        variant=V.FD_LCC,
+        n=6,
+        horizon=20.0,
+        perturbation=FollowerBrake(start=5.0),
+        cav=ZERO_RESPONSE,
+    ),
+    # vehicle 1 steps with the CAV; the braking vehicle 4 steps alone, its
+    # brake from step 500 to 600 across the first chunk boundary
+    "fd-gain-on-1-brake-on-4": ScenarioConfig(
+        variant=V.FD_LCC,
+        n=6,
+        horizon=20.0,
+        perturbation=FollowerBrake(vehicle=4, decel=-4.0, start=5.0),
+        cav=CavController(gains=FeedbackGains(mu={1: -0.2}, k={0: -0.5, 1: 0.05}), mode="explicit"),
+    ),
+    # 5-step delays: vehicles 1 and 2 read the coupled rows' history ring,
+    # vehicles 3 to 5 step alone on delayed rows across chunk boundaries
+    "cf-sinusoid-tail-delays": ScenarioConfig(
+        variant=V.CF_LCC,
+        n=5,
+        horizon=20.0,
+        perturbation=HeadSinusoid(start=2.0),
+        base_params=DriverParams(delay=0.05),
+        cav=CF_CONTROLLER,
+    ),
+    # the predecessors step alone ahead of the CAV, the followers behind it
+    "general-gains-ahead-only": ScenarioConfig(
+        variant=V.GENERAL_LCC,
+        m=2,
+        n=2,
+        horizon=30.0,
+        perturbation=HeadSinusoid(start=5.0),
+        cav=CavController(gains=FeedbackGains.from_pairs(GAIN_CASES["caseB"])),
+    ),
+    # vehicle 1 (alone) runs into the CAV at step 67, one step before the
+    # CAV runs into vehicle -1
+    "tail-collision-before-core": ScenarioConfig(
+        variant=V.GENERAL_LCC,
+        m=2,
+        n=2,
+        v_star=20.0,
+        horizon=20.0,
+        dt=0.1,
+        perturbation=FollowerBrake(vehicle=-1, duration=5.0, start=2.0),
+        base_params=DriverParams(alpha=0.46, beta=0.61, delay=1.7),
+        cav=CavController(
+            gains=FeedbackGains(mu={-2: -0.29, -1: 0.24, 0: -1.02}, k={-2: 0.6, -1: 1.04, 0: -0.57}),
+            mode="explicit",
+        ),
+    ),
+    # at step 63 the CAV runs into vehicle -1 and vehicle 1 (alone) into
+    # the CAV: the front-most pair is the one reported
+    "tail-and-core-collide-together": ScenarioConfig(
+        variant=V.GENERAL_LCC,
+        m=1,
+        n=4,
+        v_star=17.2,
+        horizon=20.0,
+        dt=0.1,
+        perturbation=FollowerBrake(vehicle=-1, duration=5.7, start=2.0),
+        base_params=DriverParams(alpha=0.84, beta=0.31, delay=1.7),
+        cav=CavController(gains=FeedbackGains(mu={-1: 1.15}, k={0: -0.63}), mode="explicit"),
+    ),
     # the cases below, but for "min-delay-below-block", step in blocks
     "general-delayed-ahead-sinusoid": ScenarioConfig(
         variant=V.GENERAL_LCC,
@@ -363,6 +428,22 @@ LOOP_CASES = {
     ),
 }
 
+# the columns of each per-step case that step alone (``kernels._step_alone``)
+ALONE_COLUMNS = {
+    "cf-sinusoid-fig9": {4},
+    "general-sinusoid-caseD": {1, 2},
+    "fd-explicit-brake": set(range(3, 11)),
+    "hdv-baseline-predecessor-gains": {1},
+    "safety-override": {2},
+    "fd-all-alone": set(range(1, 7)),
+    "fd-gain-on-1-brake-on-4": set(range(2, 7)),
+    "cf-sinusoid-tail-delays": {4, 5, 6},
+    "general-gains-ahead-only": {1, 2, 4, 5},
+    "tail-collision-before-core": {1, 2, 4, 5},
+    "tail-and-core-collide-together": {1, 3, 4, 5, 6},
+    "min-delay-below-block": {4},
+}
+
 # the cases whose every HDV reacts at least kernels.BLOCK_MIN_DELAY steps late
 BLOCK_CASES = {
     "appendixC-delays-brake",
@@ -387,7 +468,8 @@ def test_simulate_loop_matches_reference_bitwise(name):
     n_steps, dt, pos, vel, acc, override = *args[:5], args[-1]
     ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
     with mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop, \
-            mock.patch.object(kernels, "_simulate_blocks", wraps=kernels._simulate_blocks) as blocks:
+            mock.patch.object(kernels, "_simulate_blocks", wraps=kernels._simulate_blocks) as blocks, \
+            mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
         if status == 1:
             with pytest.raises(CollisionError) as err:
                 simulate(cfg)
@@ -404,6 +486,7 @@ def test_simulate_loop_matches_reference_bitwise(name):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     assert blocks.called == (name in BLOCK_CASES)
+    assert {call.args[3][0] for call in alone.call_args_list} == ALONE_COLUMNS.get(name, set())
     if name.startswith("safety-override"):
         assert override.any()
     if name == "hdv-stops":
@@ -412,6 +495,10 @@ def test_simulate_loop_matches_reference_bitwise(name):
         assert stopped.size > 36 and stopped[0] % 36 != 0
     if name == "collision":
         assert (status, ids[col], ids[col - 1]) == (1, 2, 1)
+    if name == "tail-collision-before-core":
+        assert (status, step, ids[col], ids[col - 1]) == (1, 67, 1, 0)
+    if name == "tail-and-core-collide-together":
+        assert (status, step, ids[col], ids[col - 1]) == (1, 63, 0, -1)
 
 
 def test_trace_csv_matches_cell_formatting(tmp_path):
@@ -476,12 +563,49 @@ def test_block_collision_leaves_later_steps_unwritten():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 3, kernels.ROW_CHUNK])
+def test_step_collision_leaves_later_steps_unwritten(chunk):
+    """The per-step twin of the block test above, on arrays filled with a
+    sentinel: HDV 2, stepping alone, runs into HDV 1 at step 2 while the
+    CAV's safety brake fires on every step.  Positions and velocities are
+    written through step 2, accelerations and safety-brake steps through
+    step 1, and every later row keeps the sentinel, whether the collision
+    ends a chunk or falls inside one; the block stepper writes the same."""
+    sentinel = -123.25
+
+    def run(min_delay):
+        n_steps = 100
+        pos, vel, acc = (np.full((n_steps + 1, 4), sentinel) for _ in range(3))
+        pos[0] = 0.0, -20.0, -40.0, -40.08
+        vel[0] = 15.0, 25.0, 15.0, 20.0
+        override = np.zeros(n_steps + 1, dtype=np.uint8)
+        hdvs = [(j, 0, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (2, 3)]
+        with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay), \
+                mock.patch.object(kernels, "ROW_CHUNK", chunk), \
+                mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
+            status = kernels.simulate_loop(
+                n_steps, 0.01, pos, vel, acc, [15.0] * (n_steps + 1), 1, [(1, 2.0, 0.0, 20.0)],
+                hdvs, 15.0, (-1, 0, 0, 0.0), A_MIN, A_MAX, override,
+            )
+        return status, {call.args[3][0] for call in alone.call_args_list}, pos, vel, acc, override
+
+    status, alone, pos, vel, acc, override = run(10**9)
+    assert status == (1, 2, 3) and alone == {2, 3}
+    assert override[:2].all() and not override[2:].any()
+    assert (pos[3:] == sentinel).all() and (vel[3:] == sentinel).all() and (acc[2:] == sentinel).all()
+    assert sentinel not in pos[:3] and sentinel not in vel[:3] and sentinel not in acc[:2]
+    blocks = run(0)
+    assert blocks[0] == status and not blocks[1]
+    for got, want in zip(blocks[2:], (pos, vel, acc, override)):
+        assert got.tobytes() == want.tobytes()
+
+
 def _random_scenario(rng):
     """A valid scenario of any variant, with random delays, gains and
     perturbation, short enough for the element-indexing reference."""
     variant = V(rng.choice([v.value for v in (V.CF_LCC, V.FD_LCC, V.GENERAL_LCC, V.CCC)]))
     m = int(rng.integers(1, 4)) if variant in (V.GENERAL_LCC, V.CCC) else 0
-    n = 0 if variant is V.CCC else int(rng.integers(1, 4))
+    n = 0 if variant is V.CCC else int(rng.integers(1, 7))
     ids = list(range(-m, 0)) + list(range(1, n + 1))
     has_head = variant is not V.FD_LCC
     horizon = float(rng.uniform(3.0, 15.0))
@@ -518,12 +642,14 @@ def _random_scenario(rng):
 
 def test_both_stepping_paths_match_reference_on_random_scenarios():
     """Forced through blocks (any delay, down to one-step blocks) and through
-    the per-step loop, random chains give the reference's arrays, safety-brake
-    steps and collisions bit for bit."""
+    the per-step loop, in chunks of 1 to 40 rows so that delays and brakes
+    cross chunk boundaries, random chains give the reference's arrays,
+    safety-brake steps and collisions bit for bit."""
     rng = np.random.default_rng(2024)
     collisions = 0
     for _ in range(60):
         cfg = _random_scenario(rng)
+        chunk = int(rng.integers(1, 41))
         args = _reference_args(cfg)
         status, step, col = _reference_simulate_loop(*args)
         ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
@@ -531,6 +657,7 @@ def test_both_stepping_paths_match_reference_on_random_scenarios():
         collisions += status
         for min_delay in (0, 10**9):
             with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay), \
+                    mock.patch.object(kernels, "ROW_CHUNK", chunk), \
                     mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop:
                 try:
                     simulate(cfg)

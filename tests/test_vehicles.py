@@ -1,6 +1,7 @@
 """Car-following dynamics, equilibria, and linearization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from lcc import (
     LinearCoeffs,
     desired_velocity_slope,
     equilibrium_spacing,
+    kernels,
     linearize,
 )
+from lcc.sim import A_MAX, A_MIN
 from lcc.vehicles import ovm_ramp
 from oracles import ovm_acceleration
 
@@ -59,14 +62,40 @@ def test_desired_velocity_continuous_and_monotone(default_params):
         assert jump < 1e-12
 
 
+def _kernel_acceleration(s, s_dot, v, p):
+    """The row-0 acceleration ``kernels.simulate_loop`` gives an HDV at
+    spacing ``s``, relative velocity ``s_dot`` and velocity ``v``: one step
+    of a CAV whose law reads only itself, followed by the HDV, which steps
+    alone."""
+    pos, vel, acc = (np.zeros((2, 2)) for _ in range(3))
+    pos[0] = s, 0.0
+    vel[0] = v + s_dot, v
+    hdv = (1, 0, s, p.alpha, p.beta, p.v_max, p.s_st, p.s_go)
+    with mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
+        status = kernels.simulate_loop(
+            1, 0.01, pos, vel, acc, None, 0, [(0, 0.0, 0.0, s)], [hdv], v, (-1, 0, 0, 0.0),
+            A_MIN, A_MAX, np.zeros(2, dtype=np.uint8),
+        )
+    assert status == (0, 0, 0) and alone.call_args.args[3] == hdv
+    return acc[0, 1]
+
+
 def test_ovm_acceleration_examples(default_params):
-    assert ovm_acceleration(20.0, 0.0, 15.0, default_params) == pytest.approx(0.0, abs=1e-12)
-    assert ovm_acceleration(20.0, 0.0, 14.0, default_params) == pytest.approx(0.6, abs=1e-12)
-    assert ovm_acceleration(20.0, 0.0, 14.0, default_params) == pytest.approx(
-        ovm_oracle(20.0, 0.0, 14.0, default_params), abs=1e-14
-    )
+    """The kernel's OVM acceleration equals the independent scalar law."""
+    p = default_params
+    # (s, s_dot, v, acceleration); v + s_dot - v == s_dot exactly in each
+    for s, s_dot, v, want in [
+        (20.0, 0.0, 15.0, 0.0),
+        (20.0, 0.0, 14.0, 0.6),
+        (20.0, 1.0, 14.0, 1.5),
+        (12.0, -0.5, 10.0, None),
+    ]:
+        got = _kernel_acceleration(s, s_dot, v, p)
+        assert got == ovm_oracle(s, s_dot, v, p)
+        if want is not None:
+            assert got == pytest.approx(want, abs=1e-12)
     # standstill: zero desired velocity and zero speed balance exactly
-    assert ovm_acceleration(5.0, 0.0, 0.0, default_params) == 0.0
+    assert _kernel_acceleration(5.0, 0.0, 0.0, p) == 0.0
 
 
 def test_equilibrium_spacing_examples(default_params):
