@@ -24,9 +24,12 @@ with a classic fourth-order Runge-Kutta scheme at the paper's fixed step
 ``GRAMIAN_DT`` = 0.01 s; no caller picks another.  Successive horizons
 of one pair (A, B) lie on one RK4 path when they share the step
 h = t / round(t/GRAMIAN_DT), so ``gramian`` keeps the last path's end
-state and a longer horizon continues from it: Fig. 5's t = 10, 20, 30 s
-integrate 30 s per chain, not 60.  The rule goes away with RK4 itself
-once the Gramian is computed in factor form (ROADMAP item 2).
+state and a longer horizon continues from it.  A free-driving chain's A
+is block lower triangular (a vehicle reads only the vehicles ahead of
+it), so the chain of n followers is the leading block of any longer
+one, and so is its Gramian: Fig. 5 integrates the 30 s path of its
+longest chain once, not 30 s for each n.  The resume rule goes away with
+RK4 itself once the Gramian is computed in factor form (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, TopologyError
-from .systems import StateSpaceModel, SystemVariant, build_system
+from .systems import StateSpaceModel, SystemVariant, build_system, validate_count
 from .vehicles import LinearCoeffs
 
 __all__ = [
@@ -220,24 +223,38 @@ def build_output_matrix(model: StateSpaceModel, k: int) -> np.ndarray:
     return C
 
 
+def _summarize(W: np.ndarray) -> Tuple[float, Optional[float]]:
+    """(lambda_min, trace_inv) of a symmetric Gramian W.
+
+    trace_inv is None once the smallest eigenvalue falls below
+    ``GRAMIAN_SINGULAR_RTOL`` of the largest, which is the regime where
+    the inverse stops being numerically meaningful.
+    """
+    lam = np.linalg.eigvalsh(W)
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    if lam_max <= 0 or lam_min < GRAMIAN_SINGULAR_RTOL * lam_max:
+        return lam_min, None
+    return lam_min, float(np.sum(1.0 / lam))
+
+
 def gramian(A: np.ndarray, B: np.ndarray, t: float) -> GramianResult:
     """Finite-horizon controllability Gramian of (A, B).
 
     Integrates dW/dt = A W + W A' + B B' from zero with RK4 at
     ``GRAMIAN_DT``, symmetrizes the result, and summarizes it by its
-    smallest eigenvalue and the trace of its inverse.  The trace is
-    reported as None once the smallest eigenvalue falls below 1e-12 of the
-    largest, which is the regime where the inverse stops being numerically
-    meaningful.  Raises ValueError, naming t, past ``GRAMIAN_MAX_STEPS``
-    steps.
+    smallest eigenvalue and the trace of its inverse (``_summarize``;
+    None where W is numerically singular).  Raises ValueError, naming t,
+    past ``GRAMIAN_MAX_STEPS`` steps.
 
     Resume rule: when the previous call had the same A, B and step
     h = t / round(t/GRAMIAN_DT) and took no more steps than this one
     needs, the integration continues from that call's end state instead
     of from zero.  It runs the very same step expressions with the same
     h, so W is bit-for-bit what a fresh integration gives.  Any other call
-    starts from zero and becomes the path later calls continue.  The rule
-    goes away with RK4 (ROADMAP item 2).
+    starts from zero and becomes the path later calls continue, so
+    ascending horizons with one step integrate one path, as
+    ``energy_scaling_study``'s do for its longest chain.  The rule goes
+    away with RK4 (ROADMAP item 2).
     """
     global _rk4_path
     if not (math.isfinite(t) and t > 0):
@@ -276,12 +293,7 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float) -> GramianResult:
         )
     _rk4_path = (key, n_steps, W)
     W = 0.5 * (W + W.T)
-    lam = np.linalg.eigvalsh(W)
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-    if lam_max <= 0 or lam_min < GRAMIAN_SINGULAR_RTOL * lam_max:
-        trace_inv = None
-    else:
-        trace_inv = float(np.sum(1.0 / lam))
+    lam_min, trace_inv = _summarize(W)
     return GramianResult(W=W, t_horizon=t, lambda_min=lam_min, trace_inv=trace_inv)
 
 
@@ -292,12 +304,17 @@ def energy_scaling_study(
 ) -> List[Tuple[int, float, float, Optional[float]]]:
     """Gramian energy metrics across chain sizes and horizons.
 
-    Builds the free-driving chain for each n, computes the horizon-t
-    Gramian, and emits (n, t, lambda_min, trace_inv) rows: n ascending,
-    and within each n the horizons in ``t_list``'s order, so [10.0, 5.0]
-    gives (1, 10.0), (1, 5.0), (2, 10.0), ...  trace_inv is None where
-    the Gramian is singular.  Ascending horizons share one RK4 path per
-    chain (see ``gramian``).
+    Emits (n, t, lambda_min, trace_inv) rows for the free-driving chain
+    of each n: n ascending, and within each n the horizons in
+    ``t_list``'s order, so [10.0, 5.0] gives (1, 10.0), (1, 5.0),
+    (2, 10.0), ...  trace_inv is None where the Gramian is singular.
+
+    Only the longest chain is integrated.  Its A is block lower
+    triangular, so the chain of n followers is its leading d x d block
+    (d read off the model's ``index_map``) and that chain's Gramian is
+    the leading block of the longest chain's.  Its distinct horizons go
+    to ``gramian`` in ascending order, so those that share an RK4 step
+    integrate one path.
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
@@ -305,10 +322,12 @@ def energy_scaling_study(
     ts = [float(t) for t in t_list]
     if not ts:
         raise ValueError("t_list must be nonempty")
+    validate_count("n", ns[0])
+    model = build_system(SystemVariant.FD_LCC, 0, ns[-1], coeffs)
+    W = {t: gramian(model.A, model.B, t).W for t in sorted(set(ts))}
     rows = []
     for n in ns:
-        model = build_system(SystemVariant.FD_LCC, 0, n, coeffs)
+        d = model.index_map[n][1] + 1
         for t in ts:
-            g = gramian(model.A, model.B, t)
-            rows.append((n, t, g.lambda_min, g.trace_inv))
+            rows.append((n, t, *_summarize(W[t][:d, :d])))
     return rows

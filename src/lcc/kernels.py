@@ -178,7 +178,7 @@ def simulate_loop(
     """Forward-Euler integration of the mixed chain.
 
     Column 0 is the front-most vehicle: the head, whose velocity at every
-    step is ``head_vel`` (a list of n_steps + 1 floats), or the CAV in a
+    step is ``head_vel`` (an array of n_steps + 1 floats), or the CAV in a
     free-driving chain (``head_vel`` None).  Row 0 of pos/vel holds the
     initial state; the function fills pos/vel/acc in place and sets
     ``override_flag[k]`` at every step where the CAV's emergency brake
@@ -225,7 +225,7 @@ def simulate_loop(
     window = max((h[1] for h in coupled), default=0)
     history = [None] * (window + 1) if window else []
     if head_vel is not None:
-        hv = np.array(head_vel, dtype=float)
+        hv = np.asarray(head_vel, dtype=float)
         vel[0, 0] = hv[0]
         head_acc = (hv[1:] - hv[:-1]) / dt
         head_acc = np.append(head_acc, head_acc[-1] if n_steps else 0.0)
@@ -398,7 +398,7 @@ def _simulate_blocks(
     max_delay = int(delay.max())
     braked = cols == brake_col
     if has_head:
-        hv = np.array(head_vel, dtype=float)
+        hv = np.asarray(head_vel, dtype=float)
         vel[0, 0] = hv[0]
         head_acc = (hv[1:] - hv[:-1]) / dt
         head_acc = np.append(head_acc, head_acc[-1] if n_steps else 0.0)

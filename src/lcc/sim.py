@@ -337,7 +337,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         pos,
         vel,
         acc,
-        head_vel.tolist() if cfg.has_head else None,
+        head_vel if cfg.has_head else None,
         cav,
         feedback,
         hdvs,

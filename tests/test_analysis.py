@@ -273,6 +273,36 @@ def test_gramian_psd_and_loewner(default_coeffs):
             prev = g.W
 
 
+def test_fd_chain_is_leading_block_of_longer_chain(default_coeffs):
+    """A vehicle of a free-driving chain reads only the vehicles ahead of
+    it, so the chain of n followers is exactly the leading block of a
+    longer one: ``energy_scaling_study`` integrates only its longest."""
+    big = build_system(V.FD_LCC, 0, 50, default_coeffs)
+    for n in range(50):
+        small = build_system(V.FD_LCC, 0, n, default_coeffs)
+        d = small.dim
+        assert np.array_equal(small.A, big.A[:d, :d])
+        assert np.array_equal(small.B, big.B[:d])
+        assert not big.A[:d, d:].any()
+        assert small.index_map == {v: big.index_map[v] for v in range(n + 1)}
+
+
+def test_gramian_leading_block_matches_shorter_chain(default_coeffs):
+    """Each shorter chain's Gramian is the leading block of the n = 8 one.
+    The RK4 recursion of the block is the chain's own recursion plus
+    exact-zero terms, so only the BLAS kernel's summation order can part
+    them, by far less than the bound."""
+    horizons = (10.005, 10.0, 20.0, 30.0)  # two step sizes, ascending within each
+    big = build_system(V.FD_LCC, 0, 8, default_coeffs)
+    big_W = {t: gramian(big.A, big.B, t).W for t in horizons}
+    for n in range(8):
+        mod = build_system(V.FD_LCC, 0, n, default_coeffs)
+        d = mod.dim
+        for t in horizons:
+            W = gramian(mod.A, mod.B, t).W
+            assert np.abs(big_W[t][:d, :d] - W).max() <= 1e-15 * np.abs(W).max()
+
+
 def test_energy_scaling_rows(default_coeffs):
     rows = energy_scaling_study(default_coeffs, [2, 1], [5.0, 10.0])
     assert [(r[0], r[1]) for r in rows] == [(1, 5.0), (1, 10.0), (2, 5.0), (2, 10.0)]
@@ -283,6 +313,20 @@ def test_energy_scaling_rows(default_coeffs):
     lam_n1_t5 = rows[0][2]
     lam_n2_t5 = rows[2][2]
     assert lam_n2_t5 < lam_n1_t5
+    # unsorted and repeated n, a repeated horizon and two RK4 step sizes
+    # (10.005 s takes 1000 steps of 10.005 ms): n ascending, each n once,
+    # t_list's order kept, and each row the chain's own Gramian
+    ts = [10.005, 5.0, 10.0, 5.0]
+    rows = energy_scaling_study(default_coeffs, [3, 0, 1, 3], ts)
+    assert [(r[0], r[1]) for r in rows] == [(n, t) for n in (0, 1, 3) for t in ts]
+    for n, t, lam_min, trace_inv in rows:
+        mod = build_system(V.FD_LCC, 0, n, default_coeffs)
+        g = gramian(mod.A, mod.B, t)
+        assert lam_min == pytest.approx(g.lambda_min, rel=1e-9)
+        assert (trace_inv is None) == (g.trace_inv is None)
+        if trace_inv is not None:
+            assert trace_inv == pytest.approx(g.trace_inv, rel=1e-9)
+    assert rows[1] == rows[3] and rows[1][2] < rows[2][2] < rows[0][2]
 
 
 def test_double_integrator_controllable():
@@ -399,3 +443,8 @@ def test_gramian_rejects_non_finite_step_count():
 def test_energy_scaling_rejects_empty_horizons(default_coeffs):
     with pytest.raises(ValueError, match="t_list"):
         energy_scaling_study(default_coeffs, [1], [])
+
+
+def test_energy_scaling_rejects_negative_n(default_coeffs):
+    with pytest.raises(TopologyError, match="n must be an integer >= 0, got -1"):
+        energy_scaling_study(default_coeffs, [2, -1], [5.0])

@@ -550,7 +550,7 @@ def test_block_collision_leaves_later_steps_unwritten():
         hdvs = [(j, 50, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (2, 3)]
         with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay):
             status = kernels.simulate_loop(
-                n_steps, 0.01, pos, vel, acc, [15.0] * (n_steps + 1), 1, [(1, 2.0, 0.0, 20.0)],
+                n_steps, 0.01, pos, vel, acc, np.full(n_steps + 1, 15.0), 1, [(1, 2.0, 0.0, 20.0)],
                 hdvs, 15.0, (-1, 0, 0, 0.0), A_MIN, A_MAX, override,
             )
         return status, pos, vel, acc, override
@@ -584,7 +584,7 @@ def test_step_collision_leaves_later_steps_unwritten(chunk):
                 mock.patch.object(kernels, "ROW_CHUNK", chunk), \
                 mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
             status = kernels.simulate_loop(
-                n_steps, 0.01, pos, vel, acc, [15.0] * (n_steps + 1), 1, [(1, 2.0, 0.0, 20.0)],
+                n_steps, 0.01, pos, vel, acc, np.full(n_steps + 1, 15.0), 1, [(1, 2.0, 0.0, 20.0)],
                 hdvs, 15.0, (-1, 0, 0, 0.0), A_MIN, A_MAX, override,
             )
         return status, {call.args[3][0] for call in alone.call_args_list}, pos, vel, acc, override

@@ -98,10 +98,12 @@ def test_lookbehind_only_reduction(default_coeffs):
 
 
 def test_closed_form_matches_state_space(default_coeffs):
+    """Chains with no HDV on one side of the CAV (m = 0 or n = 0);
+    acceptance criterion 05 makes the same check for m, n >= 1."""
     rng = np.random.default_rng(11)
-    for _ in range(40):
-        m = int(rng.integers(0, 4))
-        n = int(rng.integers(0 if m else 1, 4))
+    for _ in range(24):
+        size = int(rng.integers(1, 4))
+        m, n = (size, 0) if rng.integers(2) else (0, size)
         ids = list(range(-m, 0)) + list(range(1, n + 1))
         pairs = {i: (rng.uniform(-2, 2), rng.uniform(-2, 2)) for i in ids}
         spec = spec_with(default_coeffs, m, n, pairs)
