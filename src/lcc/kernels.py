@@ -15,38 +15,39 @@ elementwise form ``ovm_ramp_array``.
 
 ``simulate_loop`` takes the chain as ``sim.simulate`` lays it out: the
 CAV's law as one list of linear feedback terms, its own errors first,
-the HDVs as one tuple of constants each.  The input picks one of two
-steppers:
+the HDVs as one tuple of constants each.  It steps in chunks of
+``ROW_CHUNK`` rows.  Each chunk writes the head's rows with numpy, then
+steps the other columns with one of two bodies, picked once per chain:
 
-- A chain whose every HDV reacts at least ``BLOCK_MIN_DELAY`` steps late
-  steps in blocks of L = min(delay) + 1 steps, the method of steps for
-  delay equations.  Within a block every HDV reads only rows already
-  written, so one numpy pass gives all the block's HDV accelerations and
-  running sums give its head and HDV rows; only the CAV, whose law reads
-  the current row, steps one step at a time on Python floats.
-- Any other chain steps one step at a time on Python floats, since
-  indexing numpy arrays element by element boxes an ``np.float64`` per
-  access, in chunks of ``ROW_CHUNK`` rows converted with ``tolist()`` and
-  written back at once.  Each chunk goes column by column in dependency
-  order: the head; each HDV ahead of the CAV, alone; the CAV with the
-  followers its law reads, row by row; each HDV behind those, alone.  An
-  HDV's OVM reads only its predecessor's column and its own (the time
-  form of Gamma = G (phi/gamma)^(m+n): an HDV past the last feedback gain
-  only multiplies Gamma by its own phi/gamma), so once its predecessor's
-  rows are written its own follow from them, one step after another.
+- When every HDV reacts at least ``BLOCK_MIN_DELAY`` steps late, in blocks
+  of L = min(delay) + 1 steps, the method of steps for delay equations.
+  Within a block every HDV reads only rows already written, so one numpy
+  pass gives all the block's HDV accelerations and running sums give its
+  HDV rows; only the CAV, whose law reads the current row, steps one step
+  at a time on Python floats.
+- Otherwise one step at a time on Python floats, since indexing numpy
+  arrays element by element boxes an ``np.float64`` per access, with each
+  chunk converted with ``tolist()`` and written back at once.  The chunk
+  goes column by column in dependency order: each HDV ahead of the CAV,
+  alone; the CAV with the followers its law reads, row by row; each HDV
+  behind those, alone.  An HDV's OVM reads only its predecessor's column
+  and its own (the time form of Gamma = G (phi/gamma)^(m+n): an HDV past
+  the last feedback gain only multiplies Gamma by its own phi/gamma), so
+  once its predecessor's rows are written its own follow from them, one
+  step after another.
 
-Both give the same traces bit for bit, and so does a column stepped alone
-or in its row: each value comes from the same expression on the same
-operands.  numpy's float64 +, -, * and / round as Python's do, at every
-SIMD level; the OVM cosine is ``math.cos`` on each spacing in both
-(``np.cos`` may differ in the last bit); and no sum is reordered:
+Both bodies give the same traces bit for bit, and so does a column
+stepped alone or in its row: each value comes from the same expression on
+the same operands.  numpy's float64 +, -, * and / round as Python's do,
+at every SIMD level; the OVM cosine is ``math.cos`` on each spacing in
+both (``np.cos`` may differ in the last bit); and no sum is reordered:
 ``np.add.accumulate`` adds each column's increments in sequence, as the
 per-step update does, and the CAV sums its feedback terms in order.
 
-Both end a run at the first colliding pair in row-major order, the
-earliest step and then the front-most column, as stepping every column
-one row at a time would, and leave every later row as it was: a stepper
-that ran columns past that row puts its saved rows back.
+After either body, the chunk ends the run at its first colliding pair in
+row-major order, the earliest step and then the front-most column, as
+stepping every column one row at a time would, and puts back every later
+row it holds as it was.
 """
 
 from __future__ import annotations
@@ -133,13 +134,14 @@ def ovm_ramp_array(s, v_max, s_st, s_go):
 
 
 # Chains whose every HDV reacts at least this many steps late step in
-# blocks (``_simulate_blocks``).  Below it the per-step loop is faster on
-# some chain: the blocks win from about 7 steps with 10 HDVs, 13 with 4
-# and 20 with one or two.
-BLOCK_MIN_DELAY = 20
+# blocks (``_step_blocks``).  Below it the per-step body is faster on some
+# chain: the blocks win from about 12 steps with 10 HDVs, 18 with 4, 25
+# with 2 and 36 with one.  Appendix C's delays (30 to 50 steps) must stay
+# in blocks, so the threshold stops at 30.
+BLOCK_MIN_DELAY = 30
 
-# Rows the per-step stepper converts to Python floats and writes back at
-# once, so no list ever holds a whole column's horizon.
+# Rows each chunk of ``simulate_loop`` steps, converts to Python floats and
+# writes back at once, so no list ever holds a whole column's horizon.
 ROW_CHUNK = 512
 
 
@@ -198,27 +200,20 @@ def simulate_loop(
     forces that HDV column's acceleration to ``decel`` for steps
     k0 <= k < k1.
 
-    A chain whose HDVs all react at least ``BLOCK_MIN_DELAY`` steps late
-    steps in blocks (``_simulate_blocks``).  Any other steps in chunks of
-    ``ROW_CHUNK`` rows, each chunk column by column in dependency order:
-    the head from ``head_vel``; each HDV ahead of the CAV alone, front to
-    back (``_step_alone``); the CAV together with its followers up to the
+    Each chunk of ``ROW_CHUNK`` rows writes the head's rows from
+    ``head_vel``, then steps the other columns: in blocks (``_step_blocks``)
+    when every HDV reacts at least ``BLOCK_MIN_DELAY`` steps late, else in
+    dependency order: each HDV ahead of the CAV alone, front to back
+    (``_step_alone``); the CAV together with its followers up to the
     farthest column a ``feedback`` term reads, one row at a time
     (``_step_coupled``); then each HDV behind those alone, front to back.
-    An HDV reads only its predecessor's column and its own, so once the
-    predecessor's rows are written the HDV's whole chunk follows from
-    them.  Every column takes the same float operations in the same order
-    however it steps (see the module docstring), so the arrays do not
-    depend on which stepper ran.
+    Both bodies give the same arrays (see the module docstring).  The chunk
+    then finds its first colliding pair and puts back every row after it.
     """
-    if hdvs and min(h[1] for h in hdvs) >= BLOCK_MIN_DELAY:
-        return _simulate_blocks(
-            n_steps, dt, pos, vel, acc, head_vel, cav, feedback, hdvs, v_star, brake,
-            a_min, a_max, override_flag,
-        )
     n_veh = pos.shape[1]
-    last = max([cav] + [term[0] for term in feedback])
     hdvs = sorted(hdvs)
+    blocked = bool(hdvs) and min(h[1] for h in hdvs) >= BLOCK_MIN_DELAY
+    last = max([cav] + [term[0] for term in feedback])
     ahead = [h for h in hdvs if h[0] < cav]
     coupled = [h for h in hdvs if cav < h[0] <= last]
     tail = [h for h in hdvs if h[0] > last]
@@ -242,14 +237,19 @@ def simulate_loop(
             P[0] = pos[r0, 0]
             np.multiply(dt, hv[r0:r0 + nu], out=P[1:])
             pos[r0 + 1:r0 + nu + 1, 0] = np.add.accumulate(P)[1:]
-        for hdv in ahead:
-            _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
-        flags = _step_coupled(
-            pos, vel, acc, r0, r1, nu, dt, cav, last, feedback, coupled, history, v_star,
-            brake, a_min, a_max,
-        )
-        for hdv in tail:
-            _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
+        if blocked:
+            flags = _step_blocks(
+                pos, vel, acc, r0, r1, nu, dt, cav, feedback, hdvs, v_star, brake, a_min, a_max,
+            )
+        else:
+            for hdv in ahead:
+                _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
+            flags = _step_coupled(
+                pos, vel, acc, r0, r1, nu, dt, cav, last, feedback, coupled, history, v_star,
+                brake, a_min, a_max,
+            )
+            for hdv in tail:
+                _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
 
         hit = pos[r0 + 1:r0 + nu + 1, :-1] - pos[r0 + 1:r0 + nu + 1, 1:] <= 0.0
         if hit.any():
@@ -382,14 +382,12 @@ def _step_coupled(
     return flags
 
 
-def _simulate_blocks(
-    n_steps, dt, pos, vel, acc, head_vel, cav, feedback, hdvs, v_star, brake, a_min, a_max,
-    override_flag,
-):
-    """``simulate_loop`` in blocks of min(delay) + 1 steps, for a chain with
-    at least one HDV: same arguments, same results bit for bit."""
+def _step_blocks(pos, vel, acc, r0, r1, nu, dt, cav, feedback, hdvs, v_star, brake, a_min, a_max):
+    """Steps r0 .. r1 - 1 of every column but the head's, which is
+    written, in blocks of min(delay) + 1 steps, the last one cut at r1:
+    writes acc rows r0 .. r1 - 1 and pos/vel rows r0 + 1 .. r0 + nu, and
+    returns the steps where the CAV's emergency brake fired."""
     n_veh = pos.shape[1]
-    has_head = head_vel is not None
     brake_col, brake_k0, brake_k1, brake_acc = brake
     columns = list(zip(*hdvs))
     cols, delay = np.array(columns[0]), np.array(columns[1])
@@ -397,16 +395,11 @@ def _simulate_blocks(
     block = int(delay.min()) + 1
     max_delay = int(delay.max())
     braked = cols == brake_col
-    if has_head:
-        hv = np.asarray(head_vel, dtype=float)
-        vel[0, 0] = hv[0]
-        head_acc = (hv[1:] - hv[:-1]) / dt
-        head_acc = np.append(head_acc, head_acc[-1] if n_steps else 0.0)
-
-    k0 = 0
-    while True:
-        k1 = min(k0 + block, n_steps + 1)  # this block's steps are k0 .. k1 - 1
-        nu = min(k1, n_steps) - k0  # its state updates give rows k0 + 1 .. k0 + nu
+    flags = []
+    k0 = r0
+    while k0 < r1:
+        k1 = min(k0 + block, r1)  # this block's steps are k0 .. k1 - 1
+        nb = min(k1, r0 + nu) - k0  # its state updates give rows k0 + 1 .. k0 + nb
         ks = np.arange(k0, k1)
 
         # HDVs: every delayed row k - d is at most k0, so already written;
@@ -428,31 +421,32 @@ def _simulate_blocks(
             a[((brake_k0 <= ks) & (ks < brake_k1))[:, None] & braked] = brake_acc
         a = np.where(a < a_min, a_min, np.where(a > a_max, a_max, a))
 
-        # Head and HDV rows: each column adds its dt * a, then its dt * v,
-        # in sequence as the per-step update does.  The CAV column holds
-        # finite placeholders until the CAV steps below.
+        # HDV rows: each column adds its dt * a, then its dt * v, in
+        # sequence as the per-step update does.  The CAV column holds
+        # finite placeholders until the CAV steps below; column 0, unless
+        # it is the CAV, is the head, whose rows are copied in as written.
         A = np.zeros((k1 - k0, n_veh))
         A[:, cols] = a
-        V = np.empty((nu + 1, n_veh))
+        V = np.empty((nb + 1, n_veh))
         V[0] = vel[k0]
-        np.multiply(dt, A[:nu], out=V[1:])
+        np.multiply(dt, A[:nb], out=V[1:])
         np.add.accumulate(V, out=V)
         for c in np.flatnonzero(~(V[1:, cols] > 0.0).all(axis=0)).tolist():
             # the velocity clamp fires in this column: redo it step by step
             vc = V[0, cols[c]]
-            for i, step in enumerate((dt * a[:nu, c]).tolist(), 1):
+            for i, step in enumerate((dt * a[:nb, c]).tolist(), 1):
                 V[i, cols[c]] = vc = w if (w := vc + step) > 0.0 else 0.0
-        if has_head:
-            A[:, 0] = head_acc[k0:k1]
-            V[:, 0] = hv[k0:k0 + nu + 1]
-        P = np.empty((nu + 1, n_veh))
+        P = np.empty((nb + 1, n_veh))
         P[0] = pos[k0]
-        np.multiply(dt, V[:nu], out=P[1:])
+        np.multiply(dt, V[:nb], out=P[1:])
         np.add.accumulate(P, out=P)
+        if cav:
+            A[:, 0] = acc[k0:k1, 0]
+            V[:, 0] = vel[k0:k0 + nb + 1, 0]
+            P[:, 0] = pos[k0:k0 + nb + 1, 0]
 
         # CAV: its law reads the current row, so it steps one step at a time
         Pl, Vl = P.tolist(), V.tolist()
-        flags = []
         cav_a = []
         for i in range(k1 - k0):
             p, v = Pl[i], Vl[i]
@@ -460,27 +454,15 @@ def _simulate_blocks(
             if overridden:
                 flags.append(k0 + i)
             cav_a.append(ac)
-            if i < nu:
+            if i < nb:
                 Pl[i + 1][cav] = p[cav] + dt * v[cav]
                 w = v[cav] + dt * ac
                 Vl[i + 1][cav] = w if w > 0.0 else 0.0
         A[:, cav] = cav_a
         P[1:, cav] = [row[cav] for row in Pl[1:]]
         V[1:, cav] = [row[cav] for row in Vl[1:]]
-
-        hit = P[1:, :-1] - P[1:, 1:] <= 0.0
-        collided = hit.any()
-        if collided:
-            # the first colliding row (row-major) ends the run, as in the
-            # per-step loop: nothing after it is written
-            i, j = divmod(int(hit.argmax()), n_veh - 1)
-            nu, k1 = i + 1, k0 + i + 1
-        pos[k0 + 1:k0 + nu + 1] = P[1:nu + 1]
-        vel[k0 + 1:k0 + nu + 1] = V[1:nu + 1]
-        acc[k0:k1] = A[:k1 - k0]
-        override_flag[[f for f in flags if f < k1]] = 1
-        if collided:
-            return 1, k1, j + 1
-        if k1 > n_steps:
-            return 0, 0, 0
+        pos[k0 + 1:k0 + nb + 1] = P[1:]
+        vel[k0 + 1:k0 + nb + 1] = V[1:]
+        acc[k0:k1] = A
         k0 = k1
+    return flags

@@ -239,8 +239,16 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise ValueError("perturbation must start before the horizon ends")
     if isinstance(pert, HeadSinusoid) and not cfg.has_head:
         raise TopologyError("free-driving scenario has no head vehicle to perturb")
-    if isinstance(pert, FollowerBrake) and pert.vehicle not in cfg.hdv_ids():
-        raise TopologyError(f"brake vehicle {pert.vehicle} is not an HDV of this chain")
+    if isinstance(pert, FollowerBrake):
+        if pert.vehicle not in cfg.hdv_ids():
+            raise TopologyError(f"brake vehicle {pert.vehicle} is not an HDV of this chain")
+        k0, k1 = _brake_steps(pert, cfg.dt)
+        # the last step updates no state, so a brake on it alone changes nothing
+        if not k0 < min(k1, _step_count(cfg)):
+            raise ValueError(
+                "brake must cover a step that updates the state, got "
+                f"start={pert.start} and duration={pert.duration} at dt={cfg.dt}"
+            )
     validate_gain_ids(cfg.cav.gains.ids(), cfg.m, cfg.n, cfg.cav.mode == "explicit")
     for name, gains in (("mu", cfg.cav.gains.mu), ("k", cfg.cav.gains.k)):
         for vid, g in gains.items():
@@ -250,6 +258,15 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise TopologyError("hdv-baseline controller needs a vehicle ahead of the CAV")
     if cfg.cav.gains.mu.get(0, 0.0) != 0.0 and not cfg.has_head:
         raise TopologyError("mu[0] needs a spacing, which a free-driving CAV lacks")
+
+
+def _step_count(cfg: ScenarioConfig) -> int:
+    return max(1, round(cfg.horizon / cfg.dt))
+
+
+def _brake_steps(brake: FollowerBrake, dt: float) -> Tuple[int, int]:
+    """The steps k0 <= k < k1 on which ``brake`` forces its deceleration."""
+    return round(brake.start / dt), round((brake.start + brake.duration) / dt)
 
 
 def _hdv_drivers(cfg: ScenarioConfig) -> List[DriverParams]:
@@ -270,7 +287,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
     """
     _validate(cfg)
     dt, v_star = cfg.dt, cfg.v_star
-    n_steps = max(1, round(cfg.horizon / dt))
+    n_steps = _step_count(cfg)
     params = {0: cfg.base_params, **dict(zip(cfg.hdv_ids(), _hdv_drivers(cfg)))}
 
     ids: List = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
@@ -322,8 +339,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
     if isinstance(cfg.perturbation, FollowerBrake):
         brake = (
             ids.index(cfg.perturbation.vehicle),
-            round(cfg.perturbation.start / dt),
-            round((cfg.perturbation.start + cfg.perturbation.duration) / dt),
+            *_brake_steps(cfg.perturbation, dt),
             cfg.perturbation.decel,
         )
 

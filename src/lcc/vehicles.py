@@ -8,10 +8,11 @@ velocity, and on the vehicle's own velocity,
 
 V(s) is zero below a standstill spacing ``s_st``, saturates at ``v_max``
 above a free-flow spacing ``s_go``, and rises smoothly (half-cosine) in
-between.  ``ovm_ramp`` is V(s) of one spacing, and the simulation
-kernel's per-step loop calls it directly; its block stepper evaluates
-the same expression elementwise (``kernels.ovm_ramp_array``), which
-rounds as ``ovm_ramp`` does.  Traces depend on that rounding.
+between.  ``ovm_ramp`` is V(s) of one spacing, which the simulation
+kernel calls directly when it steps a chain one step at a time; when it
+steps a delayed chain in blocks it evaluates the same expression
+elementwise (``kernels.ovm_ramp_array``), which rounds as ``ovm_ramp``
+does.  Traces depend on that rounding.
 All functions here are pure and operate on plain floats.
 """
 

@@ -69,7 +69,7 @@ def _desired_velocity(s, vmax, sst, sgo):
 
 
 def test_desired_velocity_is_the_kernel_ramp_bitwise():
-    """The public V(s) and the block stepper's elementwise V(s) round exactly
+    """The public V(s) and the block body's elementwise V(s) round exactly
     as the ramp the traces are built on."""
     rng = np.random.default_rng(7)
     for p in (DriverParams(), DriverParams(v_max=33.3, s_st=4.1, s_go=38.7)):
@@ -374,14 +374,14 @@ LOOP_CASES = {
         seed=3,
         cav=CavController(gains=FeedbackGains.from_pairs(GAIN_CASES["caseD"])),
     ),
-    # blocks of 21 steps: the brake runs from step 500 (17 into a block) to
-    # step 600 (12 into one)
+    # blocks of 31 steps, from the start of each chunk: the brake runs from
+    # step 500 (4 into a block) to step 600 (26 into one)
     "brake-inside-blocks": ScenarioConfig(
         variant=V.CF_LCC,
         n=3,
         horizon=10.0,
         perturbation=FollowerBrake(vehicle=2, start=5.0),
-        base_params=DriverParams(delay=0.2),
+        base_params=DriverParams(delay=0.3),
         cav=CF_CONTROLLER,
     ),
     # the last vehicle brakes to a stop, so its velocity clamps to 0 mid-block
@@ -390,7 +390,7 @@ LOOP_CASES = {
         n=2,
         horizon=20.0,
         perturbation=FollowerBrake(vehicle=2, duration=5.0, start=5.0),
-        base_params=DriverParams(delay=0.35),
+        base_params=DriverParams(delay=0.34),
         cav=FD_CONTROLLER,
     ),
     "safety-override-delayed": ScenarioConfig(
@@ -398,7 +398,7 @@ LOOP_CASES = {
         n=1,
         horizon=60.0,
         perturbation=HeadSinusoid(amplitude=6.0, period=8.0, start=5.0),
-        base_params=DriverParams(delay=0.2),
+        base_params=DriverParams(delay=0.3),
         cav=CavController(gains=FeedbackGains(mu={0: 2.0}, k={}), mode="explicit"),
     ),
     "min-delay-at-block": ScenarioConfig(
@@ -468,7 +468,7 @@ def test_simulate_loop_matches_reference_bitwise(name):
     n_steps, dt, pos, vel, acc, override = *args[:5], args[-1]
     ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
     with mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop, \
-            mock.patch.object(kernels, "_simulate_blocks", wraps=kernels._simulate_blocks) as blocks, \
+            mock.patch.object(kernels, "_step_blocks", wraps=kernels._step_blocks) as blocks, \
             mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
         if status == 1:
             with pytest.raises(CollisionError) as err:
@@ -490,9 +490,9 @@ def test_simulate_loop_matches_reference_bitwise(name):
     if name.startswith("safety-override"):
         assert override.any()
     if name == "hdv-stops":
-        # held at 0 for more than a block of 36 steps, from a row inside one
+        # held at 0 for more than a block of 35 steps, from a row inside one
         stopped = np.flatnonzero(vel[:, 2] == 0.0)
-        assert stopped.size > 36 and stopped[0] % 36 != 0
+        assert stopped.size > 35 and stopped[0] % kernels.ROW_CHUNK % 35 != 0
     if name == "collision":
         assert (status, ids[col], ids[col - 1]) == (1, 2, 1)
     if name == "tail-collision-before-core":
@@ -534,52 +534,29 @@ def test_trace_csv_matches_cell_formatting(tmp_path):
     assert len(trace.times) % output._TRACE_CHUNK
 
 
-def test_block_collision_leaves_later_steps_unwritten():
-    """A collision early in a block, while the CAV's safety brake fires on
-    every step: the block stepper writes positions and velocities through
-    the collision row and accelerations and safety-brake steps before it,
-    as the per-step loop does, and leaves every later row as it was."""
-
-    def run(min_delay):
-        n_steps = 100
-        pos, vel, acc = (np.zeros((n_steps + 1, 4)) for _ in range(3))
-        # head, CAV closing fast on it, HDV 1, HDV 2 closing on HDV 1 from 8 cm
-        pos[0] = 0.0, -20.0, -40.0, -40.08
-        vel[0] = 15.0, 25.0, 15.0, 20.0
-        override = np.zeros(n_steps + 1, dtype=np.uint8)
-        hdvs = [(j, 50, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (2, 3)]
-        with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay):
-            status = kernels.simulate_loop(
-                n_steps, 0.01, pos, vel, acc, np.full(n_steps + 1, 15.0), 1, [(1, 2.0, 0.0, 20.0)],
-                hdvs, 15.0, (-1, 0, 0, 0.0), A_MIN, A_MAX, override,
-            )
-        return status, pos, vel, acc, override
-
-    status, pos, vel, acc, override = run(0)
-    assert status == (1, 2, 3)
-    assert override[:2].all() and not override[2:].any()
-    assert not pos[3:].any() and not vel[3:].any() and not acc[2:].any()
-    for got, want in zip(run(0)[1:], run(10**9)[1:]):
-        assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("chunk", [1, 3, kernels.ROW_CHUNK])
-def test_step_collision_leaves_later_steps_unwritten(chunk):
-    """The per-step twin of the block test above, on arrays filled with a
-    sentinel: HDV 2, stepping alone, runs into HDV 1 at step 2 while the
-    CAV's safety brake fires on every step.  Positions and velocities are
-    written through step 2, accelerations and safety-brake steps through
-    step 1, and every later row keeps the sentinel, whether the collision
-    ends a chunk or falls inside one; the block stepper writes the same."""
+@pytest.mark.parametrize(
+    "delay, chunk",
+    [pytest.param(delay, chunk, id=f"{chunk}-delay{delay}" if delay else f"{chunk}")
+     for delay in (0, 50) for chunk in (1, 3, kernels.ROW_CHUNK)],
+)
+def test_step_collision_leaves_later_steps_unwritten(delay, chunk):
+    """On arrays filled with a sentinel, HDV 2 runs into HDV 1 at step 2
+    while the CAV's safety brake fires on every step.  Positions and
+    velocities are written through step 2, accelerations and safety-brake
+    steps through step 1, and every later row keeps the sentinel, whether
+    the collision ends a chunk or falls inside one (with 50-step delays in
+    512-row chunks, inside a block of 51 steps).  Stepped in blocks or
+    column by column, the arrays are the same bit for bit."""
     sentinel = -123.25
 
     def run(min_delay):
         n_steps = 100
         pos, vel, acc = (np.full((n_steps + 1, 4), sentinel) for _ in range(3))
+        # head, CAV closing fast on it, HDV 1, HDV 2 closing on HDV 1 from 8 cm
         pos[0] = 0.0, -20.0, -40.0, -40.08
         vel[0] = 15.0, 25.0, 15.0, 20.0
         override = np.zeros(n_steps + 1, dtype=np.uint8)
-        hdvs = [(j, 0, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (2, 3)]
+        hdvs = [(j, delay, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (2, 3)]
         with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay), \
                 mock.patch.object(kernels, "ROW_CHUNK", chunk), \
                 mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:

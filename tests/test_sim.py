@@ -320,13 +320,19 @@ def test_nan_step_or_horizon_rejected(field):
                      "seed must be an integer", id="seed=1.5"),
         pytest.param({"seed": True, "heterogeneity": HeterogeneitySpec()},
                      "seed must be an integer", id="seed=True"),
+        # 2000.0 and 2000.4 steps round alike, so the window holds no step
+        pytest.param({"perturbation": FollowerBrake(vehicle=1, duration=0.004)},
+                     r"start=20\.0 and duration=0\.004 at dt=0\.01", id="brake-no-step"),
+        # the window opens at the last step, which updates no state
+        pytest.param({"horizon": 100.0, "perturbation": FollowerBrake(start=99.999)},
+                     r"start=99\.999 and duration=1\.0 at dt=0\.01", id="brake-last-step"),
     ],
 )
 def test_scenario_values_the_config_rejects_are_rejected(change, message):
     """Library callers get the config's bounds too, not a NaN, unperturbed or
     stalled trace."""
     with pytest.raises(ValueError, match=message):
-        simulate(ScenarioConfig(variant=V.CF_LCC, n=1, horizon=30.0, **change))
+        simulate(ScenarioConfig(**{"variant": V.CF_LCC, "n": 1, "horizon": 30.0, **change}))
 
 
 def test_non_finite_step_count_rejected():
