@@ -13,11 +13,11 @@ many gain sets in one call (see their docstrings).  ``simulate_loop``
 steps the chain, with the OVM ramp of ``vehicles.ovm_ramp``, or its
 elementwise form ``ovm_ramp_array``.
 
-``simulate_loop`` takes the chain as ``sim.simulate`` lays it out: the
-CAV's law as one list of linear feedback terms, its own errors first,
-the HDVs as one tuple of constants each.  It steps in chunks of
-``ROW_CHUNK`` rows.  Each chunk writes the head's rows with numpy, then
-steps the other columns with one of two bodies, picked once per chain:
+``plan_chain`` lays a chain out once per run as a ``Chain``: the CAV's
+law as one list of linear feedback terms, its own errors first, the HDVs
+in the groups the chunk bodies step, and the body.  ``simulate_loop``
+steps it in chunks of ``ROW_CHUNK`` rows.  Each chunk writes the head's
+rows with numpy, then steps the other columns with the plan's body:
 
 - When every HDV reacts at least ``BLOCK_MIN_DELAY`` steps late, in blocks
   of L = min(delay) + 1 steps, the method of steps for delay equations.
@@ -54,10 +54,11 @@ from __future__ import annotations
 
 import math
 from itertools import islice
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .vehicles import ovm_ramp
+from .vehicles import A_MAX, A_MIN, ovm_ramp
 
 
 def backend_name() -> str:
@@ -134,10 +135,11 @@ def ovm_ramp_array(s, v_max, s_st, s_go):
 
 
 # Chains whose every HDV reacts at least this many steps late step in
-# blocks (``_step_blocks``).  Below it the per-step body is faster on some
-# chain: the blocks win from about 12 steps with 10 HDVs, 18 with 4, 25
-# with 2 and 36 with one.  Appendix C's delays (30 to 50 steps) must stay
-# in blocks, so the threshold stops at 30.
+# blocks (``_step_blocks``); only ``plan_chain`` applies the rule.  The
+# blocks win from about 12 steps with 10 HDVs, 18 with 4, 25 with 2 and 36
+# with one; Appendix C's delays (30 to 50 steps) must stay in blocks, so
+# the threshold stops at 30.  A rule that also reads the number of HDVs
+# waits for a workload with 12-29-step delays, where it would differ.
 BLOCK_MIN_DELAY = 30
 
 # Rows each chunk of ``simulate_loop`` steps, converts to Python floats and
@@ -145,7 +147,54 @@ BLOCK_MIN_DELAY = 30
 ROW_CHUNK = 512
 
 
-def _cav_acceleration(p, v, cav, feedback, v_star, a_min, a_max):
+class Chain(NamedTuple):
+    """A chain laid out for ``simulate_loop`` by ``plan_chain``."""
+
+    dt: float
+    v_star: float
+    cav: int
+    feedback: tuple
+    brake: tuple
+    ahead: tuple
+    coupled: tuple
+    tail: tuple
+    blocks: Optional[tuple]
+
+
+def plan_chain(dt, v_star, cav, feedback, hdvs, brake):
+    """Lay out a chain once for ``simulate_loop`` and its chunk bodies.
+
+    The CAV in column ``cav`` applies u = sum mu (s - s*) + k (v - v*)
+    over the terms ``(column, mu, k, s*)`` of ``feedback``, in order from
+    u = 0.0, a zero gain adding nothing; its own errors are a term like
+    any other.  ``hdvs`` holds one ``(column, delay steps, s*, alpha,
+    beta, v_max, s_st, s_go)`` per HDV, which follows the OVM on the
+    state that many steps ago.  ``brake = (column, k0, k1, decel)``
+    forces that HDV column's acceleration to ``decel`` for steps
+    k0 <= k < k1.
+
+    The HDVs, sorted front to back, split into ``ahead`` of the CAV,
+    ``coupled`` (behind it, up to the farthest column a feedback term
+    reads) and ``tail``.  When every HDV reacts at least
+    ``BLOCK_MIN_DELAY`` steps late, ``blocks`` holds what ``_step_blocks``
+    reads: an array per HDV tuple field, in column order, and the mask of
+    the braked column; otherwise it is None.
+    """
+    hdvs = sorted(hdvs)
+    last = max([cav] + [term[0] for term in feedback])
+    blocks = None
+    if hdvs and min(h[1] for h in hdvs) >= BLOCK_MIN_DELAY:
+        columns = list(zip(*hdvs))
+        cols = np.array(columns[0])
+        floats = (np.array(c, dtype=float) for c in columns[2:])
+        blocks = (cols, np.array(columns[1]), *floats, cols == brake[0])
+    ahead = tuple(h for h in hdvs if h[0] < cav)
+    coupled = tuple(h for h in hdvs if cav < h[0] <= last)
+    tail = tuple(h for h in hdvs if h[0] > last)
+    return Chain(dt, v_star, cav, tuple(feedback), tuple(brake), ahead, coupled, tail, blocks)
+
+
+def _cav_acceleration(p, v, cav, feedback, v_star):
     """The CAV's clamped acceleration on the positions ``p`` and velocities
     ``v`` of one step, and whether its emergency brake overrode its law."""
     u = 0.0
@@ -156,28 +205,13 @@ def _cav_acceleration(p, v, cav, feedback, v_star, a_min, a_max):
             u += k2 * (v[j2] - v_star)
     if cav > 0:
         s0 = p[cav - 1] - p[cav]
-        if s0 > 0.0 and (v[cav] ** 2 - v[cav - 1] ** 2) / (2.0 * s0) >= -a_min:
-            return a_min, True
-    return (a_min if u < a_min else (a_max if u > a_max else u)), False
+        if s0 > 0.0 and (v[cav] ** 2 - v[cav - 1] ** 2) / (2.0 * s0) >= -A_MIN:
+            return A_MIN, True
+    return (A_MIN if u < A_MIN else (A_MAX if u > A_MAX else u)), False
 
 
-def simulate_loop(
-    n_steps,
-    dt,
-    pos,
-    vel,
-    acc,
-    head_vel,
-    cav,
-    feedback,
-    hdvs,
-    v_star,
-    brake,
-    a_min,
-    a_max,
-    override_flag,
-):
-    """Forward-Euler integration of the mixed chain.
+def simulate_loop(n_steps, chain, pos, vel, acc, head_vel, override_flag):
+    """Forward-Euler integration of the mixed chain ``plan_chain`` laid out.
 
     Column 0 is the front-most vehicle: the head, whose velocity at every
     step is ``head_vel`` (an array of n_steps + 1 floats), or the CAV in a
@@ -191,33 +225,15 @@ def simulate_loop(
     meet, the first in row-major order (earliest step, then front-most
     column) is the one reported.
 
-    The CAV in column ``cav`` applies u = sum mu (s - s*) + k (v - v*)
-    over the terms ``(column, mu, k, s*)`` of ``feedback``, in order from
-    u = 0.0, a zero gain adding nothing; its own errors are a term like
-    any other.  ``hdvs`` holds one ``(column, delay steps, s*, alpha,
-    beta, v_max, s_st, s_go)`` per HDV, which follows the OVM on the
-    state that many steps ago.  ``brake = (column, k0, k1, decel)``
-    forces that HDV column's acceleration to ``decel`` for steps
-    k0 <= k < k1.
-
-    Each chunk of ``ROW_CHUNK`` rows writes the head's rows from
-    ``head_vel``, then steps the other columns: in blocks (``_step_blocks``)
-    when every HDV reacts at least ``BLOCK_MIN_DELAY`` steps late, else in
-    dependency order: each HDV ahead of the CAV alone, front to back
-    (``_step_alone``); the CAV together with its followers up to the
-    farthest column a ``feedback`` term reads, one row at a time
-    (``_step_coupled``); then each HDV behind those alone, front to back.
-    Both bodies give the same arrays (see the module docstring).  The chunk
-    then finds its first colliding pair and puts back every row after it.
+    Each chunk of ``ROW_CHUNK`` rows writes the head's rows, then steps
+    the other columns with ``_step_blocks`` when the plan has ``blocks``,
+    else with ``_step_alone`` on each HDV ``ahead``, ``_step_coupled`` and
+    ``_step_alone`` on each HDV of the ``tail``, in that order (see the
+    module docstring), and ends the run at its first colliding pair.
     """
     n_veh = pos.shape[1]
-    hdvs = sorted(hdvs)
-    blocked = bool(hdvs) and min(h[1] for h in hdvs) >= BLOCK_MIN_DELAY
-    last = max([cav] + [term[0] for term in feedback])
-    ahead = [h for h in hdvs if h[0] < cav]
-    coupled = [h for h in hdvs if cav < h[0] <= last]
-    tail = [h for h in hdvs if h[0] > last]
-    window = max((h[1] for h in coupled), default=0)
+    dt, ahead, tail, blocks = chain.dt, chain.ahead, chain.tail, chain.blocks
+    window = max((h[1] for h in chain.coupled), default=0)
     history = [None] * (window + 1) if window else []
     if head_vel is not None:
         hv = np.asarray(head_vel, dtype=float)
@@ -237,19 +253,14 @@ def simulate_loop(
             P[0] = pos[r0, 0]
             np.multiply(dt, hv[r0:r0 + nu], out=P[1:])
             pos[r0 + 1:r0 + nu + 1, 0] = np.add.accumulate(P)[1:]
-        if blocked:
-            flags = _step_blocks(
-                pos, vel, acc, r0, r1, nu, dt, cav, feedback, hdvs, v_star, brake, a_min, a_max,
-            )
+        if blocks is not None:
+            flags = _step_blocks(pos, vel, acc, r0, r1, nu, chain)
         else:
             for hdv in ahead:
-                _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
-            flags = _step_coupled(
-                pos, vel, acc, r0, r1, nu, dt, cav, last, feedback, coupled, history, v_star,
-                brake, a_min, a_max,
-            )
+                _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
+            flags = _step_coupled(pos, vel, acc, r0, r1, nu, chain, history)
             for hdv in tail:
-                _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
+                _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
 
         hit = pos[r0 + 1:r0 + nu + 1, :-1] - pos[r0 + 1:r0 + nu + 1, 1:] <= 0.0
         if hit.any():
@@ -267,7 +278,7 @@ def simulate_loop(
         r0 = r1
 
 
-def _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max):
+def _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain):
     """Steps r0 .. r1 - 1 of one HDV column whose predecessor column is
     written through row r1 - 1: writes acc rows r0 .. r1 - 1 and pos/vel
     rows r0 + 1 .. r0 + nu of the column.
@@ -277,6 +288,7 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
     and velocity v*, bit for bit the values ``_step_coupled`` takes.
     """
     j, d, ss, al, be, vm, s_st, s_go = hdv
+    dt, v_star, a_min, a_max = chain.dt, chain.v_star, A_MIN, A_MAX
     n_pre = min(max(d - r0, 0), r1 - r0)
     lo = max(r0 - d, 0)
     hi = max(r1 - d, lo)
@@ -290,7 +302,7 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
     start = len(own_p)
     p, v = pos[r0, j].item(), vel[r0, j].item()
 
-    brake_col, k0, k1, brake_acc = brake
+    brake_col, k0, k1, brake_acc = chain.brake
     segments = [(r1 - r0, None)]
     if j == brake_col:
         b0, b1 = min(max(k0, r0), r1), min(max(k1, r0), r1)
@@ -324,22 +336,22 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, nu, dt, v_star, brake, a_min, a_max)
     vel[r0 + 1:r0 + nu + 1, j] = own_v[start:start + nu]
 
 
-def _step_coupled(
-    pos, vel, acc, r0, r1, nu, dt, cav, last, feedback, hdvs, history, v_star, brake,
-    a_min, a_max,
-):
-    """Steps r0 .. r1 - 1 of columns cav .. last one row at a time, reading
-    the columns ahead of the CAV from rows already written; returns the
-    steps where the CAV's emergency brake fired.
+def _step_coupled(pos, vel, acc, r0, r1, nu, chain, history):
+    """Steps r0 .. r1 - 1 of the CAV and its ``coupled`` followers one row
+    at a time, reading the columns ahead of the CAV from rows already
+    written; returns the steps where the CAV's emergency brake fired.
 
-    ``hdvs`` are the HDVs among those columns.  A delayed one reads its
-    row k - d from ``history``, a ring of the last len(history) rows that
-    persists from chunk to chunk; a zero-delay one reads the current row.
+    A delayed follower reads its row k - d from ``history``, a ring of the
+    last len(history) rows that persists from chunk to chunk; a zero-delay
+    one reads the current row.
     """
-    brake_col, k0, k1, brake_acc = brake
+    dt, v_star, a_min, a_max = chain.dt, chain.v_star, A_MIN, A_MAX
+    cav, feedback, hdvs = chain.cav, chain.feedback, chain.coupled
+    brake_col, k0, k1, brake_acc = chain.brake
     window = len(history)
-    end = last + 1
-    # rows r0 .. r1 of columns 0 .. last: the columns ahead are written,
+    # every column between the CAV and its farthest feedback term is a follower
+    end = (hdvs[-1][0] if hdvs else cav) + 1
+    # rows r0 .. r1 of columns 0 .. end - 1: the columns ahead are written,
     # and each step fills the next row's group columns before it is read
     rows_p = pos[r0:r0 + nu + 1, :end].tolist()
     rows_v = vel[r0:r0 + nu + 1, :end].tolist()
@@ -351,7 +363,7 @@ def _step_coupled(
     for k, p, v, p_next, v_next in zip(range(r0, r1), rows_p, rows_v, rows_p[1:], rows_v[1:]):
         if window:
             history[k % window] = p, v
-        a_cav, overridden = _cav_acceleration(p, v, cav, feedback, v_star, a_min, a_max)
+        a_cav, overridden = _cav_acceleration(p, v, cav, feedback, v_star)
         if overridden:
             flags.append(k)
         a_row = [a_cav]
@@ -382,19 +394,17 @@ def _step_coupled(
     return flags
 
 
-def _step_blocks(pos, vel, acc, r0, r1, nu, dt, cav, feedback, hdvs, v_star, brake, a_min, a_max):
+def _step_blocks(pos, vel, acc, r0, r1, nu, chain):
     """Steps r0 .. r1 - 1 of every column but the head's, which is
     written, in blocks of min(delay) + 1 steps, the last one cut at r1:
     writes acc rows r0 .. r1 - 1 and pos/vel rows r0 + 1 .. r0 + nu, and
     returns the steps where the CAV's emergency brake fired."""
     n_veh = pos.shape[1]
-    brake_col, brake_k0, brake_k1, brake_acc = brake
-    columns = list(zip(*hdvs))
-    cols, delay = np.array(columns[0]), np.array(columns[1])
-    ss, al, be, vm, s_st, s_go = (np.array(c, dtype=float) for c in columns[2:])
+    dt, v_star, cav, feedback = chain.dt, chain.v_star, chain.cav, chain.feedback
+    _, brake_k0, brake_k1, brake_acc = chain.brake
+    cols, delay, ss, al, be, vm, s_st, s_go, braked = chain.blocks
     block = int(delay.min()) + 1
     max_delay = int(delay.max())
-    braked = cols == brake_col
     flags = []
     k0 = r0
     while k0 < r1:
@@ -419,7 +429,7 @@ def _step_blocks(pos, vel, acc, r0, r1, nu, dt, cav, feedback, hdvs, v_star, bra
         a = al * (ovm_ramp_array(s, vm, s_st, s_go) - vj) + be * sd
         if brake_k0 < k1 and k0 < brake_k1:
             a[((brake_k0 <= ks) & (ks < brake_k1))[:, None] & braked] = brake_acc
-        a = np.where(a < a_min, a_min, np.where(a > a_max, a_max, a))
+        a = np.where(a < A_MIN, A_MIN, np.where(a > A_MAX, A_MAX, a))
 
         # HDV rows: each column adds its dt * a, then its dt * v, in
         # sequence as the per-step update does.  The CAV column holds
@@ -450,7 +460,7 @@ def _step_blocks(pos, vel, acc, r0, r1, nu, dt, cav, feedback, hdvs, v_star, bra
         cav_a = []
         for i in range(k1 - k0):
             p, v = Pl[i], Vl[i]
-            ac, overridden = _cav_acceleration(p, v, cav, feedback, v_star, a_min, a_max)
+            ac, overridden = _cav_acceleration(p, v, cav, feedback, v_star)
             if overridden:
                 flags.append(k0 + i)
             cav_a.append(ac)

@@ -5,11 +5,12 @@ velocity, m HDVs ahead of the CAV, the CAV, and n HDVs behind; the
 layouts allowed are those of ``systems.validate_topology``.  HDVs follow
 the nonlinear OVM with optional per-vehicle reaction delay; the CAV
 applies one linear feedback sum on error states plus an emergency
-braking override, and every acceleration is saturated to [a_min, a_max].
-``simulate`` turns a scenario into the columns, HDV constants and
-feedback terms that ``kernels.simulate_loop`` steps with forward Euler
-on a fixed step; it alone lays out the CAV's law, its own errors as the
-first feedback term.
+braking override, and every acceleration is saturated to [A_MIN, A_MAX].
+``simulate`` alone lays out the CAV's law, its own errors as the first
+feedback term.  It turns a scenario into one ``kernels.plan_chain`` of
+columns, HDV constants and feedback terms, and hands that plan, the
+initial state and the head's velocities to ``kernels.simulate_loop``,
+which steps them with forward Euler on a fixed step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import kernels
 from .errors import CollisionError, TopologyError
 from .systems import FeedbackGains, SystemVariant, validate_gain_ids, validate_topology
-from .vehicles import DriverParams, equilibrium_spacing, linearize
+from .vehicles import A_MAX, A_MIN, DriverParams, equilibrium_spacing, linearize
 
 __all__ = [
     "A_MIN",
@@ -38,10 +39,6 @@ __all__ = [
     "sample_heterogeneous",
     "simulate",
 ]
-
-# Acceleration limits applied to every vehicle (m/s^2).
-A_MIN = -5.0
-A_MAX = 2.0
 
 CONTROLLER_MODES = ("hdv-baseline", "explicit")
 
@@ -319,7 +316,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
             feedback.append((j, mu, k, s_star[j]))
 
     try:
-        head_vel = np.full(n_steps + 1, v_star)
+        head_vel = np.full(n_steps + 1, v_star) if cfg.has_head else None
         pos = np.zeros((n_steps + 1, n_veh))
         vel = np.zeros((n_steps + 1, n_veh))
         acc = np.zeros((n_steps + 1, n_veh))
@@ -347,22 +344,8 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
     for j in range(1, n_veh):
         pos[0, j] = pos[0, j - 1] - s_star[j]
 
-    status, step, col = kernels.simulate_loop(
-        n_steps,
-        dt,
-        pos,
-        vel,
-        acc,
-        head_vel if cfg.has_head else None,
-        cav,
-        feedback,
-        hdvs,
-        v_star,
-        brake,
-        A_MIN,
-        A_MAX,
-        override,
-    )
+    chain = kernels.plan_chain(dt, v_star, cav, feedback, hdvs, brake)
+    status, step, col = kernels.simulate_loop(n_steps, chain, pos, vel, acc, head_vel, override)
     if status == 1:
         raise CollisionError(step * dt, ids[col], ids[col - 1])
 

@@ -12,8 +12,9 @@ between.  ``ovm_ramp`` is V(s) of one spacing, which the simulation
 kernel calls directly when it steps a chain one step at a time; when it
 steps a delayed chain in blocks it evaluates the same expression
 elementwise (``kernels.ovm_ramp_array``), which rounds as ``ovm_ramp``
-does.  Traces depend on that rounding.
-All functions here are pure and operate on plain floats.
+does.  Traces depend on that rounding.  ``A_MIN`` and ``A_MAX`` bound
+every vehicle's acceleration in the simulation, the one definition of
+those limits.  All functions here are pure and operate on plain floats.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
+    "A_MIN",
+    "A_MAX",
     "DriverParams",
     "Equilibrium",
     "LinearCoeffs",
@@ -30,6 +33,10 @@ __all__ = [
     "equilibrium_spacing",
     "linearize",
 ]
+
+# Acceleration limits applied to every vehicle (m/s^2).
+A_MIN = -5.0
+A_MAX = 2.0
 
 
 @dataclass(frozen=True)

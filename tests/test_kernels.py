@@ -501,6 +501,61 @@ def test_simulate_loop_matches_reference_bitwise(name):
         assert (status, step, ids[col], ids[col - 1]) == (1, 63, 0, -1)
 
 
+def test_plan_chain_layout():
+    """``plan_chain`` splits the HDVs, sorted front to back, into those
+    ahead of the CAV, the followers its law reads and the tail, and lays
+    out the block body's arrays exactly when every HDV reacts at least
+    ``BLOCK_MIN_DELAY`` steps late."""
+
+    def columns(hdvs):
+        return [h[0] for h in hdvs]
+
+    def chain_of(cfg):
+        with mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop:
+            simulate(cfg)
+        return loop.call_args.args[1]
+
+    general = dict(variant=V.GENERAL_LCC, m=2, n=2, horizon=1.0)
+    case_d = chain_of(ScenarioConfig(
+        **general, cav=CavController(gains=FeedbackGains.from_pairs(GAIN_CASES["caseD"])),
+    ))
+    assert (case_d.cav, case_d.blocks) == (3, None)
+    assert (columns(case_d.ahead), columns(case_d.coupled), case_d.tail) == ([1, 2], [4, 5], ())
+    # the baseline's term on column cav - 1 reads no follower
+    case_a = chain_of(ScenarioConfig(
+        **general, cav=CavController(gains=FeedbackGains.from_pairs(GAIN_CASES["caseA"])),
+    ))
+    assert [term[0] for term in case_a.feedback] == [3, 2, 1]
+    assert (columns(case_a.ahead), case_a.coupled, columns(case_a.tail)) == ([1, 2], (), [4, 5])
+    fd = chain_of(ScenarioConfig(
+        variant=V.FD_LCC, n=6, horizon=1.0,
+        cav=CavController(gains=FeedbackGains(mu={1: -0.2}, k={0: -0.5, 1: 0.05}), mode="explicit"),
+    ))
+    assert (fd.cav, fd.ahead, columns(fd.coupled), columns(fd.tail)) == (0, (), [1], [2, 3, 4, 5, 6])
+
+    # four HDVs passed out of order, every field different from HDV to HDV
+    feedback = [(1, 0.1, -0.5, 20.0), (3, -0.2, 0.05, 21.5)]
+    brake = (4, 10, 20, -5.0)
+    for delay, blocked in ((BLOCK_MIN_DELAY, True), (BLOCK_MIN_DELAY - 1, False)):
+        hdvs = [
+            (j, delay + j - 2, 19.0 + j, 0.5 + j / 10, 0.9 - j / 10, 30.0 + j, 5.0 - j / 10, 35.0 + j)
+            for j in (4, 2, 5, 3)
+        ]
+        chain = kernels.plan_chain(0.01, 15.0, 1, feedback, hdvs, brake)
+        front_to_back = sorted(hdvs)
+        assert chain[:5] == (0.01, 15.0, 1, tuple(feedback), brake)
+        assert (chain.ahead, columns(chain.coupled), columns(chain.tail)) == ((), [2, 3], [4, 5])
+        assert chain.coupled + chain.tail == tuple(front_to_back)
+        assert (chain.blocks is not None) == blocked
+        if blocked:
+            *arrays, braked = chain.blocks
+            assert len(arrays) == 8
+            for i, (array, field) in enumerate(zip(arrays, zip(*front_to_back))):
+                assert array.dtype.kind == ("i" if i < 2 else "f")
+                assert array.tolist() == list(field)
+            assert braked.tolist() == [False, False, True, False]
+
+
 def test_trace_csv_matches_cell_formatting(tmp_path):
     """Six steps, and a trace past two chunks that ends in a partial one."""
     for horizon in (0.5, 110.0):
@@ -560,9 +615,9 @@ def test_step_collision_leaves_later_steps_unwritten(delay, chunk):
         with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay), \
                 mock.patch.object(kernels, "ROW_CHUNK", chunk), \
                 mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
+            chain = kernels.plan_chain(0.01, 15.0, 1, [(1, 2.0, 0.0, 20.0)], hdvs, (-1, 0, 0, 0.0))
             status = kernels.simulate_loop(
-                n_steps, 0.01, pos, vel, acc, np.full(n_steps + 1, 15.0), 1, [(1, 2.0, 0.0, 20.0)],
-                hdvs, 15.0, (-1, 0, 0, 0.0), A_MIN, A_MAX, override,
+                n_steps, chain, pos, vel, acc, np.full(n_steps + 1, 15.0), override
             )
         return status, {call.args[3][0] for call in alone.call_args_list}, pos, vel, acc, override
 
@@ -643,6 +698,6 @@ def test_both_stepping_paths_match_reference_on_random_scenarios():
                     got = err.time, err.follower, err.leader
             assert got == want
             new = loop.call_args.args
-            for got_array, want_array in zip(new[2:5] + new[13:], args[2:5] + args[-1:]):
+            for got_array, want_array in zip(new[2:5] + new[6:], args[2:5] + args[-1:]):
                 assert got_array.tobytes() == want_array.tobytes()
     assert collisions > 0

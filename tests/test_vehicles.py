@@ -17,7 +17,6 @@ from lcc import (
     kernels,
     linearize,
 )
-from lcc.sim import A_MAX, A_MIN
 from lcc.vehicles import ovm_ramp
 from oracles import ovm_acceleration
 
@@ -72,10 +71,8 @@ def _kernel_acceleration(s, s_dot, v, p):
     vel[0] = v + s_dot, v
     hdv = (1, 0, s, p.alpha, p.beta, p.v_max, p.s_st, p.s_go)
     with mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
-        status = kernels.simulate_loop(
-            1, 0.01, pos, vel, acc, None, 0, [(0, 0.0, 0.0, s)], [hdv], v, (-1, 0, 0, 0.0),
-            A_MIN, A_MAX, np.zeros(2, dtype=np.uint8),
-        )
+        chain = kernels.plan_chain(0.01, v, 0, [(0, 0.0, 0.0, s)], [hdv], (-1, 0, 0, 0.0))
+        status = kernels.simulate_loop(1, chain, pos, vel, acc, None, np.zeros(2, dtype=np.uint8))
     assert status == (0, 0, 0) and alone.call_args.args[3] == hdv
     return acc[0, 1]
 
