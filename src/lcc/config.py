@@ -130,7 +130,7 @@ _KEYS = {
         "kind": _Key(MISSING, str, tuple(_PERTURBATIONS), "perturbation applied"),
         **_rows(
             HeadSinusoid,
-            amplitude=(float, None, "head velocity amplitude (m/s)"),
+            amplitude=(float, None, "head velocity amplitude (m/s), |amplitude| <= v_star"),
             period=(float, "> 0", "head velocity period (s)"),
             start=(float, ">= 0", "onset time (s)"),
         ),

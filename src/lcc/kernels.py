@@ -16,8 +16,9 @@ elementwise form ``ovm_ramp_array``.
 ``plan_chain`` lays a chain out once per run as a ``Chain``: the CAV's
 law as one list of linear feedback terms, its own errors first, the HDVs
 in the groups the chunk bodies step, and the body.  ``simulate_loop``
-steps it in chunks of ``ROW_CHUNK`` rows.  Each chunk writes the head's
-rows with numpy, then steps the other columns with the plan's body:
+steps the columns the plan names (a prescribed head holds its whole
+trace on entry and keeps it) in chunks of ``ROW_CHUNK`` rows, each with
+the plan's body:
 
 - When every HDV reacts at least ``BLOCK_MIN_DELAY`` steps late, in blocks
   of L = min(delay) + 1 steps, the method of steps for delay equations.
@@ -210,56 +211,43 @@ def _cav_acceleration(p, v, cav, feedback, v_star):
     return (A_MIN if u < A_MIN else (A_MAX if u > A_MAX else u)), False
 
 
-def simulate_loop(n_steps, chain, pos, vel, acc, head_vel, override_flag):
+def simulate_loop(n_steps, chain, pos, vel, acc):
     """Forward-Euler integration of the mixed chain ``plan_chain`` laid out.
 
-    Column 0 is the front-most vehicle: the head, whose velocity at every
-    step is ``head_vel`` (an array of n_steps + 1 floats), or the CAV in a
-    free-driving chain (``head_vel`` None).  Row 0 of pos/vel holds the
-    initial state; the function fills pos/vel/acc in place and sets
-    ``override_flag[k]`` at every step where the CAV's emergency brake
-    fires.  Returns (status, step, column): status 0 on success, 1 on
-    collision at the reported step between column-1 and column, with
-    pos/vel filled through that step, acc and override_flag through the
-    one before, and every later row left as it was.  When several pairs
-    meet, the first in row-major order (earliest step, then front-most
-    column) is the one reported.
+    Column 0 is the front-most vehicle: a prescribed head, whose whole
+    trace pos/vel/acc hold on entry and keep, or the CAV in a free-driving
+    chain.  Row 0 of pos/vel holds the initial state; the function fills
+    the other columns of pos/vel/acc in place.  Returns (status, step,
+    column, brake_steps): status 0 on success, 1 on collision at the
+    reported step between column-1 and column, with pos/vel filled
+    through that step, acc and ``brake_steps`` (the steps where the CAV's
+    emergency brake fired) through the one before, and every later row
+    left as it was.  When several pairs meet, the first in row-major
+    order (earliest step, then front-most column) is the one reported.
 
-    Each chunk of ``ROW_CHUNK`` rows writes the head's rows, then steps
-    the other columns with ``_step_blocks`` when the plan has ``blocks``,
-    else with ``_step_alone`` on each HDV ``ahead``, ``_step_coupled`` and
+    Each chunk of ``ROW_CHUNK`` rows steps the columns with
+    ``_step_blocks`` when the plan has ``blocks``, else with
+    ``_step_alone`` on each HDV ``ahead``, ``_step_coupled`` and
     ``_step_alone`` on each HDV of the ``tail``, in that order (see the
     module docstring), and ends the run at its first colliding pair.
     """
     n_veh = pos.shape[1]
-    dt, ahead, tail, blocks = chain.dt, chain.ahead, chain.tail, chain.blocks
     window = max((h[1] for h in chain.coupled), default=0)
     history = [None] * (window + 1) if window else []
-    if head_vel is not None:
-        hv = np.asarray(head_vel, dtype=float)
-        vel[0, 0] = hv[0]
-        head_acc = (hv[1:] - hv[:-1]) / dt
-        head_acc = np.append(head_acc, head_acc[-1] if n_steps else 0.0)
+    brake_steps = []
 
     r0 = 0
     while True:
         r1 = min(r0 + ROW_CHUNK, n_steps + 1)  # this chunk's steps are r0 .. r1 - 1
         nu = min(r1, n_steps) - r0  # its state updates give rows r0 + 1 .. r0 + nu
         kept = pos[r0 + 1:r0 + nu + 1].copy(), vel[r0 + 1:r0 + nu + 1].copy(), acc[r0:r1].copy()
-        if head_vel is not None:
-            acc[r0:r1, 0] = head_acc[r0:r1]
-            vel[r0 + 1:r0 + nu + 1, 0] = hv[r0 + 1:r0 + nu + 1]
-            P = np.empty(nu + 1)
-            P[0] = pos[r0, 0]
-            np.multiply(dt, hv[r0:r0 + nu], out=P[1:])
-            pos[r0 + 1:r0 + nu + 1, 0] = np.add.accumulate(P)[1:]
-        if blocks is not None:
+        if chain.blocks is not None:
             flags = _step_blocks(pos, vel, acc, r0, r1, nu, chain)
         else:
-            for hdv in ahead:
+            for hdv in chain.ahead:
                 _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
             flags = _step_coupled(pos, vel, acc, r0, r1, nu, chain, history)
-            for hdv in tail:
+            for hdv in chain.tail:
                 _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
 
         hit = pos[r0 + 1:r0 + nu + 1, :-1] - pos[r0 + 1:r0 + nu + 1, 1:] <= 0.0
@@ -270,11 +258,10 @@ def simulate_loop(n_steps, chain, pos, vel, acc, head_vel, override_flag):
             pos[r0 + i + 2:r0 + nu + 1] = kept[0][i + 1:]
             vel[r0 + i + 2:r0 + nu + 1] = kept[1][i + 1:]
             acc[r0 + i + 1:r1] = kept[2][i + 1:]
-            override_flag[[k for k in flags if k <= r0 + i]] = 1
-            return 1, r0 + i + 1, j + 1
-        override_flag[flags] = 1
+            return 1, r0 + i + 1, j + 1, brake_steps + [k for k in flags if k <= r0 + i]
+        brake_steps += flags
         if r1 > n_steps:
-            return 0, 0, 0
+            return 0, 0, 0, brake_steps
         r0 = r1
 
 
@@ -395,10 +382,10 @@ def _step_coupled(pos, vel, acc, r0, r1, nu, chain, history):
 
 
 def _step_blocks(pos, vel, acc, r0, r1, nu, chain):
-    """Steps r0 .. r1 - 1 of every column but the head's, which is
-    written, in blocks of min(delay) + 1 steps, the last one cut at r1:
-    writes acc rows r0 .. r1 - 1 and pos/vel rows r0 + 1 .. r0 + nu, and
-    returns the steps where the CAV's emergency brake fired."""
+    """Steps r0 .. r1 - 1 of every column but the head's in blocks of
+    min(delay) + 1 steps, the last one cut at r1: writes acc rows r0 .. r1
+    - 1 and pos/vel rows r0 + 1 .. r0 + nu, and returns the steps where
+    the CAV's emergency brake fired."""
     n_veh = pos.shape[1]
     dt, v_star, cav, feedback = chain.dt, chain.v_star, chain.cav, chain.feedback
     _, brake_k0, brake_k1, brake_acc = chain.brake

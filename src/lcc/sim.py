@@ -8,9 +8,10 @@ applies one linear feedback sum on error states plus an emergency
 braking override, and every acceleration is saturated to [A_MIN, A_MAX].
 ``simulate`` alone lays out the CAV's law, its own errors as the first
 feedback term.  It turns a scenario into one ``kernels.plan_chain`` of
-columns, HDV constants and feedback terms, and hands that plan, the
-initial state and the head's velocities to ``kernels.simulate_loop``,
-which steps them with forward Euler on a fixed step.
+columns, HDV constants and feedback terms, writes the head's whole
+prescribed trace, and hands that plan and the initial state to
+``kernels.simulate_loop``, which steps every other column with forward
+Euler on a fixed step.
 """
 
 from __future__ import annotations
@@ -220,6 +221,10 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ValueError(
             f"horizon/dt must be finite, got horizon={cfg.horizon} and dt={cfg.dt}"
         )
+    if _step_count(cfg) == 0:
+        raise ValueError(
+            f"horizon must be more than half a step, got horizon={cfg.horizon} and dt={cfg.dt}"
+        )
     validate_topology(cfg.variant, cfg.m, cfg.n)
     pert = cfg.perturbation
     if isinstance(pert, (HeadSinusoid, FollowerBrake)):
@@ -228,6 +233,10 @@ def _validate(cfg: ScenarioConfig) -> None:
         )
         if not math.isfinite(getattr(pert, size)):
             raise ValueError(f"{size} must be finite, got {getattr(pert, size)}")
+        if isinstance(pert, HeadSinusoid) and abs(pert.amplitude) > cfg.v_star:
+            raise ValueError(
+                f"amplitude must be at most v_star = {cfg.v_star} in size, got {pert.amplitude}"
+            )
         if not 0 < getattr(pert, length) < math.inf:
             raise ValueError(f"{length} must be > 0 and finite, got {getattr(pert, length)}")
         if not pert.start >= 0:
@@ -258,7 +267,7 @@ def _validate(cfg: ScenarioConfig) -> None:
 
 
 def _step_count(cfg: ScenarioConfig) -> int:
-    return max(1, round(cfg.horizon / cfg.dt))
+    return round(cfg.horizon / cfg.dt)
 
 
 def _brake_steps(brake: FollowerBrake, dt: float) -> Tuple[int, int]:
@@ -316,22 +325,31 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
             feedback.append((j, mu, k, s_star[j]))
 
     try:
-        head_vel = np.full(n_steps + 1, v_star) if cfg.has_head else None
         pos = np.zeros((n_steps + 1, n_veh))
         vel = np.zeros((n_steps + 1, n_veh))
         acc = np.zeros((n_steps + 1, n_veh))
-        override = np.zeros(n_steps + 1, dtype=np.uint8)
+        times = np.arange(n_steps + 1) * dt
     except (MemoryError, ValueError) as exc:  # numpy: ValueError past its dimension limit
         raise ValueError(
             f"horizon={cfg.horizon} at dt={cfg.dt} needs {n_steps + 1:.3g} trace rows, "
             "more than fit in memory"
         ) from exc
-    if isinstance(cfg.perturbation, HeadSinusoid):
-        t = np.arange(n_steps + 1) * dt
-        active = t >= cfg.perturbation.start
-        head_vel[active] = v_star + cfg.perturbation.amplitude * np.sin(
-            2.0 * math.pi * (t[active] - cfg.perturbation.start) / cfg.perturbation.period
-        )
+    vel[0] = v_star
+    for j in range(1, n_veh):
+        pos[0, j] = pos[0, j - 1] - s_star[j]
+    if cfg.has_head:
+        # the prescribed head: its velocities, their forward difference (the
+        # last step repeats the one before) and Euler positions, in sequence
+        head_v = vel[:, 0]
+        head_v[:] = v_star
+        if isinstance(cfg.perturbation, HeadSinusoid):
+            active = times >= cfg.perturbation.start
+            head_v[active] = v_star + cfg.perturbation.amplitude * np.sin(
+                2.0 * math.pi * (times[active] - cfg.perturbation.start) / cfg.perturbation.period
+            )
+        acc[:-1, 0] = (head_v[1:] - head_v[:-1]) / dt
+        acc[-1, 0] = acc[-2, 0]
+        pos[1:, 0] = np.add.accumulate(np.append(pos[0, 0], dt * head_v[:-1]))[1:]
     brake = (-1, 0, 0, 0.0)
     if isinstance(cfg.perturbation, FollowerBrake):
         brake = (
@@ -340,19 +358,14 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
             cfg.perturbation.decel,
         )
 
-    vel[0, :] = v_star
-    for j in range(1, n_veh):
-        pos[0, j] = pos[0, j - 1] - s_star[j]
-
     chain = kernels.plan_chain(dt, v_star, cav, feedback, hdvs, brake)
-    status, step, col = kernels.simulate_loop(n_steps, chain, pos, vel, acc, head_vel, override)
+    status, step, col, brake_steps = kernels.simulate_loop(n_steps, chain, pos, vel, acc)
     if status == 1:
         raise CollisionError(step * dt, ids[col], ids[col - 1])
 
-    times = np.arange(n_steps + 1) * dt
     spacing = np.full_like(pos, np.nan)
     spacing[:, 1:] = pos[:, :-1] - pos[:, 1:]
-    events = [(float(times[k]), 0, "safety-brake") for k in np.nonzero(override)[0]]
+    events = [(float(times[k]), 0, "safety-brake") for k in brake_steps]
     return SimulationTrace(
         times=times,
         ids=tuple(ids),

@@ -21,16 +21,16 @@ def default_coeffs(default_params) -> LinearCoeffs:
 
 @pytest.fixture
 def trace_rows_out_of_memory(monkeypatch):
-    """Make ``np.full`` raise MemoryError for more than 1e9 elements.
+    """Make ``np.zeros`` raise MemoryError for more than 1e9 elements.
 
-    ``simulate`` allocates its head-velocity trace with ``np.full``, so a
+    ``simulate`` allocates its trace arrays with ``np.zeros`` first, so a
     huge horizon fails as it would on a real machine, without allocating.
     """
-    real_full = np.full
+    real_zeros = np.zeros
 
-    def full(shape, *args, **kwargs):
+    def zeros(shape, *args, **kwargs):
         if np.prod(shape, dtype=float) > 1e9:
             raise MemoryError(f"Unable to allocate an array with shape {shape}")
-        return real_full(shape, *args, **kwargs)
+        return real_zeros(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "full", full)
+    monkeypatch.setattr(np, "zeros", zeros)

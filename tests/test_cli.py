@@ -408,6 +408,30 @@ def test_simulate_out_of_memory_exit_code(capsys, tmp_path, trace_rows_out_of_me
     assert not list(tmp_path.iterdir())
 
 
+_HEAD_SINUSOID = ["--set", "variant=general", "--set", "m=2", "--set", "n=2",
+                  "--set", "perturbation.kind=head-sinusoid"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*_HEAD_SINUSOID, "--set", "perturbation.amplitude=16"],
+         "amplitude must be at most v_star = 15.0 in size, got 16"),
+        ([*_HEAD_SINUSOID, "--set", "perturbation.amplitude=-20"],
+         "amplitude must be at most v_star = 15.0 in size, got -20"),
+        (["--set", "horizon=1", "--set", "dt=5"],
+         "horizon must be more than half a step, got horizon=1 and dt=5"),
+    ],
+    ids=["amplitude-16", "amplitude-minus-20", "horizon-below-half-step"],
+)
+def test_simulate_input_past_its_limit_exit_code(capsys, tmp_path, argv, message):
+    """A head sinusoid that would drive the head backwards, or a step that
+    would simulate past the horizon, is refused before anything runs."""
+    code, out, err = run_cli(capsys, "simulate", *argv, "-o", str(tmp_path))
+    assert (code, out, err) == (4, "", f"lcc: error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_scan_out_of_memory_exit_code(capsys, tmp_path, monkeypatch):
     """A gain grid too large for memory exits 4 and names the command.
 

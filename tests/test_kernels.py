@@ -2,6 +2,7 @@
 realization, and the chain-stepping loop bit for bit against its
 element-indexing reference."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -190,9 +191,23 @@ def _reference_simulate_loop(
     return 0, 0, 0
 
 
-def _reference_args(cfg):
+def _write_head(pos, vel, acc, head_vel, dt):
+    """Column 0 as ``simulate`` writes a prescribed head before stepping,
+    element by element: its velocities, their forward difference (the last
+    step repeating the one before) and Euler positions."""
+    n_steps = len(head_vel) - 1
+    for k in range(n_steps + 1):
+        vel[k, 0] = head_vel[k]
+        acc[k, 0] = (head_vel[k + 1] - head_vel[k]) / dt if k < n_steps else acc[k - 1, 0]
+        if k < n_steps:
+            pos[k + 1, 0] = pos[k, 0] + dt * head_vel[k]
+
+
+def _reference_args(cfg, head_vel=None):
     """The reference's arguments for ``cfg``: one slot per column in each
-    per-vehicle array, flat scalars for the baseline and the brake."""
+    per-vehicle array, flat scalars for the baseline and the brake.  A
+    head's column holds its whole trace (``head_vel``, or the one ``cfg``
+    prescribes), as ``simulate_loop`` takes it."""
     dt, v_star = cfg.dt, cfg.v_star
     n_steps = max(1, round(cfg.horizon / dt))
     params = dict(zip(cfg.hdv_ids(), _hdv_drivers(cfg)))
@@ -213,14 +228,15 @@ def _reference_args(cfg):
         gain_mu[ids.index(vid)] = g
     for vid, g in cfg.cav.gains.k.items():
         gain_k[ids.index(vid)] = g
-    head_vel = np.full(n_steps + 1, v_star)
     pert = cfg.perturbation
-    if isinstance(pert, HeadSinusoid):
-        t = np.arange(n_steps + 1) * dt
-        active = t >= pert.start
-        head_vel[active] = v_star + pert.amplitude * np.sin(
-            2.0 * math.pi * (t[active] - pert.start) / pert.period
-        )
+    if head_vel is None:
+        head_vel = np.full(n_steps + 1, v_star)
+        if isinstance(pert, HeadSinusoid):
+            t = np.arange(n_steps + 1) * dt
+            active = t >= pert.start
+            head_vel[active] = v_star + pert.amplitude * np.sin(
+                2.0 * math.pi * (t[active] - pert.start) / pert.period
+            )
     brake = (-1, 0, 0, 0.0)
     if isinstance(pert, FollowerBrake):
         brake = (
@@ -233,6 +249,8 @@ def _reference_args(cfg):
     vel[0, :] = v_star
     for j in range(1, n_veh):
         pos[0, j] = pos[0, j - 1] - s_star[j]
+    if cfg.has_head:
+        _write_head(pos, vel, acc, head_vel, dt)
     return (
         n_steps, dt, pos, vel, acc, cfg.has_head, head_vel, cav,
         alpha, beta, vmax, sst, sgo, delay_steps, s_star, v_star,
@@ -595,13 +613,15 @@ def test_trace_csv_matches_cell_formatting(tmp_path):
      for delay in (0, 50) for chunk in (1, 3, kernels.ROW_CHUNK)],
 )
 def test_step_collision_leaves_later_steps_unwritten(delay, chunk):
-    """On arrays filled with a sentinel, HDV 2 runs into HDV 1 at step 2
-    while the CAV's safety brake fires on every step.  Positions and
-    velocities are written through step 2, accelerations and safety-brake
-    steps through step 1, and every later row keeps the sentinel, whether
-    the collision ends a chunk or falls inside one (with 50-step delays in
-    512-row chunks, inside a block of 51 steps).  Stepped in blocks or
-    column by column, the arrays are the same bit for bit."""
+    """On arrays filled with a sentinel but for the head's column, which
+    holds its whole trace, HDV 2 runs into HDV 1 at step 2 while the CAV's
+    safety brake fires on every step.  Positions and velocities are
+    written through step 2, accelerations and safety-brake steps through
+    step 1, every later row keeps the sentinel and the head's column keeps
+    its trace, whether the collision ends a chunk or falls inside one
+    (with 50-step delays in 512-row chunks, inside a block of 51 steps).
+    Stepped in blocks or column by column, the arrays are the same bit for
+    bit."""
     sentinel = -123.25
 
     def run(min_delay):
@@ -610,25 +630,25 @@ def test_step_collision_leaves_later_steps_unwritten(delay, chunk):
         # head, CAV closing fast on it, HDV 1, HDV 2 closing on HDV 1 from 8 cm
         pos[0] = 0.0, -20.0, -40.0, -40.08
         vel[0] = 15.0, 25.0, 15.0, 20.0
-        override = np.zeros(n_steps + 1, dtype=np.uint8)
+        _write_head(pos, vel, acc, np.full(n_steps + 1, 15.0), 0.01)
         hdvs = [(j, delay, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (2, 3)]
         with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay), \
                 mock.patch.object(kernels, "ROW_CHUNK", chunk), \
                 mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
             chain = kernels.plan_chain(0.01, 15.0, 1, [(1, 2.0, 0.0, 20.0)], hdvs, (-1, 0, 0, 0.0))
-            status = kernels.simulate_loop(
-                n_steps, chain, pos, vel, acc, np.full(n_steps + 1, 15.0), override
-            )
-        return status, {call.args[3][0] for call in alone.call_args_list}, pos, vel, acc, override
+            result = kernels.simulate_loop(n_steps, chain, pos, vel, acc)
+        return result, {call.args[3][0] for call in alone.call_args_list}, pos, vel, acc
 
-    status, alone, pos, vel, acc, override = run(10**9)
-    assert status == (1, 2, 3) and alone == {2, 3}
-    assert override[:2].all() and not override[2:].any()
-    assert (pos[3:] == sentinel).all() and (vel[3:] == sentinel).all() and (acc[2:] == sentinel).all()
+    result, alone, pos, vel, acc = run(10**9)
+    assert result == (1, 2, 3, [0, 1]) and alone == {2, 3}
+    assert (pos[3:, 1:] == sentinel).all() and (vel[3:, 1:] == sentinel).all()
+    assert (acc[2:, 1:] == sentinel).all()
     assert sentinel not in pos[:3] and sentinel not in vel[:3] and sentinel not in acc[:2]
+    assert (vel[:, 0] == 15.0).all() and (acc[:, 0] == 0.0).all()
+    assert pos[:, 0].tolist() == list(itertools.accumulate([0.0] + [0.01 * 15.0] * 100))
     blocks = run(0)
-    assert blocks[0] == status and not blocks[1]
-    for got, want in zip(blocks[2:], (pos, vel, acc, override)):
+    assert blocks[0] == result and not blocks[1]
+    for got, want in zip(blocks[2:], (pos, vel, acc)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -688,16 +708,61 @@ def test_both_stepping_paths_match_reference_on_random_scenarios():
         want = (step * cfg.dt, ids[col], ids[col - 1]) if status else None
         collisions += status
         for min_delay in (0, 10**9):
+            results = []
             with mock.patch.object(kernels, "BLOCK_MIN_DELAY", min_delay), \
                     mock.patch.object(kernels, "ROW_CHUNK", chunk), \
-                    mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop:
+                    mock.patch.object(kernels, "simulate_loop",
+                                      side_effect=_recording(kernels.simulate_loop, results)) as loop:
                 try:
                     simulate(cfg)
                     got = None
                 except CollisionError as err:
                     got = err.time, err.follower, err.leader
             assert got == want
-            new = loop.call_args.args
-            for got_array, want_array in zip(new[2:5] + new[6:], args[2:5] + args[-1:]):
+            for got_array, want_array in zip(loop.call_args.args[2:], args[2:5]):
                 assert got_array.tobytes() == want_array.tobytes()
+            assert results[0][3] == np.flatnonzero(args[-1]).tolist()
     assert collisions > 0
+
+
+def _recording(function, results):
+    """``function``, appending each call's result to ``results``."""
+
+    def call(*args):
+        results.append(function(*args))
+        return results[-1]
+
+    return call
+
+
+@pytest.mark.parametrize("delay, step", [(0, 301), (BLOCK_MIN_DELAY, 264)])
+def test_prescribed_head_that_stops_dead(delay, step):
+    """A general 1+1 chain behind a head at 15 m/s that stops dead at step
+    101: HDV -1 runs into the head at the reference's step, stepped one
+    step at a time or in blocks.  Every row through the collision is the
+    reference's bit for bit, and the head's column keeps the prescribed
+    trace in every row."""
+    cfg = ScenarioConfig(variant=V.GENERAL_LCC, m=1, n=1, horizon=5.0,
+                         base_params=DriverParams(delay=delay / 100),
+                         cav=CavController(mode="explicit"))
+    head_vel = np.full(501, 15.0)
+    head_vel[101:] = 0.0
+    args = _reference_args(cfg, head_vel)
+    n_steps, dt = args[:2]
+    pos, vel, acc = (a.copy() for a in args[2:5])
+    head = pos[:, 0].copy(), vel[:, 0].copy(), acc[:, 0].copy()
+    alpha, beta, vmax, sst, sgo, delays, s_star = args[8:15]
+    hdvs = [(j, int(delays[j]), *(float(x[j]) for x in (s_star, alpha, beta, vmax, sst, sgo)))
+            for j in (1, 3)]
+    chain = kernels.plan_chain(dt, 15.0, 2, [(2, 0.0, 0.0, float(s_star[2]))], hdvs,
+                               (-1, 0, 0, 0.0))
+    assert (chain.blocks is not None) == (delay >= BLOCK_MIN_DELAY)
+
+    status, got_step, col, brake_steps = kernels.simulate_loop(n_steps, chain, pos, vel, acc)
+    assert (status, got_step, col) == _reference_simulate_loop(*args) == (1, step, 1)
+    assert brake_steps == np.flatnonzero(args[-1]).tolist()
+    assert pos[:step + 1].tobytes() == args[2][:step + 1].tobytes()
+    assert vel[:step + 1].tobytes() == args[3][:step + 1].tobytes()
+    assert acc[:step].tobytes() == args[4][:step].tobytes()
+    for got, want in zip((pos, vel, acc), head):
+        assert got[:, 0].tobytes() == want.tobytes()

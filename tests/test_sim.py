@@ -300,6 +300,9 @@ def test_nan_step_or_horizon_rejected(field):
         simulate(ScenarioConfig(variant=V.CF_LCC, n=1, **{field: math.nan}))
 
 
+_PAST_V_STAR = math.nextafter(15.0, math.inf)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -326,6 +329,18 @@ def test_nan_step_or_horizon_rejected(field):
         # the window opens at the last step, which updates no state
         pytest.param({"horizon": 100.0, "perturbation": FollowerBrake(start=99.999)},
                      r"start=99\.999 and duration=1\.0 at dt=0\.01", id="brake-last-step"),
+        # a head that would drive backwards, or either sign just past v*
+        pytest.param({"perturbation": HeadSinusoid(amplitude=_PAST_V_STAR)},
+                     r"at most v_star = 15\.0 in size, got 15\.000000000000002",
+                     id="amplitude=v*+ulp"),
+        pytest.param({"perturbation": HeadSinusoid(amplitude=-_PAST_V_STAR)},
+                     r"at most v_star = 15\.0 in size, got -15\.000000000000002",
+                     id="amplitude=-v*-ulp"),
+        # horizon / dt rounds to no step at all
+        pytest.param({"horizon": 0.05, "dt": 0.1},
+                     r"more than half a step, got horizon=0\.05 and dt=0\.1", id="horizon=dt/2"),
+        pytest.param({"horizon": 1.0, "dt": 5.0},
+                     r"more than half a step, got horizon=1\.0 and dt=5\.0", id="horizon=dt/5"),
     ],
 )
 def test_scenario_values_the_config_rejects_are_rejected(change, message):
@@ -333,6 +348,17 @@ def test_scenario_values_the_config_rejects_are_rejected(change, message):
     stalled trace."""
     with pytest.raises(ValueError, match=message):
         simulate(ScenarioConfig(**{"variant": V.CF_LCC, "n": 1, "horizon": 30.0, **change}))
+
+
+@pytest.mark.parametrize("amplitude", [15.0, -15.0])
+def test_head_sinusoid_of_amplitude_v_star_accepted(amplitude):
+    """A head sinusoid as large as v* slows the head to a stop, never
+    backwards."""
+    trace = simulate(ScenarioConfig(
+        variant=V.CF_LCC, n=1, horizon=60.0,
+        perturbation=HeadSinusoid(amplitude=amplitude, period=60.0, start=0.0),
+    ))
+    assert 0.0 <= trace.velocity[:, 0].min() < 1e-9
 
 
 def test_non_finite_step_count_rejected():

@@ -72,8 +72,8 @@ def _kernel_acceleration(s, s_dot, v, p):
     hdv = (1, 0, s, p.alpha, p.beta, p.v_max, p.s_st, p.s_go)
     with mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
         chain = kernels.plan_chain(0.01, v, 0, [(0, 0.0, 0.0, s)], [hdv], (-1, 0, 0, 0.0))
-        status = kernels.simulate_loop(1, chain, pos, vel, acc, None, np.zeros(2, dtype=np.uint8))
-    assert status == (0, 0, 0) and alone.call_args.args[3] == hdv
+        result = kernels.simulate_loop(1, chain, pos, vel, acc)
+    assert result == (0, 0, 0, []) and alone.call_args.args[3] == hdv
     return acc[0, 1]
 
 
