@@ -20,22 +20,22 @@ steps the columns the plan names (a prescribed head holds its whole
 trace on entry and keeps it) in chunks of ``ROW_CHUNK`` rows, each with
 the plan's body:
 
-- When every HDV reacts at least ``BLOCK_MIN_DELAY`` steps late, in blocks
-  of L = min(delay) + 1 steps, the method of steps for delay equations.
-  Within a block every HDV reads only rows already written, so one numpy
-  pass gives all the block's HDV accelerations and running sums give its
-  HDV rows; only the CAV, whose law reads the current row, steps one step
-  at a time on Python floats.
-- Otherwise one step at a time on Python floats, since indexing numpy
-  arrays element by element boxes an ``np.float64`` per access, with each
-  chunk converted with ``tolist()`` and written back at once.  The chunk
-  goes column by column in dependency order: each HDV ahead of the CAV,
-  alone; the CAV with the followers its law reads, row by row; each HDV
-  behind those, alone.  An HDV's OVM reads only its predecessor's column
-  and its own (the time form of Gamma = G (phi/gamma)^(m+n): an HDV past
-  the last feedback gain only multiplies Gamma by its own phi/gamma), so
-  once its predecessor's rows are written its own follow from them, one
-  step after another.
+- When some HDV reacts at least one step late, in blocks of L = min(delay)
+  + 1 steps, the method of steps for delay equations.  Within a block
+  every HDV reads only rows already written, so one numpy pass gives all
+  the block's HDV accelerations and running sums give its HDV rows; only
+  the CAV, whose law reads the current row, steps one step at a time on
+  Python floats.
+- When every HDV reacts at once, one step at a time on Python floats,
+  since indexing numpy arrays element by element boxes an ``np.float64``
+  per access, with each chunk converted with ``tolist()`` and written
+  back at once.  The chunk goes column by column in dependency order:
+  each HDV ahead of the CAV, alone; the CAV with the followers its law
+  reads, row by row; each HDV behind those, alone.  An HDV's OVM reads
+  only its predecessor's column and its own (the time form of Gamma = G
+  (phi/gamma)^(m+n): an HDV past the last feedback gain only multiplies
+  Gamma by its own phi/gamma), so once its predecessor's rows are
+  written its own follow from them, one step after another.
 
 Both bodies give the same traces bit for bit, and so does a column
 stepped alone or in its row: each value comes from the same expression on
@@ -135,14 +135,6 @@ def ovm_ramp_array(s, v_max, s_st, s_go):
     return np.where(ramp, (0.5 * v_max) * (1.0 - cosines), np.where(stopped, 0.0, v_max))
 
 
-# Chains whose every HDV reacts at least this many steps late step in
-# blocks (``_step_blocks``); only ``plan_chain`` applies the rule.  The
-# blocks win from about 12 steps with 10 HDVs, 18 with 4, 25 with 2 and 36
-# with one; Appendix C's delays (30 to 50 steps) must stay in blocks, so
-# the threshold stops at 30.  A rule that also reads the number of HDVs
-# waits for a workload with 12-29-step delays, where it would differ.
-BLOCK_MIN_DELAY = 30
-
 # Rows each chunk of ``simulate_loop`` steps, converts to Python floats and
 # writes back at once, so no list ever holds a whole column's horizon.
 ROW_CHUNK = 512
@@ -176,15 +168,15 @@ def plan_chain(dt, v_star, cav, feedback, hdvs, brake):
 
     The HDVs, sorted front to back, split into ``ahead`` of the CAV,
     ``coupled`` (behind it, up to the farthest column a feedback term
-    reads) and ``tail``.  When every HDV reacts at least
-    ``BLOCK_MIN_DELAY`` steps late, ``blocks`` holds what ``_step_blocks``
-    reads: an array per HDV tuple field, in column order, and the mask of
-    the braked column; otherwise it is None.
+    reads) and ``tail``.  When some HDV reacts at least one step late,
+    ``blocks`` holds what ``_step_blocks`` reads: an array per HDV tuple
+    field, in column order, and the mask of the braked column; when every
+    HDV reacts at once it is None.
     """
     hdvs = sorted(hdvs)
     last = max([cav] + [term[0] for term in feedback])
     blocks = None
-    if hdvs and min(h[1] for h in hdvs) >= BLOCK_MIN_DELAY:
+    if any(h[1] > 0 for h in hdvs):
         columns = list(zip(*hdvs))
         cols = np.array(columns[0])
         floats = (np.array(c, dtype=float) for c in columns[2:])
@@ -232,8 +224,6 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
     module docstring), and ends the run at its first colliding pair.
     """
     n_veh = pos.shape[1]
-    window = max((h[1] for h in chain.coupled), default=0)
-    history = [None] * (window + 1) if window else []
     brake_steps = []
 
     r0 = 0
@@ -246,7 +236,7 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
         else:
             for hdv in chain.ahead:
                 _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
-            flags = _step_coupled(pos, vel, acc, r0, r1, nu, chain, history)
+            flags = _step_coupled(pos, vel, acc, r0, r1, nu, chain)
             for hdv in chain.tail:
                 _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
 
@@ -266,27 +256,12 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
 
 
 def _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain):
-    """Steps r0 .. r1 - 1 of one HDV column whose predecessor column is
-    written through row r1 - 1: writes acc rows r0 .. r1 - 1 and pos/vel
-    rows r0 + 1 .. r0 + nu of the column.
-
-    The OVM reads rows k - d of both columns.  A row before 0 reads the
-    equilibrium: spacing s* - 0.0 == s*, relative velocity v* - v* == 0.0
-    and velocity v*, bit for bit the values ``_step_coupled`` takes.
-    """
-    j, d, ss, al, be, vm, s_st, s_go = hdv
-    dt, v_star, a_min, a_max = chain.dt, chain.v_star, A_MIN, A_MAX
-    n_pre = min(max(d - r0, 0), r1 - r0)
-    lo = max(r0 - d, 0)
-    hi = max(r1 - d, lo)
-    own = min(hi, r0 + 1)
-    pred_p = [ss] * n_pre + pos[lo:hi, j - 1].tolist()
-    pred_v = [v_star] * n_pre + vel[lo:hi, j - 1].tolist()
-    # own rows r0 - d .. and then every new row, appended as it is stepped,
-    # so a delay shorter than the chunk reads rows of this chunk
-    own_p = [0.0] * n_pre + pos[lo:own, j].tolist()
-    own_v = [v_star] * n_pre + vel[lo:own, j].tolist()
-    start = len(own_p)
+    """Steps r0 .. r1 - 1 of one HDV column that reacts at once, whose
+    predecessor column is written through row r1 - 1: writes acc rows r0
+    .. r1 - 1 and pos/vel rows r0 + 1 .. r0 + nu of the column.  Step k's
+    OVM reads row k of both columns."""
+    j, _, _, al, be, vm, s_st, s_go = hdv
+    dt, a_min, a_max = chain.dt, A_MIN, A_MAX
     p, v = pos[r0, j].item(), vel[r0, j].item()
 
     brake_col, k0, k1, brake_acc = chain.brake
@@ -297,14 +272,14 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain):
             forced = a_min if brake_acc < a_min else (a_max if brake_acc > a_max else brake_acc)
             segments = [(b0 - r0, None), (b1 - b0, forced), (r1 - b1, None)]
 
-    a_out = []
-    add_a, add_p, add_v = a_out.append, own_p.append, own_v.append
+    a_out, p_out, v_out = [], [], []
+    add_a, add_p, add_v = a_out.append, p_out.append, v_out.append
     ramp = ovm_ramp
-    rows = zip(pred_p, pred_v, own_p, own_v)
+    rows = zip(pos[r0:r1, j - 1].tolist(), vel[r0:r1, j - 1].tolist())
     for count, forced in segments:
         if forced is None:
-            for sp, sv, dp, dv in islice(rows, count):
-                a = al * (ramp(sp - dp, vm, s_st, s_go) - dv) + be * (sv - dv)
+            for sp, sv in islice(rows, count):
+                a = al * (ramp(sp - p, vm, s_st, s_go) - v) + be * (sv - v)
                 a = a_min if a < a_min else (a_max if a > a_max else a)
                 add_a(a)
                 p = p + dt * v
@@ -319,23 +294,18 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain):
                 add_p(p)
                 add_v(v)
     acc[r0:r1, j] = a_out
-    pos[r0 + 1:r0 + nu + 1, j] = own_p[start:start + nu]
-    vel[r0 + 1:r0 + nu + 1, j] = own_v[start:start + nu]
+    pos[r0 + 1:r0 + nu + 1, j] = p_out[:nu]
+    vel[r0 + 1:r0 + nu + 1, j] = v_out[:nu]
 
 
-def _step_coupled(pos, vel, acc, r0, r1, nu, chain, history):
+def _step_coupled(pos, vel, acc, r0, r1, nu, chain):
     """Steps r0 .. r1 - 1 of the CAV and its ``coupled`` followers one row
     at a time, reading the columns ahead of the CAV from rows already
     written; returns the steps where the CAV's emergency brake fired.
-
-    A delayed follower reads its row k - d from ``history``, a ring of the
-    last len(history) rows that persists from chunk to chunk; a zero-delay
-    one reads the current row.
-    """
+    Every follower reacts at once, so it reads the current row."""
     dt, v_star, a_min, a_max = chain.dt, chain.v_star, A_MIN, A_MAX
     cav, feedback, hdvs = chain.cav, chain.feedback, chain.coupled
     brake_col, k0, k1, brake_acc = chain.brake
-    window = len(history)
     # every column between the CAV and its farthest feedback term is a follower
     end = (hdvs[-1][0] if hdvs else cav) + 1
     # rows r0 .. r1 of columns 0 .. end - 1: the columns ahead are written,
@@ -348,24 +318,13 @@ def _step_coupled(pos, vel, acc, r0, r1, nu, chain, history):
     group = range(cav, end)
     rows_a, flags = [], []
     for k, p, v, p_next, v_next in zip(range(r0, r1), rows_p, rows_v, rows_p[1:], rows_v[1:]):
-        if window:
-            history[k % window] = p, v
         a_cav, overridden = _cav_acceleration(p, v, cav, feedback, v_star)
         if overridden:
             flags.append(k)
         a_row = [a_cav]
-        for j, d, ss, al, be, vm, s_st, s_go in hdvs:
-            kd = k - d
-            if kd < 0:
-                sj = ss
-                sd = 0.0
-                vj = v_star
-            else:
-                pd, vd = history[kd % window] if d else (p, v)
-                sj = pd[j - 1] - pd[j]
-                sd = vd[j - 1] - vd[j]
-                vj = vd[j]
-            a = al * (ovm_ramp(sj, vm, s_st, s_go) - vj) + be * sd
+        for j, _, _, al, be, vm, s_st, s_go in hdvs:
+            vj = v[j]
+            a = al * (ovm_ramp(p[j - 1] - p[j], vm, s_st, s_go) - vj) + be * (v[j - 1] - vj)
             if j == brake_col and k0 <= k < k1:
                 a = brake_acc
             a_row.append(a_min if a < a_min else (a_max if a > a_max else a))

@@ -59,18 +59,16 @@ class DriverParams:
     delay: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if not self.v_max > 0:
-            raise ValueError(f"v_max must be > 0, got {self.v_max}")
-        if not 0 <= self.s_st < self.s_go:
+        for name in ("alpha", "beta", "v_max"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
+        if not 0 <= self.s_st < self.s_go < math.inf:
             raise ValueError(
-                f"need 0 <= s_st < s_go, got s_st={self.s_st}, s_go={self.s_go}"
+                f"need 0 <= s_st < s_go and s_go finite, got s_st={self.s_st}, s_go={self.s_go}"
             )
-        if not self.delay >= 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
+        if not 0 <= self.delay < math.inf:
+            raise ValueError(f"delay must be >= 0 and finite, got {self.delay}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Nonlinear chain simulation: scenarios, overrides, determinism."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -386,7 +387,8 @@ def test_delay_past_horizon_reads_no_delayed_state():
         )
 
     ref = run(5.02)  # 502 steps, past the 500-step horizon
-    for delay in (6.0, 1e300, math.inf):
+    # the largest finite delay over dt overflows to inf steps
+    for delay in (6.0, 1e300, sys.float_info.max):
         tr = run(delay)
         for name in ("position", "velocity", "acceleration"):
             assert np.array_equal(getattr(tr, name), getattr(ref, name))

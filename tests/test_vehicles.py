@@ -202,6 +202,12 @@ def test_param_validation_rejects_nan(field):
         DriverParams(**{field: math.nan})
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "v_max", "s_st", "s_go", "delay"])
+def test_param_validation_rejects_infinity(field):
+    with pytest.raises(ValueError, match=rf"{field} .*finite|{field}=inf"):
+        DriverParams(**{field: math.inf})
+
+
 @given(
     s1=st.floats(min_value=0.0, max_value=60.0),
     s2=st.floats(min_value=0.0, max_value=60.0),
