@@ -23,16 +23,17 @@ the plan's body:
 - When some HDV reacts at least one step late, in blocks of L = min(delay)
   + 1 steps, the method of steps for delay equations.  Within a block
   every HDV reads only rows already written, so one numpy pass gives all
-  the block's HDV accelerations and running sums give its HDV rows; only
-  the CAV, whose law reads the current row, steps one step at a time on
-  Python floats.
+  the block's HDV accelerations and running sums give its HDV rows; then
+  ``_step_coupled`` steps the CAV, whose law reads the current row,
+  through the block one step at a time on Python floats.
 - When every HDV reacts at once, one step at a time on Python floats,
   since indexing numpy arrays element by element boxes an ``np.float64``
   per access, with each chunk converted with ``tolist()`` and written
   back at once.  The chunk goes column by column in dependency order:
   each HDV ahead of the CAV, alone; the CAV with the followers its law
-  reads, row by row; each HDV behind those, alone.  An HDV's OVM reads
-  only its predecessor's column and its own (the time form of Gamma = G
+  reads, row by row, in ``_step_coupled``, the one place that law is
+  written; each HDV behind those, alone.  An HDV's OVM reads only its
+  predecessor's column and its own (the time form of Gamma = G
   (phi/gamma)^(m+n): an HDV past the last feedback gain only multiplies
   Gamma by its own phi/gamma), so once its predecessor's rows are
   written its own follow from them, one step after another.
@@ -187,22 +188,6 @@ def plan_chain(dt, v_star, cav, feedback, hdvs, brake):
     return Chain(dt, v_star, cav, tuple(feedback), tuple(brake), ahead, coupled, tail, blocks)
 
 
-def _cav_acceleration(p, v, cav, feedback, v_star):
-    """The CAV's clamped acceleration on the positions ``p`` and velocities
-    ``v`` of one step, and whether its emergency brake overrode its law."""
-    u = 0.0
-    for j2, mu2, k2, ss2 in feedback:
-        if mu2 != 0.0:
-            u += mu2 * (p[j2 - 1] - p[j2] - ss2)
-        if k2 != 0.0:
-            u += k2 * (v[j2] - v_star)
-    if cav > 0:
-        s0 = p[cav - 1] - p[cav]
-        if s0 > 0.0 and (v[cav] ** 2 - v[cav - 1] ** 2) / (2.0 * s0) >= -A_MIN:
-            return A_MIN, True
-    return (A_MIN if u < A_MIN else (A_MAX if u > A_MAX else u)), False
-
-
 def simulate_loop(n_steps, chain, pos, vel, acc):
     """Forward-Euler integration of the mixed chain ``plan_chain`` laid out.
 
@@ -236,7 +221,7 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
         else:
             for hdv in chain.ahead:
                 _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
-            flags = _step_coupled(pos, vel, acc, r0, r1, nu, chain)
+            flags = _step_coupled(pos, vel, acc, r0, r1, nu, chain, chain.coupled)
             for hdv in chain.tail:
                 _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
 
@@ -298,45 +283,57 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain):
     vel[r0 + 1:r0 + nu + 1, j] = v_out[:nu]
 
 
-def _step_coupled(pos, vel, acc, r0, r1, nu, chain):
-    """Steps r0 .. r1 - 1 of the CAV and its ``coupled`` followers one row
-    at a time, reading the columns ahead of the CAV from rows already
-    written; returns the steps where the CAV's emergency brake fired.
-    Every follower reacts at once, so it reads the current row."""
+def _step_coupled(pos, vel, acc, r0, r1, nu, chain, hdvs):
+    """Steps r0 .. r1 - 1 of the CAV and the followers ``hdvs`` one row at a
+    time: writes their acc rows r0 .. r1 - 1 and pos/vel rows r0 + 1 .. r0
+    + nu, and returns the steps where the CAV's emergency brake fired.
+    Every other column through the last ``coupled`` one is read from rows
+    already written.  The per-step body passes ``coupled``, whose
+    followers react at once and so read the current row; the block body
+    passes none, having written the block's HDV rows first."""
     dt, v_star, a_min, a_max = chain.dt, chain.v_star, A_MIN, A_MAX
-    cav, feedback, hdvs = chain.cav, chain.feedback, chain.coupled
+    cav, feedback = chain.cav, chain.feedback
     brake_col, k0, k1, brake_acc = chain.brake
     # every column between the CAV and its farthest feedback term is a follower
-    end = (hdvs[-1][0] if hdvs else cav) + 1
-    # rows r0 .. r1 of columns 0 .. end - 1: the columns ahead are written,
-    # and each step fills the next row's group columns before it is read
+    end = (chain.coupled[-1][0] if chain.coupled else cav) + 1
+    # rows r0 .. r1 of columns 0 .. end - 1: the columns read are written,
+    # and each step fills the next row's stepped columns before it is read
     rows_p = pos[r0:r0 + nu + 1, :end].tolist()
     rows_v = vel[r0:r0 + nu + 1, :end].tolist()
     if nu < r1 - r0:  # the horizon's last step updates no state
         rows_p.append(rows_p[-1][:])
         rows_v.append(rows_v[-1][:])
-    group = range(cav, end)
-    rows_a, flags = [], []
+    out, flags = [], []  # (a, p, v) of each stepped column, row by row
     for k, p, v, p_next, v_next in zip(range(r0, r1), rows_p, rows_v, rows_p[1:], rows_v[1:]):
-        a_cav, overridden = _cav_acceleration(p, v, cav, feedback, v_star)
-        if overridden:
+        u = 0.0
+        for j2, mu2, k2, ss2 in feedback:
+            if mu2 != 0.0:
+                u += mu2 * (p[j2 - 1] - p[j2] - ss2)
+            if k2 != 0.0:
+                u += k2 * (v[j2] - v_star)
+        vc = v[cav]
+        if cav > 0 and (s0 := p[cav - 1] - p[cav]) > 0.0 \
+                and (vc ** 2 - v[cav - 1] ** 2) / (2.0 * s0) >= -a_min:
+            u = a_min
             flags.append(k)
-        a_row = [a_cav]
+        a = a_min if u < a_min else (a_max if u > a_max else u)
+        p_next[cav] = pc = p[cav] + dt * vc
+        v_next[cav] = vn = w if (w := vc + dt * a) > 0.0 else 0.0
+        out += a, pc, vn
         for j, _, _, al, be, vm, s_st, s_go in hdvs:
             vj = v[j]
             a = al * (ovm_ramp(p[j - 1] - p[j], vm, s_st, s_go) - vj) + be * (v[j - 1] - vj)
             if j == brake_col and k0 <= k < k1:
                 a = brake_acc
-            a_row.append(a_min if a < a_min else (a_max if a > a_max else a))
-        rows_a.append(a_row)
-        for c, a in zip(group, a_row):
-            vc = v[c]
-            p_next[c] = p[c] + dt * vc
-            v_next[c] = w if (w := vc + dt * a) > 0.0 else 0.0
-    acc[r0:r1, cav:end] = rows_a
-    if nu:
-        pos[r0 + 1:r0 + nu + 1, :end] = rows_p[1:nu + 1]
-        vel[r0 + 1:r0 + nu + 1, :end] = rows_v[1:nu + 1]
+            a = a_min if a < a_min else (a_max if a > a_max else a)
+            p_next[j] = pc = p[j] + dt * vj
+            v_next[j] = vn = w if (w := vj + dt * a) > 0.0 else 0.0
+            out += a, pc, vn
+    a, p, v = np.array(out).reshape(r1 - r0, -1, 3).transpose(2, 0, 1)
+    stepped = slice(cav, cav + len(hdvs) + 1)
+    acc[r0:r1, stepped] = a
+    pos[r0 + 1:r0 + nu + 1, stepped] = p[:nu]
+    vel[r0 + 1:r0 + nu + 1, stepped] = v[:nu]
     return flags
 
 
@@ -344,9 +341,9 @@ def _step_blocks(pos, vel, acc, r0, r1, nu, chain):
     """Steps r0 .. r1 - 1 of every column but the head's in blocks of
     min(delay) + 1 steps, the last one cut at r1: writes acc rows r0 .. r1
     - 1 and pos/vel rows r0 + 1 .. r0 + nu, and returns the steps where
-    the CAV's emergency brake fired."""
-    n_veh = pos.shape[1]
-    dt, v_star, cav, feedback = chain.dt, chain.v_star, chain.cav, chain.feedback
+    the CAV's emergency brake fired.  Each block writes its HDV rows, then
+    hands the CAV's to ``_step_coupled``."""
+    dt, v_star = chain.dt, chain.v_star
     _, brake_k0, brake_k1, brake_acc = chain.brake
     cols, delay, ss, al, be, vm, s_st, s_go, braked = chain.blocks
     block = int(delay.min()) + 1
@@ -378,47 +375,25 @@ def _step_blocks(pos, vel, acc, r0, r1, nu, chain):
         a = np.where(a < A_MIN, A_MIN, np.where(a > A_MAX, A_MAX, a))
 
         # HDV rows: each column adds its dt * a, then its dt * v, in
-        # sequence as the per-step update does.  The CAV column holds
-        # finite placeholders until the CAV steps below; column 0, unless
-        # it is the CAV, is the head, whose rows are copied in as written.
-        A = np.zeros((k1 - k0, n_veh))
-        A[:, cols] = a
-        V = np.empty((nb + 1, n_veh))
-        V[0] = vel[k0]
-        np.multiply(dt, A[:nb], out=V[1:])
+        # sequence as the per-step update does
+        V = np.empty((nb + 1, cols.size))
+        V[0] = vel[k0, cols]
+        np.multiply(dt, a[:nb], out=V[1:])
         np.add.accumulate(V, out=V)
-        for c in np.flatnonzero(~(V[1:, cols] > 0.0).all(axis=0)).tolist():
+        for c in np.flatnonzero(~(V[1:] > 0.0).all(axis=0)).tolist():
             # the velocity clamp fires in this column: redo it step by step
-            vc = V[0, cols[c]]
+            vc = V[0, c]
             for i, step in enumerate((dt * a[:nb, c]).tolist(), 1):
-                V[i, cols[c]] = vc = w if (w := vc + step) > 0.0 else 0.0
-        P = np.empty((nb + 1, n_veh))
-        P[0] = pos[k0]
+                V[i, c] = vc = w if (w := vc + step) > 0.0 else 0.0
+        P = np.empty((nb + 1, cols.size))
+        P[0] = pos[k0, cols]
         np.multiply(dt, V[:nb], out=P[1:])
         np.add.accumulate(P, out=P)
-        if cav:
-            A[:, 0] = acc[k0:k1, 0]
-            V[:, 0] = vel[k0:k0 + nb + 1, 0]
-            P[:, 0] = pos[k0:k0 + nb + 1, 0]
+        pos[k0 + 1:k0 + nb + 1, cols] = P[1:]
+        vel[k0 + 1:k0 + nb + 1, cols] = V[1:]
+        acc[k0:k1, cols] = a
 
         # CAV: its law reads the current row, so it steps one step at a time
-        Pl, Vl = P.tolist(), V.tolist()
-        cav_a = []
-        for i in range(k1 - k0):
-            p, v = Pl[i], Vl[i]
-            ac, overridden = _cav_acceleration(p, v, cav, feedback, v_star)
-            if overridden:
-                flags.append(k0 + i)
-            cav_a.append(ac)
-            if i < nb:
-                Pl[i + 1][cav] = p[cav] + dt * v[cav]
-                w = v[cav] + dt * ac
-                Vl[i + 1][cav] = w if w > 0.0 else 0.0
-        A[:, cav] = cav_a
-        P[1:, cav] = [row[cav] for row in Pl[1:]]
-        V[1:, cav] = [row[cav] for row in Vl[1:]]
-        pos[k0 + 1:k0 + nb + 1] = P[1:]
-        vel[k0 + 1:k0 + nb + 1] = V[1:]
-        acc[k0:k1] = A
+        flags += _step_coupled(pos, vel, acc, k0, k1, nb, chain, ())
         k0 = k1
     return flags

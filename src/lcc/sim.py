@@ -172,17 +172,23 @@ def sample_heterogeneous(
     the base value (delays around ``delay_base``).  Deterministic for a
     given seed.  Raises ValueError, before any draw, when the seed is not
     an integer >= 0 (a bool is not one), a jitter is negative, or a band
-    reaches a value ``DriverParams`` rejects.
+    reaches past the float range or to a value ``DriverParams`` rejects.
     """
     if n_vehicles < 1:
         raise ValueError("need at least one vehicle")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     base = base or DriverParams()
-    for name in ("alpha_jitter", "beta_jitter", "s_go_jitter", "delay_jitter"):
+    bands = {"alpha_jitter": ("alpha", base.alpha), "beta_jitter": ("beta", base.beta),
+             "s_go_jitter": ("s_go", base.s_go), "delay_jitter": ("delay_base", spec.delay_base)}
+    for name, (key, center) in bands.items():
         value = getattr(spec, name)
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+        # numpy's draw overflows on a band past the float range
+        if not math.isfinite(center + value):
+            raise ValueError(f"{name} must keep {key} + {name} finite, got {key}={center} "
+                             f"and {name}={value}")
     if not base.alpha - spec.alpha_jitter > 0:
         raise ValueError(f"alpha_jitter must be < alpha = {base.alpha}, got {spec.alpha_jitter}")
     if not base.beta - spec.beta_jitter > 0:

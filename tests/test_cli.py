@@ -421,12 +421,17 @@ _HEAD_SINUSOID = ["--set", "variant=general", "--set", "m=2", "--set", "n=2",
          "amplitude must be at most v_star = 15.0 in size, got -20"),
         (["--set", "horizon=1", "--set", "dt=5"],
          "horizon must be more than half a step, got horizon=1 and dt=5"),
+        (["--set", "horizon=1", "--set", "heterogeneity.delay_base=1e308",
+          "--set", "heterogeneity.delay_jitter=1e308"],
+         "delay_jitter must keep delay_base + delay_jitter finite, "
+         "got delay_base=1e+308 and delay_jitter=1e+308"),
     ],
-    ids=["amplitude-16", "amplitude-minus-20", "horizon-below-half-step"],
+    ids=["amplitude-16", "amplitude-minus-20", "horizon-below-half-step", "delay-band-overflows"],
 )
 def test_simulate_input_past_its_limit_exit_code(capsys, tmp_path, argv, message):
-    """A head sinusoid that would drive the head backwards, or a step that
-    would simulate past the horizon, is refused before anything runs."""
+    """A head sinusoid that would drive the head backwards, a step that
+    would simulate past the horizon, or a delay band past the float range
+    is refused before anything runs."""
     code, out, err = run_cli(capsys, "simulate", *argv, "-o", str(tmp_path))
     assert (code, out, err) == (4, "", f"lcc: error: {message}\n")
     assert not list(tmp_path.iterdir())

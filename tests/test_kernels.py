@@ -515,6 +515,7 @@ def test_simulate_loop_matches_reference_bitwise(name):
     ids = (["h"] if cfg.has_head else []) + list(range(-cfg.m, cfg.n + 1))
     with mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop, \
             mock.patch.object(kernels, "_step_blocks", wraps=kernels._step_blocks) as blocks, \
+            mock.patch.object(kernels, "_step_coupled", wraps=kernels._step_coupled) as coupled, \
             mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
         if status == 1:
             with pytest.raises(CollisionError) as err:
@@ -532,6 +533,11 @@ def test_simulate_loop_matches_reference_bitwise(name):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     assert blocks.called == (name in BLOCK_CASES)
+    # the one CAV stepper: blocks hand it the CAV alone, the per-step body
+    # the CAV with its coupled followers
+    assert coupled.called
+    for call in coupled.call_args_list:
+        assert call.args[7] == (() if name in BLOCK_CASES else call.args[6].coupled)
     assert {call.args[3][0] for call in alone.call_args_list} == ALONE_COLUMNS.get(name, set())
     if name.startswith("safety-override"):
         assert override.any()

@@ -1,7 +1,9 @@
 """Nonlinear chain simulation: scenarios, overrides, determinism."""
 
+import cmath
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +19,17 @@ from lcc import (
     ScenarioConfig,
     SystemVariant,
     TopologyError,
+    TransferSpec,
     build_system,
+    equilibrium_spacing,
+    kernels,
+    linearize,
+    phi_gamma,
     sample_heterogeneous,
     simulate,
+    transfer_value,
 )
+from lcc.presets import GAIN_CASES
 
 V = SystemVariant
 
@@ -219,6 +228,23 @@ def test_sample_heterogeneous_rejects_bad_bands(spec, field):
             sample_heterogeneous(spec, 10, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "base, spec, field",
+    [
+        (DriverParams(alpha=1e308), HeterogeneitySpec(alpha_jitter=9e307), "alpha_jitter"),
+        (DriverParams(beta=1e308), HeterogeneitySpec(beta_jitter=9e307), "beta_jitter"),
+        (DriverParams(s_go=1.7e308), HeterogeneitySpec(s_go_jitter=9e307), "s_go_jitter"),
+        (DriverParams(), HeterogeneitySpec(delay_base=1e308, delay_jitter=1e308), "delay_jitter"),
+    ],
+    ids=["alpha", "beta", "s_go", "delay"],
+)
+def test_sample_heterogeneous_rejects_bands_past_the_float_range(base, spec, field):
+    # each band lies within the checks above, but numpy's draw overflows
+    # on its width: refused up front, naming the jitter
+    with pytest.raises(ValueError, match=f"^{field} must keep .* finite"):
+        sample_heterogeneous(spec, 3, seed=0, base=base)
+
+
 def test_sample_heterogeneous_edge_bands_accepted():
     base = DriverParams()
     spec = HeterogeneitySpec(
@@ -393,3 +419,48 @@ def test_delay_past_horizon_reads_no_delayed_state():
         for name in ("position", "velocity", "acceleration"):
             assert np.array_equal(getattr(tr, name), getattr(ref, name))
     assert not np.array_equal(run(0.5).velocity, ref.velocity)
+
+
+@pytest.mark.parametrize("period", [5.0, 10.0])
+@pytest.mark.parametrize(
+    "case, delay", [("hdv", 0), ("caseA", 0), ("caseD", 0), ("hdv", 5), ("hdv", 40)]
+)
+def test_small_signal_response_is_the_euler_transfer_function(case, delay, period):
+    """A 1 mm/s head sinusoid through the general 2+2 chain: vehicle 2's
+    velocity phasor over the head's, over whole periods after t = 100 s, is
+    the transfer function of the forward-Euler chain, Gamma at s_d = (z -
+    1)/dt with z = e^(j w dt).  An HDV that reacts d steps late has the
+    factor z^-d (alpha1 + alpha3 s_d) / (s_d^2 + z^-d (alpha2 s_d +
+    alpha1)).  Chains without delay step one row at a time, delayed ones in
+    blocks, so the oracle covers both bodies with no reference loop."""
+    dt, base = 0.01, DriverParams(delay=delay / 100)
+    gains = FeedbackGains.from_pairs(GAIN_CASES[case])
+    cfg = ScenarioConfig(
+        variant=V.GENERAL_LCC,
+        m=2,
+        n=2,
+        horizon=200.0,
+        dt=dt,
+        perturbation=HeadSinusoid(amplitude=1e-3, period=period, start=0.0),
+        base_params=base,
+        cav=CavController(gains=gains),
+    )
+    with mock.patch.object(kernels, "_step_blocks", wraps=kernels._step_blocks) as blocks:
+        trace = simulate(cfg)
+    assert blocks.called == (delay > 0)
+    window = slice(round(100.0 / dt), round(200.0 / dt))  # 20 or 10 whole periods
+    omega = 2.0 * math.pi / period
+    phasor = np.exp(-1j * omega * trace.times[window])
+    head, tail = ((trace.velocity[window, trace.col(vid)] - 15.0) @ phasor for vid in ("h", 2))
+
+    z = cmath.exp(1j * omega * dt)
+    s_d = (z - 1.0) / dt
+    c = linearize(equilibrium_spacing(15.0, base), base)
+    if delay == 0:
+        want = transfer_value(TransferSpec(m=2, n=2, coeffs=c, gains=gains), s_d)
+    else:
+        phi, gam = phi_gamma(c, s_d)
+        late = z**-delay
+        hdv = late * phi / (s_d * s_d + late * (c.alpha2 * s_d + c.alpha1))
+        want = phi / gam * hdv**4
+    assert abs(tail / head - want) <= 1e-6 * abs(want)
