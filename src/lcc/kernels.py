@@ -25,7 +25,10 @@ the plan's body:
   every HDV reads only rows already written, so one numpy pass gives all
   the block's HDV accelerations and running sums give its HDV rows; then
   ``_step_coupled`` steps the CAV, whose law reads the current row,
-  through the block one step at a time on Python floats.
+  through the block one step at a time on Python floats.  The pass
+  gathers the delayed states with ``take`` on flat views of pos and vel
+  (so both must be C-contiguous), by one flat index per block, and
+  evaluates every OVM ramp of the block in one cosine pass.
 - When every HDV reacts at once, one step at a time on Python floats,
   since indexing numpy arrays element by element boxes an ``np.float64``
   per access, with each chunk converted with ``tolist()`` and written
@@ -41,8 +44,8 @@ the plan's body:
 Both bodies give the same traces bit for bit, and so does a column
 stepped alone or in its row: each value comes from the same expression on
 the same operands.  numpy's float64 +, -, * and / round as Python's do,
-at every SIMD level; the OVM cosine is ``math.cos`` on each spacing in
-both (``np.cos`` may differ in the last bit); and no sum is reordered:
+at every SIMD level; the OVM cosine is ``math.cos`` in both (``np.cos``
+may differ in the last bit); and no sum is reordered:
 ``np.add.accumulate`` adds each column's increments in sequence, as the
 per-step update does, and the CAV sums its feedback terms in order.
 
@@ -125,15 +128,19 @@ def gamma_mag_sq_grid(omegas, a1, a2, a3, mu_p, k_p, mu_f, k_f):
 def ovm_ramp_array(s, v_max, s_st, s_go):
     """``vehicles.ovm_ramp`` elementwise over an array of spacings ``s``.
 
-    The parameters broadcast against ``s``.  Every value rounds as the
-    scalar ramp's: numpy's float64 -, * and / round as Python's do, and
-    the cosine is ``math.cos`` on each spacing inside the ramp.
+    The parameters broadcast against ``s``.  The cosine's argument
+    pi (s - s_st) / (s_go - s_st) is clipped to [0, pi], so one cosine
+    pass over every element gives 1 at or below s_st, hence V = +0.0 as
+    in the scalar ramp, and -1 at or above s_go, where ``np.where``
+    returns ``v_max`` itself (0.5 v_max may underflow).  Below s_go the
+    clip moves only an argument that rounds past pi, whose cosine is
+    -1.0 either way.  Every other value rounds as the scalar ramp's:
+    numpy's float64 -, * and / round as Python's do, and the cosine is
+    ``math.cos``, whatever numpy's SIMD level.
     """
-    stopped = s <= s_st
-    ramp = ~(stopped | (s >= s_go))
-    cosines = np.zeros(np.shape(s))
-    cosines[ramp] = list(map(math.cos, (math.pi * (s - s_st) / (s_go - s_st))[ramp].tolist()))
-    return np.where(ramp, (0.5 * v_max) * (1.0 - cosines), np.where(stopped, 0.0, v_max))
+    x = np.minimum(np.maximum(math.pi * (s - s_st) / (s_go - s_st), 0.0), math.pi)
+    c = np.fromiter(map(math.cos, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.where(s >= s_go, v_max, (0.5 * v_max) * (1.0 - c))
 
 
 # Rows each chunk of ``simulate_loop`` steps, converts to Python floats and
@@ -207,7 +214,12 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
     ``_step_alone`` on each HDV ``ahead``, ``_step_coupled`` and
     ``_step_alone`` on each HDV of the ``tail``, in that order (see the
     module docstring), and ends the run at its first colliding pair.
+    pos and vel must be C-contiguous: ``_step_blocks`` reads them through
+    flat views, which a copy would leave stale.
     """
+    for name, array in (("pos", pos), ("vel", vel)):
+        if not array.flags.c_contiguous:
+            raise ValueError(f"simulate_loop needs a C-contiguous {name} array")
     n_veh = pos.shape[1]
     brake_steps = []
 
@@ -342,51 +354,59 @@ def _step_blocks(pos, vel, acc, r0, r1, nu, chain):
     min(delay) + 1 steps, the last one cut at r1: writes acc rows r0 .. r1
     - 1 and pos/vel rows r0 + 1 .. r0 + nu, and returns the steps where
     the CAV's emergency brake fired.  Each block writes its HDV rows, then
-    hands the CAV's to ``_step_coupled``."""
+    hands the CAV's to ``_step_coupled``.  Reads pos and vel through flat
+    views, so both must be C-contiguous."""
     dt, v_star = chain.dt, chain.v_star
     _, brake_k0, brake_k1, brake_acc = chain.brake
     cols, delay, ss, al, be, vm, s_st, s_go, braked = chain.blocks
+    n_veh = pos.shape[1]
+    pf, vf = pos.reshape(-1), vel.reshape(-1)
     block = int(delay.min()) + 1
     max_delay = int(delay.max())
+    # flat index of each column's delayed state at step k0 + i, less k0 * n_veh
+    steps = (np.arange(block) * n_veh)[:, None] + (cols - delay * n_veh)
     flags = []
     k0 = r0
     while k0 < r1:
         k1 = min(k0 + block, r1)  # this block's steps are k0 .. k1 - 1
         nb = min(k1, r0 + nu) - k0  # its state updates give rows k0 + 1 .. k0 + nb
-        ks = np.arange(k0, k1)
 
         # HDVs: every delayed row k - d is at most k0, so already written;
         # a row before 0 reads the equilibrium (s*, 0, v*)
-        rows = ks[:, None] - delay
+        idx = steps[:k1 - k0] + k0 * n_veh
         prehistory = k0 < max_delay
         if prehistory:
-            known = rows >= 0
-            rows = np.where(known, rows, 0)
-        s = pos[rows, cols - 1] - pos[rows, cols]
-        sd = vel[rows, cols - 1] - vel[rows, cols]
-        vj = vel[rows, cols]
+            known = idx >= cols  # the delayed row is >= 0
+            idx = np.where(known, idx, cols)
+        front = idx - 1
+        vj = vf.take(idx)
+        s = pf.take(front) - pf.take(idx)
+        sd = vf.take(front) - vj
         if prehistory:
             s = np.where(known, s, ss)
             sd = np.where(known, sd, 0.0)
             vj = np.where(known, vj, v_star)
         a = al * (ovm_ramp_array(s, vm, s_st, s_go) - vj) + be * sd
         if brake_k0 < k1 and k0 < brake_k1:
+            ks = np.arange(k0, k1)
             a[((brake_k0 <= ks) & (ks < brake_k1))[:, None] & braked] = brake_acc
-        a = np.where(a < A_MIN, A_MIN, np.where(a > A_MAX, A_MAX, a))
+        a = np.minimum(np.maximum(a, A_MIN), A_MAX)
 
         # HDV rows: each column adds its dt * a, then its dt * v, in
         # sequence as the per-step update does
+        row0 = k0 * n_veh + cols
         V = np.empty((nb + 1, cols.size))
-        V[0] = vel[k0, cols]
+        V[0] = vf.take(row0)
         np.multiply(dt, a[:nb], out=V[1:])
         np.add.accumulate(V, out=V)
-        for c in np.flatnonzero(~(V[1:] > 0.0).all(axis=0)).tolist():
-            # the velocity clamp fires in this column: redo it step by step
-            vc = V[0, c]
-            for i, step in enumerate((dt * a[:nb, c]).tolist(), 1):
-                V[i, c] = vc = w if (w := vc + step) > 0.0 else 0.0
+        if not V[1:].min(initial=math.inf) > 0.0:  # a block may update no state
+            for c in np.flatnonzero(~(V[1:] > 0.0).all(axis=0)).tolist():
+                # the velocity clamp fires in this column: redo it step by step
+                vc = V[0, c]
+                for i, step in enumerate((dt * a[:nb, c]).tolist(), 1):
+                    V[i, c] = vc = w if (w := vc + step) > 0.0 else 0.0
         P = np.empty((nb + 1, cols.size))
-        P[0] = pos[k0, cols]
+        P[0] = pf.take(row0)
         np.multiply(dt, V[:nb], out=P[1:])
         np.add.accumulate(P, out=P)
         pos[k0 + 1:k0 + nb + 1, cols] = P[1:]

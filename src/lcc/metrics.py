@@ -38,6 +38,22 @@ def _metric_vehicles(trace: SimulationTrace, vehicles) -> list:
     return vids
 
 
+def _window(trace: SimulationTrace, window, vehicles):
+    """The vehicle set, its columns and the window's row mask of ``trace``."""
+    vids = _metric_vehicles(trace, vehicles)
+    mask = trace.window_mask(*window)
+    return vids, [trace.col(vid) for vid in vids], mask
+
+
+def _rows(samples: np.ndarray, mask: np.ndarray, cols: list) -> np.ndarray:
+    """The masked rows of ``samples`` as one C-contiguous row per column of
+    ``cols``, in set order (``take`` always returns a C-ordered array).
+
+    Such a row reduces along ``axis=-1`` as a 1-D array does, so one
+    ``np.trapezoid`` over every row rounds as one call per vehicle."""
+    return samples.compress(mask, axis=0).T.take(cols, axis=0)
+
+
 def total_fuel(
     trace: SimulationTrace,
     window: Tuple[float, float],
@@ -48,18 +64,16 @@ def total_fuel(
     Trapezoidal time integral of each vehicle's instantaneous rate,
     summed over the set (all non-head vehicles by default), which must
     not be empty.  A window holding fewer than two samples integrates to
-    zero; a reversed or non-finite window raises ValueError.
+    zero; a reversed or non-finite window, or a vehicle not in the trace,
+    raises ValueError.
     """
-    vids = _metric_vehicles(trace, vehicles)
-    mask = trace.window_mask(*window)
+    _, cols, mask = _window(trace, window, vehicles)
     if mask.sum() < 2:
         return 0.0
-    t = trace.times[mask]
+    rates = fuel_rate(_rows(trace.velocity, mask, cols), _rows(trace.acceleration, mask, cols))
     total = 0.0
-    for vid in vids:
-        j = trace.col(vid)
-        rate = fuel_rate(trace.velocity[mask, j], trace.acceleration[mask, j])
-        total += float(np.trapezoid(rate, t))
+    for fuel in np.trapezoid(rates, trace.times[mask], axis=-1).tolist():
+        total += fuel
     return total
 
 
@@ -72,16 +86,16 @@ def aave(
 
     Time-averages |v_i - v*| per vehicle (trapezoidal), with v* the
     trace's equilibrium velocity, then averages across the set, which
-    must not be empty.  Windows are checked as in ``total_fuel``.
+    must not be empty.  Windows and vehicles are checked as in
+    ``total_fuel``.
     """
-    vids = _metric_vehicles(trace, vehicles)
-    mask = trace.window_mask(*window)
+    vids, cols, mask = _window(trace, window, vehicles)
     if mask.sum() < 2:
         return 0.0
     t = trace.times[mask]
     span = t[-1] - t[0]
+    dev = np.abs(_rows(trace.velocity, mask, cols) - trace.v_star)
     acc = 0.0
-    for vid in vids:
-        dev = np.abs(trace.velocity[mask, trace.col(vid)] - trace.v_star)
-        acc += float(np.trapezoid(dev, t)) / span
+    for err in np.trapezoid(dev, t, axis=-1).tolist():
+        acc += err / span
     return acc / len(vids)

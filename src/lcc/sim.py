@@ -151,6 +151,9 @@ class SimulationTrace:
     dt: float
 
     def col(self, vid) -> int:
+        """Column of vehicle ``vid``; ValueError if the trace has none."""
+        if vid not in self.ids:
+            raise ValueError(f"vehicle {vid!r} is not in the trace, whose ids are {self.ids}")
         return self.ids.index(vid)
 
     def window_mask(self, t_a: float, t_b: float) -> np.ndarray:

@@ -80,6 +80,30 @@ def test_desired_velocity_is_the_kernel_ramp_bitwise():
         assert ovm_ramp_array(spacings, p.v_max, p.s_st, p.s_go).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize(
+    "v_max, s_st, s_go",
+    [pytest.param(p.v_max, p.s_st, p.s_go, id=name) for name, p in (
+        ("default", DriverParams()),
+        ("subnormal-v_max", DriverParams(v_max=5e-324)),
+        ("other", DriverParams(v_max=33.3, s_st=0.0, s_go=38.7)),
+    )],
+)
+def test_ovm_ramp_array_edges_match_the_scalar_ramp_bitwise(v_max, s_st, s_go):
+    """At both ends of the ramp, one ulp either side of them and at
+    spacings outside the physical range, the elementwise V(s) is the
+    scalar one bit for bit, in a 1-D array and in a (steps, columns)
+    block with per-column parameters.  (Spacings stay below ~5e307:
+    pi * s overflows past it, in the scalar ramp as well.)"""
+    spacings = [s_st, s_go, -3.0, 0.0, -0.0, math.inf, -math.inf, math.nan, 1e307]
+    for end in (s_st, s_go):
+        spacings += [float(np.nextafter(end, -math.inf)), float(np.nextafter(end, math.inf))]
+    want = np.array([ovm_ramp(s, v_max, s_st, s_go) for s in spacings])
+    assert ovm_ramp_array(np.array(spacings), v_max, s_st, s_go).tobytes() == want.tobytes()
+    block = np.array(spacings)[:, None].repeat(2, axis=1)
+    params = (np.full(2, x) for x in (v_max, s_st, s_go))
+    assert ovm_ramp_array(block, *params).tobytes() == want.repeat(2).tobytes()
+
+
 def _reference_simulate_loop(
     n_steps,
     dt,
@@ -694,6 +718,22 @@ def test_step_collision_leaves_later_steps_unwritten(delay, chunk):
     assert pos[:, 0].tolist() == list(itertools.accumulate([0.0] + [0.01 * 15.0] * 100))
     for got, array in zip((pos, vel, acc), want):
         assert got.tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("name", ["pos", "vel"])
+def test_simulate_loop_rejects_fortran_ordered_state(name):
+    """The block body reads pos and vel through flat views, so a
+    Fortran-ordered array is refused by name rather than read as a stale
+    copy."""
+    n_steps = 20
+    arrays = {key: np.zeros((n_steps + 1, 3)) for key in ("pos", "vel", "acc")}
+    arrays["pos"][0] = 0.0, -20.0, -40.0
+    arrays["vel"][0] = 15.0
+    arrays[name] = np.asfortranarray(arrays[name])
+    hdvs = [(j, 5, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (1, 2)]
+    chain = kernels.plan_chain(0.01, 15.0, 0, [(0, 0.0, -0.5, 20.0)], hdvs, (-1, 0, 0, 0.0))
+    with pytest.raises(ValueError, match=f"C-contiguous {name} array"):
+        kernels.simulate_loop(n_steps, chain, arrays["pos"], arrays["vel"], arrays["acc"])
 
 
 def _random_scenario(rng):

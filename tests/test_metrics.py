@@ -5,6 +5,9 @@ import pytest
 
 from lcc import (
     CavController,
+    FollowerBrake,
+    HeadSinusoid,
+    HeterogeneitySpec,
     ScenarioConfig,
     SimulationTrace,
     SystemVariant,
@@ -13,6 +16,8 @@ from lcc import (
     simulate,
     total_fuel,
 )
+from lcc.presets import CF_CONTROLLER, FD_CONTROLLER
+from oracles import aave_per_vehicle, total_fuel_per_vehicle
 
 
 def test_fuel_rate_examples():
@@ -118,3 +123,57 @@ def test_aave_empty_vehicle_set_raises():
     tr = _synthetic_trace(1.0)
     with pytest.raises(ValueError, match="vehicle set is empty"):
         aave(tr, (0.0, 10.0), vehicles=[])
+
+
+@pytest.mark.parametrize("metric", [total_fuel, aave])
+def test_metrics_name_a_vehicle_not_in_the_trace(metric):
+    tr = _equilibrium_trace(n=2, horizon=10.0)
+    with pytest.raises(ValueError, match=r"vehicle 7 is not in the trace, whose ids are \(0, 1, 2\)"):
+        metric(tr, (0.0, 10.0), vehicles=[7])
+
+
+# Traces the metrics integrate: a heterogeneous, delayed chain whose last
+# HDV brakes (the Appendix C scenario), a chain with a prescribed head
+# column, and one whose HDVs react at once.
+_ORACLE_TRACES = {
+    "delayed": dict(variant=SystemVariant.FD_LCC, n=10, horizon=40.0, cav=FD_CONTROLLER,
+                    perturbation=FollowerBrake(vehicle=10), heterogeneity=HeterogeneitySpec(),
+                    seed=5),
+    "head": dict(variant=SystemVariant.CF_LCC, n=4, horizon=40.0, cav=CF_CONTROLLER,
+                 perturbation=HeadSinusoid(amplitude=3.0, period=7.0, start=10.0)),
+    "at-once": dict(variant=SystemVariant.FD_LCC, n=3, horizon=40.0, cav=FD_CONTROLLER,
+                    perturbation=FollowerBrake(vehicle=2, duration=3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_TRACES))
+def test_metrics_match_the_per_vehicle_oracle_bitwise(name):
+    """Integrating the whole vehicle set in one call rounds as one
+    trapezoid per vehicle, summed in set order: over windows long, short
+    and of exactly two samples, and sets reordered, repeated, of one
+    vehicle and holding the head."""
+    tr = simulate(ScenarioConfig(**_ORACLE_TRACES[name]))
+    others = [vid for vid in tr.ids if vid != "h"]
+    sets = [None, others[::-1], [others[1], others[2], others[1]], [others[-1]],
+            tr.ids[:2] if name == "head" else [0, 0]]
+    windows = [(20.0, 40.0), (0.0, 40.0), (13.37, 29.0), (5.0, 5.01)]
+    assert tr.window_mask(*windows[-1]).sum() == 2
+    for window in windows:
+        for vehicles in sets:
+            for metric, oracle in ((total_fuel, total_fuel_per_vehicle), (aave, aave_per_vehicle)):
+                got, want = metric(tr, window, vehicles), oracle(tr, window, vehicles)
+                assert float(got).hex() == float(want).hex(), (metric.__name__, window, vehicles)
+    # the perturbation moves every trace off its equilibrium in (20, 40)
+    assert aave(tr, (20.0, 40.0)) > 0.0
+
+
+def test_total_fuel_rejects_a_negative_velocity():
+    """Every vehicle's rate comes from one ``fuel_rate`` call, which still
+    rejects a negative velocity anywhere in the set's window."""
+    tr = _synthetic_trace(1.0)
+    tr.velocity[500, 1] = -0.25
+    with pytest.raises(ValueError, match="velocity must be >= 0"):
+        total_fuel(tr, (0.0, 10.0))
+    with pytest.raises(ValueError, match="velocity must be >= 0"):
+        fuel_rate(tr.velocity.T, tr.acceleration.T)
+    assert total_fuel(tr, (0.0, 4.0)) > 0.0
