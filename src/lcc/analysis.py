@@ -316,13 +316,13 @@ def energy_scaling_study(
     to ``gramian`` in ascending order, so those that share an RK4 step
     integrate one path.
     """
-    ns = sorted(set(int(n) for n in n_range))
+    # each n checked as it comes, so a range past the limit fails at its first bad n
+    ns = sorted({validate_count("n", int(n)) for n in n_range})
     if not ns:
         raise ValueError("n_range must be nonempty")
     ts = [float(t) for t in t_list]
     if not ts:
         raise ValueError("t_list must be nonempty")
-    validate_count("n", ns[0])
     model = build_system(SystemVariant.FD_LCC, 0, ns[-1], coeffs)
     W = {t: gramian(model.A, model.B, t).W for t in sorted(set(ts))}
     rows = []

@@ -2,17 +2,17 @@
 
 One versioned document type covers every CLI command; each command reads
 the sections it needs.  Each key is one row of the table ``_KEYS``: its
-default, type, bound (allowed values, or a lower bound such as "> 0")
-and help text with units.  Where a dataclass (``ScenarioConfig``,
-``DriverParams``, ``CavController``, ``HeadSinusoid``, ``FollowerBrake``,
-``HeterogeneitySpec``, ``FrequencyGrid``) configures the key, the
-default is that dataclass field's.  ``parse_config`` walks a document
-against the table: it rejects unknown or missing required keys, integer
-keys that are not ``int``, number keys that are not a finite ``int`` or
-``float``, ``bool`` for any key (none takes one), and keys of another
-perturbation kind, naming the dotted key; it keeps given values as they
-are and fills in every default, so ``{"variant": "fd", "n": 2}`` is
-complete.
+default, type, bound and help text with units.  Where a dataclass
+(``ScenarioConfig``, ``DriverParams``, ``CavController``, ``HeadSinusoid``,
+``FollowerBrake``, ``HeterogeneitySpec``, ``FrequencyGrid``, ``GainAxis``)
+configures the key, its default and bound are that field's (``errors.bounded``),
+which the library enforces too; limits that span keys are the library's alone.
+``parse_config`` walks a document against the table: it rejects unknown or
+missing required keys, integer keys that are not ``int``, number keys that are
+not a finite ``int`` or ``float``, ``bool`` for any key (none takes one),
+values past their bound, and keys of another perturbation kind, naming the
+dotted key; it keeps given values as they are and fills in every default, so
+``{"variant": "fd", "n": 2}`` is complete.
 ``DEFAULTS`` is the parse of ``{}``, a ``cf`` chain that ``simulate``
 runs as it stands; ``config_help`` renders the table.
 A file's config is ``parse_config(read_config(path))``: the CLI reads a
@@ -27,17 +27,14 @@ from __future__ import annotations
 
 import copy
 import json
-import math
-import operator
 import re
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, violation
 from .sim import (
-    CONTROLLER_MODES,
     CavController,
     FollowerBrake,
     HeadSinusoid,
@@ -69,8 +66,8 @@ SCHEMA_VERSION = 1
 
 class _Key(NamedTuple):
     default: object  # MISSING: the key is required
+    bound: object  # None, or a limit as ``errors.violation`` reads it
     type: type  # int, float (any finite number), str, or dict (the gains map)
-    bound: object  # None, a tuple of allowed values, or a lower bound "> x" / ">= x"
     help: str
 
 
@@ -80,9 +77,9 @@ class _Section(NamedTuple):
 
 
 def _rows(cls, **rows) -> dict:
-    """Keys (type, bound, help) named after fields of ``cls``, with its defaults."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    return {name: _Key(defaults[name], *row) for name, row in rows.items()}
+    """Keys (type, help) named after fields of ``cls``, with their defaults and limits."""
+    owned = {f.name: (f.default, f.metadata.get("limit")) for f in fields(cls)}
+    return {name: _Key(*owned[name], *row) for name, row in rows.items()}
 
 
 # perturbation.kind -> the dataclass it builds; a kind takes that class's fields
@@ -90,78 +87,73 @@ _PERTURBATIONS = {"none": None, "head-sinusoid": HeadSinusoid, "follower-brake":
 _KIND_KEYS = {kind: {f.name for f in fields(cls)} if cls else set()
               for kind, cls in _PERTURBATIONS.items()}
 
-_AXIS = _Section(MISSING, {
-    "vehicle": _Key(MISSING, int, None, "id of the vehicle whose gain is scanned"),
-    "component": _Key(MISSING, str, ("mu", "k"), "scanned gain"),
-    "lo": _Key(-10.0, float, None, "first gain value (1/s^2 for mu, 1/s for k)"),
-    "hi": _Key(10.0, float, None, "last gain value"),
-    "points": _Key(101, int, ">= 1", "gain values, evenly spaced"),
-})
+_AXIS = _Section(MISSING, _rows(
+    GainAxis,
+    vehicle=(int, "id of the vehicle whose gain is scanned"),
+    component=(str, "scanned gain"),
+    lo=(float, "first gain value (1/s^2 for mu, 1/s for k)"),
+    hi=(float, "last gain value"),
+    points=(int, "gain values, evenly spaced"),
+))
 
 _KEYS = {
-    "schema": _Key(SCHEMA_VERSION, int, (SCHEMA_VERSION,), "document version"),
-    "variant": _Key(ScenarioConfig.variant.value, str, tuple(v.value for v in SystemVariant),
+    "schema": _Key(SCHEMA_VERSION, (SCHEMA_VERSION,), int, "document version"),
+    "variant": _Key(ScenarioConfig.variant.value, tuple(v.value for v in SystemVariant), str,
                     "chain type"),
     **_rows(
         ScenarioConfig,
-        m=(int, ">= 0", "HDVs ahead of the CAV (count)"),
-        n=(int, ">= 0", "HDVs behind the CAV (count)"),
-        v_star=(float, "> 0", "equilibrium velocity (m/s)"),
-        dt=(float, "> 0", "simulation step (s)"),
-        horizon=(float, "> 0", "simulation length (s)"),
-        seed=(int, ">= 0", "RNG seed for heterogeneity sampling"),
+        m=(int, "HDVs ahead of the CAV (count)"),
+        n=(int, "HDVs behind the CAV (count)"),
+        v_star=(float, "equilibrium velocity (m/s)"),
+        dt=(float, "simulation step (s)"),
+        horizon=(float, "simulation length (s)"),
+        seed=(int, "RNG seed for heterogeneity sampling"),
     ),
     "driver": _Section({}, _rows(
         DriverParams,
-        alpha=(float, "> 0", "OVM desired-velocity gain (1/s)"),
-        beta=(float, "> 0", "OVM relative-velocity gain (1/s)"),
-        v_max=(float, "> 0", "free-flow velocity (m/s)"),
-        s_st=(float, ">= 0", "standstill spacing (m)"),
-        s_go=(float, "> 0", "free-flow spacing (m)"),
-        delay=(float, ">= 0", "HDV reaction delay (s)"),
+        alpha=(float, "OVM desired-velocity gain (1/s)"),
+        beta=(float, "OVM relative-velocity gain (1/s)"),
+        v_max=(float, "free-flow velocity (m/s)"),
+        s_st=(float, "standstill spacing (m)"),
+        s_go=(float, "free-flow spacing (m)"),
+        delay=(float, "HDV reaction delay (s)"),
     )),
-    "gains": _Key({}, dict, None, '{"id": [mu, k]}: spacing (1/s^2) and velocity (1/s) '
+    "gains": _Key({}, None, dict, '{"id": [mu, k]}: spacing (1/s^2) and velocity (1/s) '
                   "feedback gains,\nid in -m..-1, 1..n (0: own state, explicit mode only)"),
-    "controller": _Section({}, _rows(
-        CavController,
-        mode=(str, CONTROLLER_MODES, "CAV feedback law"),
-    )),
+    "controller": _Section({}, _rows(CavController, mode=(str, "CAV feedback law"))),
     "perturbation": _Section({"kind": "none"}, {
-        "kind": _Key(MISSING, str, tuple(_PERTURBATIONS), "perturbation applied"),
+        "kind": _Key(MISSING, tuple(_PERTURBATIONS), str, "perturbation applied"),
         **_rows(
             HeadSinusoid,
-            amplitude=(float, None, "head velocity amplitude (m/s), |amplitude| <= v_star"),
-            period=(float, "> 0", "head velocity period (s)"),
-            start=(float, ">= 0", "onset time (s)"),
+            amplitude=(float, "head velocity amplitude (m/s), |amplitude| <= v_star"),
+            period=(float, "head velocity period (s)"),
+            start=(float, "onset time (s)"),
         ),
         **_rows(
             FollowerBrake,
-            vehicle=(int, None, "id of the braking HDV"),
-            decel=(float, None, "forced acceleration (m/s^2)"),
-            duration=(float, "> 0", "braking time (s)"),
+            vehicle=(int, "id of the braking HDV"),
+            decel=(float, "forced acceleration (m/s^2)"),
+            duration=(float, "braking time (s)"),
         ),
     }),
     "heterogeneity": _Section(None, _rows(
         HeterogeneitySpec,
-        alpha_jitter=(float, ">= 0", "half-width of the alpha band (1/s)"),
-        beta_jitter=(float, ">= 0", "half-width of the beta band (1/s)"),
-        s_go_jitter=(float, ">= 0", "half-width of the s_go band (m)"),
-        delay_base=(float, ">= 0", "mean HDV reaction delay (s)"),
-        delay_jitter=(float, ">= 0", "half-width of the delay band (s)"),
+        alpha_jitter=(float, "half-width of the alpha band (1/s)"),
+        beta_jitter=(float, "half-width of the beta band (1/s)"),
+        s_go_jitter=(float, "half-width of the s_go band (m)"),
+        delay_base=(float, "mean HDV reaction delay (s)"),
+        delay_jitter=(float, "half-width of the delay band (s)"),
     )),
     "frequency": _Section({}, _rows(
         FrequencyGrid,
-        # the lowest omega_min whose square is a normal float (FrequencyGrid)
-        omega_min=(float, f">= {math.sqrt(sys.float_info.min)!r}",
-                   "lowest frequency of verdicts and magnitude CSV (rad/s)"),
-        omega_max=(float, "> 0", "highest frequency of verdicts and magnitude CSV (rad/s)"),
-        points=(int, ">= 2", "log-spaced points of the stability magnitude CSV only"),
+        omega_min=(float, "lowest frequency of verdicts and magnitude CSV (rad/s)"),
+        omega_max=(float, "highest frequency of verdicts and magnitude CSV (rad/s)"),
+        points=(int, "log-spaced points of the stability magnitude CSV only"),
     )),
     "scan": _Section(None, {"axis1": _AXIS, "axis2": _AXIS}),
 }
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
-_LOWER = {">": operator.gt, ">=": operator.ge}
 
 
 def _fail(where: str, message: str):
@@ -183,12 +175,9 @@ def _checked(value, key: _Key, where: str):
         ok = isinstance(value, key.type) and not isinstance(value, bool)
     if not ok:
         _fail(where, f"expected {_TYPE_NAMES[key.type]}, got {value!r}")
-    if isinstance(key.bound, tuple) and value not in key.bound:
-        _fail(where, f"expected one of {', '.join(map(repr, key.bound))}, got {value!r}")
-    if isinstance(key.bound, str):
-        op, limit = key.bound.split()
-        if not _LOWER[op](value, float(limit)):
-            _fail(where, f"must be {key.bound}, got {value!r}")
+    broken = key.bound is not None and violation(value, key.bound)
+    if broken:
+        _fail(where, f"must be {broken}, got {value!r}")
     return value
 
 
@@ -330,19 +319,11 @@ def scenario_from_config(cfg: dict) -> ScenarioConfig:
     het = cfg["heterogeneity"]
     return ScenarioConfig(
         variant=SystemVariant(cfg["variant"]),
-        m=cfg["m"],
-        n=cfg["n"],
-        v_star=cfg["v_star"],
-        horizon=cfg["horizon"],
-        dt=cfg["dt"],
+        **{name: cfg[name] for name in ("m", "n", "v_star", "horizon", "dt", "seed")},
         perturbation=_perturbation_from_config(cfg),
         base_params=driver_from_config(cfg),
         heterogeneity=HeterogeneitySpec(**het) if het is not None else None,
-        cav=CavController(
-            gains=gains_from_config(cfg),
-            mode=cfg["controller"]["mode"],
-        ),
-        seed=cfg["seed"],
+        cav=CavController(gains=gains_from_config(cfg), **cfg["controller"]),
     )
 
 
@@ -353,10 +334,7 @@ def transfer_spec_from_config(cfg: dict) -> TransferSpec:
 
 
 def grid_from_config(cfg: dict) -> FrequencyGrid:
-    f = cfg["frequency"]
-    return FrequencyGrid(
-        omega_min=f["omega_min"], omega_max=f["omega_max"], points=f["points"]
-    )
+    return FrequencyGrid(**cfg["frequency"])
 
 
 def axes_from_config(cfg: dict) -> Tuple[GainAxis, GainAxis]:

@@ -24,8 +24,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import kernels
-from .errors import CollisionError, TopologyError
-from .systems import FeedbackGains, SystemVariant, validate_gain_ids, validate_topology
+from .errors import CollisionError, TopologyError, bounded, check_limits
+from .systems import COUNT_LIMIT, FeedbackGains, SystemVariant, validate_gain_ids, validate_topology
 from .vehicles import A_MAX, A_MIN, DriverParams, equilibrium_spacing, linearize
 
 __all__ = [
@@ -41,16 +41,14 @@ __all__ = [
     "simulate",
 ]
 
-CONTROLLER_MODES = ("hdv-baseline", "explicit")
-
 
 @dataclass(frozen=True)
 class HeadSinusoid:
     """Head-vehicle velocity v* + amplitude*sin(2*pi*(t-start)/period)."""
 
-    amplitude: float = 2.0
-    period: float = 10.0
-    start: float = 20.0
+    amplitude: float = bounded(2.0)
+    period: float = bounded(10.0, "> 0")
+    start: float = bounded(20.0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,9 @@ class FollowerBrake:
     """One HDV forced to a fixed deceleration for a time window."""
 
     vehicle: int = 1
-    decel: float = -5.0
-    duration: float = 1.0
-    start: float = 20.0
+    decel: float = bounded(-5.0)
+    duration: float = bounded(1.0, "> 0")
+    start: float = HeadSinusoid.__dataclass_fields__["start"]  # one onset: default and limit
 
 
 Perturbation = Union[HeadSinusoid, FollowerBrake, None]
@@ -80,22 +78,21 @@ class CavController:
     """
 
     gains: FeedbackGains = field(default_factory=FeedbackGains)
-    mode: str = "hdv-baseline"
+    mode: str = bounded("hdv-baseline", ("hdv-baseline", "explicit"))
 
     def __post_init__(self):
-        if self.mode not in CONTROLLER_MODES:
-            raise ValueError(f"unknown controller mode {self.mode!r}")
+        check_limits(self)
 
 
 @dataclass(frozen=True)
 class HeterogeneitySpec:
     """Uniform jitter around the base driver parameters, plus delays."""
 
-    alpha_jitter: float = 0.1
-    beta_jitter: float = 0.1
-    s_go_jitter: float = 5.0
-    delay_base: float = 0.4
-    delay_jitter: float = 0.1
+    alpha_jitter: float = bounded(0.1, ">= 0")
+    beta_jitter: float = bounded(0.1, ">= 0")
+    s_go_jitter: float = bounded(5.0, ">= 0")
+    delay_base: float = bounded(0.4, ">= 0")
+    delay_jitter: float = bounded(0.1, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -111,16 +108,16 @@ class ScenarioConfig:
     """
 
     variant: SystemVariant = SystemVariant.CF_LCC
-    m: int = 0
-    n: int = 2
-    v_star: float = 15.0
-    horizon: float = 100.0
-    dt: float = 0.01
+    m: int = bounded(0, COUNT_LIMIT)
+    n: int = bounded(2, COUNT_LIMIT)
+    v_star: float = bounded(15.0, "> 0")
+    horizon: float = bounded(100.0, "> 0")
+    dt: float = bounded(0.01, "> 0")
     perturbation: Perturbation = None
     base_params: DriverParams = field(default_factory=DriverParams)
     heterogeneity: Optional[HeterogeneitySpec] = None
     cav: CavController = field(default_factory=CavController)
-    seed: int = 0
+    seed: int = bounded(0, ">= 0")
 
     @property
     def has_head(self) -> bool:
@@ -174,8 +171,8 @@ def sample_heterogeneous(
     Each parameter is independently uniform within its jitter band around
     the base value (delays around ``delay_base``).  Deterministic for a
     given seed.  Raises ValueError, before any draw, when the seed is not
-    an integer >= 0 (a bool is not one), a jitter is negative, or a band
-    reaches past the float range or to a value ``DriverParams`` rejects.
+    an integer >= 0 (a bool is not one), ``spec`` breaks its own limits,
+    or a band reaches past the float range or to a value ``DriverParams`` rejects.
     """
     if n_vehicles < 1:
         raise ValueError("need at least one vehicle")
@@ -184,14 +181,12 @@ def sample_heterogeneous(
     base = base or DriverParams()
     bands = {"alpha_jitter": ("alpha", base.alpha), "beta_jitter": ("beta", base.beta),
              "s_go_jitter": ("s_go", base.s_go), "delay_jitter": ("delay_base", spec.delay_base)}
+    check_limits(spec)
     for name, (key, center) in bands.items():
-        value = getattr(spec, name)
-        if not value >= 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
         # numpy's draw overflows on a band past the float range
-        if not math.isfinite(center + value):
+        if not math.isfinite(center + getattr(spec, name)):
             raise ValueError(f"{name} must keep {key} + {name} finite, got {key}={center} "
-                             f"and {name}={value}")
+                             f"and {name}={getattr(spec, name)}")
     if not base.alpha - spec.alpha_jitter > 0:
         raise ValueError(f"alpha_jitter must be < alpha = {base.alpha}, got {spec.alpha_jitter}")
     if not base.beta - spec.beta_jitter > 0:
@@ -222,10 +217,8 @@ def sample_heterogeneous(
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    if not 0 < cfg.dt < math.inf:
-        raise ValueError(f"dt must be > 0 and finite, got {cfg.dt}")
-    if not cfg.horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {cfg.horizon}")
+    validate_topology(cfg.variant, cfg.m, cfg.n)
+    check_limits(cfg)
     if not math.isfinite(cfg.horizon / cfg.dt):
         raise ValueError(
             f"horizon/dt must be finite, got horizon={cfg.horizon} and dt={cfg.dt}"
@@ -234,26 +227,22 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ValueError(
             f"horizon must be more than half a step, got horizon={cfg.horizon} and dt={cfg.dt}"
         )
-    validate_topology(cfg.variant, cfg.m, cfg.n)
     pert = cfg.perturbation
     if isinstance(pert, (HeadSinusoid, FollowerBrake)):
-        size, length = (
-            ("amplitude", "period") if isinstance(pert, HeadSinusoid) else ("decel", "duration")
-        )
-        if not math.isfinite(getattr(pert, size)):
-            raise ValueError(f"{size} must be finite, got {getattr(pert, size)}")
+        check_limits(pert)
         if isinstance(pert, HeadSinusoid) and abs(pert.amplitude) > cfg.v_star:
             raise ValueError(
                 f"amplitude must be at most v_star = {cfg.v_star} in size, got {pert.amplitude}"
             )
-        if not 0 < getattr(pert, length) < math.inf:
-            raise ValueError(f"{length} must be > 0 and finite, got {getattr(pert, length)}")
-        if not pert.start >= 0:
-            raise ValueError(f"start must be >= 0, got {pert.start}")
         if pert.start >= cfg.horizon:
             raise ValueError("perturbation must start before the horizon ends")
-    if isinstance(pert, HeadSinusoid) and not cfg.has_head:
-        raise TopologyError("free-driving scenario has no head vehicle to perturb")
+    if isinstance(pert, HeadSinusoid):
+        if not cfg.has_head:
+            raise TopologyError("free-driving scenario has no head vehicle to perturb")
+        # the head's phase at the last step, as ``simulate`` computes it
+        phase = 2.0 * math.pi * (_step_count(cfg) * cfg.dt - pert.start) / pert.period
+        if not math.isfinite(phase):
+            raise ValueError(f"period must keep the head's phase finite, got {pert.period}")
     if isinstance(pert, FollowerBrake):
         if pert.vehicle not in cfg.hdv_ids():
             raise TopologyError(f"brake vehicle {pert.vehicle} is not an HDV of this chain")

@@ -50,7 +50,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .errors import EvaluationError, TopologyError
+from .errors import EvaluationError, TopologyError, bounded, check_limits
 from .systems import FeedbackGains, validate_count, validate_gain_ids
 from .vehicles import LinearCoeffs
 
@@ -72,6 +72,9 @@ log = logging.getLogger(__name__)
 # Verdict margin on |Gamma| < 1 and root real-part tolerance.
 PEAK_MARGIN = 1e-9
 EIG_TOL = 1e-6
+
+# omega_min's limit: the least omega whose square is a normal float.
+_OMEGA_MIN_LIMIT = f">= {math.sqrt(sys.float_info.min)!r}"
 
 # Matrix entries per scan chunk.
 _CHUNK_ENTRIES = 2**16
@@ -106,18 +109,17 @@ class TransferSpec:
 class FrequencyGrid:
     """Frequency range of the verdicts, and the log-spaced grid of plots."""
 
-    omega_min: float = 1e-2
-    omega_max: float = 1e2
-    points: int = 1000
+    omega_min: float = bounded(1e-2, _OMEGA_MIN_LIMIT)
+    omega_max: float = bounded(1e2, "> 0")
+    points: int = bounded(1000, ">= 2")
 
     def __post_init__(self):
-        # the verdicts work in x = omega^2, so each bound's square must be finite
-        # too, and omega_min's a normal float: a subnormal square loses the range's
-        # low end (it underflows to 0 below ~1.6e-162)
+        # the verdicts work in x = omega^2: each bound's square must be finite, and omega_min's
+        # normal, as a subnormal square loses the range's low end (0 below ~1.6e-162)
         square = self.omega_min * self.omega_min
         if not (0 < self.omega_min and sys.float_info.min <= square < math.inf):
             raise ValueError(
-                f"omega_min must be finite and >= {math.sqrt(sys.float_info.min)!r}, "
+                f"omega_min must be finite and {_OMEGA_MIN_LIMIT}, "
                 f"so that its square is a normal float, got {self.omega_min}"
             )
         if not (self.omega_min < self.omega_max and math.isfinite(self.omega_max * self.omega_max)):
@@ -125,8 +127,7 @@ class FrequencyGrid:
                 "omega_max must be finite, with a finite square, and exceed omega_min, "
                 f"got {self.omega_max}"
             )
-        if self.points < 2:
-            raise ValueError("need at least 2 grid points")
+        check_limits(self)
 
     def omegas(self) -> np.ndarray:
         return np.logspace(
@@ -139,21 +140,15 @@ class GainAxis:
     """One scanned gain coordinate: (vehicle, mu-or-k) over a range."""
 
     vehicle: int
-    component: str  # "mu" or "k"
-    lo: float
-    hi: float
-    points: int
+    component: str = bounded(limit=("mu", "k"))
+    lo: float = bounded(-10.0)
+    hi: float = bounded(10.0)
+    points: int = bounded(101, ">= 1")
 
     def __post_init__(self):
-        if self.component not in ("mu", "k"):
-            raise ValueError(f"component must be 'mu' or 'k', got {self.component!r}")
-        for name in ("lo", "hi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.points < 1:
-            raise ValueError("axis needs at least 1 point")
+        check_limits(self)
         if self.points > 1 and not self.hi > self.lo:
-            raise ValueError("axis range must have hi > lo")
+            raise ValueError(f"axis range must have hi > lo, got lo={self.lo} and hi={self.hi}")
 
     def values(self) -> np.ndarray:
         if self.points == 1:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import bounded, check_limits
+
 __all__ = [
     "A_MIN",
     "A_MAX",
@@ -51,24 +53,17 @@ class DriverParams:
     delay   reaction delay (s), used by the nonlinear simulator only
     """
 
-    alpha: float = 0.6
-    beta: float = 0.9
-    v_max: float = 30.0
-    s_st: float = 5.0
-    s_go: float = 35.0
-    delay: float = 0.0
+    alpha: float = bounded(0.6, "> 0")
+    beta: float = bounded(0.9, "> 0")
+    v_max: float = bounded(30.0, "> 0")
+    s_st: float = bounded(5.0, ">= 0")
+    s_go: float = bounded(35.0, "> 0")
+    delay: float = bounded(0.0, ">= 0")
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "v_max"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be > 0 and finite, got {value}")
-        if not 0 <= self.s_st < self.s_go < math.inf:
-            raise ValueError(
-                f"need 0 <= s_st < s_go and s_go finite, got s_st={self.s_st}, s_go={self.s_go}"
-            )
-        if not 0 <= self.delay < math.inf:
-            raise ValueError(f"delay must be >= 0 and finite, got {self.delay}")
+        check_limits(self)
+        if not self.s_st < self.s_go:
+            raise ValueError(f"need s_st < s_go, got s_st={self.s_st}, s_go={self.s_go}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,8 @@
+import contextlib
+import faulthandler
+import signal
+import sys
+
 import numpy as np
 import pytest
 
@@ -34,3 +39,32 @@ def trace_rows_out_of_memory(monkeypatch):
         return real_zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", zeros)
+
+
+class Hung(Exception):
+    """A call that outlived its deadline; not an OSError, so ``cli.main`` lets it through."""
+
+
+def _hung(signum, frame):
+    raise Hung("the call ran past its deadline")
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(s):`` fails a call that runs past ``s`` seconds instead of
+    hanging: ``signal.alarm`` raises ``Hung`` in Python code, and since a loop inside
+    one C call holds off that handler, a second later ``faulthandler`` ends the test
+    process."""
+    @contextlib.contextmanager
+    def within(seconds):
+        faulthandler.dump_traceback_later(seconds + 1, exit=True, file=sys.__stderr__)
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

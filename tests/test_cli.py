@@ -425,8 +425,12 @@ _HEAD_SINUSOID = ["--set", "variant=general", "--set", "m=2", "--set", "n=2",
           "--set", "heterogeneity.delay_jitter=1e308"],
          "delay_jitter must keep delay_base + delay_jitter finite, "
          "got delay_base=1e+308 and delay_jitter=1e+308"),
+        # once raw numpy warnings, a NaN head and a false collision
+        ([*_HEAD_SINUSOID, "--set", "perturbation.period=1e-320"],
+         "period must keep the head's phase finite, got 1e-320"),
     ],
-    ids=["amplitude-16", "amplitude-minus-20", "horizon-below-half-step", "delay-band-overflows"],
+    ids=["amplitude-16", "amplitude-minus-20", "horizon-below-half-step", "delay-band-overflows",
+         "period-phase-overflows"],
 )
 def test_simulate_input_past_its_limit_exit_code(capsys, tmp_path, argv, message):
     """A head sinusoid that would drive the head backwards, a step that
@@ -637,3 +641,40 @@ def test_readme_library_example_runs(capsys):
     verdict, metrics = capsys.readouterr().out.splitlines()
     assert verdict.startswith("StringStabilityResult(verdict='SS', ")
     assert all(float(x) > 0 for x in metrics.split())
+
+
+_HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "--set", f"n={_HUGE}"], 3),
+        (["stability", "--set", f"n={_HUGE}"], 3),
+        (["scan", "--set", f"n={_HUGE}",
+          "--set", 'scan={"axis1": {"vehicle": 1, "component": "mu"}, ' + _AXIS2 + "}"], 3),
+        (["simulate", "--set", f"n={_HUGE}"], 3),
+        (["energy", "--n-range", _HUGE], 4),
+        (["energy", "--n-range", f"1:{_HUGE}"], 4),
+    ],
+    ids=["analyze", "stability", "scan", "simulate", "energy", "energy-range"],
+)
+def test_vehicle_count_past_its_limit_exit_code(capsys, tmp_path, deadline, argv, code):
+    """A count past n's limit fails at once, naming n: it once walked range(1, n + 1),
+    which hung, or overflowed len() in a traceback."""
+    with deadline(20):
+        got, out, err = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert (got, out) == (code, "")
+    assert re.search(r"(\$\.n: | n )must be .*<= 100, got ", err), err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_scan_axis_range_names_both_ends(capsys, tmp_path):
+    axes = {"axis1": {"vehicle": 1, "component": "mu", "lo": 1, "hi": -1},
+            "axis2": {"vehicle": 1, "component": "k"}}
+    code, out, err = run_cli(
+        capsys, "scan", "--set", "n=2", "--set", f"scan={json.dumps(axes)}", "-o", str(tmp_path)
+    )
+    assert (code, out) == (4, "")
+    assert err == "lcc: error: axis range must have hi > lo, got lo=1 and hi=-1\n"

@@ -1,26 +1,34 @@
 """JSON configuration parsing, defaults, and round-tripping."""
 
 import json
+import math
+import operator
 import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
+import lcc
 from lcc import (
     CavController,
     ConfigError,
     DriverParams,
     FollowerBrake,
     FrequencyGrid,
+    GainAxis,
     HeadSinusoid,
     HeterogeneitySpec,
     ScenarioConfig,
     SystemVariant,
+    TopologyError,
+    sample_heterogeneous,
+    simulate,
 )
+from lcc.systems import COUNT_LIMIT
 from lcc.config import (
     DEFAULTS,
     apply_overrides,
@@ -375,3 +383,123 @@ def test_import_does_not_load_jsonschema():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# each key's own limit, declared on its dataclass field: config and library agree
+# ---------------------------------------------------------------------------
+
+
+def _simulate(scenario, perturbation=None):
+    """``simulate`` on a short cf chain, or a ccc one when m > 0: no chain type
+    takes both m = 0 and m = 1."""
+    if scenario.get("m", 0) > 0:
+        chain = {"variant": SystemVariant.CCC, "n": 0}
+    else:
+        chain = {"variant": SystemVariant.CF_LCC, "n": 1}
+    simulate(ScenarioConfig(**{**chain, "horizon": 0.1, **scenario}, perturbation=perturbation))
+
+
+# Each dataclass whose fields declare limits: the config path of its keys, the
+# document entries that path needs, and the library call that enforces the limits,
+# given the field values and the scenario around them.
+_OWNERS = {
+    ScenarioConfig: ("", {}, lambda own, scenario: _simulate({**scenario, **own})),
+    DriverParams: ("driver", {}, lambda own, _: DriverParams(**own)),
+    CavController: ("controller", {}, lambda own, _: CavController(**own)),
+    HeadSinusoid: ("perturbation", {"kind": "head-sinusoid"},
+                   lambda own, scenario: _simulate(scenario, HeadSinusoid(**own))),
+    FollowerBrake: ("perturbation", {"kind": "follower-brake"},
+                    lambda own, scenario: _simulate(scenario, FollowerBrake(**own))),
+    HeterogeneitySpec: ("heterogeneity", {},
+                        lambda own, _: sample_heterogeneous(HeterogeneitySpec(**own), 2, 0)),
+    FrequencyGrid: ("frequency", {}, lambda own, _: FrequencyGrid(**own)),
+    GainAxis: ("scan.axis1", {"vehicle": 1, "component": "mu"},
+               lambda own, _: GainAxis(**{"vehicle": 1, "component": "mu", **own})),
+}
+
+# Field values, then scenario values, that a value at a limit needs so that no
+# limit spanning fields refuses it: a step that fits the horizon, a brake that
+# covers a step, s_st < s_go, a finite head phase, a delay band within its base.
+_CONTEXT = {
+    (ScenarioConfig, "v_star"): ({"cav": CavController(mode="explicit")}, {}),
+    (ScenarioConfig, "dt"): ({"horizon": 1e-323}, {}),
+    (ScenarioConfig, "horizon"): ({"dt": 5e-324}, {}),
+    (DriverParams, "s_go"): ({"s_st": 0.0}, {}),
+    (HeadSinusoid, "period"): ({"start": 0.0}, {"dt": 1e-16, "horizon": 1e-16}),
+    (FollowerBrake, "duration"): ({"start": 0.0}, {"dt": 5e-324, "horizon": 1e-323}),
+    (HeterogeneitySpec, "delay_base"): ({"delay_jitter": 0.0}, {}),
+}
+
+# Limits that a limit spanning fields makes stricter: omega_max must exceed
+# omega_min, whose own limit is above 1e-154, so no omega_max just above 0 is
+# valid, though config takes it.
+_STRICTER = {(FrequencyGrid, "omega_max")}
+
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _limit_cases():
+    """(owner, field, value, accepted) at each end of each declared limit, and
+    the adjacent int or float on either side."""
+    for cls in _OWNERS:
+        for f in fields(cls):
+            limit = f.metadata.get("limit")
+            if isinstance(limit, tuple):
+                yield from ((cls, f.name, value, True) for value in limit)
+                yield cls, f.name, "no-such-value", False
+            elif limit:
+                terms = [(op, float(x)) for op, x in (t.split() for t in limit.split(" and "))]
+                for _, x in terms:
+                    if isinstance(f.default, int):
+                        values = [int(x) - 1, int(x), int(x) + 1]
+                    else:
+                        values = [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+                    for value in values:
+                        yield cls, f.name, value, all(_OPS[op](value, y) for op, y in terms)
+
+
+_LIMIT_CASES = list(_limit_cases())
+
+
+def test_limit_cases_cover_every_limited_dataclass():
+    limited = {obj for obj in vars(lcc).values()
+               if is_dataclass(obj) and any("limit" in f.metadata for f in fields(obj))}
+    assert limited == set(_OWNERS)
+    bounded = {(cls, f.name) for cls in _OWNERS for f in fields(cls) if f.metadata.get("limit")}
+    assert {(cls, name) for cls, name, _, _ in _LIMIT_CASES} == bounded
+
+
+@pytest.mark.parametrize(
+    "cls, name, value, accepted", _LIMIT_CASES,
+    ids=[f"{cls.__name__}.{name}={value!r}" for cls, name, value, _ in _LIMIT_CASES],
+)
+def test_config_and_library_agree_on_each_limit(cls, name, value, accepted):
+    """Both refuse a value past a key's own limit, naming it, and both accept
+    one within it: config exits 3 where the library raises."""
+    path, entries, call = _OWNERS[cls]
+    key = f"{path}.{name}".lstrip(".")
+    doc = node = {}
+    for part in path.split(".") if path else []:
+        node = node.setdefault(part, {})
+    node.update(entries)
+    if path.startswith("scan."):
+        doc["scan"]["axis2"] = {"vehicle": 1, "component": "k"}
+    node[name] = value
+    own, scenario = _CONTEXT.get((cls, name), ({}, {}))
+    if accepted:
+        parsed = parse_config(doc)
+        for part in key.split("."):
+            parsed = parsed[part]
+        assert parsed == value
+        if (cls, name) not in _STRICTER:
+            call({**own, name: value}, scenario)
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert f"invalid config at $.{key}: must be " in str(err.value)
+    assert str(err.value).endswith(f", got {value!r}")
+    # m and n are counts, which ``validate_count`` refuses with a TopologyError
+    counted = cls.__dataclass_fields__[name].metadata["limit"] is COUNT_LIMIT
+    with pytest.raises(TopologyError if counted else ValueError, match=f"^{name} must be "):
+        call({**own, name: value}, scenario)

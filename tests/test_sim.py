@@ -335,6 +335,9 @@ _PAST_V_STAR = math.nextafter(15.0, math.inf)
     [
         pytest.param({"perturbation": HeadSinusoid(period=0.0)}, "period must be > 0",
                      id="period=0"),
+        # 2 pi (t - start) / period overflows: sin would give a NaN head
+        pytest.param({"perturbation": HeadSinusoid(period=1e-320)},
+                     "period must keep the head's phase finite", id="period-phase-overflows"),
         pytest.param({"perturbation": HeadSinusoid(amplitude=math.nan)},
                      "amplitude must be finite", id="amplitude=nan"),
         pytest.param({"perturbation": HeadSinusoid(start=math.nan)}, "start must be >= 0",

@@ -17,6 +17,7 @@ from lcc import (
     scan_region,
     simulate,
 )
+from lcc.systems import validate_gain_ids
 
 V = SystemVariant
 
@@ -212,3 +213,19 @@ def test_gain_ids_share_one_rule_and_message(default_coeffs):
     fd = build_system(V.FD_LCC, 0, 2, default_coeffs)
     with pytest.raises(TopologyError, match=r"^gain ids \[3\] outside 0, 1\.\.2$"):
         control_row(fd, FeedbackGains(k={3: 1.0}))
+
+
+def test_gain_ids_checked_by_comparison(deadline):
+    """Membership costs O(len(ids)), not a walk of range(1, n + 1), which hung
+    for a huge n."""
+    huge = 10**20
+    with deadline(5):
+        validate_gain_ids({-3, 1, huge}, 3, huge)
+        outside = rf"gain ids \[-4, {huge + 1}\] outside -3..-1, 1..{huge}$"
+        with pytest.raises(TopologyError, match=outside):
+            validate_gain_ids([1, -4, huge + 1], 3, huge)
+        with pytest.raises(TopologyError, match=r"gain ids \[0\] outside a chain with no HDV$"):
+            validate_gain_ids([0], 0, 0)
+    validate_gain_ids([0, 2.0], 0, 2, own_state=True)
+    with pytest.raises(TopologyError, match=r"gain ids \[1.5\] outside 1..2$"):
+        validate_gain_ids([1.5], 0, 2)
