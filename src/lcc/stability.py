@@ -73,11 +73,16 @@ log = logging.getLogger(__name__)
 PEAK_MARGIN = 1e-9
 EIG_TOL = 1e-6
 
-# omega_min's limit: the least omega whose square is a normal float.
+# omega's limits: the least omega whose square is a normal float, and the greatest whose
+# square is finite.
 _OMEGA_MIN_LIMIT = f">= {math.sqrt(sys.float_info.min)!r}"
+_OMEGA_MAX_LIMIT = f"> {math.sqrt(sys.float_info.min)!r} and <= {math.sqrt(sys.float_info.max)!r}"
 
-# Matrix entries per scan chunk.
-_CHUNK_ENTRIES = 2**16
+# Entries of the widest matrix stack a scan chunk builds (4 MiB of float64): the
+# stationary points' K x K per searched cell, with K = max(m+1, 2m) slots for Num's
+# roots, 2n+2 for Den's and 3 for phi's and gamma's (see ``scan_region``).  Each panel
+# of the paper's region figure (K <= 13) takes one chunk.
+_CHUNK_ENTRIES = 2**19
 
 # HDVs a verdict's chain may have on either side of the CAV, up to its farthest gain.
 # Companion-matrix roots of Num and Den lose accuracy as their degree grows: with a gain
@@ -110,7 +115,7 @@ class FrequencyGrid:
     """Frequency range of the verdicts, and the log-spaced grid of plots."""
 
     omega_min: float = bounded(1e-2, _OMEGA_MIN_LIMIT)
-    omega_max: float = bounded(1e2, "> 0")
+    omega_max: float = bounded(1e2, _OMEGA_MAX_LIMIT)
     points: int = bounded(1000, ">= 2")
 
     def __post_init__(self):
@@ -441,6 +446,13 @@ def scan_region(
     right of the tolerance, else SS or SU, SU without a peak search when
     |Gamma| at an end of the frequency range already reaches
     1 - ``PEAK_MARGIN``.  Cells that fail to evaluate are AU, with a log line.
+
+    ``_evaluate`` classifies the cells in chunks, as many as keep its widest
+    stack, the K x K stationary-point matrix of each cell that searches, within
+    ``_CHUNK_ENTRIES`` entries even when every cell searches: K = max(m+1, 2m)
+    + 2n + 5 for the chain cut to its farthest gain.  The companion stacks of
+    Num and Den are smaller.  So each 51 x 51 panel of the 2+1+2 chain takes
+    one pass, and larger scans take several, in bounded memory.
     """
     if (axis1.vehicle, axis1.component) == (axis2.vehicle, axis2.component):
         raise TopologyError("scan axes must address distinct gain coordinates")
@@ -451,7 +463,7 @@ def scan_region(
     cols = [offsets[name] + idx for name, idx in slots]
     values = np.repeat(axis1.values(), axis2.points), np.tile(axis2.values(), axis1.points)
     classes = np.empty(values[0].size, dtype="<U2")
-    chunk = max(1, _CHUNK_ENTRIES // (2 * (m + n) + 6) ** 2)
+    chunk = max(1, _CHUNK_ENTRIES // (max(m + 1, 2 * m) + 2 * n + 5) ** 2)
     for start in range(0, classes.size, chunk):
         g1, g2 = (v[start : start + chunk] for v in values)
         rows = np.repeat(row[None], g1.size, axis=0)

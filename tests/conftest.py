@@ -1,7 +1,7 @@
 import contextlib
 import faulthandler
+import os
 import signal
-import sys
 
 import numpy as np
 import pytest
@@ -50,14 +50,19 @@ def _hung(signum, frame):
 
 
 @pytest.fixture
-def deadline():
+def deadline(capsys):
     """``with deadline(s):`` fails a call that runs past ``s`` seconds instead of
     hanging: ``signal.alarm`` raises ``Hung`` in Python code, and since a loop inside
-    one C call holds off that handler, a second later ``faulthandler`` ends the test
-    process."""
+    one C call holds off that handler, a second later ``faulthandler`` writes every
+    thread's stack and ends the test process.  The stack goes to a copy of the run's
+    own stderr, taken with capture suspended: the captured fd 2 dies unread with the
+    process, and so would any file the run reports only at its end."""
+    with capsys.disabled():
+        stderr = os.fdopen(os.dup(2), "w")
+
     @contextlib.contextmanager
     def within(seconds):
-        faulthandler.dump_traceback_later(seconds + 1, exit=True, file=sys.__stderr__)
+        faulthandler.dump_traceback_later(seconds + 1, exit=True, file=stderr)
         previous = signal.signal(signal.SIGALRM, _hung)
         signal.alarm(seconds)
         try:
@@ -67,4 +72,5 @@ def deadline():
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
-    return within
+    with stderr:
+        yield within

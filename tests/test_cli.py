@@ -299,13 +299,27 @@ _SCAN_PANEL = [
 @pytest.mark.parametrize("argv", [["stability"], ["scan", *_SCAN_PANEL]], ids=["stability", "scan"])
 def test_omega_max_with_overflowing_square_exit_code(capsys, tmp_path, argv):
     """The verdicts work in x = omega^2: an omega_max whose square overflows is
-    refused by name, not left to raise OverflowError."""
+    past its own limit, a config error naming the key."""
+    for value in ("1e300", "1e200"):
+        code, out, err = run_cli(
+            capsys, *argv, "--set", f"frequency.omega_max={value}", "-o", str(tmp_path)
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("lcc: config error: invalid config at $.frequency.omega_max: ")
+        assert f"<= 1.3407807929942596e+154, got {float(value)!r}" in err
+        assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_omega_max_below_omega_min_floor_exit_code(capsys, tmp_path):
+    """No omega_max at or below omega_min's own floor can exceed omega_min, so
+    config refuses it by name instead of leaving it to the library's exit 4."""
     code, out, err = run_cli(
-        capsys, *argv, "--set", "frequency.omega_max=1e300", "-o", str(tmp_path)
+        capsys, "stability", "--set", "frequency.omega_max=1e-300", "-o", str(tmp_path)
     )
-    assert (code, out) == (4, "")
-    assert err.startswith("lcc: error: omega_max must be finite, with a finite square")
-    assert "got 1e+300" in err and err.count("\n") == 1
+    assert (code, out) == (3, "")
+    assert err.startswith("lcc: config error: invalid config at $.frequency.omega_max: ")
+    assert "must be > 1.4916681462400413e-154, got 1e-300" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -314,7 +328,7 @@ def test_omega_min_with_subnormal_square_exit_code(capsys, tmp_path):
     not a verdict with its peak at omega = 0, outside the range."""
     code, out, err = run_cli(
         capsys, "stability", "--set", "frequency.omega_min=1e-170",
-        "--set", "frequency.omega_max=1e-160", "-o", str(tmp_path),
+        "--set", "frequency.omega_max=1e-100", "-o", str(tmp_path),
     )
     assert (code, out) == (3, "")
     assert err.startswith("lcc: config error: invalid config at $.frequency.omega_min: ")

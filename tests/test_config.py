@@ -420,7 +420,8 @@ _OWNERS = {
 
 # Field values, then scenario values, that a value at a limit needs so that no
 # limit spanning fields refuses it: a step that fits the horizon, a brake that
-# covers a step, s_st < s_go, a finite head phase, a delay band within its base.
+# covers a step, s_st < s_go, a finite head phase, a delay band within its base,
+# an omega_min below omega_max.
 _CONTEXT = {
     (ScenarioConfig, "v_star"): ({"cav": CavController(mode="explicit")}, {}),
     (ScenarioConfig, "dt"): ({"horizon": 1e-323}, {}),
@@ -429,19 +430,20 @@ _CONTEXT = {
     (HeadSinusoid, "period"): ({"start": 0.0}, {"dt": 1e-16, "horizon": 1e-16}),
     (FollowerBrake, "duration"): ({"start": 0.0}, {"dt": 5e-324, "horizon": 1e-323}),
     (HeterogeneitySpec, "delay_base"): ({"delay_jitter": 0.0}, {}),
+    (FrequencyGrid, "omega_max"): ({"omega_min": math.sqrt(sys.float_info.min)}, {}),
 }
 
-# Limits that a limit spanning fields makes stricter: omega_max must exceed
-# omega_min, whose own limit is above 1e-154, so no omega_max just above 0 is
-# valid, though config takes it.
-_STRICTER = {(FrequencyGrid, "omega_max")}
-
 _OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+# Ends that a limit had before it moved: the values around them stay checked,
+# against the limit as it is now.  omega_max was "> 0" before it declared
+# omega_min's floor, so config took an omega_max just above 0 that the library refused.
+_FORMER_ENDS = {(FrequencyGrid, "omega_max"): [0.0]}
 
 
 def _limit_cases():
     """(owner, field, value, accepted) at each end of each declared limit, and
-    the adjacent int or float on either side."""
+    each former end in ``_FORMER_ENDS``, and the adjacent int or float on either side."""
     for cls in _OWNERS:
         for f in fields(cls):
             limit = f.metadata.get("limit")
@@ -450,7 +452,7 @@ def _limit_cases():
                 yield cls, f.name, "no-such-value", False
             elif limit:
                 terms = [(op, float(x)) for op, x in (t.split() for t in limit.split(" and "))]
-                for _, x in terms:
+                for x in _FORMER_ENDS.get((cls, f.name), []) + [x for _, x in terms]:
                     if isinstance(f.default, int):
                         values = [int(x) - 1, int(x), int(x) + 1]
                     else:
@@ -492,8 +494,7 @@ def test_config_and_library_agree_on_each_limit(cls, name, value, accepted):
         for part in key.split("."):
             parsed = parsed[part]
         assert parsed == value
-        if (cls, name) not in _STRICTER:
-            call({**own, name: value}, scenario)
+        call({**own, name: value}, scenario)
         return
     with pytest.raises(ConfigError) as err:
         parse_config(doc)

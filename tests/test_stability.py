@@ -1,6 +1,7 @@
 """Transfer functions, string-stability verdicts, and region scans."""
 
 
+import contextlib
 import logging
 import math
 import sys
@@ -374,101 +375,127 @@ def test_axis_rejects_non_finite_bounds(field, bounds):
 # ---------------------------------------------------------------------------
 
 def _reference_golden_refine(f, lo, hi, iters=60):
-    """Golden-section maximization of f over [lo, hi], one cell at a time."""
+    """Golden-section maximization of f over [lo[q], hi[q]] for every cell q at once.
+
+    f maps one point per cell to its value in one array call.  Each cell narrows
+    its own bracket, step for step as a scalar golden section would, and stops
+    once the bracket is below 1e-12 wide.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
+    live = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
+        if not live.any():
             break
+        # left: the peak lies in [a, d], whose upper probe is c; right: in [c, b], lower probe d
+        left, right = live & (fc > fd), live & ~(fc > fd)
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d = (
+            np.where(left, b - invphi * (b - a), np.where(right, d, c)),
+            np.where(left, c, np.where(right, a + invphi * (b - a), d)),
+        )
+        probe = f(np.where(left, c, d))
+        fc, fd = (
+            np.where(left, probe, np.where(right, fd, fc)),
+            np.where(left, fc, np.where(right, probe, fd)),
+        )
+        live &= ~(b - a < 1e-12)
     x = 0.5 * (a + b)
     return x, f(x)
 
 
 def _reference_peak_magnitude(coeffs, mu_p, k_p, mu_f, k_f, grid):
-    """Grid peak of one gain set, refined by a scalar golden section."""
+    """Grid peak of each gain set, a column of the gain arrays, refined by a golden
+    section: the peaks' omegas and |Gamma|, and for each set the lowest omega of a
+    non-finite grid value (inf if none), whose set is left unrefined (NaN peak)."""
     omegas = grid.omegas()
-    args = (coeffs.alpha1, coeffs.alpha2, coeffs.alpha3, mu_p, k_p, mu_f, k_f)
-    mags_sq = kernels.gamma_mag_sq_grid(omegas, *args)
-    if not np.all(np.isfinite(mags_sq)):
-        raise EvaluationError(
-            f"non-finite gain at omega={omegas[int(np.argmax(~np.isfinite(mags_sq)))]:.4g}"
-        )
-    i = int(np.argmax(mags_sq))
-    lo = math.log(omegas[max(i - 1, 0)])
-    hi = math.log(omegas[min(i + 1, len(omegas) - 1)])
-    logw, mag_sq = _reference_golden_refine(
-        lambda x: kernels.gamma_mag_sq_scalar(math.exp(x), *args), lo, hi
+    cells = mu_p.shape[1]
+    args = (coeffs.alpha1, coeffs.alpha2, coeffs.alpha3)
+    gains = (mu_p, k_p, mu_f, k_f)
+    # the grid 64 gain sets at a time, (64, omegas) per call, and no call for no set
+    mags_sq = np.vstack(
+        [
+            kernels.gamma_mag_sq_grid(omegas, *args, *(g[:, q : q + 64, None] for g in gains))
+            for q in range(0, cells, 64)
+        ]
+        + [np.empty((0, omegas.size))]
     )
-    if mags_sq[i] >= mag_sq:
-        return float(omegas[i]), math.sqrt(float(mags_sq[i]))
-    return math.exp(logw), math.sqrt(mag_sq)
+    finite = np.isfinite(mags_sq).all(axis=1)
+    first_bad = np.where(finite, np.inf, omegas[np.argmax(~np.isfinite(mags_sq), axis=1)])
+    ok = np.flatnonzero(finite)
+    gains = [g[:, ok] for g in gains]
+    i = np.argmax(mags_sq[ok], axis=1)
+    lo = np.log(omegas[np.maximum(i - 1, 0)])
+    hi = np.log(omegas[np.minimum(i + 1, omegas.size - 1)])
+    logw, mag_sq = _reference_golden_refine(
+        lambda x: kernels.gamma_mag_sq_grid(np.exp(x), *args, *gains), lo, hi
+    )
+    grid_peak = mags_sq[ok, i]
+    peak = np.full((2, cells), np.nan)
+    peak[0, ok] = np.where(grid_peak >= mag_sq, omegas[i], np.exp(logw))
+    peak[1, ok] = np.sqrt(np.where(grid_peak >= mag_sq, grid_peak, mag_sq))
+    return peak, first_bad
 
 
 def _reference_is_string_stable(spec, grid=None):
     grid = grid or FrequencyGrid()
-    peak_omega, peak_mag = _reference_peak_magnitude(
-        spec.coeffs, *stability._gain_arrays(spec), grid
+    (peak_omega, peak_mag), first_bad = _reference_peak_magnitude(
+        spec.coeffs, *(g[:, None] for g in stability._gain_arrays(spec)), grid
     )
+    if first_bad[0] < math.inf:
+        raise EvaluationError(f"non-finite gain at omega={first_bad[0]:.4g}")
     _, A_cl, _ = oracle_model(spec)
     if float(np.max(np.linalg.eigvals(A_cl).real)) > stability.EIG_TOL:
         verdict = CLASS_ASYMP_UNSTABLE
-    elif peak_mag < 1.0 - stability.PEAK_MARGIN:
+    elif peak_mag[0] < 1.0 - stability.PEAK_MARGIN:
         verdict = CLASS_STABLE
     else:
         verdict = CLASS_UNSTABLE
-    return StringStabilityResult(verdict, peak_omega, peak_mag)
+    return StringStabilityResult(verdict, float(peak_omega[0]), float(peak_mag[0]))
 
 
 def _reference_scan_region(base, axis1, axis2, grid=None):
-    """The per-cell scan loop: one ``eigvals`` and one peak search per cell."""
+    """The per-cell scan: each cell's closed-loop eigenvalues, from its own A_cl,
+    then a grid peak and a golden section for each asymptotically stable cell,
+    all cells' sections run at once."""
     grid = grid or FrequencyGrid()
-    arrays = dict(zip(("mu_p", "k_p", "mu_f", "k_f"), stability._gain_arrays(base)))
     slot1, slot2 = stability._axis_slot(base, axis1), stability._axis_slot(base, axis2)
+    g1, g2 = (v.ravel() for v in np.meshgrid(axis1.values(), axis2.values(), indexing="ij"))
+    arrays = {
+        name: np.repeat(g[:, None], g1.size, axis=1)
+        for name, g in zip(("mu_p", "k_p", "mu_f", "k_f"), stability._gain_arrays(base))
+    }
 
     model, A_base, _ = oracle_model(base)
     u_row = model.index_map[0][1]
     col1 = model.index_map[axis1.vehicle][0 if axis1.component == "mu" else 1]
     col2 = model.index_map[axis2.vehicle][0 if axis2.component == "mu" else 1]
-    base1 = arrays[slot1[0]][slot1[1]]
-    base2 = arrays[slot2[0]][slot2[1]]
+    base1 = arrays[slot1[0]][slot1[1], 0]
+    base2 = arrays[slot2[0]][slot2[1], 0]
+    arrays[slot1[0]][slot1[1]] = g1
+    arrays[slot2[0]][slot2[1]] = g2
 
-    classes = np.empty((axis1.points, axis2.points), dtype="<U2")
-    A_cell = A_base.copy()
-    for i, g1 in enumerate(axis1.values()):
-        arrays[slot1[0]][slot1[1]] = g1
-        A_cell[u_row, col1] = A_base[u_row, col1] + (g1 - base1)
-        for j, g2 in enumerate(axis2.values()):
-            arrays[slot2[0]][slot2[1]] = g2
-            A_cell[u_row, col2] = A_base[u_row, col2] + (g2 - base2)
-            try:
-                if np.max(np.linalg.eigvals(A_cell).real) > stability.EIG_TOL:
-                    classes[i, j] = CLASS_ASYMP_UNSTABLE
-                    continue
-                _, peak = _reference_peak_magnitude(
-                    base.coeffs,
-                    arrays["mu_p"],
-                    arrays["k_p"],
-                    arrays["mu_f"],
-                    arrays["k_f"],
-                    grid,
-                )
-                classes[i, j] = (
-                    CLASS_STABLE if peak < 1.0 - stability.PEAK_MARGIN else CLASS_UNSTABLE
-                )
-            except (EvaluationError, np.linalg.LinAlgError):
-                classes[i, j] = CLASS_ASYMP_UNSTABLE
-    return classes
+    A_cells = np.repeat(A_base[None], g1.size, axis=0)
+    A_cells[:, u_row, col1] = A_base[u_row, col1] + (g1 - base1)
+    A_cells[:, u_row, col2] = A_base[u_row, col2] + (g2 - base2)
+    try:
+        stable = ~(np.max(np.linalg.eigvals(A_cells).real, axis=1) > stability.EIG_TOL)
+    except np.linalg.LinAlgError:  # then cell by cell, a failed cell being AU
+        stable = np.zeros(g1.size, dtype=bool)
+        for q, A_cell in enumerate(A_cells):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                stable[q] = not np.max(np.linalg.eigvals(A_cell).real) > stability.EIG_TOL
+    classes = np.full(g1.size, CLASS_ASYMP_UNSTABLE, dtype="<U2")
+    live = np.flatnonzero(stable)
+    (_, peak), first_bad = _reference_peak_magnitude(
+        base.coeffs, *(g[:, live] for g in arrays.values()), grid
+    )
+    classes[live] = np.where(peak < 1.0 - stability.PEAK_MARGIN, CLASS_STABLE, CLASS_UNSTABLE)
+    classes[live[first_bad < math.inf]] = CLASS_ASYMP_UNSTABLE
+    return classes.reshape(axis1.points, axis2.points)
 
 
 def _panel_axes(vid, points=51):
@@ -558,6 +585,72 @@ def test_scan_matches_per_cell_loop_on_random_panels(
             err_msg=f"m={m} n={n} pairs={pairs} axes={axes}",
         )
     assert sides == {False, True}
+
+
+def _record_evaluate(monkeypatch):
+    """The peaks of every ``_evaluate`` call, one array per call."""
+    peaks = []
+    real_evaluate = stability._evaluate
+
+    def evaluate(*args, **kwargs):
+        out = real_evaluate(*args, **kwargs)
+        peaks.append(out[1])
+        return out
+
+    monkeypatch.setattr(stability, "_evaluate", evaluate)
+    return peaks
+
+
+@pytest.mark.parametrize("panel", sorted(FULL_PANELS))
+def test_paper_panel_classifies_in_one_pass(default_coeffs, monkeypatch, panel):
+    """One ``_evaluate`` call at the default budget; at a budget that cuts the panel
+    into at least 4 chunks, the same classes and peaks bit for bit."""
+    pairs, vid = FULL_PANELS[panel]
+    spec, axes = spec_with(default_coeffs, 2, 2, pairs), _panel_axes(vid)
+    peaks = _record_evaluate(monkeypatch)
+    whole = scan_region(spec, *axes).classes
+    assert len(peaks) == 1
+    whole_peaks = peaks.pop()
+    monkeypatch.setattr(stability, "_CHUNK_ENTRIES", 2**14)
+    np.testing.assert_array_equal(scan_region(spec, *axes).classes, whole)
+    assert len(peaks) >= 4
+    assert np.hstack(peaks).tobytes() == whole_peaks.tobytes()
+
+
+_SS_BAND_C = (GainAxis(-1, "mu", 0.2, 1.8, 201), GainAxis(-1, "k", -1.5, 0.0, 201))
+
+
+@pytest.mark.parametrize(
+    "m, n, pairs, axes, filled",
+    [
+        # the SS band of panel c at 201 x 201: every cell searches, so each
+        # chunk's stationary-point stack is as wide as the budget allows
+        (2, 2, {1: (-1.0, -1.0)}, _SS_BAND_C, True),
+        # gains 10 HDVs ahead of and behind the CAV: 45 x 45 stationary-point stacks
+        (10, 10, {10: (0.1, 0.1)}, _panel_axes(-10, points=31), False),
+    ],
+    ids=["201x201", "m=n=10"],
+)
+def test_scan_stacks_stay_within_the_chunk_budget(
+    default_coeffs, monkeypatch, m, n, pairs, axes, filled
+):
+    spec = spec_with(default_coeffs, m, n, pairs)
+    budget = stability._CHUNK_ENTRIES * np.dtype(float).itemsize
+    stacks = []
+    real_eigvals = stability._eigvals
+
+    def eigvals(stack):
+        stacks.append(stack.nbytes)
+        return real_eigvals(stack)
+
+    monkeypatch.setattr(stability, "_eigvals", eigvals)
+    peaks = _record_evaluate(monkeypatch)
+    classes = scan_region(spec, *axes).classes
+    assert len(peaks) > 1
+    assert max(stacks) <= budget
+    if filled:
+        assert np.all(classes == CLASS_STABLE)
+        assert max(stacks) > 0.99 * budget
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
