@@ -1,10 +1,18 @@
-"""Atomic CSV/text emission with deterministic float formatting."""
+"""Atomic CSV/text emission with deterministic float formatting.
+
+Every file is written to a temp sibling and renamed over its target only
+after its last byte, so a reader never sees a torn file and a failed
+write leaves an existing target as it was.  A trace CSV is streamed to
+its temp file one chunk of steps at a time, so its memory is bounded by
+the chunk, not by the trace.
+"""
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -31,24 +39,34 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_text_atomic(path, text: str) -> Path:
-    """Write via a temp file and rename, so readers never see a torn file.
+@contextmanager
+def _atomic_file(path: Path) -> Iterator[TextIO]:
+    """Yield a text handle on a temp sibling of ``path``; rename it over
+    ``path`` once the block ends, or unlink it if anything raises.
 
     The temp file is opened with mode 0666 and the kernel applies the
     umask, so the file gets the mode a plain ``open()`` would give it.
     """
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> Path:
+    """Write ``text`` via a temp file renamed over ``path`` after its last
+    byte, so readers never see a torn file; on failure ``path`` keeps its
+    old contents and no temp file is left."""
+    path = Path(path)
+    with _atomic_file(path) as fh:
+        fh.write(text)
     return path
 
 
@@ -63,32 +81,38 @@ def write_trace_csv(path, trace: SimulationTrace) -> Path:
 
     Cells are formatted as ``fmt`` would format them.  Each step's time is
     formatted once and joined between the pieces of a ``%`` template that
-    holds the rest of all of its vehicles' rows.  Steps are converted with
-    ``tolist()`` in chunks of ``_TRACE_CHUNK``, so at most
-    4 * vehicles * _TRACE_CHUNK cells exist as Python floats at once,
-    never the whole trace.
+    holds all of its vehicles' rows.  Steps are converted with ``tolist()``
+    and formatted in chunks of ``_TRACE_CHUNK``, and each chunk's text is
+    written before the next is built, so at most 4 * vehicles *
+    _TRACE_CHUNK cells exist as Python floats, and one chunk as text, at
+    once, never the whole trace.  The file is renamed over ``path`` only
+    after the last chunk; a write that fails midway leaves ``path`` as it
+    was.
     """
+    path = Path(path)
     pieces = [""] + [f",{vid},%.12g,%.12g,%.12g,%.12g\n" for vid in trace.ids]
-    pieces[-1] = pieces[-1][:-1]
-    lines = ["t,vehicle,pos,vel,acc,spacing"]
-    for k in range(0, len(trace.times), _TRACE_CHUNK):
-        cells = np.stack(
-            (
-                trace.position[k : k + _TRACE_CHUNK],
-                trace.velocity[k : k + _TRACE_CHUNK],
-                trace.acceleration[k : k + _TRACE_CHUNK],
-                trace.spacing[k : k + _TRACE_CHUNK],
-            ),
-            axis=-1,
-        )
-        lines.extend(
-            ("%.12g" % t).join(pieces) % tuple(row)
-            for t, row in zip(
-                trace.times[k : k + _TRACE_CHUNK].tolist(),
-                cells.reshape(len(cells), -1).tolist(),
+    with _atomic_file(path) as fh:
+        fh.write("t,vehicle,pos,vel,acc,spacing\n")
+        for k in range(0, len(trace.times), _TRACE_CHUNK):
+            cells = np.stack(
+                (
+                    trace.position[k : k + _TRACE_CHUNK],
+                    trace.velocity[k : k + _TRACE_CHUNK],
+                    trace.acceleration[k : k + _TRACE_CHUNK],
+                    trace.spacing[k : k + _TRACE_CHUNK],
+                ),
+                axis=-1,
             )
-        )
-    return write_text_atomic(path, "\n".join(lines) + "\n")
+            fh.write(
+                "".join(
+                    ("%.12g" % t).join(pieces) % tuple(row)
+                    for t, row in zip(
+                        trace.times[k : k + _TRACE_CHUNK].tolist(),
+                        cells.reshape(len(cells), -1).tolist(),
+                    )
+                )
+            )
+    return path
 
 
 def write_events_csv(path, trace: SimulationTrace) -> Path:

@@ -172,6 +172,8 @@ def _performance_preset(name: str, heterogeneous: bool):
             trace = simulate(_brake_scenario(controller, heterogeneous))
             a = aave(trace, window, vehicles=vehicles)
             f = total_fuel(trace, window, vehicles=vehicles)
+            # free this trace before the next strategy's is simulated
+            del trace
             if label == "looking-ahead":
                 base_aave, base_fc = a, f
                 rows.append([label, a, f, None, None])

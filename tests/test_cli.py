@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -12,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcc import ScenarioConfig, simulate
+from lcc import ScenarioConfig, output, simulate
 from lcc.cli import main
-from lcc.output import write_text_atomic
+from lcc.output import write_text_atomic, write_trace_csv
 from lcc.presets import PRESETS
 
 # SHA-256 of every file each preset writes, as the benchmark records them.
@@ -581,6 +582,80 @@ def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
     path = write_text_atomic(tmp_path / "out.csv", "a,b\n")
     assert path.read_text() == "a,b\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def _fail_write_call(monkeypatch, call, directory):
+    """Make the ``call``-th write on each handle ``os.fdopen`` opens raise
+    OSError; return the (name, size) of each temp file in ``directory`` at
+    each failure, once the writes before it are flushed."""
+    seen = []
+    real_fdopen = os.fdopen
+
+    def fdopen(*args, **kwargs):
+        fh = real_fdopen(*args, **kwargs)
+        real_write = fh.write
+        calls = 0
+
+        def write(text):
+            nonlocal calls
+            calls += 1
+            if calls == call:
+                fh.flush()
+                seen.extend((p.name, p.stat().st_size) for p in directory.glob(".*.tmp"))
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    return seen
+
+
+def _write_long_trace(path):
+    trace = simulate(ScenarioConfig(horizon=100.0))
+    assert len(trace.times) > 2 * output._TRACE_CHUNK
+    return write_trace_csv(path, trace)
+
+
+@pytest.mark.parametrize(
+    "write, call",
+    [
+        # the header, the first chunk, then the second chunk fails
+        pytest.param(_write_long_trace, 3, id="trace-second-chunk"),
+        pytest.param(lambda path: write_text_atomic(path, "a,b\n1,2\n"), 1, id="text"),
+    ],
+)
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch, write, call):
+    """A write that fails midway propagates its error, leaves an existing
+    target with its old bytes, and unlinks the temp file it was filling."""
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old\n")
+    seen = _fail_write_call(monkeypatch, call, tmp_path)
+    with pytest.raises(OSError, match="No space left on device"):
+        write(target)
+    [(name, size)] = seen
+    assert name.startswith(".out.csv.") and (size > 0) == (call > 1)
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_simulate_failing_midway_exit_code(capsys, tmp_path, monkeypatch):
+    """``lcc simulate`` whose trace write fails in its second chunk exits 4
+    and leaves the files of the run before it as they were."""
+    code, _, _ = run_cli(capsys, "simulate", "--set", "horizon=50", "-o", str(tmp_path))
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["events.csv", "trace.csv"]
+    seen = _fail_write_call(monkeypatch, 3, tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "-o", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err.startswith("lcc: error: simulate cannot write its output: ")
+    assert "No space left on device" in err and err.count("\n") == 1
+    [(name, size)] = seen
+    assert name.startswith(".trace.csv.") and size > 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_every_preset_runs(capsys, tmp_path, preset):

@@ -4,6 +4,7 @@ element-indexing reference."""
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -639,8 +640,10 @@ def test_plan_chain_layout():
 
 
 def test_trace_csv_matches_cell_formatting(tmp_path):
-    """Six steps, and a trace past two chunks that ends in a partial one."""
-    for horizon in (0.5, 110.0):
+    """Six steps, a trace whose last chunk is full, so the file ends on a
+    chunk boundary, and one past two chunks that ends in a partial one."""
+    chunk = output._TRACE_CHUNK
+    for horizon, steps in ((0.5, 6), ((2 * chunk - 1) * 0.1, 2 * chunk), (110.0, 1101)):
         trace = simulate(
             ScenarioConfig(
                 variant=V.CF_LCC,
@@ -667,8 +670,36 @@ def test_trace_csv_matches_cell_formatting(tmp_path):
         path = write_trace_csv(tmp_path / "trace.csv", trace)
         assert path.read_text() == "\n".join(lines) + "\n"
         assert ",h," in path.read_text() and ",nan\n" in path.read_text()
-    assert len(trace.times) > 2 * output._TRACE_CHUNK
-    assert len(trace.times) % output._TRACE_CHUNK
+        assert len(trace.times) == steps
+    assert steps > 2 * chunk and steps % chunk
+
+
+def test_trace_csv_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch):
+    """Writing a trace holds one chunk of it as floats and text at a time,
+    not the whole file: the traced peak of the write is a small share of
+    the file's size.  The chunk is made small so that a short trace spans
+    many chunks and the check stays quick under tracemalloc."""
+    monkeypatch.setattr(output, "_TRACE_CHUNK", 64)
+    trace = simulate(
+        ScenarioConfig(
+            variant=V.CF_LCC,
+            n=2,
+            horizon=40.0,
+            dt=0.01,
+            perturbation=HeadSinusoid(amplitude=1.0, period=1.0, start=0.0),
+            cav=CF_CONTROLLER,
+        )
+    )
+    assert len(trace.times) > 60 * output._TRACE_CHUNK
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        path = write_trace_csv(tmp_path / "trace.csv", trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 4, f"peak {peak} bytes for a {size}-byte file"
 
 
 @pytest.mark.parametrize(
