@@ -1,12 +1,15 @@
 """Declarative JSON configuration for scenarios, analyses, and scans.
 
 One versioned document type covers every CLI command; each command reads
-the sections it needs.  Each key is one row of the table ``_KEYS``: its
-default, type, bound and help text with units.  Where a dataclass
-(``ScenarioConfig``, ``DriverParams``, ``CavController``, ``HeadSinusoid``,
-``FollowerBrake``, ``HeterogeneitySpec``, ``FrequencyGrid``, ``GainAxis``)
-configures the key, its default and bound are that field's (``errors.bounded``),
-which the library enforces too; limits that span keys are the library's alone.
+the sections it needs.  Each key has a default, type, bound and help text
+with units.  A key that a dataclass (``ScenarioConfig``, ``DriverParams``,
+``CavController``, ``HeadSinusoid``, ``FollowerBrake``, ``HeterogeneitySpec``,
+``FrequencyGrid``, ``GainAxis``) configures is declared once, on its field:
+``_keys`` makes every field that declares help (``errors.bounded``) a key,
+with the field's name, annotated type, default and limit, which the library
+enforces too; limits that span keys are the library's alone.  The table
+``_KEYS`` builds each section from its class and spells out only the keys no
+dataclass owns: ``schema``, ``variant``, ``gains`` and ``perturbation.kind``.
 ``parse_config`` walks a document against the table: it rejects unknown or
 missing required keys, integer keys that are not ``int``, number keys that are
 not a finite ``int`` or ``float``, ``bool`` for any key (none takes one),
@@ -76,80 +79,37 @@ class _Section(NamedTuple):
     keys: dict
 
 
-def _rows(cls, **rows) -> dict:
-    """Keys (type, help) named after fields of ``cls``, with their defaults and limits."""
-    owned = {f.name: (f.default, f.metadata.get("limit")) for f in fields(cls)}
-    return {name: _Key(*owned[name], *row) for name, row in rows.items()}
+_TYPES = {t.__name__: t for t in (int, float, str)}  # field annotations are strings
 
 
-# perturbation.kind -> the dataclass it builds; a kind takes that class's fields
+def _keys(cls) -> dict:
+    """The keys of ``cls``: each field that declares help, with its type, default and limit."""
+    return {f.name: _Key(f.default, f.metadata["limit"], _TYPES[f.type], f.metadata["help"])
+            for f in fields(cls) if f.metadata.get("help")}
+
+
+# perturbation.kind -> the dataclass it builds; a kind takes that class's keys
 _PERTURBATIONS = {"none": None, "head-sinusoid": HeadSinusoid, "follower-brake": FollowerBrake}
-_KIND_KEYS = {kind: {f.name for f in fields(cls)} if cls else set()
-              for kind, cls in _PERTURBATIONS.items()}
+_KIND_KEYS = {kind: set(_keys(cls)) if cls else set() for kind, cls in _PERTURBATIONS.items()}
 
-_AXIS = _Section(MISSING, _rows(
-    GainAxis,
-    vehicle=(int, "id of the vehicle whose gain is scanned"),
-    component=(str, "scanned gain"),
-    lo=(float, "first gain value (1/s^2 for mu, 1/s for k)"),
-    hi=(float, "last gain value"),
-    points=(int, "gain values, evenly spaced"),
-))
+_AXIS = _Section(MISSING, _keys(GainAxis))
 
 _KEYS = {
     "schema": _Key(SCHEMA_VERSION, (SCHEMA_VERSION,), int, "document version"),
     "variant": _Key(ScenarioConfig.variant.value, tuple(v.value for v in SystemVariant), str,
                     "chain type"),
-    **_rows(
-        ScenarioConfig,
-        m=(int, "HDVs ahead of the CAV (count)"),
-        n=(int, "HDVs behind the CAV (count)"),
-        v_star=(float, "equilibrium velocity (m/s)"),
-        dt=(float, "simulation step (s)"),
-        horizon=(float, "simulation length (s)"),
-        seed=(int, "RNG seed for heterogeneity sampling"),
-    ),
-    "driver": _Section({}, _rows(
-        DriverParams,
-        alpha=(float, "OVM desired-velocity gain (1/s)"),
-        beta=(float, "OVM relative-velocity gain (1/s)"),
-        v_max=(float, "free-flow velocity (m/s)"),
-        s_st=(float, "standstill spacing (m)"),
-        s_go=(float, "free-flow spacing (m)"),
-        delay=(float, "HDV reaction delay (s)"),
-    )),
+    **_keys(ScenarioConfig),
+    "driver": _Section({}, _keys(DriverParams)),
     "gains": _Key({}, None, dict, '{"id": [mu, k]}: spacing (1/s^2) and velocity (1/s) '
                   "feedback gains,\nid in -m..-1, 1..n (0: own state, explicit mode only)"),
-    "controller": _Section({}, _rows(CavController, mode=(str, "CAV feedback law"))),
+    "controller": _Section({}, _keys(CavController)),
     "perturbation": _Section({"kind": "none"}, {
         "kind": _Key(MISSING, tuple(_PERTURBATIONS), str, "perturbation applied"),
-        **_rows(
-            HeadSinusoid,
-            amplitude=(float, "head velocity amplitude (m/s), |amplitude| <= v_star"),
-            period=(float, "head velocity period (s)"),
-            start=(float, "onset time (s)"),
-        ),
-        **_rows(
-            FollowerBrake,
-            vehicle=(int, "id of the braking HDV"),
-            decel=(float, "forced acceleration (m/s^2)"),
-            duration=(float, "braking time (s)"),
-        ),
+        **_keys(HeadSinusoid),
+        **_keys(FollowerBrake),
     }),
-    "heterogeneity": _Section(None, _rows(
-        HeterogeneitySpec,
-        alpha_jitter=(float, "half-width of the alpha band (1/s)"),
-        beta_jitter=(float, "half-width of the beta band (1/s)"),
-        s_go_jitter=(float, "half-width of the s_go band (m)"),
-        delay_base=(float, "mean HDV reaction delay (s)"),
-        delay_jitter=(float, "half-width of the delay band (s)"),
-    )),
-    "frequency": _Section({}, _rows(
-        FrequencyGrid,
-        omega_min=(float, "lowest frequency of verdicts and magnitude CSV (rad/s)"),
-        omega_max=(float, "highest frequency of verdicts and magnitude CSV (rad/s)"),
-        points=(int, "log-spaced points of the stability magnitude CSV only"),
-    )),
+    "heterogeneity": _Section(None, _keys(HeterogeneitySpec)),
+    "frequency": _Section({}, _keys(FrequencyGrid)),
     "scan": _Section(None, {"axis1": _AXIS, "axis2": _AXIS}),
 }
 
@@ -185,8 +145,9 @@ def _checked_gains(value, where: str) -> dict:
     if not isinstance(value, dict):
         _fail(where, f"expected an object, got {value!r}")
     for vid, pair in value.items():
-        if not (isinstance(vid, str) and re.fullmatch(r"-?[0-9]+", vid)):
-            _fail(f"{where}.{vid}", "a gain key must be an integer vehicle id")
+        # only as str(int) writes an id, so that no two keys name one vehicle ("1", "01")
+        if not (isinstance(vid, str) and re.fullmatch(r"0|-?[1-9][0-9]*", vid)):
+            _fail(f"{where}.{vid}", "a gain key must be a vehicle id written as a plain integer")
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
             _fail(f"{where}.{vid}", f"expected [mu, k], two finite numbers, got {pair!r}")
     return copy.deepcopy(value)
@@ -319,7 +280,7 @@ def scenario_from_config(cfg: dict) -> ScenarioConfig:
     het = cfg["heterogeneity"]
     return ScenarioConfig(
         variant=SystemVariant(cfg["variant"]),
-        **{name: cfg[name] for name in ("m", "n", "v_star", "horizon", "dt", "seed")},
+        **{name: cfg[name] for name in _keys(ScenarioConfig)},
         perturbation=_perturbation_from_config(cfg),
         base_params=driver_from_config(cfg),
         heterogeneity=HeterogeneitySpec(**het) if het is not None else None,

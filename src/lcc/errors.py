@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package, and the limits of input fields.
 
-A dataclass field declares its own limit once, as ``bounded(default, limit)``:
-``check_limits`` enforces it, and ``config`` reads it for JSON and ``--help``.
+A dataclass field declares its own limit once, as ``bounded(default, limit, help)``:
+``check_limits`` enforces the limit, and a field that declares help text (units
+included) is a ``config`` key, which reads all three for JSON and ``--help``.
 A limit is a tuple of the allowed values, or comparisons joined by " and ",
 each ">", ">=" or "<=" and a number (">= 0 and <= 100"); a value that is not
 an ``int`` must be finite too, so "" admits any finite number.  A limit that
@@ -14,9 +15,9 @@ from dataclasses import MISSING, field, fields
 _OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "<=": lambda a, b: a <= b}
 
 
-def bounded(default=MISSING, limit=""):
-    """A dataclass field with ``default`` and its own ``limit``."""
-    return field(default=default, metadata={"limit": limit})
+def bounded(default=MISSING, limit="", help=""):
+    """A dataclass field with ``default``, its own ``limit`` and, as a config key, its ``help``."""
+    return field(default=default, metadata={"limit": limit, "help": help})
 
 
 def violation(value, limit):

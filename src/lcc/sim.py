@@ -46,19 +46,19 @@ __all__ = [
 class HeadSinusoid:
     """Head-vehicle velocity v* + amplitude*sin(2*pi*(t-start)/period)."""
 
-    amplitude: float = bounded(2.0)
-    period: float = bounded(10.0, "> 0")
-    start: float = bounded(20.0, ">= 0")
+    amplitude: float = bounded(2.0, help="head velocity amplitude (m/s), |amplitude| <= v_star")
+    period: float = bounded(10.0, "> 0", "head velocity period (s)")
+    start: float = bounded(20.0, ">= 0", "onset time (s)")
 
 
 @dataclass(frozen=True)
 class FollowerBrake:
     """One HDV forced to a fixed deceleration for a time window."""
 
-    vehicle: int = 1
-    decel: float = bounded(-5.0)
-    duration: float = bounded(1.0, "> 0")
-    start: float = HeadSinusoid.__dataclass_fields__["start"]  # one onset: default and limit
+    vehicle: int = bounded(1, help="id of the braking HDV")
+    decel: float = bounded(-5.0, help="forced acceleration (m/s^2)")
+    duration: float = bounded(1.0, "> 0", "braking time (s)")
+    start: float = HeadSinusoid.__dataclass_fields__["start"]  # one onset: default, limit, help
 
 
 Perturbation = Union[HeadSinusoid, FollowerBrake, None]
@@ -78,7 +78,7 @@ class CavController:
     """
 
     gains: FeedbackGains = field(default_factory=FeedbackGains)
-    mode: str = bounded("hdv-baseline", ("hdv-baseline", "explicit"))
+    mode: str = bounded("hdv-baseline", ("hdv-baseline", "explicit"), "CAV feedback law")
 
     def __post_init__(self):
         check_limits(self)
@@ -88,11 +88,11 @@ class CavController:
 class HeterogeneitySpec:
     """Uniform jitter around the base driver parameters, plus delays."""
 
-    alpha_jitter: float = bounded(0.1, ">= 0")
-    beta_jitter: float = bounded(0.1, ">= 0")
-    s_go_jitter: float = bounded(5.0, ">= 0")
-    delay_base: float = bounded(0.4, ">= 0")
-    delay_jitter: float = bounded(0.1, ">= 0")
+    alpha_jitter: float = bounded(0.1, ">= 0", "half-width of the alpha band (1/s)")
+    beta_jitter: float = bounded(0.1, ">= 0", "half-width of the beta band (1/s)")
+    s_go_jitter: float = bounded(5.0, ">= 0", "half-width of the s_go band (m)")
+    delay_base: float = bounded(0.4, ">= 0", "mean HDV reaction delay (s)")
+    delay_jitter: float = bounded(0.1, ">= 0", "half-width of the delay band (s)")
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,16 @@ class ScenarioConfig:
     """
 
     variant: SystemVariant = SystemVariant.CF_LCC
-    m: int = bounded(0, COUNT_LIMIT)
-    n: int = bounded(2, COUNT_LIMIT)
-    v_star: float = bounded(15.0, "> 0")
-    horizon: float = bounded(100.0, "> 0")
-    dt: float = bounded(0.01, "> 0")
+    m: int = bounded(0, COUNT_LIMIT, "HDVs ahead of the CAV (count)")
+    n: int = bounded(2, COUNT_LIMIT, "HDVs behind the CAV (count)")
+    v_star: float = bounded(15.0, "> 0", "equilibrium velocity (m/s)")
+    dt: float = bounded(0.01, "> 0", "simulation step (s)")
+    horizon: float = bounded(100.0, "> 0", "simulation length (s)")
     perturbation: Perturbation = None
     base_params: DriverParams = field(default_factory=DriverParams)
     heterogeneity: Optional[HeterogeneitySpec] = None
     cav: CavController = field(default_factory=CavController)
-    seed: int = bounded(0, ">= 0")
+    seed: int = bounded(0, ">= 0", "RNG seed for heterogeneity sampling")
 
     @property
     def has_head(self) -> bool:

@@ -114,9 +114,13 @@ class TransferSpec:
 class FrequencyGrid:
     """Frequency range of the verdicts, and the log-spaced grid of plots."""
 
-    omega_min: float = bounded(1e-2, _OMEGA_MIN_LIMIT)
-    omega_max: float = bounded(1e2, _OMEGA_MAX_LIMIT)
-    points: int = bounded(1000, ">= 2")
+    omega_min: float = bounded(
+        1e-2, _OMEGA_MIN_LIMIT, "lowest frequency of verdicts and magnitude CSV (rad/s)"
+    )
+    omega_max: float = bounded(
+        1e2, _OMEGA_MAX_LIMIT, "highest frequency of verdicts and magnitude CSV (rad/s)"
+    )
+    points: int = bounded(1000, ">= 2", "log-spaced points of the stability magnitude CSV only")
 
     def __post_init__(self):
         # the verdicts work in x = omega^2: each bound's square must be finite, and omega_min's
@@ -144,11 +148,11 @@ class FrequencyGrid:
 class GainAxis:
     """One scanned gain coordinate: (vehicle, mu-or-k) over a range."""
 
-    vehicle: int
-    component: str = bounded(limit=("mu", "k"))
-    lo: float = bounded(-10.0)
-    hi: float = bounded(10.0)
-    points: int = bounded(101, ">= 1")
+    vehicle: int = bounded(help="id of the vehicle whose gain is scanned")
+    component: str = bounded(limit=("mu", "k"), help="scanned gain")
+    lo: float = bounded(-10.0, help="first gain value (1/s^2 for mu, 1/s for k)")
+    hi: float = bounded(10.0, help="last gain value")
+    points: int = bounded(101, ">= 1", "gain values, evenly spaced")
 
     def __post_init__(self):
         check_limits(self)

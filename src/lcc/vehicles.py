@@ -43,22 +43,14 @@ A_MAX = 2.0
 
 @dataclass(frozen=True)
 class DriverParams:
-    """OVM parameters of one driver.
+    """OVM parameters of one driver; only the nonlinear simulator reads ``delay``."""
 
-    alpha   gain on the desired-velocity gap (1/s)
-    beta    gain on the relative velocity (1/s)
-    v_max   free-flow velocity (m/s)
-    s_st    standstill spacing, V(s) = 0 for s <= s_st (m)
-    s_go    free-flow spacing, V(s) = v_max for s >= s_go (m)
-    delay   reaction delay (s), used by the nonlinear simulator only
-    """
-
-    alpha: float = bounded(0.6, "> 0")
-    beta: float = bounded(0.9, "> 0")
-    v_max: float = bounded(30.0, "> 0")
-    s_st: float = bounded(5.0, ">= 0")
-    s_go: float = bounded(35.0, "> 0")
-    delay: float = bounded(0.0, ">= 0")
+    alpha: float = bounded(0.6, "> 0", "OVM desired-velocity gain (1/s)")
+    beta: float = bounded(0.9, "> 0", "OVM relative-velocity gain (1/s)")
+    v_max: float = bounded(30.0, "> 0", "free-flow velocity (m/s)")
+    s_st: float = bounded(5.0, ">= 0", "standstill spacing (m)")
+    s_go: float = bounded(35.0, "> 0", "free-flow spacing (m)")
+    delay: float = bounded(0.0, ">= 0", "HDV reaction delay (s)")
 
     def __post_init__(self):
         check_limits(self)

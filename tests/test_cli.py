@@ -259,10 +259,13 @@ _AXIS2 = '"axis2": {"vehicle": 1, "component": "k"}'
         (["simulate", "--set", 'controller={"ovm_baseline": true}'], "controller.ovm_baseline"),
         (["simulate", "--set", "variant=cf", "--set", "n=1",
           "--set", "heterogeneity.delay_base=0.4", "--set", "seed=-1"], "seed"),
+        # "01" names vehicle 1 a second time; one of the two pairs was lost, exit 0
+        (["stability", "--set", "m=2", "--set", "n=2",
+          "--set", 'gains={"1": [-1, -1], "01": [5, 5]}'], "gains.01"),
     ],
     ids=["int-as-float", "seed-float", "points-float", "axis-vehicle-float", "horizon-inf",
          "delay-inf", "dt-nan", "brake-amplitude", "sinusoid-vehicle", "ovm-baseline-unknown",
-         "seed-negative"],
+         "seed-negative", "gain-id-two-spellings"],
 )
 def test_bad_config_value_names_key(capsys, tmp_path, argv, key):
     code, _, err = run_cli(capsys, *argv, "-o", str(tmp_path))

@@ -33,6 +33,7 @@ from lcc.config import (
     DEFAULTS,
     apply_overrides,
     axes_from_config,
+    config_help,
     grid_from_config,
     parse_config,
     read_config,
@@ -370,6 +371,23 @@ def test_bad_value_names_its_key(key, value):
         parse_config(_document_with(key, value))
 
 
+@pytest.mark.parametrize("spelling", ["01", "-0", "007"])
+def test_gain_key_is_an_id_as_str_writes_it(spelling):
+    """A second spelling of an id ("01" beside "1") would name one vehicle twice,
+    and one of its two gain pairs would be lost without a word."""
+    doc = {"variant": "general", "m": 2, "controller": {"mode": "explicit"},
+           "gains": {str(int(spelling)): [0.1, 0.1], spelling: [5, 5]}}
+    with pytest.raises(ConfigError, match=re.escape(f"invalid config at $.gains.{spelling}: ")):
+        parse_config(doc)
+
+
+def test_gain_keys_written_plainly_are_accepted():
+    gains = {"-10": [1, 2], "-1": [3, 4], "0": [5, 6], "1": [7, 8], "10": [9, 0]}
+    cfg = parse_config({"variant": "general", "m": 10, "n": 10,
+                        "controller": {"mode": "explicit"}, "gains": gains})
+    assert scenario_from_config(cfg).cav.gains.mu == {-10: 1, -1: 3, 0: 5, 1: 7, 10: 9}
+
+
 def test_import_does_not_load_jsonschema():
     """Nor scipy.linalg: no module of ``lcc`` imports it, and a Gramian that needs
     its ``expm`` must import it where it is called, not on ``import lcc``."""
@@ -417,6 +435,42 @@ _OWNERS = {
     GainAxis: ("scan.axis1", {"vehicle": 1, "component": "mu"},
                lambda own, _: GainAxis(**{"vehicle": 1, "component": "mu", **own})),
 }
+
+# The keys that no dataclass owns, by config path; the other top-level names are sections.
+_UNOWNED = {"": {"schema", "variant", "gains"}, "perturbation": {"kind"}}
+
+
+def _owner_document(cls):
+    """A valid document that has ``cls``'s config path, and the object at that path."""
+    path, entries, _ = _OWNERS[cls]
+    doc = node = {}
+    for part in path.split(".") if path else []:
+        node = node.setdefault(part, {})
+    node.update(entries)
+    if path.startswith("scan."):
+        doc["scan"]["axis2"] = {"vehicle": 1, "component": "k"}
+    return doc, node
+
+
+def _at(cfg: dict, key: str):
+    for part in key.split(".") if key else []:
+        cfg = cfg[part]
+    return cfg
+
+
+@pytest.mark.parametrize("cls", list(_OWNERS), ids=lambda cls: cls.__name__)
+def test_each_key_is_declared_on_its_own_field(cls):
+    """The keys config fills at a dataclass's path, per perturbation kind, are exactly
+    its fields that declare help, and ``--help`` shows each with that help text."""
+    path = _OWNERS[cls][0]
+    declared = {f.name: f.metadata["help"] for f in fields(cls) if f.metadata.get("help")}
+    sections = {p.split(".")[0] for p, _, _ in _OWNERS.values()} if not path else set()
+    assert set(_at(parse_config(_owner_document(cls)[0]), path)) - _UNOWNED.get(path, set()) - sections == set(declared)
+    lines = {line.split()[0]: line for line in config_help().splitlines()
+             if re.match(r"  \S", line)}
+    for name, text in declared.items():
+        assert text in lines[f"{path}.{name}".lstrip(".")]
+
 
 # Field values, then scenario values, that a value at a limit needs so that no
 # limit spanning fields refuses it: a step that fits the horizon, a brake that
@@ -479,21 +533,13 @@ def test_limit_cases_cover_every_limited_dataclass():
 def test_config_and_library_agree_on_each_limit(cls, name, value, accepted):
     """Both refuse a value past a key's own limit, naming it, and both accept
     one within it: config exits 3 where the library raises."""
-    path, entries, call = _OWNERS[cls]
+    path, _, call = _OWNERS[cls]
     key = f"{path}.{name}".lstrip(".")
-    doc = node = {}
-    for part in path.split(".") if path else []:
-        node = node.setdefault(part, {})
-    node.update(entries)
-    if path.startswith("scan."):
-        doc["scan"]["axis2"] = {"vehicle": 1, "component": "k"}
+    doc, node = _owner_document(cls)
     node[name] = value
     own, scenario = _CONTEXT.get((cls, name), ({}, {}))
     if accepted:
-        parsed = parse_config(doc)
-        for part in key.split("."):
-            parsed = parsed[part]
-        assert parsed == value
+        assert _at(parse_config(doc), key) == value
         call({**own, name: value}, scenario)
         return
     with pytest.raises(ConfigError) as err:
