@@ -21,15 +21,18 @@ they are integrated as the matrix ODE
     dW/dt = A W + W A' + B B',   W(0) = 0,
 
 with a classic fourth-order Runge-Kutta scheme at the paper's fixed step
-``GRAMIAN_DT`` = 0.01 s; no caller picks another.  Successive horizons
-of one pair (A, B) lie on one RK4 path when they share the step
-h = t / round(t/GRAMIAN_DT), so ``gramian`` keeps the last path's end
-state and a longer horizon continues from it.  A free-driving chain's A
-is block lower triangular (a vehicle reads only the vehicles ahead of
-it), so the chain of n followers is the leading block of any longer
-one, and so is its Gramian: Fig. 5 integrates the 30 s path of its
-longest chain once, not 30 s for each n.  The resume rule goes away with
-RK4 itself once the Gramian is computed in factor form (ROADMAP item 2).
+``GRAMIAN_DT`` = 0.01 s; no caller picks another.  Each RK4 stage writes
+into d x d buffers allocated once per call, with the operands and the
+order of evaluation of the plain expressions, so W is what they would
+give bit for bit.  Successive horizons of one pair (A, B) lie on one RK4
+path when they share the step h = t / round(t/GRAMIAN_DT), so
+``gramian`` keeps the last path's end state and a longer horizon
+continues from it.  A free-driving chain's A is block lower triangular
+(a vehicle reads only the vehicles ahead of it), so the chain of n
+followers is the leading block of any longer one, and so is its
+Gramian: Fig. 5 integrates the 30 s path of its longest chain once, not
+30 s for each n.  The resume rule goes away with RK4 itself once the
+Gramian is computed in factor form (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -264,28 +267,42 @@ def gramian(A: np.ndarray, B: np.ndarray, t: float) -> GramianResult:
             f"horizon t must take at most {GRAMIAN_MAX_STEPS:.0e} steps of "
             f"{GRAMIAN_DT} s, got t={t}"
         )
-    A = np.asarray(A, dtype=float)
+    A = np.ascontiguousarray(A, dtype=float)  # so the buffers below are C-ordered too
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
-    BBt = B @ B.T
+    AT, BBt = A.T, B @ B.T
     n_steps = max(1, round(t / GRAMIAN_DT))
     h = t / n_steps
-
-    def f(W):
-        return A @ W + W @ A.T + BBt
+    # each stage's k and the next stage's argument W + c k, in buffers of their own
+    k1, k2, k3, k4, X, S, T = (np.empty_like(A) for _ in range(7))
+    stages = ((k1, 0.5 * h), (k2, 0.5 * h), (k3, h), (k4, None))
+    matmul, add, multiply = np.matmul, np.add, np.multiply  # each writes its third argument
 
     key = (h, A.shape, B.shape, A.tobytes(), B.tobytes())
     path = _rk4_path  # read once: another thread may replace it
     if path is not None and path[0] == key and path[1] <= n_steps:
-        _, done, W = path
+        done, W = path[1], path[2].copy()  # W is stepped in place, the stored one never
     else:
         done, W = 0, np.zeros_like(A)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
         for _ in range(n_steps - done):
-            k1 = f(W)
-            k2 = f(W + 0.5 * h * k1)
-            k3 = f(W + 0.5 * h * k2)
-            k4 = f(W + h * k3)
-            W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = W
+            for k, c in stages:
+                # k = (A x + x A') + B B'
+                matmul(A, x, k)
+                matmul(x, AT, T)
+                add(k, T, k)
+                add(k, BBt, k)
+                if c is not None:
+                    multiply(c, k, X)
+                    x = add(W, X, X)
+            # W + (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+            multiply(2.0, k2, T)
+            add(k1, T, S)
+            multiply(2.0, k3, T)
+            add(S, T, S)
+            add(S, k4, S)
+            multiply(h / 6.0, S, S)
+            add(W, S, W)
     if not np.all(np.isfinite(W)):
         raise NumericalError(
             f"Gramian integration produced non-finite entries at horizon t={t} "

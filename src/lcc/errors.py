@@ -5,11 +5,13 @@ A dataclass field declares its own limit once, as ``bounded(default, limit, help
 included) is a ``config`` key, which reads all three for JSON and ``--help``.
 A limit is a tuple of the allowed values, or comparisons joined by " and ",
 each ">", ">=" or "<=" and a number (">= 0 and <= 100"); a value that is not
-an ``int`` must be finite too, so "" admits any finite number.  A limit that
-spans fields stays with the code that owns them.
+an ``int`` must be finite too, so "" admits any finite number, and one that is
+not a real number breaks it as "a number".  A limit that spans fields stays
+with the code that owns them.
 """
 
 import math
+import numbers
 from dataclasses import MISSING, field, fields
 
 _OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "<=": lambda a, b: a <= b}
@@ -21,9 +23,15 @@ def bounded(default=MISSING, limit="", help=""):
 
 
 def violation(value, limit):
-    """The limit ``value`` breaks, up to its first broken comparison, or None."""
+    """The limit ``value`` breaks, up to its first broken comparison, or None.
+
+    A comparison limit, "" included, breaks as "a number" on a value that is
+    not a real number.
+    """
     if isinstance(limit, tuple):
         return None if value in limit else "one of " + ", ".join(map(repr, limit))
+    if not isinstance(value, numbers.Real):
+        return "a number"
     terms = (limit.split(" and ") if limit else []) + ([] if isinstance(value, int) else ["finite"])
     for i, term in enumerate(terms):
         op, _, bound = term.partition(" ")

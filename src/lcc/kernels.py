@@ -10,8 +10,16 @@ product form of the head-to-tail transfer function in the package:
 at each gain set's own frequencies.  Both magnitude entry points
 broadcast: given gain arrays with a trailing cell axis they evaluate
 many gain sets in one call (see their docstrings).  ``simulate_loop``
-steps the chain, with the OVM ramp of ``vehicles.ovm_ramp``, or its
-elementwise form ``ovm_ramp_array``.
+steps the chain.  Its per-step bodies spell the OVM ramp V(s) inline,
+operand for operand as ``vehicles.ovm_ramp`` writes it (0.5 v_max and
+s_go - s_st formed once per column and chunk, as its left-to-right
+expression forms them), which saves a call per vehicle-step;
+``ovm_ramp`` stays the one scalar definition, and the block body
+evaluates its elementwise form ``ovm_ramp_array``.
+``test_simulate_loop_matches_reference_bitwise`` in
+``tests/test_kernels.py`` pins both bodies to a reference that calls a
+scalar ramp; its ``ramp-ends-zero-delay`` case takes each of the three
+branches in a column stepped alone and in a coupled follower.
 
 ``plan_chain`` lays a chain out once per run as a ``Chain``: the CAV's
 law as one list of linear feedback terms, its own errors first, the HDVs
@@ -63,7 +71,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .vehicles import A_MAX, A_MIN, ovm_ramp
+from .vehicles import A_MAX, A_MIN
 
 
 def backend_name() -> str:
@@ -271,12 +279,19 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain):
 
     a_out, p_out, v_out = [], [], []
     add_a, add_p, add_v = a_out.append, p_out.append, v_out.append
-    ramp = ovm_ramp
+    cos, pi, half, width = math.cos, math.pi, 0.5 * vm, s_go - s_st
     rows = zip(pos[r0:r1, j - 1].tolist(), vel[r0:r1, j - 1].tolist())
     for count, forced in segments:
         if forced is None:
             for sp, sv in islice(rows, count):
-                a = al * (ramp(sp - p, vm, s_st, s_go) - v) + be * (sv - v)
+                s = sp - p
+                if s <= s_st:
+                    ramp = 0.0
+                elif s >= s_go:
+                    ramp = vm
+                else:
+                    ramp = half * (1.0 - cos(pi * (s - s_st) / width))
+                a = al * (ramp - v) + be * (sv - v)
                 a = a_min if a < a_min else (a_max if a > a_max else a)
                 add_a(a)
                 p = p + dt * v
@@ -315,6 +330,9 @@ def _step_coupled(pos, vel, acc, r0, r1, nu, chain, hdvs):
     if nu < r1 - r0:  # the horizon's last step updates no state
         rows_p.append(rows_p[-1][:])
         rows_v.append(rows_v[-1][:])
+    cos, pi = math.cos, math.pi
+    followers = [(j, al, be, vm, s_st, s_go, 0.5 * vm, s_go - s_st)
+                 for j, _, _, al, be, vm, s_st, s_go in hdvs]
     out, flags = [], []  # (a, p, v) of each stepped column, row by row
     for k, p, v, p_next, v_next in zip(range(r0, r1), rows_p, rows_v, rows_p[1:], rows_v[1:]):
         u = 0.0
@@ -332,9 +350,16 @@ def _step_coupled(pos, vel, acc, r0, r1, nu, chain, hdvs):
         p_next[cav] = pc = p[cav] + dt * vc
         v_next[cav] = vn = w if (w := vc + dt * a) > 0.0 else 0.0
         out += a, pc, vn
-        for j, _, _, al, be, vm, s_st, s_go in hdvs:
+        for j, al, be, vm, s_st, s_go, half, width in followers:
             vj = v[j]
-            a = al * (ovm_ramp(p[j - 1] - p[j], vm, s_st, s_go) - vj) + be * (v[j - 1] - vj)
+            s = p[j - 1] - p[j]
+            if s <= s_st:
+                ramp = 0.0
+            elif s >= s_go:
+                ramp = vm
+            else:
+                ramp = half * (1.0 - cos(pi * (s - s_st) / width))
+            a = al * (ramp - vj) + be * (v[j - 1] - vj)
             if j == brake_col and k0 <= k < k1:
                 a = brake_acc
             a = a_min if a < a_min else (a_max if a > a_max else a)

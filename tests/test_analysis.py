@@ -260,6 +260,17 @@ def test_gramian_resumes_the_last_path(monkeypatch):
     assert gramian(A, B, 10.0).W[0, 0] == pytest.approx(10.0, rel=1e-9)
 
 
+def test_gramian_failed_resume_leaves_the_stored_path():
+    """A longer horizon that resumes from the stored path and overflows
+    raises, and the stored end state is still the one a later call
+    continues from: the overflowing steps ran on a copy of it."""
+    A, B = np.ones((1, 1)), np.ones((1, 1))
+    gramian(A, B, 1.0)
+    with pytest.raises(NumericalError):
+        gramian(A, B, 400.0)  # W grows as e^(2t) / 2
+    _assert_bitwise(gramian(A, B, 2.0), _reference_gramian(A, B, 2.0))
+
+
 def test_gramian_psd_and_loewner(default_coeffs):
     for n in (1, 2, 3):
         mod = build_system(V.FD_LCC, 0, n, default_coeffs)

@@ -550,3 +550,21 @@ def test_config_and_library_agree_on_each_limit(cls, name, value, accepted):
     counted = cls.__dataclass_fields__[name].metadata["limit"] is COUNT_LIMIT
     with pytest.raises(TopologyError if counted else ValueError, match=f"^{name} must be "):
         call({**own, name: value}, scenario)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: DriverParams(alpha="x"), "alpha must be a number, got 'x'",
+                     id="DriverParams.alpha='x'"),
+        pytest.param(lambda: simulate(ScenarioConfig(perturbation=FollowerBrake(vehicle="1"))),
+                     "vehicle must be a number, got '1'", id="FollowerBrake.vehicle='1'"),
+        pytest.param(lambda: GainAxis(vehicle=None, component="mu"),
+                     "vehicle must be a number, got None", id="GainAxis.vehicle=None"),
+    ],
+)
+def test_non_number_is_a_value_error_naming_the_field(build, message):
+    """A bounded field given something other than a number fails as one past
+    its limit does, with a ValueError that names it (the CLI's exit 4)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

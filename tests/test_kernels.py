@@ -420,6 +420,19 @@ LOOP_CASES = {
         base_params=DriverParams(alpha=0.84, beta=0.31, delay=1.7),
         cav=CavController(gains=FeedbackGains(mu={-1: 1.15}, k={0: -0.63}), mode="explicit"),
     ),
+    # every HDV reacts at once, crawling over a ramp from 5 m to 8 m:
+    # vehicle 1, in the CAV's row, and vehicle 2, alone, each read spacings
+    # at or below s_st, between the ends and at or above s_go, at speeds
+    # where no acceleration limit hides which branch V(s) took
+    "ramp-ends-zero-delay": ScenarioConfig(
+        variant=V.CF_LCC,
+        n=2,
+        v_star=2.0,
+        horizon=20.0,
+        perturbation=HeadSinusoid(amplitude=2.0, period=10.0, start=2.0),
+        base_params=DriverParams(v_max=4.0, s_st=5.0, s_go=8.0),
+        cav=CavController(gains=FeedbackGains(mu={1: -0.2}, k={1: 0.1})),
+    ),
     "general-delayed-ahead-sinusoid": ScenarioConfig(
         variant=V.GENERAL_LCC,
         m=2,
@@ -508,6 +521,7 @@ ALONE_COLUMNS = {
     "fd-gain-on-1-brake-on-4": set(range(2, 7)),
     "zero-delay-cav-collision": {1, 5},
     "general-gains-ahead-only": {1, 2, 4, 5},
+    "ramp-ends-zero-delay": {3},
 }
 
 # the cases with an HDV that reacts at least one step late
@@ -566,6 +580,15 @@ def test_simulate_loop_matches_reference_bitwise(name):
     assert {call.args[3][0] for call in alone.call_args_list} == ALONE_COLUMNS.get(name, set())
     if name.startswith("safety-override"):
         assert override.any()
+    if name == "ramp-ends-zero-delay":
+        # V(s) takes each of its three branches in the coupled follower
+        # (column 2) and in the column stepped alone (3)
+        assert [h[0] for h in coupled.call_args.args[7]] == [2]
+        s_st, s_go = args[11], args[12]
+        for j in (2, 3):
+            s = pos[:, j - 1] - pos[:, j]
+            assert (s <= s_st[j]).any() and (s >= s_go[j]).any()
+            assert ((s_st[j] < s) & (s < s_go[j])).any()
     if name == "hdv-stops":
         # held at 0 for more than a block of 35 steps, from a row inside one
         stopped = np.flatnonzero(vel[:, 2] == 0.0)
