@@ -6,7 +6,7 @@ included) is a ``config`` key, which reads all three for JSON and ``--help``.
 A limit is a tuple of the allowed values, or comparisons joined by " and ",
 each ">", ">=" or "<=" and a number (">= 0 and <= 100"); a value that is not
 an ``int`` must be finite too, so "" admits any finite number, and one that is
-not a real number breaks it as "a number".  A limit that spans fields stays
+not a real number, or is a bool, breaks it as "a number".  A limit that spans fields stays
 with the code that owns them.
 """
 
@@ -26,11 +26,11 @@ def violation(value, limit):
     """The limit ``value`` breaks, up to its first broken comparison, or None.
 
     A comparison limit, "" included, breaks as "a number" on a value that is
-    not a real number.
+    not a real number, or is a bool.
     """
     if isinstance(limit, tuple):
         return None if value in limit else "one of " + ", ".join(map(repr, limit))
-    if not isinstance(value, numbers.Real):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return "a number"
     terms = (limit.split(" and ") if limit else []) + ([] if isinstance(value, int) else ["finite"])
     for i, term in enumerate(terms):

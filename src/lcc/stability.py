@@ -13,12 +13,17 @@ is det(sI - A_cl), the closed loop's characteristic polynomial.  Num holds
 only the gains ahead of the CAV and Den only those of the CAV's followers,
 so across a scan panel one of them repeats, often in every cell; each
 distinct polynomial has its roots found once.  Every verdict comes from
-these roots, with no frequency search, in this order:
+Den's coefficients and these roots, with no frequency search, in this order:
 
 1. asymptotically unstable (AU): a root of Den has real part above
    ``EIG_TOL`` (gamma's roots are stable for every ``LinearCoeffs``), or
-   the chain fails to evaluate.  |Gamma(jw)| is a steady-state gain only
-   of a stable closed loop, so an AU chain is never string stable;
+   the chain fails to evaluate.  The Routh array of Den(s + EIG_TOL)
+   decides it from the coefficients alone: AU unless every entry of its
+   first column is positive.  A root with real part exactly EIG_TOL, or a
+   breakdown, gives a zero or non-finite entry, and such a chain takes
+   Den's companion roots instead, with AU where one lies right of EIG_TOL.
+   |Gamma(jw)| is a steady-state gain only of a stable closed loop, so an
+   AU chain is never string stable;
 2. string unstable (SU), from the range's ends: Gamma(0) = 1, so |Gamma|
    at omega_min or omega_max often already reaches 1 - ``PEAK_MARGIN``,
    and a scan cell whose end value does so needs no search between them;
@@ -26,9 +31,11 @@ these roots, with no frequency search, in this order:
    |Gamma(jw)| over [omega_min, omega_max] is below 1 - ``PEAK_MARGIN``
    or not.  In x = w^2, log|Gamma|^2 is a sum of log(x + z^2) over the
    roots z of Num, Den, phi and gamma, so its stationary points are the
-   eigenvalues of a diagonal-plus-rank-one matrix; the grid kernel
-   evaluates |Gamma| at these few candidates, and the ends' values count
-   as candidates too.
+   eigenvalues of a diagonal-plus-rank-one matrix, deflated at phi's real
+   pole so that x = 0 is not one of them.  Without HDVs ahead of the CAV,
+   Num = phi, and without HDVs behind it, Den = gamma: those roots are
+   phi's or gamma's, in closed form.  The grid kernel evaluates |Gamma| at
+   these few candidates, and the ends' values count as candidates too.
 
 ``_evaluate`` is the one place this class rule lives: ``scan_region``
 stores the class of each cell, and ``is_string_stable`` reports the class
@@ -79,9 +86,10 @@ _OMEGA_MIN_LIMIT = f">= {math.sqrt(sys.float_info.min)!r}"
 _OMEGA_MAX_LIMIT = f"> {math.sqrt(sys.float_info.min)!r} and <= {math.sqrt(sys.float_info.max)!r}"
 
 # Entries of the widest matrix stack a scan chunk builds (4 MiB of float64): the
-# stationary points' K x K per searched cell, with K = max(m+1, 2m) slots for Num's
-# roots, 2n+2 for Den's and 3 for phi's and gamma's (see ``scan_region``).  Each panel
-# of the paper's region figure (K <= 13) takes one chunk.
+# stationary points' K x K per searched cell, K = [m>0] max(m+1, 2m) + [n>0] (2n+2) + 2,
+# with slots for Num's roots unless Num = phi (m = 0), Den's unless Den = gamma (n = 0)
+# and gamma's, less the deflated one of phi (see ``scan_region``).  Each panel of the
+# paper's region figure (K <= 12) takes one chunk.
 _CHUNK_ENTRIES = 2**19
 
 # HDVs a verdict's chain may have on either side of the CAV, up to its farthest gain.
@@ -288,20 +296,44 @@ def _shorten(spec: TransferSpec, *vehicles: int) -> Tuple[TransferSpec, int, np.
     return short, spec.m + spec.n - m - n, np.concatenate([[1.0], *_gain_arrays(short)])
 
 
+def _routh(den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Whether each row of Den's ascending coefficients has a root right of ``EIG_TOL``,
+    from the first column of the Routh array of Den(s + EIG_TOL): it does unless every
+    entry is positive.  Also whether that test is undecided: an entry is zero or not
+    finite, as with a root on the boundary or coefficients that overflow."""
+    p = den.T.copy()  # p[k] multiplies s^k
+    d = len(p) - 1
+    for i in range(d):  # Taylor shift by Horner's rule
+        for j in range(d - 1, i - 1, -1):
+            p[j] += EIG_TOL * p[j + 1]
+    # the array's rows, zero-padded to one width: a_d, a_(d-2), ... then a_(d-1), ...
+    top, zero = p[::-2], np.zeros((1, p.shape[1]))
+    below = np.zeros_like(top)
+    below[: len(p) // 2] = p[-2::-2]
+    column = [top[0], below[0]]
+    for _ in range(d - 1):
+        top, below = below, np.vstack([top[1:] - top[0] / below[0] * below[1:], zero])
+        column.append(below[0])
+    column = np.array(column)
+    return ~np.all(column > 0, axis=0), ~np.all(np.isfinite(column) & (column != 0), axis=0)
+
+
 def _secular_stack(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Real matrices similar to diag(p) - u 1^T, p = -z^2 and u = w p / sum(w), one per
-    row of roots z and weights w (0 on NaN slots), with each conjugate pair of z in
-    adjacent slots, positive imaginary part first (see ``_evaluate``)."""
+    """Real matrices whose eigenvalues are the zeros of sum_k w_k / (x - p_k), p = -z^2,
+    one per row of roots z and weights w (0 on NaN slots), with phi's real root in the
+    last slot and each conjugate pair in adjacent slots, positive imaginary part first
+    (see ``_evaluate``): diag(p) - c 1^T over every slot but phi's, with c = w (p - q)
+    / sum(w) for phi's pole q."""
     poles = np.nan_to_num(-(z**2))
-    u = weights * poles / weights.sum(axis=1, keepdims=True)
-    first = z.imag > 0  # the first slot of each conjugate pair; the next slot is its conjugate
+    c = weights[:, :-1] * (poles[:, :-1] - poles[:, -1:].real) / weights.sum(axis=1, keepdims=True)
+    poles, first = poles[:, :-1], z[:, :-1].imag > 0  # the next slot of a first is its conjugate
     second = np.pad(first[:, :-1], [(0, 0), (1, 0)])
     cell, slot = np.nonzero(first)
-    stack = poles.real[:, :, None] * np.eye(z.shape[1])
+    stack = poles.real[:, :, None] * np.eye(poles.shape[1])
     stack[cell, slot, slot + 1] = -poles.imag[cell, slot]
     stack[cell, slot + 1, slot] = poles.imag[cell, slot]
-    u_real = np.where(first, 2.0 * u.real, np.where(second, -2.0 * u.imag, u.real))
-    stack -= u_real[:, :, None] * np.where(second, 0.0, 1.0)[:, None, :]
+    c_real = np.where(first, 2.0 * c.real, np.where(second, -2.0 * c.imag, c.real))
+    stack -= c_real[:, :, None] * np.where(second, 0.0, 1.0)[:, None, :]
     return stack
 
 
@@ -310,38 +342,53 @@ def _evaluate(
     spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: int, exact_peaks=False
 ):
     """Classes, peaks (omega, |Gamma|^2) and failure messages of gain rows of ``spec``
-    followed by ``cut`` HDVs.  A row is AU when a root of Den lies right of ``EIG_TOL``
-    or the row fails, else SS or SU from its peak against 1 - ``PEAK_MARGIN``.  Failed
-    rows get NaN peaks, and so do AU rows unless ``exact_peaks``.
+    followed by ``cut`` HDVs.  A row is AU when Den has a root right of ``EIG_TOL``,
+    which the Routh array of Den(s + EIG_TOL) decides (``_routh``) and Den's companion
+    roots where it cannot, or when the row fails; else SS or SU from its peak against
+    1 - ``PEAK_MARGIN``.  Failed rows get NaN peaks, and so do AU rows unless
+    ``exact_peaks``.
 
     Gamma(0) = 1, so |Gamma| at the range's ends often settles a row: unless
     ``exact_peaks``, a row whose end values are finite and the larger reaches
     1 - PEAK_MARGIN takes that end as its peak, a lower bound that already makes it
-    string unstable, and skips Num's roots and the stationary points (so a failure
-    there goes unseen).  The other rows search them, the ends' values included.
+    string unstable, and skips the roots of Num and Den and the stationary points (so a
+    failure there goes unseen).  The other rows search them, the ends' values included.
 
     A polynomial with roots z_k has |P(jw)|^2 = c^2 prod_k (x + z_k^2) in x = w^2, so
     d/dx log|Gamma(jw)|^2 = sum_k w_k / (x - p_k) over p_k = -z_k^2 of the roots of Num
-    (w_k = 1), Den (-1), phi (n + cut) and gamma (-(m + cut)).  Its zeros, and x = 0, are
-    the eigenvalues of diag(p) - u 1^T with u = w p / sum(w).  The candidates are the
-    range's ends and the real part of each zero: each can only raise the maximum toward
-    the true one.  A failed row names the lowest omega of a non-finite |Gamma|, else its
-    root-finding error.
+    (w_k = 1), Den (-1), phi (n + cut) and gamma (-(m + cut)); with no HDV ahead of the
+    CAV, Num = phi, and with none behind, Den = gamma, so their weights join those
+    slots and their roots need no solve.  Its zeros are the eigenvalues of
+    diag(p) - u 1^T with u = w p / sum(w), together with x = 0, which only repeats the
+    range's low end; deflating at phi's real pole q leaves diag(p) - c 1^T over the
+    other slots, c = w (p - q) / sum(w), whose eigenvalues are the zeros alone
+    (``_secular_stack``).  The candidates are the range's ends and the real part of
+    each zero: each can only raise the maximum toward the true one.  A failed row names
+    the lowest omega of a non-finite |Gamma|, else its root-finding error.
 
     The matrix is solved in real form.  Every root comes from the eigenvalues of a real
     matrix, which LAPACK returns with each conjugate pair in adjacent slots, positive
-    imaginary part first; so p and u hold each pair as (p_i, conj(p_i)) and (u_i,
-    conj(u_i)).  The similarity P = [[1, 1], [-i, i]] on each pair's two slots turns the
-    diagonal block into [[Re p_i, -Im p_i], [Im p_i, Re p_i]], the pair's entries of u
-    into (2 Re u_i, 2 Im u_i) and those of 1^T into (1, 0): the same eigenvalues from a
+    imaginary part first; so p and c hold each pair as (p_i, conj(p_i)) and (c_i,
+    conj(c_i)).  The similarity P = [[1, 1], [-i, i]] on each pair's two slots turns the
+    diagonal block into [[Re p_i, -Im p_i], [Im p_i, Re p_i]], the pair's entries of c
+    into (2 Re c_i, 2 Im c_i) and those of 1^T into (1, 0): the same eigenvalues from a
     real matrix.
     """
-    c, cells = spec.coeffs, len(rows)
+    c, cells, m, n = spec.coeffs, len(rows), spec.m, spec.n
     num, den = _polynomials(spec, rows)
-    den_roots, problems = _roots(den)
-    au = np.any(den_roots.real > EIG_TOL, axis=1)
+    problems: Dict[int, str] = {}
+
+    def den_roots(at):
+        """Den's roots on rows ``at``; their failures go to ``problems``."""
+        found, failed = _roots(den[at])
+        problems.update({int(at[q]): msg for q, msg in failed.items()})
+        return found
+
+    au, undecided = _routh(den)
+    fallback = np.flatnonzero(undecided)
+    au[fallback] = np.any(den_roots(fallback).real > EIG_TOL, axis=1)
     live = np.arange(cells) if exact_peaks else np.flatnonzero(~au)
-    gains = np.split(rows[:, 1:].T, [spec.m, 2 * spec.m, 2 * spec.m + spec.n])
+    gains = np.split(rows[:, 1:].T, [m, 2 * m, 2 * m + n])
     x_range = grid.omega_min**2, grid.omega_max**2
 
     def reaches_one(mag_sq):
@@ -360,12 +407,16 @@ def _evaluate(
     end_peak = ends[1].max(axis=0)
     searched = exact_peaks | ~(np.isfinite(end_peak) & reaches_one(end_peak))
     search = live[searched]
-    num_roots, peak_problems = _roots(num[search])
+    none = np.empty((search.size, 0))
+    num_roots, peak_problems = _roots(num[search]) if m else (none, {})
     local = np.append(np.roots([1.0, c.alpha2, c.alpha1]), -c.alpha1 / c.alpha3)  # gamma's, phi's
-    z = np.hstack([num_roots, den_roots[search], np.broadcast_to(local, (search.size, 3))])
-    weights = np.full(z.shape, 1.0)
-    weights[:, num_roots.shape[1] : -3] = -1.0
-    weights[:, -3:] = [-(spec.m + cut), -(spec.m + cut), spec.n + cut]
+    local = np.broadcast_to(local, (search.size, 3))
+    z = np.hstack([num_roots, den_roots(search) if n else none, local])
+    weights = np.full(z.shape, -1.0)
+    weights[:, : num_roots.shape[1]] = 1.0
+    # Num = phi without HDVs ahead, Den = gamma without HDVs behind
+    gam_weight, phi_weight = -(m + cut + (n == 0)), n + cut + (m == 0)
+    weights[:, -3:] = [gam_weight, gam_weight, phi_weight]
     weights[np.isnan(z)] = 0.0
     zeros, failed = _eigvals(_secular_stack(z, weights))
     inner = mags_sq(np.fmin(np.fmax(zeros.real.T, x_range[0]), x_range[1]), search)
@@ -446,17 +497,20 @@ def scan_region(
 ) -> RegionMap:
     """Classify every cell of a 2-D gain grid, row-major in (axis1, axis2).
 
-    Each cell gets the class ``_evaluate`` gives it: AU with a root of Den
-    right of the tolerance, else SS or SU, SU without a peak search when
-    |Gamma| at an end of the frequency range already reaches
-    1 - ``PEAK_MARGIN``.  Cells that fail to evaluate are AU, with a log line.
+    Each cell gets the class ``_evaluate`` gives it: AU when the Routh array
+    of Den's coefficients finds a root right of the tolerance, else SS or SU,
+    SU without a peak search when |Gamma| at an end of the frequency range
+    already reaches 1 - ``PEAK_MARGIN``.  Only the cells that search find
+    the roots of Num and Den.  Cells that fail to evaluate are AU, with a log
+    line.
 
     ``_evaluate`` classifies the cells in chunks, as many as keep its widest
     stack, the K x K stationary-point matrix of each cell that searches, within
-    ``_CHUNK_ENTRIES`` entries even when every cell searches: K = max(m+1, 2m)
-    + 2n + 5 for the chain cut to its farthest gain.  The companion stacks of
-    Num and Den are smaller.  So each 51 x 51 panel of the 2+1+2 chain takes
-    one pass, and larger scans take several, in bounded memory.
+    ``_CHUNK_ENTRIES`` entries even when every cell searches: K = [m>0]
+    max(m+1, 2m) + [n>0] (2n+2) + 2 for the chain cut to its farthest gain.
+    The companion stacks of Num and Den are smaller.  So each 51 x 51 panel of
+    the 2+1+2 chain takes one pass, and larger scans take several, in bounded
+    memory.
     """
     if (axis1.vehicle, axis1.component) == (axis2.vehicle, axis2.component):
         raise TopologyError("scan axes must address distinct gain coordinates")
@@ -467,7 +521,8 @@ def scan_region(
     cols = [offsets[name] + idx for name, idx in slots]
     values = np.repeat(axis1.values(), axis2.points), np.tile(axis2.values(), axis1.points)
     classes = np.empty(values[0].size, dtype="<U2")
-    chunk = max(1, _CHUNK_ENTRIES // (max(m + 1, 2 * m) + 2 * n + 5) ** 2)
+    width = (m > 0) * max(m + 1, 2 * m) + (n > 0) * (2 * n + 2) + 2
+    chunk = max(1, _CHUNK_ENTRIES // width**2)
     for start in range(0, classes.size, chunk):
         g1, g2 = (v[start : start + chunk] for v in values)
         rows = np.repeat(row[None], g1.size, axis=0)

@@ -561,6 +561,13 @@ def test_config_and_library_agree_on_each_limit(cls, name, value, accepted):
                      "vehicle must be a number, got '1'", id="FollowerBrake.vehicle='1'"),
         pytest.param(lambda: GainAxis(vehicle=None, component="mu"),
                      "vehicle must be a number, got None", id="GainAxis.vehicle=None"),
+        # a bool is an int to Python, but config refuses it, and so does the library
+        pytest.param(lambda: DriverParams(alpha=True), "alpha must be a number, got True",
+                     id="DriverParams.alpha=True"),
+        pytest.param(lambda: GainAxis(vehicle=True, component="mu"),
+                     "vehicle must be a number, got True", id="GainAxis.vehicle=True"),
+        pytest.param(lambda: simulate(ScenarioConfig(perturbation=FollowerBrake(vehicle=True))),
+                     "vehicle must be a number, got True", id="FollowerBrake.vehicle=True"),
     ],
 )
 def test_non_number_is_a_value_error_naming_the_field(build, message):

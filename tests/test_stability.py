@@ -2,6 +2,7 @@
 
 
 import contextlib
+import itertools
 import logging
 import math
 import sys
@@ -249,11 +250,24 @@ def test_peak_survives_cancelled_leading_coefficient(default_coeffs):
         assert res.peak_mag == pytest.approx(abs(state_space_gain(spec, res.peak_omega)), rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [10, 30, 50])
-def test_long_chain_verdict_matches_dense_grid_and_poles(default_coeffs, n):
+@pytest.mark.parametrize(
+    "m, n, pairs",
+    [
+        # no gain behind the CAV, so Den = gamma
+        *(pytest.param(2, n, GAIN_CASES["caseB"], id=str(n)) for n in (10, 30, 50)),
+        pytest.param(3, 0, {-3: (1.0, -1.0), -1: (0.5, -0.3)}, id="none-behind-n=0"),
+        # no gain ahead of the CAV, so Num = phi
+        pytest.param(0, 2, {1: (-1.0, -1.0), 2: (-1.0, -1.0)}, id="none-ahead-m=0"),
+        pytest.param(5, 30, {1: (-1.0, -1.0), 3: (0.5, 0.2)}, id="none-ahead-30"),
+        # neither: Num = phi and Den = gamma
+        pytest.param(4, 6, {}, id="no-gains"),
+    ],
+)
+def test_long_chain_verdict_matches_dense_grid_and_poles(default_coeffs, m, n, pairs):
     """HDVs past the last gain only multiply Gamma by phi/gamma, so long chains
-    stay as accurate as short ones."""
-    spec = spec_with(default_coeffs, 2, n, GAIN_CASES["caseB"])
+    stay as accurate as short ones; without gains on a side, that side's
+    polynomial is phi's or gamma's and its roots come in closed form."""
+    spec = spec_with(default_coeffs, m, n, pairs)
     res = is_string_stable(spec)
     dense = magnitude_curve(spec, FrequencyGrid(points=20001).omegas()).max()
     assert res.peak_mag >= dense * (1 - 1e-12)
@@ -286,6 +300,70 @@ def test_verdict_at_max_reach_matches_dense_grid_and_poles(default_coeffs, coeff
         assert res.peak_mag >= magnitude_curve(spec, omegas).max() * (1 - 1e-10), scale
         poles = np.linalg.eigvals(oracle_model(spec)[1])
         assert res.asymptotically_stable == bool(poles.real.max() <= stability.EIG_TOL), scale
+
+
+def test_au_flag_matches_closed_loop_poles_on_random_chains(default_coeffs):
+    """``_evaluate``'s AU flag, from the Routh array of Den's coefficients, against the
+    poles of A_cl: random gains up to the reach on either side of the CAV, with the
+    lightly damped drivers too.  A chain with a pole within 1e-9 of EIG_TOL is skipped."""
+    rng = np.random.default_rng(36)
+    drivers = [c or default_coeffs for c in REACH_COEFFS.values()]
+    flags = []
+    for _ in range(200):
+        m, n = (int(v) for v in rng.integers(0, REACH + 1, size=2))
+        ids = [i for i in [*range(-m, 0), *range(1, n + 1)] if rng.random() < 0.5]
+        scale = rng.choice([0.05, 0.3, 1.0, 3.0])
+        pairs = {i: tuple(rng.uniform(-scale, scale, 2)) for i in ids}
+        spec = spec_with(drivers[rng.integers(len(drivers))], m, n, pairs)
+        poles = np.linalg.eigvals(oracle_model(spec)[1])
+        if np.abs(poles.real - stability.EIG_TOL).min() < 1e-9:
+            continue
+        short, cut, row = stability._shorten(spec)
+        classes, _, problems = stability._evaluate(short, row[None], FrequencyGrid(), cut)
+        assert problems == {}, spec
+        flags.append(classes[0] == CLASS_ASYMP_UNSTABLE)
+        assert flags[-1] == bool(poles.real.max() > stability.EIG_TOL), spec
+    assert len(flags) >= 190
+    assert 50 < sum(flags) < len(flags) - 50
+
+
+@pytest.mark.parametrize("offset", [-0.5, 0.5, 1.5])
+def test_au_threshold_is_eig_tol(default_coeffs, offset):
+    """A chain whose rightmost closed-loop pole has real part ``offset`` EIG_TOL, placed
+    by bisection on A_cl's poles, is AU exactly when that exceeds EIG_TOL: the Routh
+    array is taken of Den(s + EIG_TOL), not of Den(s) or Den(s - EIG_TOL)."""
+    target = offset * stability.EIG_TOL
+
+    def spec_at(scale):
+        return spec_with(default_coeffs, 2, 2, {1: (scale, scale)})
+
+    def abscissa(scale):
+        return np.linalg.eigvals(oracle_model(spec_at(scale))[1]).real.max()
+
+    lo, hi = 0.5, 1.0  # the closed loop crosses the imaginary axis between them
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if abscissa(mid) > target else (mid, hi)
+    assert abs(abscissa(hi) - target) < 1e-3 * stability.EIG_TOL
+    assert is_string_stable(spec_at(hi)).asymptotically_stable == (offset < 1)
+
+
+def test_scan_overflowing_den_fails_each_cell(default_coeffs, caplog):
+    """Follower gains near the float limit overflow Den's coefficients, so the Routh
+    array cannot decide; the cells take Den's roots and fail with a log line each."""
+    spec = spec_with(default_coeffs, 0, 2)
+    axes = (GainAxis(1, "mu", 1e308, 1.7e308, 2), GainAxis(2, "mu", 1e308, 1.7e308, 2))
+    short, _, row = stability._shorten(spec, 1, 2)
+    rows = np.repeat(row[None], 4, axis=0)
+    rows[:, 1:3] = [(g1, g2) for g1 in axes[0].values() for g2 in axes[1].values()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = stability._polynomials(short, rows)[1]
+    assert not np.isfinite(den).all(axis=1).any()
+    with caplog.at_level(logging.WARNING, logger="lcc.stability"):
+        classes = scan_region(spec, *axes).classes
+    assert np.all(classes == CLASS_ASYMP_UNSTABLE)
+    assert len(caplog.messages) == 4
+    assert all("failed to evaluate" in msg for msg in caplog.messages)
 
 
 def test_chain_past_max_reach_is_refused(default_coeffs):
@@ -611,7 +689,7 @@ def test_paper_panel_classifies_in_one_pass(default_coeffs, monkeypatch, panel):
     whole = scan_region(spec, *axes).classes
     assert len(peaks) == 1
     whole_peaks = peaks.pop()
-    monkeypatch.setattr(stability, "_CHUNK_ENTRIES", 2**14)
+    monkeypatch.setattr(stability, "_CHUNK_ENTRIES", 2**13)
     np.testing.assert_array_equal(scan_region(spec, *axes).classes, whole)
     assert len(peaks) >= 4
     assert np.hstack(peaks).tobytes() == whole_peaks.tobytes()
@@ -626,7 +704,7 @@ _SS_BAND_C = (GainAxis(-1, "mu", 0.2, 1.8, 201), GainAxis(-1, "k", -1.5, 0.0, 20
         # the SS band of panel c at 201 x 201: every cell searches, so each
         # chunk's stationary-point stack is as wide as the budget allows
         (2, 2, {1: (-1.0, -1.0)}, _SS_BAND_C, True),
-        # gains 10 HDVs ahead of and behind the CAV: 45 x 45 stationary-point stacks
+        # gains 10 HDVs ahead of and behind the CAV: 44 x 44 stationary-point stacks
         (10, 10, {10: (0.1, 0.1)}, _panel_axes(-10, points=31), False),
     ],
     ids=["201x201", "m=n=10"],
@@ -684,10 +762,34 @@ def test_scan_overflow_is_reported_per_cell_without_runtime_warnings(default_coe
     assert any("failed to evaluate" in msg for msg in caplog.messages)
 
 
+def _cell_spec(spec, axes, values):
+    """``spec`` with each scan axis's gain set to its value."""
+    gains = {"mu": dict(spec.gains.mu), "k": dict(spec.gains.k)}
+    for axis, value in zip(axes, values):
+        gains[axis.component][axis.vehicle] = value
+    return TransferSpec(spec.m, spec.n, spec.coeffs, FeedbackGains(**gains))
+
+
+def _searched_cells(spec, axes):
+    """The cells a scan searches, in (axis1, axis2) shape: those the per-cell scan does
+    not find AU whose |Gamma| at both ends of the range, from the closed form there,
+    stays below 1 - PEAK_MARGIN."""
+    grid = FrequencyGrid()
+    searched = _reference_scan_region(spec, *axes) != CLASS_ASYMP_UNSTABLE
+    for (i, g1), (j, g2) in itertools.product(*(enumerate(a.values()) for a in axes)):
+        ends = magnitude_curve(_cell_spec(spec, axes, (g1, g2)), [grid.omega_min, grid.omega_max])
+        searched[i, j] &= ends.max() < 1.0 - stability.PEAK_MARGIN
+    return searched
+
+
 def test_scan_eigvals_failure_marks_only_that_cell(default_coeffs, monkeypatch, caplog):
-    """Root finding fails for the cells of row 2, found by their own closed-loop poles."""
+    """Root finding fails for the cells of row 2, found by their own closed-loop poles.
+    AU comes from Den's coefficients, so only the cells that search find those roots
+    and fail."""
     spec = spec_with(default_coeffs, 2, 2)
     axes = _panel_axes(1, points=7)
+    searched = _searched_cells(spec, axes)[2]
+    assert 0 < searched.sum() < searched.size
     g1 = axes[0].values()[2]
     hdv_poles = np.roots([1.0, default_coeffs.alpha2, default_coeffs.alpha1])
     bad_poles = []
@@ -709,11 +811,11 @@ def test_scan_eigvals_failure_marks_only_that_cell(default_coeffs, monkeypatch, 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     with caplog.at_level(logging.WARNING, logger="lcc.stability"):
         classes = scan_region(spec, *axes).classes
-    assert np.all(classes[2] == CLASS_ASYMP_UNSTABLE)
+    np.testing.assert_array_equal(classes[2], np.where(searched, CLASS_ASYMP_UNSTABLE, expected[2]))
     np.testing.assert_array_equal(np.delete(classes, 2, 0), np.delete(expected, 2, 0))
     assert caplog.messages == [
         f"cell ({g1:g}, {g2:g}) failed to evaluate: Eigenvalues did not converge"
-        for g2 in axes[1].values()
+        for g2 in axes[1].values()[searched]
     ]
 
 
@@ -769,7 +871,8 @@ def _random_roots_and_weights(rng, coeffs, rows):
 @pytest.mark.parametrize("coeffs", SECULAR_COEFFS, ids=["default", "light", "slow", "real"])
 def test_secular_stack_real_form_matches_complex_form(default_coeffs, coeffs):
     """The real form relies on each conjugate pair of roots sitting in adjacent slots,
-    positive imaginary part first, and has the complex form's eigenvalues."""
+    positive imaginary part first, and has the complex form's eigenvalues less its
+    x = 0 one, which deflating at phi's pole (the last slot) drops."""
     z, weights = _random_roots_and_weights(np.random.default_rng(16), coeffs or default_coeffs, 200)
     first = z.imag > 0
     assert not first[:, -1].any()
@@ -777,10 +880,12 @@ def test_secular_stack_real_form_matches_complex_form(default_coeffs, coeffs):
     assert np.array_equal(z.imag < 0, np.pad(first[:, :-1], [(0, 0), (1, 0)]))
     real = stability._secular_stack(z, weights)
     assert real.dtype == np.float64
+    assert real.shape == (len(z), z.shape[1] - 1, z.shape[1] - 1)
     got, want = np.linalg.eigvals(real), np.linalg.eigvals(_complex_secular_stack(z, weights))
     for g, w in zip(got, want):
         rows, cols = linear_sum_assignment(np.abs(g[:, None] - w[None, :]))
         assert np.abs(g[rows] - w[cols]).max() <= 1e-10 * np.abs(w).max()
+        assert abs(np.delete(w, cols)[0]) <= 1e-10 * np.abs(w).max()
 
 
 def _random_chain(rng):
@@ -811,7 +916,8 @@ def _mixed_panel(default_coeffs):
 
 def test_scan_finds_roots_once_per_distinct_polynomial(default_coeffs, monkeypatch):
     """The short chain is m = n = 1: Num has degree 2, Den degree 4, and the
-    stationary-point stack is 9 wide."""
+    stationary-point stack is 8 wide.  Only the cells that search need Num's and
+    Den's roots, each distinct polynomial's found once."""
     spec, axes = _mixed_panel(default_coeffs)
     stacks = []
     real_eigvals = stability._eigvals
@@ -823,14 +929,20 @@ def test_scan_finds_roots_once_per_distinct_polynomial(default_coeffs, monkeypat
     monkeypatch.setattr(stability, "_eigvals", eigvals)
     classes = scan_region(spec, *axes).classes
     np.testing.assert_array_equal(classes, _reference_scan_region(spec, *axes))
-    assert {size for _, size, _ in stacks} == {2, 4, 9}
-    assert sum(rows for rows, size, _ in stacks if size == 2) == 7
-    assert sum(rows for rows, size, _ in stacks if size == 4) == 9
+    searched = _searched_cells(spec, axes)
+    assert 0 < searched.sum() < searched.size
+    assert {size for _, size, _ in stacks} == {2, 4, 8}
+    assert sum(rows for rows, size, _ in stacks if size == 2) == searched.any(axis=1).sum()
+    assert sum(rows for rows, size, _ in stacks if size == 4) == searched.any(axis=0).sum()
 
 
 def test_scan_den_failure_marks_its_column(default_coeffs, monkeypatch, caplog):
-    """Root finding fails on the one Den that column 3 shares, found by its closed-loop poles."""
+    """Root finding fails on the one Den that column 3 shares, found by its closed-loop
+    poles.  AU comes from Den's coefficients, so only the cells that search find those
+    roots and fail."""
     spec, axes = _mixed_panel(default_coeffs)
+    searched = _searched_cells(spec, axes)[:, 3]
+    assert 0 < searched.sum() < searched.size
     g2 = axes[1].values()[3]
     poles = np.linalg.eigvals(
         oracle_model(spec_with(default_coeffs, 2, 2, {1: (0.0, g2)}))[1]
@@ -852,11 +964,13 @@ def test_scan_den_failure_marks_its_column(default_coeffs, monkeypatch, caplog):
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     with caplog.at_level(logging.WARNING, logger="lcc.stability"):
         classes = scan_region(spec, *axes).classes
-    assert np.all(classes[:, 3] == CLASS_ASYMP_UNSTABLE)
+    np.testing.assert_array_equal(
+        classes[:, 3], np.where(searched, CLASS_ASYMP_UNSTABLE, expected[:, 3])
+    )
     np.testing.assert_array_equal(np.delete(classes, 3, 1), np.delete(expected, 3, 1))
     assert caplog.messages == [
         f"cell ({g1:g}, {g2:g}) failed to evaluate: Eigenvalues did not converge"
-        for g1 in axes[0].values()
+        for g1 in axes[0].values()[searched]
     ]
 
 
@@ -911,13 +1025,13 @@ def test_scan_searches_stationary_points_only_below_one_at_the_ends(
 
 def test_scan_end_decided_cells_skip_a_failing_search(default_coeffs, monkeypatch, caplog):
     """With every stationary-point solve failing, an end-decided cell stays SU with no
-    log line; every other cell is AU with its warning (the stack is 7 wide)."""
+    log line; every other cell is AU with its warning (the stack is 4 wide)."""
     spec, axes, cells, decided = _end_decided_panel(default_coeffs)
     expected = _reference_scan_region(spec, *axes)
     real_eigvals = np.linalg.eigvals
 
     def eigvals(a):
-        if a.shape[-1] == 7:
+        if a.shape[-1] == 4:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eigvals(a)
 
@@ -930,3 +1044,42 @@ def test_scan_end_decided_cells_skip_a_failing_search(default_coeffs, monkeypatc
         for (g1, g2), done in zip(cells, decided.ravel())
         if not done
     ]
+
+
+def _runs(mask):
+    """Runs of True in each row of a 2-D boolean array."""
+    edges = np.diff(np.pad(mask.astype(int), [(0, 0), (1, 0)]), axis=1)
+    return (edges == 1).sum(axis=1)
+
+
+def test_predecessor_panels_are_convex():
+    """Den holds only the follower gains, and |Gamma(jw)| = |Num| |phi^n / (Den gamma^m)|
+    with Num affine in the predecessor gains: on a panel of two predecessor gains AU
+    is all or nothing, and the peak is a convex function of the two gains, so the SS
+    cells of each row and column are contiguous, and the peak at a midpoint is at
+    most the mean of the peaks at its ends."""
+    rng, draws = np.random.default_rng(17), np.random.default_rng(18)  # panels, midpoints
+    kinds = []
+    for _ in range(20):
+        params = DriverParams(alpha=rng.uniform(0.2, 1.2), beta=rng.uniform(0.2, 1.5))
+        coeffs = linearize(equilibrium_spacing(15.0, params), params)
+        m, n = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+        pairs = {i: tuple(rng.uniform(-1.5, 0.5, 2)) for i in range(1, n + 1) if rng.random() < 0.7}
+        spec = spec_with(coeffs, m, n, pairs)
+        coords = [(vid, comp) for vid in range(-m, 0) for comp in ("mu", "k")]
+        picks = rng.choice(len(coords), size=2, replace=False)
+        axes = [GainAxis(*coords[p], lo := rng.uniform(-3.0, 1.0), lo + rng.uniform(1.0, 5.0), 21)
+                for p in picks]
+        classes = scan_region(spec, *axes).classes
+        au, ss = classes == CLASS_ASYMP_UNSTABLE, classes == CLASS_STABLE
+        assert au.all() or not au.any(), (spec, axes)
+        assert _runs(ss).max(initial=0) <= 1 and _runs(ss.T).max(initial=0) <= 1, (spec, axes)
+        kinds.append("AU" if au.all() else "mixed" if 0 < ss.sum() < ss.size else "one class")
+        for _ in range(6):
+            ends = draws.uniform([a.lo for a in axes], [a.hi for a in axes], size=(2, 2))
+            peaks = [
+                is_string_stable(_cell_spec(spec, axes, g)).peak_mag
+                for g in (*ends, ends.mean(axis=0))
+            ]
+            assert peaks[2] <= 0.5 * (peaks[0] + peaks[1]) * (1 + 1e-9), (spec, axes, ends)
+    assert kinds.count("AU") >= 2 and kinds.count("mixed") >= 10
