@@ -52,8 +52,9 @@ the plan's body:
 Both bodies give the same traces bit for bit, and so does a column
 stepped alone or in its row: each value comes from the same expression on
 the same operands.  numpy's float64 +, -, * and / round as Python's do,
-at every SIMD level; the OVM cosine is ``math.cos`` in both (``np.cos``
-may differ in the last bit); and no sum is reordered:
+at every SIMD level; the OVM cosine is the C library's ``cos`` in both,
+which ``math.cos`` calls per step and numpy's float64 ``np.cos`` loop per
+element of a block; and no sum is reordered:
 ``np.add.accumulate`` adds each column's increments in sequence, as the
 per-step update does, and the CAV sums its feedback terms in order.
 
@@ -143,12 +144,11 @@ def ovm_ramp_array(s, v_max, s_st, s_go):
     returns ``v_max`` itself (0.5 v_max may underflow).  Below s_go the
     clip moves only an argument that rounds past pi, whose cosine is
     -1.0 either way.  Every other value rounds as the scalar ramp's:
-    numpy's float64 -, * and / round as Python's do, and the cosine is
-    ``math.cos``, whatever numpy's SIMD level.
+    numpy's float64 -, * and / round as Python's do, and ``np.cos`` is
+    the C library's ``cos``, as ``math.cos`` is, at every SIMD level.
     """
     x = np.minimum(np.maximum(math.pi * (s - s_st) / (s_go - s_st), 0.0), math.pi)
-    c = np.fromiter(map(math.cos, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return np.where(s >= s_go, v_max, (0.5 * v_max) * (1.0 - c))
+    return np.where(s >= s_go, v_max, (0.5 * v_max) * (1.0 - np.cos(x)))
 
 
 # Rows each chunk of ``simulate_loop`` steps, converts to Python floats and

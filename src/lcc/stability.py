@@ -57,7 +57,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .errors import EvaluationError, TopologyError, bounded, check_limits
+from .errors import EvaluationError, TopologyError, bounded, check_limits, violation
 from .systems import FeedbackGains, validate_count, validate_gain_ids
 from .vehicles import LinearCoeffs
 
@@ -131,6 +131,9 @@ class FrequencyGrid:
     points: int = bounded(1000, ">= 2", "log-spaced points of the stability magnitude CSV only")
 
     def __post_init__(self):
+        for name in ("omega_min", "omega_max"):  # a bound must be a number to be squared
+            if violation(getattr(self, name), "") == "a number":
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # the verdicts work in x = omega^2: each bound's square must be finite, and omega_min's
         # normal, as a subnormal square loses the range's low end (0 below ~1.6e-162)
         square = self.omega_min * self.omega_min

@@ -11,8 +11,9 @@ above a free-flow spacing ``s_go``, and rises smoothly (half-cosine) in
 between.  ``ovm_ramp`` is V(s) of one spacing, the definition the
 simulation kernel follows: when it steps a chain one step at a time it
 spells the same expression inline, and when it steps a delayed chain in
-blocks it evaluates it elementwise (``kernels.ovm_ramp_array``); both
-round as ``ovm_ramp`` does.  Traces depend on that rounding.  ``A_MIN``
+blocks it evaluates it elementwise (``kernels.ovm_ramp_array``, whose
+``np.cos`` is the C library's ``cos``, as ``math.cos`` is); both round as
+``ovm_ramp`` does.  Traces depend on that rounding.  ``A_MIN``
 and ``A_MAX`` bound every vehicle's acceleration in the simulation, the
 one definition of those limits.  All functions here are pure and
 operate on plain floats.

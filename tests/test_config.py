@@ -568,6 +568,13 @@ def test_config_and_library_agree_on_each_limit(cls, name, value, accepted):
                      "vehicle must be a number, got True", id="GainAxis.vehicle=True"),
         pytest.param(lambda: simulate(ScenarioConfig(perturbation=FollowerBrake(vehicle=True))),
                      "vehicle must be a number, got True", id="FollowerBrake.vehicle=True"),
+        # refused before either bound is squared
+        pytest.param(lambda: FrequencyGrid(omega_min="x"), "omega_min must be a number, got 'x'",
+                     id="FrequencyGrid.omega_min='x'"),
+        pytest.param(lambda: FrequencyGrid(omega_max="x"), "omega_max must be a number, got 'x'",
+                     id="FrequencyGrid.omega_max='x'"),
+        pytest.param(lambda: FrequencyGrid(omega_min=None), "omega_min must be a number, got None",
+                     id="FrequencyGrid.omega_min=None"),
     ],
 )
 def test_non_number_is_a_value_error_naming_the_field(build, message):

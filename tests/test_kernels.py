@@ -81,6 +81,29 @@ def test_desired_velocity_is_the_kernel_ramp_bitwise():
         assert ovm_ramp_array(spacings, p.v_max, p.s_st, p.s_go).tobytes() == np.array(want).tobytes()
 
 
+def test_np_cos_is_math_cos_bitwise():
+    """The block body takes the OVM cosine from ``np.cos``, the per-step
+    body from ``math.cos``: both are the C library's ``cos``, so they agree
+    bit for bit over the ramp's clipped arguments [0, pi], its ends, pi/2
+    and NaN, in a 2-D C-contiguous array as a block's.  A numpy whose
+    float64 cosine is its own (a SIMD one, say) fails here first."""
+    rng = np.random.default_rng(37)
+    ends = [0.0, math.pi / 2, math.pi, math.nan]
+    x = np.concatenate([rng.uniform(0.0, math.pi, 200_000 - len(ends)), ends]).reshape(-1, 250)
+    assert x.flags.c_contiguous
+    got = np.cos(x).ravel()
+    want = np.array([math.cos(v) for v in x.ravel().tolist()])
+    wrong = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    if wrong.size:
+        i = wrong[0]
+        from numpy.lib.introspect import opt_func_info
+        pytest.fail(
+            f"np.cos differs from math.cos at {wrong.size} of {x.size} points, first at "
+            f"x = {float(x.flat[i])!r}: {float(got[i])!r} against {float(want[i])!r}; "
+            f"numpy {np.__version__}, cos loops {opt_func_info(func_name='^cos$')}"
+        )
+
+
 @pytest.mark.parametrize(
     "v_max, s_st, s_go",
     [pytest.param(p.v_max, p.s_st, p.s_go, id=name) for name, p in (

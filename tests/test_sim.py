@@ -21,6 +21,7 @@ from lcc import (
     TopologyError,
     TransferSpec,
     build_system,
+    closed_loop_matrix,
     equilibrium_spacing,
     kernels,
     linearize,
@@ -427,7 +428,9 @@ def test_delay_past_horizon_reads_no_delayed_state():
 
 @pytest.mark.parametrize("period", [5.0, 10.0])
 @pytest.mark.parametrize(
-    "case, delay", [("hdv", 0), ("caseA", 0), ("caseD", 0), ("hdv", 5), ("hdv", 40)]
+    "case, delay",
+    [("hdv", 0), ("caseA", 0), ("caseD", 0), ("hdv", 5), ("hdv", 40),
+     pytest.param("hdv", None, id="hdv-heterogeneous")],
 )
 def test_small_signal_response_is_the_euler_transfer_function(case, delay, period):
     """A 1 mm/s head sinusoid through the general 2+2 chain: vehicle 2's
@@ -436,8 +439,11 @@ def test_small_signal_response_is_the_euler_transfer_function(case, delay, perio
     1)/dt with z = e^(j w dt).  An HDV that reacts d steps late has the
     factor z^-d (alpha1 + alpha3 s_d) / (s_d^2 + z^-d (alpha2 s_d +
     alpha1)).  Chains without delay step one row at a time, delayed ones in
-    blocks, so the oracle covers both bodies with no reference loop."""
-    dt, base = 0.01, DriverParams(delay=delay / 100)
+    blocks, so the oracle covers both bodies with no reference loop.  With
+    ``delay`` None every HDV has its own draw of ``HeterogeneitySpec()``:
+    its own alphas and its own delay of 30-50 steps, so a block's HDVs read
+    rows at distinct lags, and Gamma is the product of their own factors."""
+    dt, base = 0.01, DriverParams(delay=(delay or 0) / 100)
     gains = FeedbackGains.from_pairs(GAIN_CASES[case])
     cfg = ScenarioConfig(
         variant=V.GENERAL_LCC,
@@ -447,11 +453,13 @@ def test_small_signal_response_is_the_euler_transfer_function(case, delay, perio
         dt=dt,
         perturbation=HeadSinusoid(amplitude=1e-3, period=period, start=0.0),
         base_params=base,
+        heterogeneity=None if delay is not None else HeterogeneitySpec(),
         cav=CavController(gains=gains),
+        seed=5,
     )
     with mock.patch.object(kernels, "_step_blocks", wraps=kernels._step_blocks) as blocks:
         trace = simulate(cfg)
-    assert blocks.called == (delay > 0)
+    assert blocks.called == (delay != 0)
     window = slice(round(100.0 / dt), round(200.0 / dt))  # 20 or 10 whole periods
     omega = 2.0 * math.pi / period
     phasor = np.exp(-1j * omega * trace.times[window])
@@ -463,8 +471,77 @@ def test_small_signal_response_is_the_euler_transfer_function(case, delay, perio
     if delay == 0:
         want = transfer_value(TransferSpec(m=2, n=2, coeffs=c, gains=gains), s_d)
     else:
+        drivers = [base] * 4 if delay else sample_heterogeneous(
+            cfg.heterogeneity, 4, cfg.seed, base)
+        lags = [round(p.delay / dt) for p in drivers]
+        if delay is None:
+            assert len(set(lags)) == 4 and 30 <= min(lags) and max(lags) <= 50
         phi, gam = phi_gamma(c, s_d)
-        late = z**-delay
-        hdv = late * phi / (s_d * s_d + late * (c.alpha2 * s_d + c.alpha1))
-        want = phi / gam * hdv**4
+        want = phi / gam  # the CAV's own factor: its baseline law, no gains, no delay
+        for p, d in zip(drivers, lags):
+            ci = linearize(equilibrium_spacing(15.0, p), p)
+            late = z**-d
+            want *= late * (ci.alpha1 + ci.alpha3 * s_d) / (
+                s_d * s_d + late * (ci.alpha2 * s_d + ci.alpha1))
     assert abs(tail / head - want) <= 1e-6 * abs(want)
+
+
+# chains with gains on both sides of the CAV where the variant has them, and
+# cf under both CAV laws: variant, m, n, gains {id: (mu, k)} and mode
+JACOBIAN_CHAINS = {
+    "general-2-2": (V.GENERAL_LCC, 2, 2, {-1: (0.4, -0.3), 1: (-0.2, 0.5)}, "hdv-baseline"),
+    "general-1-3": (V.GENERAL_LCC, 1, 3, {-1: (0.4, -0.3), 2: (-0.2, 0.5), 3: (0.1, -0.1)},
+                    "hdv-baseline"),
+    "ccc-3": (V.CCC, 3, 0, {-3: (0.3, 0.2)}, "hdv-baseline"),
+    # the CAV's own velocity gain, on the row of its negated position, and a follower's
+    "fd": (V.FD_LCC, 0, 2, {0: (0.0, -0.5), 2: (-0.1, 0.05)}, "explicit"),
+    "cf-hdv-baseline": (V.CF_LCC, 0, 2, {1: (-0.2, 0.05)}, "hdv-baseline"),
+    "cf-explicit": (V.CF_LCC, 0, 2, {1: (-0.2, 0.05)}, "explicit"),
+}
+
+
+def _one_step_jacobian(cfg, eps=1e-4):
+    """(J - I)/dt of one forward-Euler step from equilibrium, J by central
+    differences: the error state (s~, v~ of each vehicle -m..n, -p~0 for a
+    free-driving CAV) is moved by +-eps at row 0, through a wrapper of
+    ``kernels.simulate_loop``.  A spacing moves its vehicle and every one
+    behind it, a velocity its vehicle alone."""
+    vids = range(-cfg.m, cfg.n + 1)
+    loop = kernels.simulate_loop
+
+    def stepped(q, step):
+        def perturbed(n_steps, chain, pos, vel, acc):
+            j = q // 2 + cfg.has_head
+            if q % 2:
+                vel[0, j] += step
+            else:
+                pos[0, j:] -= step
+            return loop(n_steps, chain, pos, vel, acc)
+
+        with mock.patch.object(kernels, "simulate_loop", perturbed):
+            tr = simulate(cfg)
+        p, v = tr.position[1], tr.velocity[1]
+        return np.array([x for j in map(tr.col, vids)
+                         for x in (p[j - 1] - p[j] if j else -p[j], v[j])])
+
+    dim = 2 * len(vids)
+    J = np.column_stack([(stepped(q, eps) - stepped(q, -eps)) / (2 * eps) for q in range(dim)])
+    return (J - np.eye(dim)) / cfg.dt
+
+
+@pytest.mark.parametrize("name", JACOBIAN_CHAINS)
+def test_one_step_jacobian_is_the_closed_loop_matrix(name, default_coeffs):
+    """One step of the nonlinear chain maps the error state x to x + dt A_cl
+    x + O(|x|^2): the simulator and ``systems`` agree on every vehicle's
+    feedback term, index and sign.  cf's model puts the HDV law inside A
+    (the CAV's P1 block), which the simulator spells as mode hdv-baseline;
+    under mode explicit the CAV's velocity row lacks alpha1 s~0 - alpha2
+    v~0."""
+    variant, m, n, pairs, mode = JACOBIAN_CHAINS[name]
+    gains = FeedbackGains.from_pairs(pairs)
+    cfg = ScenarioConfig(variant=variant, m=m, n=n, horizon=0.01, dt=0.01,
+                         cav=CavController(gains=gains, mode=mode))
+    want = closed_loop_matrix(build_system(variant, m, n, default_coeffs), gains)
+    if name == "cf-explicit":
+        want[1, :2] -= default_coeffs.alpha1, -default_coeffs.alpha2
+    assert np.abs(_one_step_jacobian(cfg) - want).max() <= 1e-7
