@@ -475,7 +475,7 @@ def test_each_key_is_declared_on_its_own_field(cls):
 # Field values, then scenario values, that a value at a limit needs so that no
 # limit spanning fields refuses it: a step that fits the horizon, a brake that
 # covers a step, s_st < s_go, a finite head phase, a delay band within its base,
-# an omega_min below omega_max.
+# an omega_min below omega_max, a one-point scan axis, whose hi need not pass lo.
 _CONTEXT = {
     (ScenarioConfig, "v_star"): ({"cav": CavController(mode="explicit")}, {}),
     (ScenarioConfig, "dt"): ({"horizon": 1e-323}, {}),
@@ -485,6 +485,8 @@ _CONTEXT = {
     (FollowerBrake, "duration"): ({"start": 0.0}, {"dt": 5e-324, "horizon": 1e-323}),
     (HeterogeneitySpec, "delay_base"): ({"delay_jitter": 0.0}, {}),
     (FrequencyGrid, "omega_max"): ({"omega_min": math.sqrt(sys.float_info.min)}, {}),
+    (GainAxis, "lo"): ({"points": 1}, {}),
+    (GainAxis, "hi"): ({"points": 1}, {}),
 }
 
 _OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}

@@ -349,13 +349,14 @@ def test_au_threshold_is_eig_tol(default_coeffs, offset):
 
 
 def test_scan_overflowing_den_fails_each_cell(default_coeffs, caplog):
-    """Follower gains near the float limit overflow Den's coefficients, so the Routh
-    array cannot decide; the cells take Den's roots and fail with a log line each."""
-    spec = spec_with(default_coeffs, 0, 2)
-    axes = (GainAxis(1, "mu", 1e308, 1.7e308, 2), GainAxis(2, "mu", 1e308, 1.7e308, 2))
+    """A follower gain near the float limit overflows Den's coefficients, so the Routh
+    array cannot decide; the cells take Den's roots and fail with a log line each.
+    A scanned gain stops at its limit, so the gain is the scan's base."""
+    spec = spec_with(default_coeffs, 0, 2, {2: (1.7e308, 0.0)})
+    axes = (GainAxis(1, "mu", -1e6, 1e6, 2), GainAxis(1, "k", -1e6, 1e6, 2))
     short, _, row = stability._shorten(spec, 1, 2)
     rows = np.repeat(row[None], 4, axis=0)
-    rows[:, 1:3] = [(g1, g2) for g1 in axes[0].values() for g2 in axes[1].values()]
+    rows[:, [1, 3]] = [(g1, g2) for g1 in axes[0].values() for g2 in axes[1].values()]
     with np.errstate(over="ignore", invalid="ignore"):
         den = stability._polynomials(short, rows)[1]
     assert not np.isfinite(den).all(axis=1).any()
@@ -444,7 +445,7 @@ def test_grid_rejects_omega_min_with_subnormal_square(value):
     ],
 )
 def test_axis_rejects_non_finite_bounds(field, bounds):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    with pytest.raises(ValueError, match=f"{field} must be >= -1e6"):
         GainAxis(vehicle=1, component="mu", lo=bounds[0], hi=bounds[1], points=3)
 
 
@@ -665,6 +666,21 @@ def test_scan_matches_per_cell_loop_on_random_panels(
     assert sides == {False, True}
 
 
+def test_scan_at_the_gain_limit_matches_per_cell_loop(default_coeffs):
+    """Axes across a scanned gain's whole range, -1e6..1e6: each cell still takes the
+    class of its own closed-loop poles and peak."""
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        m, n, pairs, axes = _random_panel(rng)
+        axes = [GainAxis(ax.vehicle, ax.component, -1e6, 1e6, 6) for ax in axes]
+        spec = spec_with(default_coeffs, m, n, pairs)
+        np.testing.assert_array_equal(
+            scan_region(spec, *axes).classes,
+            _reference_scan_region(spec, *axes),
+            err_msg=f"m={m} n={n} pairs={pairs} axes={axes}",
+        )
+
+
 def _record_evaluate(monkeypatch):
     """The peaks of every ``_evaluate`` call, one array per call."""
     peaks = []
@@ -731,29 +747,30 @@ def test_scan_stacks_stay_within_the_chunk_budget(
         assert max(stacks) > 0.99 * budget
 
 
+# A predecessor gain whose products overflow, beside a panel at the scanned gains' limit.
+_HUGE_GAIN = {-2: (1e300, 1e300)}
+_LIMIT_AXES = tuple(
+    GainAxis(vehicle=-1, component=c, lo=-1e6, hi=1e6, points=p) for c, p in (("mu", 5), ("k", 3))
+)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_scan_extreme_gains_fail_as_asymptotically_unstable(default_coeffs, caplog):
-    spec = spec_with(default_coeffs, 2, 2)
-    axes = tuple(
-        GainAxis(vehicle=-1, component=c, lo=-1e300, hi=1e300, points=p)
-        for c, p in (("mu", 5), ("k", 3))
-    )
+    spec = spec_with(default_coeffs, 2, 2, _HUGE_GAIN)
+    axes = _LIMIT_AXES
     with caplog.at_level(logging.WARNING, logger="lcc.stability"):
         classes = scan_region(spec, *axes).classes
     np.testing.assert_array_equal(classes, _reference_scan_region(spec, *axes))
-    assert (classes == CLASS_ASYMP_UNSTABLE).sum() == 14
-    assert "cell (-1e+300, 1e+300) failed to evaluate: non-finite gain at omega=0.01" in (
+    assert np.all(classes == CLASS_ASYMP_UNSTABLE)
+    assert "cell (-1e+06, 1e+06) failed to evaluate: non-finite gain at omega=0.01" in (
         caplog.messages
     )
-    assert len(caplog.messages) == 14
+    assert len(caplog.messages) == 15
 
 
 def test_scan_overflow_is_reported_per_cell_without_runtime_warnings(default_coeffs, caplog):
-    spec = spec_with(default_coeffs, 2, 2)
-    axes = tuple(
-        GainAxis(vehicle=-1, component=c, lo=-1e300, hi=1e300, points=p)
-        for c, p in (("mu", 5), ("k", 3))
-    )
+    spec = spec_with(default_coeffs, 2, 2, _HUGE_GAIN)
+    axes = _LIMIT_AXES
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with caplog.at_level(logging.WARNING, logger="lcc.stability"):
