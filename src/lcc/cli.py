@@ -49,7 +49,7 @@ from .output import write_csv_atomic, write_events_csv, write_trace_csv
 from .presets import PRESETS, run_preset
 from .sim import simulate
 from .stability import is_string_stable, magnitude_curve, scan_region
-from .systems import SystemVariant, build_system
+from .systems import SystemVariant, build_system, validate_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -157,8 +157,10 @@ def _cmd_analyze(args) -> int:
 
 def _parse_n_range(text: str):
     if ":" in text:
-        lo, hi = text.split(":")
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split(":"))
+        for bound in (lo, hi):  # each a count, checked before the range is built
+            validate_count("--n-range bound", bound)
+        return range(lo, hi + 1)
     return [int(x) for x in text.split(",") if x]
 
 

@@ -58,10 +58,11 @@ element of a block; and no sum is reordered:
 ``np.add.accumulate`` adds each column's increments in sequence, as the
 per-step update does, and the CAV sums its feedback terms in order.
 
+Every step k, the horizon's last one included, writes acc row k and
+pos/vel row k + 1, so pos and vel hold one scratch row past the horizon.
 After either body, the chunk ends the run at its first colliding pair in
 row-major order, the earliest step and then the front-most column, as
-stepping every column one row at a time would, and puts back every later
-row it holds as it was.
+stepping every column one row at a time would.
 """
 
 from __future__ import annotations
@@ -209,13 +210,15 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
     Column 0 is the front-most vehicle: a prescribed head, whose whole
     trace pos/vel/acc hold on entry and keep, or the CAV in a free-driving
     chain.  Row 0 of pos/vel holds the initial state; the function fills
-    the other columns of pos/vel/acc in place.  Returns (status, step,
-    column, brake_steps): status 0 on success, 1 on collision at the
-    reported step between column-1 and column, with pos/vel filled
-    through that step, acc and ``brake_steps`` (the steps where the CAV's
-    emergency brake fired) through the one before, and every later row
-    left as it was.  When several pairs meet, the first in row-major
-    order (earliest step, then front-most column) is the one reported.
+    the other columns of pos/vel/acc in place, steps 0 .. n_steps, each
+    writing its acc row and the next pos/vel row, so pos and vel need
+    n_steps + 2 rows: row n_steps + 1 is scratch, which no step reads.
+    Returns (collision, brake_steps): collision None, or (step, column)
+    when column-1 and column meet at that row, which ends the run with
+    later rows part-written; ``brake_steps`` holds the steps where the
+    CAV's emergency brake fired.  When several pairs meet, the first in
+    row-major order (earliest step, then front-most column) is the one
+    reported.
 
     Each chunk of ``ROW_CHUNK`` rows steps the columns with
     ``_step_blocks`` when the plan has ``blocks``, else with
@@ -228,43 +231,36 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
     for name, array in (("pos", pos), ("vel", vel)):
         if not array.flags.c_contiguous:
             raise ValueError(f"simulate_loop needs a C-contiguous {name} array")
+        if len(array) != n_steps + 2:
+            raise ValueError(f"simulate_loop needs a {name} array of n_steps + 2 = "
+                             f"{n_steps + 2} rows, one past the horizon, got {len(array)}")
     n_veh = pos.shape[1]
     brake_steps = []
 
-    r0 = 0
-    while True:
+    for r0 in range(0, n_steps + 1, ROW_CHUNK):
         r1 = min(r0 + ROW_CHUNK, n_steps + 1)  # this chunk's steps are r0 .. r1 - 1
-        nu = min(r1, n_steps) - r0  # its state updates give rows r0 + 1 .. r0 + nu
-        kept = pos[r0 + 1:r0 + nu + 1].copy(), vel[r0 + 1:r0 + nu + 1].copy(), acc[r0:r1].copy()
         if chain.blocks is not None:
-            flags = _step_blocks(pos, vel, acc, r0, r1, nu, chain)
+            brake_steps += _step_blocks(pos, vel, acc, r0, r1, chain)
         else:
             for hdv in chain.ahead:
-                _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
-            flags = _step_coupled(pos, vel, acc, r0, r1, nu, chain, chain.coupled)
+                _step_alone(pos, vel, acc, hdv, r0, r1, chain)
+            brake_steps += _step_coupled(pos, vel, acc, r0, r1, chain, chain.coupled)
             for hdv in chain.tail:
-                _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain)
+                _step_alone(pos, vel, acc, hdv, r0, r1, chain)
 
-        hit = pos[r0 + 1:r0 + nu + 1, :-1] - pos[r0 + 1:r0 + nu + 1, 1:] <= 0.0
+        rows = pos[r0 + 1:min(r1, n_steps) + 1]  # the scratch row is no trace row
+        hit = rows[:, :-1] - rows[:, 1:] <= 0.0
         if hit.any():
-            # the first colliding row (row-major) ends the run: put back
-            # every row after it as it was
             i, j = divmod(int(hit.argmax()), n_veh - 1)
-            pos[r0 + i + 2:r0 + nu + 1] = kept[0][i + 1:]
-            vel[r0 + i + 2:r0 + nu + 1] = kept[1][i + 1:]
-            acc[r0 + i + 1:r1] = kept[2][i + 1:]
-            return 1, r0 + i + 1, j + 1, brake_steps + [k for k in flags if k <= r0 + i]
-        brake_steps += flags
-        if r1 > n_steps:
-            return 0, 0, 0, brake_steps
-        r0 = r1
+            return (r0 + i + 1, j + 1), brake_steps
+    return None, brake_steps
 
 
-def _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain):
+def _step_alone(pos, vel, acc, hdv, r0, r1, chain):
     """Steps r0 .. r1 - 1 of one HDV column that reacts at once, whose
     predecessor column is written through row r1 - 1: writes acc rows r0
-    .. r1 - 1 and pos/vel rows r0 + 1 .. r0 + nu of the column.  Step k's
-    OVM reads row k of both columns."""
+    .. r1 - 1 and pos/vel rows r0 + 1 .. r1 of the column.  Step k's OVM
+    reads row k of both columns."""
     j, _, _, al, be, vm, s_st, s_go = hdv
     dt, a_min, a_max = chain.dt, A_MIN, A_MAX
     p, v = pos[r0, j].item(), vel[r0, j].item()
@@ -306,14 +302,14 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, nu, chain):
                 add_p(p)
                 add_v(v)
     acc[r0:r1, j] = a_out
-    pos[r0 + 1:r0 + nu + 1, j] = p_out[:nu]
-    vel[r0 + 1:r0 + nu + 1, j] = v_out[:nu]
+    pos[r0 + 1:r1 + 1, j] = p_out
+    vel[r0 + 1:r1 + 1, j] = v_out
 
 
-def _step_coupled(pos, vel, acc, r0, r1, nu, chain, hdvs):
+def _step_coupled(pos, vel, acc, r0, r1, chain, hdvs):
     """Steps r0 .. r1 - 1 of the CAV and the followers ``hdvs`` one row at a
-    time: writes their acc rows r0 .. r1 - 1 and pos/vel rows r0 + 1 .. r0
-    + nu, and returns the steps where the CAV's emergency brake fired.
+    time: writes their acc rows r0 .. r1 - 1 and pos/vel rows r0 + 1 .. r1,
+    and returns the steps where the CAV's emergency brake fired.
     Every other column through the last ``coupled`` one is read from rows
     already written.  The per-step body passes ``coupled``, whose
     followers react at once and so read the current row; the block body
@@ -325,11 +321,8 @@ def _step_coupled(pos, vel, acc, r0, r1, nu, chain, hdvs):
     end = (chain.coupled[-1][0] if chain.coupled else cav) + 1
     # rows r0 .. r1 of columns 0 .. end - 1: the columns read are written,
     # and each step fills the next row's stepped columns before it is read
-    rows_p = pos[r0:r0 + nu + 1, :end].tolist()
-    rows_v = vel[r0:r0 + nu + 1, :end].tolist()
-    if nu < r1 - r0:  # the horizon's last step updates no state
-        rows_p.append(rows_p[-1][:])
-        rows_v.append(rows_v[-1][:])
+    rows_p = pos[r0:r1 + 1, :end].tolist()
+    rows_v = vel[r0:r1 + 1, :end].tolist()
     cos, pi = math.cos, math.pi
     followers = [(j, al, be, vm, s_st, s_go, 0.5 * vm, s_go - s_st)
                  for j, _, _, al, be, vm, s_st, s_go in hdvs]
@@ -369,15 +362,15 @@ def _step_coupled(pos, vel, acc, r0, r1, nu, chain, hdvs):
     a, p, v = np.array(out).reshape(r1 - r0, -1, 3).transpose(2, 0, 1)
     stepped = slice(cav, cav + len(hdvs) + 1)
     acc[r0:r1, stepped] = a
-    pos[r0 + 1:r0 + nu + 1, stepped] = p[:nu]
-    vel[r0 + 1:r0 + nu + 1, stepped] = v[:nu]
+    pos[r0 + 1:r1 + 1, stepped] = p
+    vel[r0 + 1:r1 + 1, stepped] = v
     return flags
 
 
-def _step_blocks(pos, vel, acc, r0, r1, nu, chain):
+def _step_blocks(pos, vel, acc, r0, r1, chain):
     """Steps r0 .. r1 - 1 of every column but the head's in blocks of
     min(delay) + 1 steps, the last one cut at r1: writes acc rows r0 .. r1
-    - 1 and pos/vel rows r0 + 1 .. r0 + nu, and returns the steps where
+    - 1 and pos/vel rows r0 + 1 .. r1, and returns the steps where
     the CAV's emergency brake fired.  Each block writes its HDV rows, then
     hands the CAV's to ``_step_coupled``.  Reads pos and vel through flat
     views, so both must be C-contiguous."""
@@ -391,10 +384,8 @@ def _step_blocks(pos, vel, acc, r0, r1, nu, chain):
     # flat index of each column's delayed state at step k0 + i, less k0 * n_veh
     steps = (np.arange(block) * n_veh)[:, None] + (cols - delay * n_veh)
     flags = []
-    k0 = r0
-    while k0 < r1:
+    for k0 in range(r0, r1, block):
         k1 = min(k0 + block, r1)  # this block's steps are k0 .. k1 - 1
-        nb = min(k1, r0 + nu) - k0  # its state updates give rows k0 + 1 .. k0 + nb
 
         # HDVs: every delayed row k - d is at most k0, so already written;
         # a row before 0 reads the equilibrium (s*, 0, v*)
@@ -420,25 +411,24 @@ def _step_blocks(pos, vel, acc, r0, r1, nu, chain):
         # HDV rows: each column adds its dt * a, then its dt * v, in
         # sequence as the per-step update does
         row0 = k0 * n_veh + cols
-        V = np.empty((nb + 1, cols.size))
+        V = np.empty((k1 - k0 + 1, cols.size))
         V[0] = vf.take(row0)
-        np.multiply(dt, a[:nb], out=V[1:])
+        np.multiply(dt, a, out=V[1:])
         np.add.accumulate(V, out=V)
-        if not V[1:].min(initial=math.inf) > 0.0:  # a block may update no state
+        if not V[1:].min() > 0.0:
             for c in np.flatnonzero(~(V[1:] > 0.0).all(axis=0)).tolist():
                 # the velocity clamp fires in this column: redo it step by step
                 vc = V[0, c]
-                for i, step in enumerate((dt * a[:nb, c]).tolist(), 1):
+                for i, step in enumerate((dt * a[:, c]).tolist(), 1):
                     V[i, c] = vc = w if (w := vc + step) > 0.0 else 0.0
-        P = np.empty((nb + 1, cols.size))
+        P = np.empty_like(V)
         P[0] = pf.take(row0)
-        np.multiply(dt, V[:nb], out=P[1:])
+        np.multiply(dt, V[:-1], out=P[1:])
         np.add.accumulate(P, out=P)
-        pos[k0 + 1:k0 + nb + 1, cols] = P[1:]
-        vel[k0 + 1:k0 + nb + 1, cols] = V[1:]
+        pos[k0 + 1:k1 + 1, cols] = P[1:]
+        vel[k0 + 1:k1 + 1, cols] = V[1:]
         acc[k0:k1, cols] = a
 
         # CAV: its law reads the current row, so it steps one step at a time
-        flags += _step_coupled(pos, vel, acc, k0, k1, nb, chain, ())
-        k0 = k1
+        flags += _step_coupled(pos, vel, acc, k0, k1, chain, ())
     return flags

@@ -247,7 +247,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         if pert.vehicle not in cfg.hdv_ids():
             raise TopologyError(f"brake vehicle {pert.vehicle} is not an HDV of this chain")
         k0, k1 = _brake_steps(pert, cfg.dt)
-        # the last step updates no state, so a brake on it alone changes nothing
+        # a brake on the last step alone moves no trace row: the state that
+        # step gives lies past the horizon
         if not k0 < min(k1, _step_count(cfg)):
             raise ValueError(
                 "brake must cover a step that updates the state, got "
@@ -324,8 +325,9 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
             feedback.append((j, mu, k, s_star[j]))
 
     try:
-        pos = np.zeros((n_steps + 1, n_veh))
-        vel = np.zeros((n_steps + 1, n_veh))
+        # the last step writes a scratch row of pos/vel past the horizon
+        pos_rows = np.zeros((n_steps + 2, n_veh))
+        vel_rows = np.zeros((n_steps + 2, n_veh))
         acc = np.zeros((n_steps + 1, n_veh))
         times = np.arange(n_steps + 1) * dt
     except (MemoryError, ValueError) as exc:  # numpy: ValueError past its dimension limit
@@ -333,6 +335,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
             f"horizon={cfg.horizon} at dt={cfg.dt} needs {n_steps + 1:.3g} trace rows, "
             "more than fit in memory"
         ) from exc
+    pos, vel = pos_rows[:-1], vel_rows[:-1]
     vel[0] = v_star
     for j in range(1, n_veh):
         pos[0, j] = pos[0, j - 1] - s_star[j]
@@ -358,8 +361,9 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         )
 
     chain = kernels.plan_chain(dt, v_star, cav, feedback, hdvs, brake)
-    status, step, col, brake_steps = kernels.simulate_loop(n_steps, chain, pos, vel, acc)
-    if status == 1:
+    collision, brake_steps = kernels.simulate_loop(n_steps, chain, pos_rows, vel_rows, acc)
+    if collision is not None:
+        step, col = collision
         raise CollisionError(step * dt, ids[col], ids[col - 1])
 
     spacing = np.full_like(pos, np.nan)

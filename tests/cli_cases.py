@@ -53,6 +53,10 @@ _HEAD_SINUSOID = "simulate --set variant=general --set m=2 --set n=2 --set pertu
 _HUGE = str(10**20)
 # a count past n's limit, named as $.n by config, or as n by the library for --n-range
 _HUGE_N = r"(\$\.n: | n )must be .*<= 100, got "
+# test_sim's collision scenario: HDV 1 brakes hard in front of HDV 2
+_FOLLOWER_BRAKE = ("simulate --set variant=fd --set n=2 --set horizon=40 --set controller.mode=explicit "
+                   "--set perturbation.kind=follower-brake --set perturbation.vehicle=1 "
+                   "--set perturbation.decel=-5 --set perturbation.duration=3 --set perturbation.start=5")
 _OMEGA_MAX = r"^lcc: config error: invalid config at \$\.frequency\.omega_max: "
 
 CASES = [
@@ -157,7 +161,9 @@ CASES = [
     Case("huge-n-scan", f"scan --set n={_HUGE} --set {_AXES} -o {{out}}", 3, _HUGE_N),
     Case("huge-n-simulate", f"simulate --set n={_HUGE} -o {{out}}", 3, _HUGE_N),
     Case("huge-n-energy", f"energy --n-range {_HUGE} -o {{out}}", 4, _HUGE_N),
-    Case("huge-n-energy-range", f"energy --n-range 1:{_HUGE} -o {{out}}", 4, _HUGE_N),
+    # each bound is checked before the range is built
+    Case("huge-n-energy-range", f"energy --n-range 1:{_HUGE} -o {{out}}", 4,
+         rf"^lcc: error: --n-range bound must be an integer >= 0 and <= 100, got {_HUGE}$"),
     # domain errors, and inputs whose limit spans keys
     Case("energy-t-inf", "energy --n-range 1:2 --t inf -o {out}", 4, r"t=inf"),
     Case("energy-t-nan", "energy --n-range 1:2 --t nan -o {out}", 4, r"t=nan"),
@@ -216,6 +222,13 @@ CASES = [
     Case("simulate-period-phase-overflows",
          _HEAD_SINUSOID + " --set perturbation.period=1e-320 -o {out}", 4,
          r"^lcc: error: period must keep the head's phase finite, got 1e-320$"),
+    # a collision ends the run, stepped one step at a time (no delay) or in
+    # blocks (HDVs 2.5 s late), and writes no trace
+    Case("simulate-collision-per-step",
+         _FOLLOWER_BRAKE + " --set driver.delay=0 --set driver.alpha=0.1 --set driver.beta=0.1 -o {out}",
+         4, r"^lcc: error: collision at t=8\.13s: vehicle 2 reached vehicle 1$"),
+    Case("simulate-collision-blocks", _FOLLOWER_BRAKE + " --set driver.delay=2.5 -o {out}", 4,
+         r"^lcc: error: collision at t=7\.84s: vehicle 2 reached vehicle 1$"),
     # an -o that names a file, or a path below one, names the path
     Case("output-reproduce-existing-file", "reproduce table1 -o {file}", 4,
          r"^lcc: error: reproduce cannot write its output: .*{file}"),

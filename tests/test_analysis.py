@@ -264,10 +264,13 @@ def test_gramian_failed_resume_leaves_the_stored_path():
     """A longer horizon that resumes from the stored path and overflows
     raises, and the stored end state is still the one a later call
     continues from: the overflowing steps ran on a copy of it."""
-    A, B = np.ones((1, 1)), np.ones((1, 1))
+    A, B = np.full((1, 1), 40.0), np.ones((1, 1))
     gramian(A, B, 1.0)
+    path = analysis._rk4_path
+    assert path[0][0] == 10.0 / 1000  # the step of t = 10, which resumes this path
     with pytest.raises(NumericalError):
-        gramian(A, B, 400.0)  # W grows as e^(2t) / 2
+        gramian(A, B, 10.0)  # W grows as e^(80t) / 80: past the float range by t = 8.9
+    assert analysis._rk4_path is path
     _assert_bitwise(gramian(A, B, 2.0), _reference_gramian(A, B, 2.0))
 
 

@@ -251,6 +251,18 @@ def _write_head(pos, vel, acc, head_vel, dt):
             pos[k + 1, 0] = pos[k, 0] + dt * head_vel[k]
 
 
+def _assert_rows_match(got, want, step=None):
+    """``simulate_loop``'s pos, vel and acc equal the reference's bit for
+    bit in every trace row, or through a collision at ``step``: pos and vel
+    through that row, acc through the step before, as far as the reference
+    steps.  ``got``'s pos and vel may hold the scratch row past the horizon,
+    which no step reads."""
+    rows = (len(want[2]),) * 3 if step is None else (step + 1, step + 1, step)
+    for got_array, want_array, end in zip(got, want, rows):
+        assert got_array.dtype == want_array.dtype
+        assert got_array[:end].tobytes() == want_array[:end].tobytes()
+
+
 def _reference_args(cfg, head_vel=None):
     """The reference's arguments for ``cfg``: one slot per column in each
     per-vehicle array, flat scalars for the baseline and the brake.  A
@@ -585,28 +597,29 @@ def test_simulate_loop_matches_reference_bitwise(name):
             assert (err.value.time, err.value.follower, err.value.leader) == (
                 step * dt, ids[col], ids[col - 1]
             )
-            new = loop.call_args.args[2:5]
+            _assert_rows_match(loop.call_args.args[2:5], (pos, vel, acc), step)
         else:
             trace = simulate(cfg)
             new = trace.position, trace.velocity, trace.acceleration
+            _assert_rows_match(new, (pos, vel, acc))
+            # the trace keeps the stepped rows as views, past the scratch row
+            for got, stepped in zip(new, loop.call_args.args[2:4]):
+                assert got.base is stepped and len(stepped) == n_steps + 2
             times = np.arange(n_steps + 1) * dt
             assert [t for t, _, _ in trace.events] == times[np.nonzero(override)[0]].tolist()
-    for got, want in zip(new, (pos, vel, acc)):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
     assert blocks.called == (name in BLOCK_CASES)
     # the one CAV stepper: blocks hand it the CAV alone, the per-step body
     # the CAV with its coupled followers
     assert coupled.called
     for call in coupled.call_args_list:
-        assert call.args[7] == (() if name in BLOCK_CASES else call.args[6].coupled)
+        assert call.args[6] == (() if name in BLOCK_CASES else call.args[5].coupled)
     assert {call.args[3][0] for call in alone.call_args_list} == ALONE_COLUMNS.get(name, set())
     if name.startswith("safety-override"):
         assert override.any()
     if name == "ramp-ends-zero-delay":
         # V(s) takes each of its three branches in the coupled follower
         # (column 2) and in the column stepped alone (3)
-        assert [h[0] for h in coupled.call_args.args[7]] == [2]
+        assert [h[0] for h in coupled.call_args.args[6]] == [2]
         s_st, s_go = args[11], args[12]
         for j in (2, 3):
             s = pos[:, j - 1] - pos[:, j]
@@ -756,21 +769,24 @@ def test_trace_csv_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch):
 def test_step_collision_leaves_later_steps_unwritten(delay, chunk):
     """On arrays filled with a sentinel but for the head's column, which
     holds its whole trace, HDV 2 runs into HDV 1 at step 2 while the CAV's
-    safety brake fires on every step.  Positions and velocities are
-    written through step 2, accelerations and safety-brake steps through
-    step 1, every later row keeps the sentinel and the head's column keeps
-    its trace, whether the collision ends a chunk or falls inside one
-    (with 50-step delays in 512-row chunks, inside a block of 51 steps).
-    Stepped column by column (no delay) or in blocks (50-step delays), the
-    arrays are the reference's bit for bit."""
+    safety brake fires on every step.  The run ends with the chunk that
+    gives row 2: every row of a later chunk keeps the sentinel and the
+    head's column keeps its trace, whether the collision ends a chunk or
+    falls inside one (with 50-step delays in 512-row chunks, inside a
+    block of 51 steps).  Stepped column by column (no delay) or in blocks
+    (50-step delays), positions and velocities through step 2 and
+    accelerations and safety-brake steps through step 1 are the
+    reference's bit for bit.  Over a one-step horizon the pair meets only
+    in the scratch row, which is no collision."""
     sentinel = -123.25
     n_steps, dt, head_vel = 100, 0.01, np.full(101, 15.0)
-    pos, vel, acc = (np.full((n_steps + 1, 4), sentinel) for _ in range(3))
+    pos, vel = (np.full((n_steps + 2, 4), sentinel) for _ in range(2))
+    acc = np.full((n_steps + 1, 4), sentinel)
     # head, CAV closing fast on it, HDV 1, HDV 2 closing on HDV 1 from 8 cm
     pos[0] = 0.0, -20.0, -40.0, -40.08
     vel[0] = 15.0, 25.0, 15.0, 20.0
     _write_head(pos, vel, acc, head_vel, dt)
-    want = [a.copy() for a in (pos, vel, acc)]
+    want = [a[:n_steps + 1].copy() for a in (pos, vel, acc)]
     override = np.zeros(n_steps + 1, dtype=np.uint8)
     per_column = [np.array([0.0, 0.0, value, value]) for value in (0.6, 0.9, 30.0, 5.0, 35.0)]
     reference = _reference_simulate_loop(
@@ -784,17 +800,38 @@ def test_step_collision_leaves_later_steps_unwritten(delay, chunk):
             mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
         chain = kernels.plan_chain(dt, 15.0, 1, [(1, 2.0, 0.0, 20.0)], hdvs, (-1, 0, 0, 0.0))
         result = kernels.simulate_loop(n_steps, chain, pos, vel, acc)
-    assert result == (1, 2, 3, [0, 1]) and reference == (1, 2, 3)
-    assert np.flatnonzero(override).tolist() == [0, 1]
+        # over a one-step horizon the pair meets only in the scratch row
+        short = [want[0][:3].copy(), want[1][:3].copy(), want[2][:2].copy()]
+        assert kernels.simulate_loop(1, chain, *short)[0] is None
+    assert short[0][2, 2] <= short[0][2, 3]
+    collision, brake_steps = result
+    assert collision == (2, 3) and reference == (1, 2, 3)
+    assert [k for k in brake_steps if k < 2] == np.flatnonzero(override).tolist() == [0, 1]
     assert (chain.blocks is None) == (delay == 0)
     assert {call.args[3][0] for call in alone.call_args_list} == (set() if delay else {2, 3})
-    assert (pos[3:, 1:] == sentinel).all() and (vel[3:, 1:] == sentinel).all()
-    assert (acc[2:, 1:] == sentinel).all()
+    r1 = min(chunk * (1 // chunk + 1), n_steps + 1)  # the end of step 1's chunk
+    assert (pos[r1 + 1:, 1:] == sentinel).all() and (vel[r1 + 1:, 1:] == sentinel).all()
+    assert (acc[r1:, 1:] == sentinel).all()
     assert sentinel not in pos[:3] and sentinel not in vel[:3] and sentinel not in acc[:2]
-    assert (vel[:, 0] == 15.0).all() and (acc[:, 0] == 0.0).all()
-    assert pos[:, 0].tolist() == list(itertools.accumulate([0.0] + [0.01 * 15.0] * 100))
-    for got, array in zip((pos, vel, acc), want):
-        assert got.tobytes() == array.tobytes()
+    assert (vel[:-1, 0] == 15.0).all() and (acc[:, 0] == 0.0).all()
+    assert pos[:-1, 0].tolist() == list(itertools.accumulate([0.0] + [0.01 * 15.0] * 100))
+    _assert_rows_match((pos, vel, acc), want, 2)
+
+
+# a free-driving CAV and two followers 5 steps late, at dt = 0.01
+_DELAYED_FD = kernels.plan_chain(0.01, 15.0, 0, [(0, 0.0, -0.5, 20.0)],
+                                 [(j, 5, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (1, 2)],
+                                 (-1, 0, 0, 0.0))
+
+
+def _loop_arrays(n_steps):
+    """pos, vel (with the scratch row) and acc of ``_DELAYED_FD`` at
+    equilibrium, for an n_steps run."""
+    arrays = {key: np.zeros((n_steps + 2, 3)) for key in ("pos", "vel")}
+    arrays["acc"] = np.zeros((n_steps + 1, 3))
+    arrays["pos"][0] = 0.0, -20.0, -40.0
+    arrays["vel"][0] = 15.0
+    return arrays
 
 
 @pytest.mark.parametrize("name", ["pos", "vel"])
@@ -802,15 +839,21 @@ def test_simulate_loop_rejects_fortran_ordered_state(name):
     """The block body reads pos and vel through flat views, so a
     Fortran-ordered array is refused by name rather than read as a stale
     copy."""
-    n_steps = 20
-    arrays = {key: np.zeros((n_steps + 1, 3)) for key in ("pos", "vel", "acc")}
-    arrays["pos"][0] = 0.0, -20.0, -40.0
-    arrays["vel"][0] = 15.0
+    arrays = _loop_arrays(20)
     arrays[name] = np.asfortranarray(arrays[name])
-    hdvs = [(j, 5, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (1, 2)]
-    chain = kernels.plan_chain(0.01, 15.0, 0, [(0, 0.0, -0.5, 20.0)], hdvs, (-1, 0, 0, 0.0))
     with pytest.raises(ValueError, match=f"C-contiguous {name} array"):
-        kernels.simulate_loop(n_steps, chain, arrays["pos"], arrays["vel"], arrays["acc"])
+        kernels.simulate_loop(20, _DELAYED_FD, arrays["pos"], arrays["vel"], arrays["acc"])
+
+
+@pytest.mark.parametrize("name", ["pos", "vel"])
+def test_simulate_loop_rejects_state_without_the_scratch_row(name):
+    """The horizon's last step writes pos and vel one row past it, so an
+    array of n_steps + 1 rows is refused by name before any step."""
+    arrays = _loop_arrays(20)
+    arrays[name] = arrays[name][:-1]
+    with pytest.raises(ValueError, match=rf"{name} array of n_steps \+ 2 = 22 rows, .* got 21"):
+        kernels.simulate_loop(20, _DELAYED_FD, arrays["pos"], arrays["vel"], arrays["acc"])
+    assert (arrays["acc"] == 0.0).all()
 
 
 def _random_scenario(rng):
@@ -883,9 +926,11 @@ def test_both_stepping_paths_match_reference_on_random_scenarios():
             except CollisionError as err:
                 got = err.time, err.follower, err.leader
         assert got == want
-        for got_array, want_array in zip(loop.call_args.args[2:], args[2:5]):
-            assert got_array.tobytes() == want_array.tobytes()
-        assert results[0][3] == np.flatnonzero(args[-1]).tolist()
+        _assert_rows_match(loop.call_args.args[2:], args[2:5], step if status else None)
+        brake_steps = results[0][1]
+        if status:
+            brake_steps = [k for k in brake_steps if k < step]
+        assert brake_steps == np.flatnonzero(args[-1]).tolist()
         blocked = loop.call_args.args[1].blocks is not None
         assert blocked == (args[13].max() > 0)
         runs[blocked] += 1
@@ -917,8 +962,9 @@ def test_prescribed_head_that_stops_dead(delay, step):
     head_vel[101:] = 0.0
     args = _reference_args(cfg, head_vel)
     n_steps, dt = args[:2]
-    pos, vel, acc = (a.copy() for a in args[2:5])
-    head = pos[:, 0].copy(), vel[:, 0].copy(), acc[:, 0].copy()
+    pos, vel = (np.append(a, a[-1:], axis=0) for a in args[2:4])  # and the scratch row
+    acc = args[4].copy()
+    head = args[2][:, 0].copy(), args[3][:, 0].copy(), acc[:, 0].copy()
     alpha, beta, vmax, sst, sgo, delays, s_star = args[8:15]
     hdvs = [(j, int(delays[j]), *(float(x[j]) for x in (s_star, alpha, beta, vmax, sst, sgo)))
             for j in (1, 3)]
@@ -926,11 +972,9 @@ def test_prescribed_head_that_stops_dead(delay, step):
                                (-1, 0, 0, 0.0))
     assert (chain.blocks is not None) == (delay > 0)
 
-    status, got_step, col, brake_steps = kernels.simulate_loop(n_steps, chain, pos, vel, acc)
-    assert (status, got_step, col) == _reference_simulate_loop(*args) == (1, step, 1)
-    assert brake_steps == np.flatnonzero(args[-1]).tolist()
-    assert pos[:step + 1].tobytes() == args[2][:step + 1].tobytes()
-    assert vel[:step + 1].tobytes() == args[3][:step + 1].tobytes()
-    assert acc[:step].tobytes() == args[4][:step].tobytes()
+    collision, brake_steps = kernels.simulate_loop(n_steps, chain, pos, vel, acc)
+    assert _reference_simulate_loop(*args) == (1, step, 1) and collision == (step, 1)
+    assert [k for k in brake_steps if k < step] == np.flatnonzero(args[-1]).tolist()
+    _assert_rows_match((pos, vel, acc), args[2:5], step)
     for got, want in zip((pos, vel, acc), head):
-        assert got[:, 0].tobytes() == want.tobytes()
+        assert got[:n_steps + 1, 0].tobytes() == want.tobytes()

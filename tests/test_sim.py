@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcc import (
     CavController,
@@ -529,19 +531,63 @@ def _one_step_jacobian(cfg, eps=1e-4):
     return (J - np.eye(dim)) / cfg.dt
 
 
-@pytest.mark.parametrize("name", JACOBIAN_CHAINS)
-def test_one_step_jacobian_is_the_closed_loop_matrix(name, default_coeffs):
+def _assert_one_step_jacobian(variant, m, n, pairs, mode, seed=None):
     """One step of the nonlinear chain maps the error state x to x + dt A_cl
     x + O(|x|^2): the simulator and ``systems`` agree on every vehicle's
     feedback term, index and sign.  cf's model puts the HDV law inside A
     (the CAV's P1 block), which the simulator spells as mode hdv-baseline;
     under mode explicit the CAV's velocity row lacks alpha1 s~0 - alpha2
-    v~0."""
-    variant, m, n, pairs, mode = JACOBIAN_CHAINS[name]
+    v~0.  With a ``seed`` every HDV drives with its own draw of
+    ``HeterogeneitySpec`` with no delay, and its rows of A_cl are built
+    here from its own ``linearize``; the CAV keeps the base driver's."""
+    base = DriverParams()
+    spec = None if seed is None else HeterogeneitySpec(delay_base=0.0, delay_jitter=0.0)
     gains = FeedbackGains.from_pairs(pairs)
-    cfg = ScenarioConfig(variant=variant, m=m, n=n, horizon=0.01, dt=0.01,
+    cfg = ScenarioConfig(variant=variant, m=m, n=n, horizon=0.01, dt=0.01, base_params=base,
+                         heterogeneity=spec, seed=seed or 0,
                          cav=CavController(gains=gains, mode=mode))
-    want = closed_loop_matrix(build_system(variant, m, n, default_coeffs), gains)
-    if name == "cf-explicit":
-        want[1, :2] -= default_coeffs.alpha1, -default_coeffs.alpha2
+    c = linearize(equilibrium_spacing(15.0, base), base)
+    model = build_system(variant, m, n, c)
+    want = closed_loop_matrix(model, gains)
+    if spec is not None:
+        for vid, p in zip(cfg.hdv_ids(), sample_heterogeneous(spec, m + n, seed, base)):
+            ci = linearize(equilibrium_spacing(15.0, p), p)
+            rs, rv = model.index_map[vid]
+            want[rv, rs], want[rv, rv] = ci.alpha1, -ci.alpha2
+            if rs > 0:  # the velocity of the vehicle ahead, unless it is the head
+                want[rv, rv - 2] = ci.alpha3
+    if variant is V.CF_LCC and mode == "explicit":
+        want[1, :2] -= c.alpha1, -c.alpha2
     assert np.abs(_one_step_jacobian(cfg) - want).max() <= 1e-7
+
+
+@pytest.mark.parametrize("name", JACOBIAN_CHAINS)
+def test_one_step_jacobian_is_the_closed_loop_matrix(name):
+    _assert_one_step_jacobian(*JACOBIAN_CHAINS[name])
+
+
+@st.composite
+def _jacobian_chains(draw):
+    """A chain of any variant with m, n <= 3, the CAV law its model spells
+    (mode explicit where the chain has no head, either in cf), gains of
+    +-1 on any HDV and on the CAV's own errors where the variant admits them
+    (its velocity alone in fd, which has no spacing), and, where it has
+    HDVs, drivers of their own in about half the draws."""
+    variant = draw(st.sampled_from(list(V)))
+    m = draw(st.integers(1, 3)) if variant in (V.GENERAL_LCC, V.CCC) else 0
+    n = 0 if variant is V.CCC else draw(st.integers(int(variant is V.GENERAL_LCC), 3))
+    mode = {V.FD_LCC: "explicit", V.CF_LCC: draw(st.sampled_from(["hdv-baseline", "explicit"]))
+            }.get(variant, "hdv-baseline")
+    ids = [i for i in range(-m, n + 1) if i or mode == "explicit"]
+    gain = st.floats(-1.0, 1.0)
+    pairs = draw(st.dictionaries(st.sampled_from(ids), st.tuples(gain, gain))) if ids else {}
+    if variant is V.FD_LCC and 0 in pairs:
+        pairs[0] = (0.0, pairs[0][1])
+    seed = draw(st.none() | st.integers(0, 1000)) if m + n else None
+    return variant, m, n, pairs, mode, seed
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(chain=_jacobian_chains())
+def test_one_step_jacobian_of_drawn_chains(chain):
+    _assert_one_step_jacobian(*chain)

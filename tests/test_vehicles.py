@@ -65,15 +65,16 @@ def _kernel_acceleration(s, s_dot, v, p):
     """The row-0 acceleration ``kernels.simulate_loop`` gives an HDV at
     spacing ``s``, relative velocity ``s_dot`` and velocity ``v``: one step
     of a CAV whose law reads only itself, followed by the HDV, which steps
-    alone."""
-    pos, vel, acc = (np.zeros((2, 2)) for _ in range(3))
+    alone.  pos and vel hold the scratch row that the step writes."""
+    pos, vel = (np.zeros((3, 2)) for _ in range(2))
+    acc = np.zeros((2, 2))
     pos[0] = s, 0.0
     vel[0] = v + s_dot, v
     hdv = (1, 0, s, p.alpha, p.beta, p.v_max, p.s_st, p.s_go)
     with mock.patch.object(kernels, "_step_alone", wraps=kernels._step_alone) as alone:
         chain = kernels.plan_chain(0.01, v, 0, [(0, 0.0, 0.0, s)], [hdv], (-1, 0, 0, 0.0))
         result = kernels.simulate_loop(1, chain, pos, vel, acc)
-    assert result == (0, 0, 0, []) and alone.call_args.args[3] == hdv
+    assert result == (None, []) and alone.call_args.args[3] == hdv
     return acc[0, 1]
 
 
