@@ -170,12 +170,14 @@ def sample_heterogeneous(
 
     Each parameter is independently uniform within its jitter band around
     the base value (delays around ``delay_base``).  Deterministic for a
-    given seed.  Raises ValueError, before any draw, when the seed is not
-    an integer >= 0 (a bool is not one), ``spec`` breaks its own limits,
-    or a band reaches past the float range or to a value ``DriverParams`` rejects.
+    given seed; a chain with no HDVs draws none and gets ``[]``.  Raises
+    ValueError, before any draw, when ``n_vehicles`` is negative, the seed
+    is not an integer >= 0 (a bool is not one), ``spec`` breaks its own
+    limits, or a band reaches past the float range or to a value
+    ``DriverParams`` rejects.
     """
-    if n_vehicles < 1:
-        raise ValueError("need at least one vehicle")
+    if n_vehicles < 0:
+        raise ValueError(f"n_vehicles must be >= 0, got {n_vehicles}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     base = base or DriverParams()

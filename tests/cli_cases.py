@@ -74,6 +74,11 @@ CASES = [
     # 200,001 steps x 4 vehicles and the header
     Case("simulate-long-trace", "simulate --set horizon=2000 -o {out}", 0,
          lines={"trace.csv": 800005}, peak_rss_mib=120),
+    # heterogeneous drivers on a chain with no HDVs: none drawn, and the head
+    # and the CAV run 101 steps
+    Case("simulate-heterogeneity-no-hdvs",
+         "simulate --set variant=cf --set n=0 --set heterogeneity={} --set horizon=1 -o {out}", 0,
+         lines={"trace.csv": 203, "events.csv": 1}),
     # both axes at their defaults: 101 x 101 cells in one chunk
     Case("scan-default-axes", "scan " + _PANEL + " -o {out}", 0, lines={"region.csv": 10202}),
     Case("scan-axes-at-the-gain-limit",

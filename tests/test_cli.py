@@ -8,6 +8,8 @@ import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -359,6 +361,21 @@ def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
     path = write_text_atomic(tmp_path / "out.csv", "a,b\n")
     assert path.read_text() == "a,b\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_atomic_write_is_utf8_with_line_endings_as_given(tmp_path):
+    """The bytes do not follow the platform or the locale: text is encoded
+    as UTF-8, and neither "\n" nor "\r\n" is translated.  A child process
+    writes the same text under the C locale, with neither locale coercion
+    nor UTF-8 mode, where Python's locale encoding is ASCII."""
+    text = "t,vehicle\r\n0,\u00e9\n1,\u00b5\r\n"
+    path = write_text_atomic(tmp_path / "out.csv", text)
+    assert path.read_bytes() == text.encode()
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(output.__file__).parents[1]))
+    code = f"from lcc.output import write_text_atomic; write_text_atomic('c.csv', {ascii(text)})"
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True, timeout=60)
+    assert (tmp_path / "c.csv").read_bytes() == text.encode()
 
 
 def _fail_write_call(monkeypatch, call, directory):

@@ -4,6 +4,9 @@ element-indexing reference."""
 
 import itertools
 import math
+import random
+import struct
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -731,6 +734,27 @@ def test_trace_csv_matches_cell_formatting(tmp_path):
         assert ",h," in path.read_text() and ",nan\n" in path.read_text()
         assert len(trace.times) == steps
     assert steps > 2 * chunk and steps % chunk
+
+
+def test_bytes_and_str_cell_formatting_agree():
+    """write_trace_csv formats cells with ``bytes`` ``%.12g`` and ``fmt``
+    with ``str`` ``%.12g``; both must give the same digits.  Seeded and
+    stdlib-only: random 64-bit patterns (subnormals, nans and huge
+    exponents among them), values spread over the decades 1e-8 to 1e14,
+    the times k * 0.01 of a trace, and the edge values.  One template per
+    side formats them all at once, as write_trace_csv does per step."""
+    rng = random.Random(40)
+    n = 200_000
+    values = list(struct.unpack(f"<{n}d", rng.getrandbits(64 * n).to_bytes(8 * n, "little")))
+    values += [10.0 ** (22.0 * rng.random() - 8.0) for _ in range(n)]
+    values += [k * 0.01 for k in range(20_001)]
+    for x in (0.0, math.nan, math.inf, 5e-324, sys.float_info.max, 999999999999.5):
+        values += [x, -x]
+    cells = tuple(values)
+    if (b"%.12g\n" * len(cells)) % cells != (("%.12g\n" * len(cells)) % cells).encode():
+        bad = [x for x in values if b"%.12g" % x != ("%.12g" % x).encode()]
+        pytest.fail(f"bytes and str %.12g differ under Python {sys.version} on "
+                    f"{len(bad)} of {len(values)} values, first {bad[:5]!r}")
 
 
 def test_trace_csv_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch):

@@ -208,6 +208,18 @@ def test_sample_heterogeneous():
         assert p == DriverParams(delay=0.4)
 
 
+def test_sample_heterogeneous_counts():
+    # a chain with no HDVs draws nothing, but its seed and spec are still
+    # checked; a negative count is refused by name
+    assert sample_heterogeneous(HeterogeneitySpec(), 0, seed=0) == []
+    with pytest.raises(ValueError, match="seed"):
+        sample_heterogeneous(HeterogeneitySpec(), 0, seed=-1)
+    with pytest.raises(ValueError, match="alpha_jitter"):
+        sample_heterogeneous(HeterogeneitySpec(alpha_jitter=-1.0), 0, seed=0)
+    with pytest.raises(ValueError, match="n_vehicles must be >= 0, got -1"):
+        sample_heterogeneous(HeterogeneitySpec(), -1, seed=0)
+
+
 
 @pytest.mark.parametrize(
     "spec, field",
@@ -571,8 +583,8 @@ def _jacobian_chains(draw):
     """A chain of any variant with m, n <= 3, the CAV law its model spells
     (mode explicit where the chain has no head, either in cf), gains of
     +-1 on any HDV and on the CAV's own errors where the variant admits them
-    (its velocity alone in fd, which has no spacing), and, where it has
-    HDVs, drivers of their own in about half the draws."""
+    (its velocity alone in fd, which has no spacing), and drivers of their
+    own in about half the draws (a chain with no HDVs samples none)."""
     variant = draw(st.sampled_from(list(V)))
     m = draw(st.integers(1, 3)) if variant in (V.GENERAL_LCC, V.CCC) else 0
     n = 0 if variant is V.CCC else draw(st.integers(int(variant is V.GENERAL_LCC), 3))
@@ -583,7 +595,7 @@ def _jacobian_chains(draw):
     pairs = draw(st.dictionaries(st.sampled_from(ids), st.tuples(gain, gain))) if ids else {}
     if variant is V.FD_LCC and 0 in pairs:
         pairs[0] = (0.0, pairs[0][1])
-    seed = draw(st.none() | st.integers(0, 1000)) if m + n else None
+    seed = draw(st.none() | st.integers(0, 1000))
     return variant, m, n, pairs, mode, seed
 
 
