@@ -10,57 +10,58 @@ product form of the head-to-tail transfer function in the package:
 at each gain set's own frequencies.  Both magnitude entry points
 broadcast: given gain arrays with a trailing cell axis they evaluate
 many gain sets in one call (see their docstrings).  ``simulate_loop``
-steps the chain.  Its per-step bodies spell the OVM ramp V(s) inline,
-operand for operand as ``vehicles.ovm_ramp`` writes it (0.5 v_max and
-s_go - s_st formed once per column and chunk, as its left-to-right
-expression forms them), which saves a call per vehicle-step;
-``ovm_ramp`` stays the one scalar definition, and the block body
-evaluates its elementwise form ``ovm_ramp_array``.
+steps the chain.  Its row-by-row steppers spell the OVM ramp V(s)
+inline, operand for operand as ``vehicles.ovm_ramp`` writes it (0.5
+v_max and s_go - s_st formed once per column and call, as its
+left-to-right expression forms them), which saves a call per
+vehicle-step; ``ovm_ramp`` stays the one scalar definition, and the
+block pass evaluates its elementwise form ``ovm_ramp_array``.
 ``test_simulate_loop_matches_reference_bitwise`` in
-``tests/test_kernels.py`` pins both bodies to a reference that calls a
+``tests/test_kernels.py`` pins every stepper to a reference that calls a
 scalar ramp; its ``ramp-ends-zero-delay`` case takes each of the three
 branches in a column stepped alone and in a coupled follower.
 
 ``plan_chain`` lays a chain out once per run as a ``Chain``: the CAV's
-law as one list of linear feedback terms, its own errors first, the HDVs
-in the groups the chunk bodies step, and the body.  ``simulate_loop``
-steps the columns the plan names (a prescribed head holds its whole
-trace on entry and keeps it) in chunks of ``ROW_CHUNK`` rows, each with
-the plan's body:
+law as one list of linear feedback terms, its own errors first, and the
+HDVs split by delay.  ``simulate_loop`` steps the columns the plan names
+(a prescribed head holds its whole trace on entry and keeps it) in
+chunks of ``ROW_CHUNK`` rows, each in blocks of L steps: L is the least
+delay of the HDVs that react at least one step late, plus one, or the
+whole chunk when every HDV reacts at once.  Every block makes the same
+sequence of calls:
 
-- When some HDV reacts at least one step late, in blocks of L = min(delay)
-  + 1 steps, the method of steps for delay equations.  Within a block
-  every HDV reads only rows already written, so one numpy pass gives all
-  the block's HDV accelerations and running sums give its HDV rows; then
-  ``_step_coupled`` steps the CAV, whose law reads the current row,
-  through the block one step at a time on Python floats.  The pass
-  gathers the delayed states with ``take`` on flat views of pos and vel
-  (so both must be C-contiguous), by one flat index per block, and
-  evaluates every OVM ramp of the block in one cosine pass.
-- When every HDV reacts at once, one step at a time on Python floats,
-  since indexing numpy arrays element by element boxes an ``np.float64``
-  per access, with each chunk converted with ``tolist()`` and written
-  back at once.  The chunk goes column by column in dependency order:
-  each HDV ahead of the CAV, alone; the CAV with the followers its law
-  reads, row by row, in ``_step_coupled``, the one place that law is
-  written; each HDV behind those, alone.  An HDV's OVM reads only its
-  predecessor's column and its own (the time form of Gamma = G
-  (phi/gamma)^(m+n): an HDV past the last feedback gain only multiplies
-  Gamma by its own phi/gamma), so once its predecessor's rows are
-  written its own follow from them, one step after another.
+- ``_step_blocks``, one numpy pass over the late HDVs, if any: the
+  method of steps for delay equations.  A late HDV at step k < k0 + L
+  reads rows k - d <= k0, all written before the block, so one pass
+  gives all the block's late accelerations and running sums give their
+  rows.  The pass gathers the delayed states with ``take`` on flat views
+  of pos and vel (so both must be C-contiguous), by one flat index per
+  block, and evaluates every OVM ramp of the block in one cosine pass.
+- The HDVs that react at once and the CAV, front to back, one step at a
+  time on Python floats, since indexing numpy arrays element by element
+  boxes an ``np.float64`` per access; each call converts its rows with
+  ``tolist()`` and writes them back at once.  Each prompt HDV ahead of
+  the CAV steps alone (``_step_alone``); the CAV with the prompt
+  followers its law reads, row by row, in ``_step_coupled``, the one
+  place that law is written; each prompt HDV behind those, alone.  A
+  prompt HDV's OVM reads row k of its predecessor's column and of its
+  own (the time form of Gamma = G (phi/gamma)^(m+n): an HDV past the
+  last feedback gain only multiplies Gamma by its own phi/gamma), and
+  its predecessor's rows of the block are written by then, by the block
+  pass or earlier in this order.
 
-Both bodies give the same traces bit for bit, and so does a column
-stepped alone or in its row: each value comes from the same expression on
-the same operands.  numpy's float64 +, -, * and / round as Python's do,
-at every SIMD level; the OVM cosine is the C library's ``cos`` in both,
-which ``math.cos`` calls per step and numpy's float64 ``np.cos`` loop per
-element of a block; and no sum is reordered:
+A column's trace is the same bit for bit whether it steps in the block
+pass, alone or in the CAV's row: each value comes from the same
+expression on the same operands.  numpy's float64 +, -, * and / round
+as Python's do, at every SIMD level; the OVM cosine is the C library's
+``cos`` in both, which ``math.cos`` calls per step and numpy's float64
+``np.cos`` loop per element of a block; and no sum is reordered:
 ``np.add.accumulate`` adds each column's increments in sequence, as the
 per-step update does, and the CAV sums its feedback terms in order.
 
 Every step k, the horizon's last one included, writes acc row k and
 pos/vel row k + 1, so pos and vel hold one scratch row past the horizon.
-After either body, the chunk ends the run at its first colliding pair in
+After its blocks, each chunk ends the run at its first colliding pair in
 row-major order, the earliest step and then the front-most column, as
 stepping every column one row at a time would.
 """
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,11 +169,12 @@ class Chain(NamedTuple):
     ahead: tuple
     coupled: tuple
     tail: tuple
-    blocks: Optional[tuple]
+    blocks: tuple
+    block: int
 
 
 def plan_chain(dt, v_star, cav, feedback, hdvs, brake):
-    """Lay out a chain once for ``simulate_loop`` and its chunk bodies.
+    """Lay out a chain once for ``simulate_loop`` and its steppers.
 
     The CAV in column ``cav`` applies u = sum mu (s - s*) + k (v - v*)
     over the terms ``(column, mu, k, s*)`` of ``feedback``, in order from
@@ -183,25 +185,26 @@ def plan_chain(dt, v_star, cav, feedback, hdvs, brake):
     forces that HDV column's acceleration to ``decel`` for steps
     k0 <= k < k1.
 
-    The HDVs, sorted front to back, split into ``ahead`` of the CAV,
+    The HDVs, sorted front to back, split by delay.  Those that react at
+    least one step late make ``blocks``, what ``_step_blocks`` reads: an
+    array per HDV tuple field, in column order, and the mask of the
+    braked column, each empty when no HDV is late.  ``block`` is L, the
+    least of their delays plus one step, or ``ROW_CHUNK`` when there are
+    none.  Those that react at once split into ``ahead`` of the CAV,
     ``coupled`` (behind it, up to the farthest column a feedback term
-    reads) and ``tail``.  When some HDV reacts at least one step late,
-    ``blocks`` holds what ``_step_blocks`` reads: an array per HDV tuple
-    field, in column order, and the mask of the braked column; when every
-    HDV reacts at once it is None.
+    reads) and ``tail``.
     """
     hdvs = sorted(hdvs)
     last = max([cav] + [term[0] for term in feedback])
-    blocks = None
-    if any(h[1] > 0 for h in hdvs):
-        columns = list(zip(*hdvs))
-        cols = np.array(columns[0])
-        floats = (np.array(c, dtype=float) for c in columns[2:])
-        blocks = (cols, np.array(columns[1]), *floats, cols == brake[0])
-    ahead = tuple(h for h in hdvs if h[0] < cav)
-    coupled = tuple(h for h in hdvs if cav < h[0] <= last)
-    tail = tuple(h for h in hdvs if h[0] > last)
-    return Chain(dt, v_star, cav, tuple(feedback), tuple(brake), ahead, coupled, tail, blocks)
+    table = np.array([h for h in hdvs if h[1] > 0], dtype=float).reshape(-1, 8).T.copy()
+    cols, delay = table[:2].astype(int)
+    block = int(delay.min(initial=ROW_CHUNK - 1)) + 1
+    prompt = [h for h in hdvs if h[1] == 0]
+    ahead = tuple(h for h in prompt if h[0] < cav)
+    coupled = tuple(h for h in prompt if cav < h[0] <= last)
+    tail = tuple(h for h in prompt if h[0] > last)
+    return Chain(dt, v_star, cav, tuple(feedback), tuple(brake), ahead, coupled, tail,
+                 (cols, delay, *table[2:], cols == brake[0]), block)
 
 
 def simulate_loop(n_steps, chain, pos, vel, acc):
@@ -220,13 +223,14 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
     row-major order (earliest step, then front-most column) is the one
     reported.
 
-    Each chunk of ``ROW_CHUNK`` rows steps the columns with
-    ``_step_blocks`` when the plan has ``blocks``, else with
-    ``_step_alone`` on each HDV ``ahead``, ``_step_coupled`` and
-    ``_step_alone`` on each HDV of the ``tail``, in that order (see the
-    module docstring), and ends the run at its first colliding pair.
-    pos and vel must be C-contiguous: ``_step_blocks`` reads them through
-    flat views, which a copy would leave stale.
+    Each chunk of ``ROW_CHUNK`` rows steps in blocks of ``chain.block``
+    steps, the last one cut at the chunk's end.  Each block makes one
+    sequence of calls (see the module docstring): ``_step_blocks`` on the
+    HDVs that react at least one step late, then ``_step_alone`` on each
+    HDV ``ahead``, ``_step_coupled`` and ``_step_alone`` on each HDV of
+    the ``tail``.  The chunk then ends the run at its first colliding
+    pair.  pos and vel must be C-contiguous: ``_step_blocks`` reads them
+    through flat views, which a copy would leave stale.
     """
     for name, array in (("pos", pos), ("vel", vel)):
         if not array.flags.c_contiguous:
@@ -235,18 +239,24 @@ def simulate_loop(n_steps, chain, pos, vel, acc):
             raise ValueError(f"simulate_loop needs a {name} array of n_steps + 2 = "
                              f"{n_steps + 2} rows, one past the horizon, got {len(array)}")
     n_veh = pos.shape[1]
+    cols, delay = chain.blocks[:2]
+    # flat index of each late column's delayed state at step k0 + i, less
+    # k0 * n_veh; the blocks that start before the longest delay read rows
+    # before 0
+    lags = (np.arange(chain.block) * n_veh)[:, None] + (cols - delay * n_veh)
+    history = int(delay.max(initial=0))
     brake_steps = []
 
     for r0 in range(0, n_steps + 1, ROW_CHUNK):
         r1 = min(r0 + ROW_CHUNK, n_steps + 1)  # this chunk's steps are r0 .. r1 - 1
-        if chain.blocks is not None:
-            brake_steps += _step_blocks(pos, vel, acc, r0, r1, chain)
-        else:
+        for k0 in range(r0, r1, chain.block):
+            k1 = min(k0 + chain.block, r1)  # this block's steps are k0 .. k1 - 1
+            _step_blocks(pos, vel, acc, k0, k1, chain, lags, k0 < history)
             for hdv in chain.ahead:
-                _step_alone(pos, vel, acc, hdv, r0, r1, chain)
-            brake_steps += _step_coupled(pos, vel, acc, r0, r1, chain, chain.coupled)
+                _step_alone(pos, vel, acc, hdv, k0, k1, chain)
+            brake_steps += _step_coupled(pos, vel, acc, k0, k1, chain)
             for hdv in chain.tail:
-                _step_alone(pos, vel, acc, hdv, r0, r1, chain)
+                _step_alone(pos, vel, acc, hdv, k0, k1, chain)
 
         rows = pos[r0 + 1:min(r1, n_steps) + 1]  # the scratch row is no trace row
         hit = rows[:, :-1] - rows[:, 1:] <= 0.0
@@ -306,26 +316,24 @@ def _step_alone(pos, vel, acc, hdv, r0, r1, chain):
     vel[r0 + 1:r1 + 1, j] = v_out
 
 
-def _step_coupled(pos, vel, acc, r0, r1, chain, hdvs):
-    """Steps r0 .. r1 - 1 of the CAV and the followers ``hdvs`` one row at a
-    time: writes their acc rows r0 .. r1 - 1 and pos/vel rows r0 + 1 .. r1,
-    and returns the steps where the CAV's emergency brake fired.
-    Every other column through the last ``coupled`` one is read from rows
-    already written.  The per-step body passes ``coupled``, whose
-    followers react at once and so read the current row; the block body
-    passes none, having written the block's HDV rows first."""
+def _step_coupled(pos, vel, acc, r0, r1, chain):
+    """Steps r0 .. r1 - 1 of the CAV and its ``coupled`` followers, which
+    react at once and so read the current row, one row at a time: writes
+    their acc rows r0 .. r1 - 1 and pos/vel rows r0 + 1 .. r1, and returns
+    the steps where the CAV's emergency brake fired.  Every other column
+    through the farthest one a feedback term reads is read from rows
+    already written, by the block pass or by the steps ahead of the CAV."""
     dt, v_star, a_min, a_max = chain.dt, chain.v_star, A_MIN, A_MAX
     cav, feedback = chain.cav, chain.feedback
     brake_col, k0, k1, brake_acc = chain.brake
-    # every column between the CAV and its farthest feedback term is a follower
-    end = (chain.coupled[-1][0] if chain.coupled else cav) + 1
     # rows r0 .. r1 of columns 0 .. end - 1: the columns read are written,
     # and each step fills the next row's stepped columns before it is read
+    end = max(feedback)[0] + 1  # terms sort by column first
     rows_p = pos[r0:r1 + 1, :end].tolist()
     rows_v = vel[r0:r1 + 1, :end].tolist()
     cos, pi = math.cos, math.pi
     followers = [(j, al, be, vm, s_st, s_go, 0.5 * vm, s_go - s_st)
-                 for j, _, _, al, be, vm, s_st, s_go in hdvs]
+                 for j, _, _, al, be, vm, s_st, s_go in chain.coupled]
     out, flags = [], []  # (a, p, v) of each stepped column, row by row
     for k, p, v, p_next, v_next in zip(range(r0, r1), rows_p, rows_v, rows_p[1:], rows_v[1:]):
         u = 0.0
@@ -360,75 +368,67 @@ def _step_coupled(pos, vel, acc, r0, r1, chain, hdvs):
             v_next[j] = vn = w if (w := vj + dt * a) > 0.0 else 0.0
             out += a, pc, vn
     a, p, v = np.array(out).reshape(r1 - r0, -1, 3).transpose(2, 0, 1)
-    stepped = slice(cav, cav + len(hdvs) + 1)
+    stepped = slice(cav, cav + len(followers) + 1)
+    if followers and followers[-1][0] >= stepped.stop:  # a late HDV between them
+        stepped = [cav] + [f[0] for f in followers]
     acc[r0:r1, stepped] = a
     pos[r0 + 1:r1 + 1, stepped] = p
     vel[r0 + 1:r1 + 1, stepped] = v
     return flags
 
 
-def _step_blocks(pos, vel, acc, r0, r1, chain):
-    """Steps r0 .. r1 - 1 of every column but the head's in blocks of
-    min(delay) + 1 steps, the last one cut at r1: writes acc rows r0 .. r1
-    - 1 and pos/vel rows r0 + 1 .. r1, and returns the steps where
-    the CAV's emergency brake fired.  Each block writes its HDV rows, then
-    hands the CAV's to ``_step_coupled``.  Reads pos and vel through flat
-    views, so both must be C-contiguous."""
+def _step_blocks(pos, vel, acc, k0, k1, chain, lags, prehistory):
+    """Steps k0 .. k1 - 1, at most ``chain.block`` steps, of the HDVs that
+    react at least one step late, in one numpy pass: writes their acc rows
+    k0 .. k1 - 1 and pos/vel rows k0 + 1 .. k1.  ``lags[i]`` holds the flat
+    index of each such column's delayed state at step k0 + i, less k0 *
+    n_veh; with ``prehistory`` some of those rows lie before 0.  Reads pos
+    and vel through flat views, so both must be C-contiguous."""
     dt, v_star = chain.dt, chain.v_star
     _, brake_k0, brake_k1, brake_acc = chain.brake
-    cols, delay, ss, al, be, vm, s_st, s_go, braked = chain.blocks
+    cols, _, ss, al, be, vm, s_st, s_go, braked = chain.blocks
+    if not cols.size:  # every HDV reacts at once: ~25 numpy calls saved per chunk
+        return
     n_veh = pos.shape[1]
     pf, vf = pos.reshape(-1), vel.reshape(-1)
-    block = int(delay.min()) + 1
-    max_delay = int(delay.max())
-    # flat index of each column's delayed state at step k0 + i, less k0 * n_veh
-    steps = (np.arange(block) * n_veh)[:, None] + (cols - delay * n_veh)
-    flags = []
-    for k0 in range(r0, r1, block):
-        k1 = min(k0 + block, r1)  # this block's steps are k0 .. k1 - 1
 
-        # HDVs: every delayed row k - d is at most k0, so already written;
-        # a row before 0 reads the equilibrium (s*, 0, v*)
-        idx = steps[:k1 - k0] + k0 * n_veh
-        prehistory = k0 < max_delay
-        if prehistory:
-            known = idx >= cols  # the delayed row is >= 0
-            idx = np.where(known, idx, cols)
-        front = idx - 1
-        vj = vf.take(idx)
-        s = pf.take(front) - pf.take(idx)
-        sd = vf.take(front) - vj
-        if prehistory:
-            s = np.where(known, s, ss)
-            sd = np.where(known, sd, 0.0)
-            vj = np.where(known, vj, v_star)
-        a = al * (ovm_ramp_array(s, vm, s_st, s_go) - vj) + be * sd
-        if brake_k0 < k1 and k0 < brake_k1:
-            ks = np.arange(k0, k1)
-            a[((brake_k0 <= ks) & (ks < brake_k1))[:, None] & braked] = brake_acc
-        a = np.minimum(np.maximum(a, A_MIN), A_MAX)
+    # every delayed row k - d is at most k0, so already written; a row
+    # before 0 reads the equilibrium (s*, 0, v*)
+    idx = lags[:k1 - k0] + k0 * n_veh
+    if prehistory:
+        known = idx >= cols  # the delayed row is >= 0
+        idx = np.where(known, idx, cols)
+    front = idx - 1
+    vj = vf.take(idx)
+    s = pf.take(front) - pf.take(idx)
+    sd = vf.take(front) - vj
+    if prehistory:
+        s = np.where(known, s, ss)
+        sd = np.where(known, sd, 0.0)
+        vj = np.where(known, vj, v_star)
+    a = al * (ovm_ramp_array(s, vm, s_st, s_go) - vj) + be * sd
+    if brake_k0 < k1 and k0 < brake_k1:
+        ks = np.arange(k0, k1)
+        a[((brake_k0 <= ks) & (ks < brake_k1))[:, None] & braked] = brake_acc
+    a = np.minimum(np.maximum(a, A_MIN), A_MAX)
 
-        # HDV rows: each column adds its dt * a, then its dt * v, in
-        # sequence as the per-step update does
-        row0 = k0 * n_veh + cols
-        V = np.empty((k1 - k0 + 1, cols.size))
-        V[0] = vf.take(row0)
-        np.multiply(dt, a, out=V[1:])
-        np.add.accumulate(V, out=V)
-        if not V[1:].min() > 0.0:
-            for c in np.flatnonzero(~(V[1:] > 0.0).all(axis=0)).tolist():
-                # the velocity clamp fires in this column: redo it step by step
-                vc = V[0, c]
-                for i, step in enumerate((dt * a[:, c]).tolist(), 1):
-                    V[i, c] = vc = w if (w := vc + step) > 0.0 else 0.0
-        P = np.empty_like(V)
-        P[0] = pf.take(row0)
-        np.multiply(dt, V[:-1], out=P[1:])
-        np.add.accumulate(P, out=P)
-        pos[k0 + 1:k1 + 1, cols] = P[1:]
-        vel[k0 + 1:k1 + 1, cols] = V[1:]
-        acc[k0:k1, cols] = a
-
-        # CAV: its law reads the current row, so it steps one step at a time
-        flags += _step_coupled(pos, vel, acc, k0, k1, chain, ())
-    return flags
+    # rows: each column adds its dt * a, then its dt * v, in sequence as
+    # the per-step update does
+    row0 = k0 * n_veh + cols
+    V = np.empty((k1 - k0 + 1, cols.size))
+    V[0] = vf.take(row0)
+    np.multiply(dt, a, out=V[1:])
+    np.add.accumulate(V, out=V)
+    if not V[1:].min() > 0.0:
+        for c in np.flatnonzero(~(V[1:] > 0.0).all(axis=0)).tolist():
+            # the velocity clamp fires in this column: redo it step by step
+            vc = V[0, c]
+            for i, step in enumerate((dt * a[:, c]).tolist(), 1):
+                V[i, c] = vc = w if (w := vc + step) > 0.0 else 0.0
+    P = np.empty_like(V)
+    P[0] = pf.take(row0)
+    np.multiply(dt, V[:-1], out=P[1:])
+    np.add.accumulate(P, out=P)
+    pos[k0 + 1:k1 + 1, cols] = P[1:]
+    vel[k0 + 1:k1 + 1, cols] = V[1:]
+    acc[k0:k1, cols] = a

@@ -319,7 +319,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationTrace:
         p = params[vid]
         # A delay past the horizon reads no delayed state, so clamping it
         # changes no trace; it keeps ``round`` finite and bounds the
-        # prehistory the block body reads.
+        # prehistory the block pass reads.
         delay = round(min(p.delay / dt, n_steps + 1))
         hdvs.append((j, delay, s_star[j], *map(float, (p.alpha, p.beta, p.v_max, p.s_st, p.s_go))))
         mu, k = float(gains.mu.get(vid, 0.0)), float(gains.k.get(vid, 0.0))

@@ -9,11 +9,12 @@ velocity, and on the vehicle's own velocity,
 V(s) is zero below a standstill spacing ``s_st``, saturates at ``v_max``
 above a free-flow spacing ``s_go``, and rises smoothly (half-cosine) in
 between.  ``ovm_ramp`` is V(s) of one spacing, the definition the
-simulation kernel follows: when it steps a chain one step at a time it
-spells the same expression inline, and when it steps a delayed chain in
-blocks it evaluates it elementwise (``kernels.ovm_ramp_array``, whose
-``np.cos`` is the C library's ``cos``, as ``math.cos`` is); both round as
-``ovm_ramp`` does.  Traces depend on that rounding.  ``A_MIN``
+simulation kernel follows: when it steps an HDV that reacts at once, one
+step at a time, it spells the same expression inline, and when it steps
+the HDVs that react late, a block of steps at once, it evaluates it
+elementwise (``kernels.ovm_ramp_array``, whose ``np.cos`` is the C
+library's ``cos``, as ``math.cos`` is); both round as ``ovm_ramp``
+does.  Traces depend on that rounding.  ``A_MIN``
 and ``A_MAX`` bound every vehicle's acceleration in the simulation, the
 one definition of those limits.  All functions here are pure and
 operate on plain floats.

@@ -70,6 +70,11 @@ CASES = [
     Case("reproduce-fig10-fd", "reproduce fig10-fd -o {out}", 0,
          lines={"fig10-fd.csv": 44012, "fig10-fd-events.csv": 1}),
     Case("simulate-default", "simulate -o {out}", 0, lines={"trace.csv": 40005, "events.csv": 1}),
+    # HDV 1 reacts at once and HDV 2 three steps late: each block of two
+    # steps takes HDV 2 in the block pass, then the CAV and HDV 1 row by row
+    Case("simulate-mixed-delays",
+         "simulate --set heterogeneity.delay_base=0.02 --set heterogeneity.delay_jitter=0.02 -o {out}",
+         0, lines={"trace.csv": 40005, "events.csv": 1}),
     # a long trace streams to its file chunk by chunk, never held whole:
     # 200,001 steps x 4 vehicles and the header
     Case("simulate-long-trace", "simulate --set horizon=2000 -o {out}", 0,
@@ -187,6 +192,9 @@ CASES = [
     Case("steps-simulate",
          """simulate --set 'variant="cf"' --set n=1 --set horizon=1e300 --set dt=1e-10 -o {out}""", 4,
          r"horizon=1e\+300 and dt=1e-10"),
+    # the largest float is a number the config takes; only its step count fails
+    Case("steps-simulate-largest-horizon", "simulate --set horizon=1.7976931348623157e308 -o {out}",
+         4, r"^lcc: error: horizon/dt must be finite, got horizon=1\.7976931348623157e\+308 and dt=0\.01$"),
     # a finite step count, but 1e302 RK4 steps: refused, not run
     Case("steps-energy-default-dt", "energy --n-range 1:1 --t 1e300 -o {out}", 4,
          r"steps of 0\.01 s, got t=1e\+300"),

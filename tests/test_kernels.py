@@ -2,6 +2,7 @@
 realization, and the chain-stepping loop bit for bit against its
 element-indexing reference."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -74,7 +75,7 @@ def _desired_velocity(s, vmax, sst, sgo):
 
 
 def test_desired_velocity_is_the_kernel_ramp_bitwise():
-    """The public V(s) and the block body's elementwise V(s) round exactly
+    """The public V(s) and the block pass's elementwise V(s) round exactly
     as the ramp the traces are built on."""
     rng = np.random.default_rng(7)
     for p in (DriverParams(), DriverParams(v_max=33.3, s_st=4.1, s_go=38.7)):
@@ -85,8 +86,8 @@ def test_desired_velocity_is_the_kernel_ramp_bitwise():
 
 
 def test_np_cos_is_math_cos_bitwise():
-    """The block body takes the OVM cosine from ``np.cos``, the per-step
-    body from ``math.cos``: both are the C library's ``cos``, so they agree
+    """The block pass takes the OVM cosine from ``np.cos``, the row-by-row
+    steppers from ``math.cos``: both are the C library's ``cos``, so they agree
     bit for bit over the ramp's clipped arguments [0, pi], its ends, pi/2
     and NaN, in a 2-D C-contiguous array as a block's.  A numpy whose
     float64 cosine is its own (a SIMD one, say) fails here first."""
@@ -534,7 +535,8 @@ LOOP_CASES = {
         base_params=DriverParams(delay=0.3),
         cav=FD_CONTROLLER,
     ),
-    # HDVs -2 and 1 react one step late, the others at once: blocks of one step
+    # HDVs -2 and 1 react one step late, the others at once: blocks of two
+    # steps
     "mixed-zero-and-one-step-delays": ScenarioConfig(
         variant=V.GENERAL_LCC,
         m=2,
@@ -546,9 +548,48 @@ LOOP_CASES = {
         seed=1,
         cav=CavController(gains=FeedbackGains.from_pairs(GAIN_CASES["caseD"])),
     ),
+    # HDVs 1, 2 and 3 react 1, 0 and 2 steps late: HDV 2 steps in the CAV's
+    # row behind HDV 1, which the block pass steps, so the two columns the
+    # row writes are not adjacent
+    "prompt-follower-behind-late-follower": ScenarioConfig(
+        variant=V.CF_LCC,
+        n=3,
+        horizon=20.0,
+        perturbation=HeadSinusoid(start=2.0),
+        heterogeneity=HeterogeneitySpec(delay_base=0.01, delay_jitter=0.01),
+        seed=13,
+        cav=CF_CONTROLLER,
+    ),
+    # HDV -1 reacts at once and brakes, alone ahead of the CAV, from step 501
+    # to 601 (each inside a block of two steps); HDVs -2, 1 and 2 react 1, 1
+    # and 2 steps late
+    "prompt-braking-hdv-ahead-of-late-ones": ScenarioConfig(
+        variant=V.GENERAL_LCC,
+        m=2,
+        n=2,
+        horizon=20.0,
+        perturbation=FollowerBrake(vehicle=-1, start=5.01),
+        heterogeneity=HeterogeneitySpec(delay_base=0.01, delay_jitter=0.01),
+        seed=3,
+        cav=CavController(gains=FeedbackGains.from_pairs(GAIN_CASES["caseD"])),
+    ),
+    # HDV 2 reacts at once, between HDVs 1 and 3 one step late, and runs
+    # into the braking HDV 1 at step 804
+    "collision-at-prompt-column-of-mixed-chain": ScenarioConfig(
+        variant=V.FD_LCC,
+        n=3,
+        horizon=20.0,
+        perturbation=FollowerBrake(vehicle=1, decel=-5.0, duration=3.0, start=5.0),
+        base_params=DriverParams(alpha=0.1, beta=0.1),
+        heterogeneity=HeterogeneitySpec(alpha_jitter=0.05, beta_jitter=0.05, delay_base=0.01,
+                                        delay_jitter=0.01),
+        seed=3,
+        cav=CavController(mode="explicit"),
+    ),
 }
 
-# the columns of each per-step case that step alone (``kernels._step_alone``)
+# the columns of each case that step alone (``kernels._step_alone``): HDVs that
+# react at once, ahead of the CAV or behind the last column its law reads
 ALONE_COLUMNS = {
     "cf-sinusoid-fig9": {4},
     "general-sinusoid-caseD": {1, 2},
@@ -560,10 +601,22 @@ ALONE_COLUMNS = {
     "zero-delay-cav-collision": {1, 5},
     "general-gains-ahead-only": {1, 2, 4, 5},
     "ramp-ends-zero-delay": {3},
+    "mixed-zero-and-one-step-delays": {2, 6},
+    "prompt-braking-hdv-ahead-of-late-ones": {2},
+    "collision-at-prompt-column-of-mixed-chain": {2},
+}
+
+# the delay steps of each HDV, in ``hdv_ids`` order, of the cases that mix
+# HDVs that react at once with late ones
+MIXED_DELAYS = {
+    "mixed-zero-and-one-step-delays": [1, 0, 1, 0, 0],
+    "prompt-follower-behind-late-follower": [1, 0, 2],
+    "prompt-braking-hdv-ahead-of-late-ones": [1, 0, 1, 2],
+    "collision-at-prompt-column-of-mixed-chain": [1, 0, 1],
 }
 
 # the cases with an HDV that reacts at least one step late
-BLOCK_CASES = {
+BLOCK_CASES = MIXED_DELAYS.keys() | {
     "appendixC-delays-brake",
     "collision",
     "general-delayed-ahead-sinusoid",
@@ -576,8 +629,15 @@ BLOCK_CASES = {
     "tail-collision-before-core",
     "tail-and-core-collide-together",
     "min-delay-below-block",
-    "mixed-zero-and-one-step-delays",
 }
+
+
+def _block_bounds(n_steps, block, chunk):
+    """(k0, k1) of each block ``simulate_loop`` steps over n_steps: chunks
+    of ``chunk`` rows, each cut into blocks of ``block`` steps."""
+    return [(k0, min(k0 + block, r0 + chunk, n_steps + 1))
+            for r0 in range(0, n_steps + 1, chunk)
+            for k0 in range(r0, min(r0 + chunk, n_steps + 1), block)]
 
 
 @pytest.mark.parametrize("name", LOOP_CASES)
@@ -610,19 +670,31 @@ def test_simulate_loop_matches_reference_bitwise(name):
                 assert got.base is stepped and len(stepped) == n_steps + 2
             times = np.arange(n_steps + 1) * dt
             assert [t for t, _, _ in trace.events] == times[np.nonzero(override)[0]].tolist()
-    assert blocks.called == (name in BLOCK_CASES)
-    # the one CAV stepper: blocks hand it the CAV alone, the per-step body
-    # the CAV with its coupled followers
-    assert coupled.called
-    for call in coupled.call_args_list:
-        assert call.args[6] == (() if name in BLOCK_CASES else call.args[5].coupled)
+    # the block pass steps exactly the late HDVs, in blocks of their least
+    # delay plus one step, or of the whole chunk when there are none; each
+    # block then steps the CAV with its coupled followers, which react at
+    # once, and the other HDVs that react at once alone
+    chain = loop.call_args.args[1]
+    delays = args[13]
+    late = np.flatnonzero(delays > 0).tolist()
+    assert chain.blocks[0].tolist() == late and bool(late) == (name in BLOCK_CASES)
+    assert chain.block == (min(delays[late]) + 1 if late else kernels.ROW_CHUNK)
+    bounds = [call.args[3:5] for call in blocks.call_args_list]
+    every = _block_bounds(n_steps, chain.block, kernels.ROW_CHUNK)
+    assert bounds == (every[:len(bounds)] if status else every) and bounds
+    assert [call.args[3:5] for call in coupled.call_args_list] == bounds
+    assert all(delays[h[0]] == 0 for h in chain.ahead + chain.coupled + chain.tail)
     assert {call.args[3][0] for call in alone.call_args_list} == ALONE_COLUMNS.get(name, set())
+    if name in MIXED_DELAYS:
+        assert [delays[ids.index(vid)] for vid in cfg.hdv_ids()] == MIXED_DELAYS[name]
+    if name == "prompt-follower-behind-late-follower":
+        assert [h[0] for h in chain.coupled] == [3] and 2 in late
     if name.startswith("safety-override"):
         assert override.any()
     if name == "ramp-ends-zero-delay":
         # V(s) takes each of its three branches in the coupled follower
         # (column 2) and in the column stepped alone (3)
-        assert [h[0] for h in coupled.call_args.args[6]] == [2]
+        assert [h[0] for h in chain.coupled] == [2]
         s_st, s_go = args[11], args[12]
         for j in (2, 3):
             s = pos[:, j - 1] - pos[:, j]
@@ -634,8 +706,8 @@ def test_simulate_loop_matches_reference_bitwise(name):
         assert stopped.size > 35 and stopped[0] % kernels.ROW_CHUNK % 35 != 0
     if name == "collision":
         assert (status, ids[col], ids[col - 1]) == (1, 2, 1)
-    if name == "mixed-zero-and-one-step-delays":
-        assert [args[13][ids.index(vid)] for vid in cfg.hdv_ids()] == [1, 0, 1, 0, 0]
+    if name == "collision-at-prompt-column-of-mixed-chain":
+        assert (status, step, ids[col], ids[col - 1]) == (1, 804, 2, 1)
     if name == "tail-collision-before-core":
         assert (status, step, ids[col], ids[col - 1]) == (1, 67, 1, 0)
     if name == "zero-delay-cav-collision":
@@ -645,10 +717,11 @@ def test_simulate_loop_matches_reference_bitwise(name):
 
 
 def test_plan_chain_layout():
-    """``plan_chain`` splits the HDVs, sorted front to back, into those
-    ahead of the CAV, the followers its law reads and the tail, and lays
-    out the block body's arrays exactly when some HDV reacts at least one
-    step late."""
+    """``plan_chain`` splits the HDVs, sorted front to back, by delay: those
+    that react at least one step late into the block pass's arrays, with
+    blocks of their least delay plus one step, and those that react at
+    once into those ahead of the CAV, the followers its law reads and the
+    tail."""
 
     def columns(hdvs):
         return [h[0] for h in hdvs]
@@ -662,7 +735,7 @@ def test_plan_chain_layout():
     case_d = chain_of(ScenarioConfig(
         **general, cav=CavController(gains=FeedbackGains.from_pairs(GAIN_CASES["caseD"])),
     ))
-    assert (case_d.cav, case_d.blocks) == (3, None)
+    assert (case_d.cav, case_d.blocks[0].tolist(), case_d.block) == (3, [], kernels.ROW_CHUNK)
     assert (columns(case_d.ahead), columns(case_d.coupled), case_d.tail) == ([1, 2], [4, 5], ())
     # the baseline's term on column cav - 1 reads no follower
     case_a = chain_of(ScenarioConfig(
@@ -677,28 +750,51 @@ def test_plan_chain_layout():
     assert (fd.cav, fd.ahead, columns(fd.coupled), columns(fd.tail)) == (0, (), [1], [2, 3, 4, 5, 6])
 
     # four HDVs passed out of order, each field but the delay different from
-    # HDV to HDV; one HDV reacts a step late, each at its own delay, or all
-    # at once
+    # HDV to HDV, behind a CAV whose law reads columns 1 and 3: one HDV
+    # reacts a step late, three each at its own delay, or all at once.
+    # Each row: delays, coupled and tail columns, late columns, L.
     feedback = [(1, 0.1, -0.5, 20.0), (3, -0.2, 0.05, 21.5)]
     brake = (4, 10, 20, -5.0)
-    for delays, blocked in (((0, 1, 0, 0), True), ((0, 1, 2, 3), True), ((0, 0, 0, 0), False)):
+    for delays, coupled, tail, late_columns, block in (
+        ((0, 1, 0, 0), [2], [4, 5], [3], 2),
+        ((0, 1, 2, 3), [2], [], [3, 4, 5], 2),
+        ((0, 0, 0, 0), [2, 3], [4, 5], [], kernels.ROW_CHUNK),
+    ):
         hdvs = [
             (j, delays[j - 2], 19.0 + j, 0.5 + j / 10, 0.9 - j / 10, 30.0 + j, 5.0 - j / 10, 35.0 + j)
             for j in (4, 2, 5, 3)
         ]
         chain = kernels.plan_chain(0.01, 15.0, 1, feedback, hdvs, brake)
-        front_to_back = sorted(hdvs)
+        late = [h for h in sorted(hdvs) if h[1] > 0]
         assert chain[:5] == (0.01, 15.0, 1, tuple(feedback), brake)
-        assert (chain.ahead, columns(chain.coupled), columns(chain.tail)) == ((), [2, 3], [4, 5])
-        assert chain.coupled + chain.tail == tuple(front_to_back)
-        assert (chain.blocks is not None) == blocked
-        if blocked:
-            *arrays, braked = chain.blocks
-            assert len(arrays) == 8
-            for i, (array, field) in enumerate(zip(arrays, zip(*front_to_back))):
-                assert array.dtype.kind == ("i" if i < 2 else "f")
-                assert array.tolist() == list(field)
-            assert braked.tolist() == [False, False, True, False]
+        assert (chain.ahead, columns(chain.coupled), columns(chain.tail)) == ((), coupled, tail)
+        assert sorted(chain.coupled + chain.tail + tuple(late)) == sorted(hdvs)
+        assert columns(late) == late_columns and chain.block == block
+        *arrays, braked = chain.blocks
+        assert len(arrays) == 8
+        for i, (array, field) in enumerate(zip(arrays, list(zip(*late)) or [()] * 8)):
+            assert array.dtype.kind == ("i" if i < 2 else "f")
+            assert array.tolist() == list(field)
+        assert braked.tolist() == [j == 4 for j in late_columns]
+
+
+def test_a_prompt_hdv_leaves_the_late_ones_their_blocks():
+    """HDVs 0, 1, 2 and 3 steps late behind a free-driving CAV: the block
+    pass runs once per block of two steps, their least positive delay plus
+    one, over each chunk, not once per step as when the HDV that reacts at
+    once set L = 1 for all.  This counts calls, so no timing decides it."""
+    n_steps = 1300  # chunks of 512, 512 and 277 steps
+    hdvs = [(j, j - 1, 20.0, 0.6, 0.9, 30.0, 5.0, 35.0) for j in (1, 2, 3, 4)]
+    chain = kernels.plan_chain(0.01, 15.0, 0, [(0, 0.0, -0.5, 20.0)], hdvs, (-1, 0, 0, 0.0))
+    pos, vel = (np.zeros((n_steps + 2, 5)) for _ in range(2))
+    acc = np.zeros((n_steps + 1, 5))
+    pos[0] = -20.0 * np.arange(5)
+    vel[0] = 15.0
+    with mock.patch.object(kernels, "_step_blocks", wraps=kernels._step_blocks) as blocks:
+        assert kernels.simulate_loop(n_steps, chain, pos, vel, acc) == (None, [])
+    assert chain.block == 2 and blocks.call_count == 256 + 256 + 139
+    assert [call.args[3:5] for call in blocks.call_args_list] == \
+        _block_bounds(n_steps, 2, kernels.ROW_CHUNK)
 
 
 def test_trace_csv_matches_cell_formatting(tmp_path):
@@ -831,7 +927,7 @@ def test_step_collision_leaves_later_steps_unwritten(delay, chunk):
     collision, brake_steps = result
     assert collision == (2, 3) and reference == (1, 2, 3)
     assert [k for k in brake_steps if k < 2] == np.flatnonzero(override).tolist() == [0, 1]
-    assert (chain.blocks is None) == (delay == 0)
+    assert chain.blocks[0].tolist() == ([2, 3] if delay else [])
     assert {call.args[3][0] for call in alone.call_args_list} == (set() if delay else {2, 3})
     r1 = min(chunk * (1 // chunk + 1), n_steps + 1)  # the end of step 1's chunk
     assert (pos[r1 + 1:, 1:] == sentinel).all() and (vel[r1 + 1:, 1:] == sentinel).all()
@@ -860,7 +956,7 @@ def _loop_arrays(n_steps):
 
 @pytest.mark.parametrize("name", ["pos", "vel"])
 def test_simulate_loop_rejects_fortran_ordered_state(name):
-    """The block body reads pos and vel through flat views, so a
+    """The block pass reads pos and vel through flat views, so a
     Fortran-ordered array is refused by name rather than read as a stale
     copy."""
     arrays = _loop_arrays(20)
@@ -925,16 +1021,22 @@ def _random_scenario(rng):
 def test_both_stepping_paths_match_reference_on_random_scenarios():
     """Random chains, in chunks of 1 to 40 rows so that delays and brakes
     cross chunk boundaries, give the reference's arrays, safety-brake steps
-    and collisions bit for bit, in blocks when some HDV reacts at least one
-    step late (down to one-step blocks) and one step at a time when every
-    HDV reacts at once.  A third of the chains or more take each body;
-    chains that react at once seldom collide, so LOOP_CASES and the
-    sentinel test hold the per-step body's collisions."""
+    and collisions bit for bit, whether every HDV reacts at once (one block
+    per chunk), every one at least one step late (down to one-step
+    blocks), or some of each.  Of the first 90 draws a third or more have
+    no late HDV and a third or more some late one; 20 more draw each
+    HDV's delay from 0 to 2 steps, so that most of them mix the two kinds.
+    Chains that react at once seldom collide, so LOOP_CASES and the
+    sentinel test hold most collisions at a prompt column."""
     rng = np.random.default_rng(2024)
-    draws = 90
-    runs, collisions = [0, 0], [0, 0]  # per-step body, block body
-    for _ in range(draws):
+    draws, mixed_draws = 90, 20
+    runs, collisions = [0, 0], [0, 0]  # no late HDV, some late HDV
+    kinds = {"prompt": 0, "late": 0, "mixed": 0}
+    for i in range(draws + mixed_draws):
         cfg = _random_scenario(rng)
+        if i >= draws:
+            cfg = dataclasses.replace(cfg, heterogeneity=HeterogeneitySpec(
+                delay_base=cfg.dt, delay_jitter=cfg.dt))
         chunk = int(rng.integers(1, 41))
         args = _reference_args(cfg)
         status, step, col = _reference_simulate_loop(*args)
@@ -955,11 +1057,17 @@ def test_both_stepping_paths_match_reference_on_random_scenarios():
         if status:
             brake_steps = [k for k in brake_steps if k < step]
         assert brake_steps == np.flatnonzero(args[-1]).tolist()
-        blocked = loop.call_args.args[1].blocks is not None
-        assert blocked == (args[13].max() > 0)
-        runs[blocked] += 1
+        chain = loop.call_args.args[1]
+        delays = [args[13][ids.index(vid)] for vid in cfg.hdv_ids()]
+        assert chain.blocks[0].size == sum(d > 0 for d in delays)
+        blocked = int(max(delays, default=0) > 0)
+        if delays:
+            kinds["mixed" if blocked and min(delays) == 0 else "late" if blocked else "prompt"] += 1
+        if i < draws:
+            runs[blocked] += 1
         collisions[blocked] += status
     assert 3 * min(runs) >= draws and collisions[1] > 0
+    assert min(kinds.values()) > 0 and kinds["mixed"] > mixed_draws / 2, kinds
 
 
 def _recording(function, results):
@@ -994,7 +1102,8 @@ def test_prescribed_head_that_stops_dead(delay, step):
             for j in (1, 3)]
     chain = kernels.plan_chain(dt, 15.0, 2, [(2, 0.0, 0.0, float(s_star[2]))], hdvs,
                                (-1, 0, 0, 0.0))
-    assert (chain.blocks is not None) == (delay > 0)
+    assert chain.blocks[0].tolist() == ([1, 3] if delay else [])
+    assert chain.ahead + chain.tail == (() if delay else tuple(hdvs))
 
     collision, brake_steps = kernels.simulate_loop(n_steps, chain, pos, vel, acc)
     assert _reference_simulate_loop(*args) == (1, step, 1) and collision == (step, 1)

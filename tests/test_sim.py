@@ -444,7 +444,9 @@ def test_delay_past_horizon_reads_no_delayed_state():
 @pytest.mark.parametrize(
     "case, delay",
     [("hdv", 0), ("caseA", 0), ("caseD", 0), ("hdv", 5), ("hdv", 40),
-     pytest.param("hdv", None, id="hdv-heterogeneous")],
+     pytest.param("hdv", HeterogeneitySpec(), id="hdv-heterogeneous"),
+     pytest.param("hdv", HeterogeneitySpec(delay_base=0.01, delay_jitter=0.01),
+                  id="hdv-heterogeneous-mixed")],
 )
 def test_small_signal_response_is_the_euler_transfer_function(case, delay, period):
     """A 1 mm/s head sinusoid through the general 2+2 chain: vehicle 2's
@@ -452,12 +454,15 @@ def test_small_signal_response_is_the_euler_transfer_function(case, delay, perio
     the transfer function of the forward-Euler chain, Gamma at s_d = (z -
     1)/dt with z = e^(j w dt).  An HDV that reacts d steps late has the
     factor z^-d (alpha1 + alpha3 s_d) / (s_d^2 + z^-d (alpha2 s_d +
-    alpha1)).  Chains without delay step one row at a time, delayed ones in
-    blocks, so the oracle covers both bodies with no reference loop.  With
-    ``delay`` None every HDV has its own draw of ``HeterogeneitySpec()``:
-    its own alphas and its own delay of 30-50 steps, so a block's HDVs read
-    rows at distinct lags, and Gamma is the product of their own factors."""
-    dt, base = 0.01, DriverParams(delay=(delay or 0) / 100)
+    alpha1)).  HDVs without delay step row by row, late ones in the block
+    pass, so the oracle covers both with no reference loop.  With
+    ``delay`` a ``HeterogeneitySpec`` every HDV has its own draw of it: its
+    own alphas and its own delay, and Gamma is the product of their own
+    factors.  ``HeterogeneitySpec()`` gives delays of 30-50 steps, so a
+    block's HDVs read rows at distinct lags; the mixed spec gives 0 to 2
+    steps, so HDVs that react at once step between the late ones' blocks."""
+    heterogeneity = delay if isinstance(delay, HeterogeneitySpec) else None
+    dt, base = 0.01, DriverParams(delay=0.0 if heterogeneity else delay / 100)
     gains = FeedbackGains.from_pairs(GAIN_CASES[case])
     cfg = ScenarioConfig(
         variant=V.GENERAL_LCC,
@@ -467,13 +472,13 @@ def test_small_signal_response_is_the_euler_transfer_function(case, delay, perio
         dt=dt,
         perturbation=HeadSinusoid(amplitude=1e-3, period=period, start=0.0),
         base_params=base,
-        heterogeneity=None if delay is not None else HeterogeneitySpec(),
+        heterogeneity=heterogeneity,
         cav=CavController(gains=gains),
         seed=5,
     )
-    with mock.patch.object(kernels, "_step_blocks", wraps=kernels._step_blocks) as blocks:
+    with mock.patch.object(kernels, "simulate_loop", wraps=kernels.simulate_loop) as loop:
         trace = simulate(cfg)
-    assert blocks.called == (delay != 0)
+    late = loop.call_args.args[1].blocks[0].size  # HDVs the block pass steps
     window = slice(round(100.0 / dt), round(200.0 / dt))  # 20 or 10 whole periods
     omega = 2.0 * math.pi / period
     phasor = np.exp(-1j * omega * trace.times[window])
@@ -483,13 +488,17 @@ def test_small_signal_response_is_the_euler_transfer_function(case, delay, perio
     s_d = (z - 1.0) / dt
     c = linearize(equilibrium_spacing(15.0, base), base)
     if delay == 0:
+        assert late == 0
         want = transfer_value(TransferSpec(m=2, n=2, coeffs=c, gains=gains), s_d)
     else:
-        drivers = [base] * 4 if delay else sample_heterogeneous(
-            cfg.heterogeneity, 4, cfg.seed, base)
+        drivers = sample_heterogeneous(heterogeneity, 4, cfg.seed, base) if heterogeneity \
+            else [base] * 4
         lags = [round(p.delay / dt) for p in drivers]
-        if delay is None:
+        assert late == sum(d > 0 for d in lags)
+        if heterogeneity == HeterogeneitySpec():
             assert len(set(lags)) == 4 and 30 <= min(lags) and max(lags) <= 50
+        elif heterogeneity:
+            assert min(lags) == 0 and max(lags) >= 1
         phi, gam = phi_gamma(c, s_d)
         want = phi / gam  # the CAV's own factor: its baseline law, no gains, no delay
         for p, d in zip(drivers, lags):

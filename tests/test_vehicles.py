@@ -44,8 +44,12 @@ def test_desired_velocity_boundaries(default_params):
 
 
 def test_desired_velocity_rejects_negative_spacing(default_params):
-    with pytest.raises(ValueError):
-        desired_velocity_slope(-1.0, default_params)
+    for s in (-1.0, -0.1):
+        with pytest.raises(ValueError):
+            desired_velocity_slope(s, default_params)
+    # every spacing from 0 up is allowed: the slope is 0 below s_st
+    for s in (0.0, 0.5):
+        assert desired_velocity_slope(s, default_params) == 0.0
 
 
 def test_desired_velocity_continuous_and_monotone(default_params):
@@ -103,6 +107,10 @@ def test_equilibrium_spacing_examples(default_params):
     assert ovm_ramp(eq.s_star, p.v_max, p.s_st, p.s_go) == pytest.approx(15.0, abs=1e-12)
     assert equilibrium_spacing(0.0, default_params).s_star == 5.0
     assert equilibrium_spacing(30.0, default_params).s_star == 35.0
+    # only v* = 0 sits at s_st: v* = 1 m/s inverts the ramp
+    eq = equilibrium_spacing(1.0, default_params)
+    assert p.s_st < eq.s_star < p.s_go
+    assert ovm_ramp(eq.s_star, p.v_max, p.s_st, p.s_go) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equilibrium_spacing_rejects_out_of_range(default_params):
