@@ -15,15 +15,14 @@ so across a scan panel one of them repeats, often in every cell; each
 distinct polynomial has its roots found once.  Every verdict comes from
 Den's coefficients and these roots, with no frequency search, in this order:
 
-1. asymptotically unstable (AU): a root of Den has real part above
-   ``EIG_TOL`` (gamma's roots are stable for every ``LinearCoeffs``), or
-   the chain fails to evaluate.  The Routh array of Den(s + EIG_TOL)
-   decides it from the coefficients alone: AU unless every entry of its
-   first column is positive.  A root with real part exactly EIG_TOL, or a
-   breakdown, gives a zero or non-finite entry, and such a chain takes
-   Den's companion roots instead, with AU where one lies right of EIG_TOL.
-   |Gamma(jw)| is a steady-state gain only of a stable closed loop, so an
-   AU chain is never string stable;
+1. asymptotically unstable (AU): Den(s + ``EIG_TOL``) is not Hurwitz
+   (gamma's roots are stable for every ``LinearCoeffs``), or the chain
+   fails to evaluate.  The Routh array of Den(s + EIG_TOL) alone decides
+   it, from the coefficients: AU unless every entry of its first column is
+   positive and finite, so a root with real part EIG_TOL or above, and a
+   zero or non-finite entry, make a chain AU.  |Gamma(jw)| is a
+   steady-state gain only of a stable closed loop, so an AU chain is never
+   string stable;
 2. string unstable (SU), from the range's ends: Gamma(0) = 1, so |Gamma|
    at omega_min or omega_max often already reaches 1 - ``PEAK_MARGIN``,
    and a scan cell whose end value does so needs no search between them;
@@ -57,7 +56,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .errors import EvaluationError, TopologyError, bounded, check_limits, violation
+from .errors import EvaluationError, TopologyError, bounded, check_limits
 from .systems import FeedbackGains, validate_count, validate_gain_ids
 from .vehicles import LinearCoeffs
 
@@ -80,8 +79,9 @@ log = logging.getLogger(__name__)
 PEAK_MARGIN = 1e-9
 EIG_TOL = 1e-6
 
-# omega's limits: the least omega whose square is a normal float, and the greatest whose
-# square is finite.
+# omega's limits.  The verdicts work in x = omega^2, so omega_min's square must be a normal
+# float (a subnormal one loses the range's low end, 0 below ~1.6e-162) and omega_max's
+# finite; with omega_min < omega_max, these two limits keep both squares in range.
 _OMEGA_MIN_LIMIT = f">= {math.sqrt(sys.float_info.min)!r}"
 _OMEGA_MAX_LIMIT = f"> {math.sqrt(sys.float_info.min)!r} and <= {math.sqrt(sys.float_info.max)!r}"
 
@@ -91,8 +91,8 @@ _OMEGA_MAX_LIMIT = f"> {math.sqrt(sys.float_info.min)!r} and <= {math.sqrt(sys.f
 _GAIN_LIMIT = ">= -1e6 and <= 1e6"
 
 # Entries of the widest matrix stack a scan chunk builds (4 MiB of float64): the
-# stationary points' K x K per searched cell, K = [m>0] max(m+1, 2m) + [n>0] (2n+2) + 2,
-# with slots for Num's roots unless Num = phi (m = 0), Den's unless Den = gamma (n = 0)
+# stationary points' K x K per searched cell, K = 2m + [n>0] (2n+2) + 2, with slots
+# for Num's 2m roots (none when Num = phi, m = 0), Den's unless Den = gamma (n = 0)
 # and gamma's, less the deflated one of phi (see ``scan_region``).  Each panel of the
 # paper's region figure (K <= 12) takes one chunk.
 _CHUNK_ENTRIES = 2**19
@@ -136,23 +136,12 @@ class FrequencyGrid:
     points: int = bounded(1000, ">= 2", "log-spaced points of the stability magnitude CSV only")
 
     def __post_init__(self):
-        for name in ("omega_min", "omega_max"):  # a bound must be a number to be squared
-            if violation(getattr(self, name), "") == "a number":
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        # the verdicts work in x = omega^2: each bound's square must be finite, and omega_min's
-        # normal, as a subnormal square loses the range's low end (0 below ~1.6e-162)
-        square = self.omega_min * self.omega_min
-        if not (0 < self.omega_min and sys.float_info.min <= square < math.inf):
-            raise ValueError(
-                f"omega_min must be finite and {_OMEGA_MIN_LIMIT}, "
-                f"so that its square is a normal float, got {self.omega_min}"
-            )
-        if not (self.omega_min < self.omega_max and math.isfinite(self.omega_max * self.omega_max)):
-            raise ValueError(
-                "omega_max must be finite, with a finite square, and exceed omega_min, "
-                f"got {self.omega_max}"
-            )
         check_limits(self)
+        if not self.omega_min < self.omega_max:
+            raise ValueError(
+                "frequency range must have omega_max > omega_min, "
+                f"got omega_min={self.omega_min} and omega_max={self.omega_max}"
+            )
 
     def omegas(self) -> np.ndarray:
         return np.logspace(
@@ -304,11 +293,11 @@ def _shorten(spec: TransferSpec, *vehicles: int) -> Tuple[TransferSpec, int, np.
     return short, spec.m + spec.n - m - n, np.concatenate([[1.0], *_gain_arrays(short)])
 
 
-def _routh(den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Whether each row of Den's ascending coefficients has a root right of ``EIG_TOL``,
-    from the first column of the Routh array of Den(s + EIG_TOL): it does unless every
-    entry is positive.  Also whether that test is undecided: an entry is zero or not
-    finite, as with a root on the boundary or coefficients that overflow."""
+def _routh(den: np.ndarray) -> np.ndarray:
+    """Whether each row of Den's ascending coefficients is AU: Den(s + EIG_TOL) is not
+    Hurwitz, so the first column of its Routh array has an entry that is not positive
+    and finite.  A root with real part EIG_TOL or above gives one; so do coefficients
+    that overflow, and a root within round-off of Re s = EIG_TOL may."""
     p = den.T.copy()  # p[k] multiplies s^k
     d = len(p) - 1
     for i in range(d):  # Taylor shift by Horner's rule
@@ -323,7 +312,7 @@ def _routh(den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         top, below = below, np.vstack([top[1:] - top[0] / below[0] * below[1:], zero])
         column.append(below[0])
     column = np.array(column)
-    return ~np.all(column > 0, axis=0), ~np.all(np.isfinite(column) & (column != 0), axis=0)
+    return ~np.all((column > 0) & (column < np.inf), axis=0)
 
 
 def _secular_stack(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -350,17 +339,17 @@ def _evaluate(
     spec: TransferSpec, rows: np.ndarray, grid: FrequencyGrid, cut: int, exact_peaks=False
 ):
     """Classes, peaks (omega, |Gamma|^2) and failure messages of gain rows of ``spec``
-    followed by ``cut`` HDVs.  A row is AU when Den has a root right of ``EIG_TOL``,
-    which the Routh array of Den(s + EIG_TOL) decides (``_routh``) and Den's companion
-    roots where it cannot, or when the row fails; else SS or SU from its peak against
-    1 - ``PEAK_MARGIN``.  Failed rows get NaN peaks, and so do AU rows unless
-    ``exact_peaks``.
+    followed by ``cut`` HDVs.  A row is AU when Den(s + EIG_TOL) is not Hurwitz, by its
+    Routh array alone (``_routh``), or when the row fails, as one whose Den has a
+    non-finite coefficient does; else SS or SU from its peak against 1 - ``PEAK_MARGIN``.
+    Failed rows get NaN peaks, and so do AU rows unless ``exact_peaks``.
 
     Gamma(0) = 1, so |Gamma| at the range's ends often settles a row: unless
     ``exact_peaks``, a row whose end values are finite and the larger reaches
     1 - PEAK_MARGIN takes that end as its peak, a lower bound that already makes it
     string unstable, and skips the roots of Num and Den and the stationary points (so a
-    failure there goes unseen).  The other rows search them, the ends' values included.
+    failure there goes unseen).  The other rows search them, the ends' values included;
+    only they find roots.
 
     A polynomial with roots z_k has |P(jw)|^2 = c^2 prod_k (x + z_k^2) in x = w^2, so
     d/dx log|Gamma(jw)|^2 = sum_k w_k / (x - p_k) over p_k = -z_k^2 of the roots of Num
@@ -384,17 +373,9 @@ def _evaluate(
     """
     c, cells, m, n = spec.coeffs, len(rows), spec.m, spec.n
     num, den = _polynomials(spec, rows)
-    problems: Dict[int, str] = {}
-
-    def den_roots(at):
-        """Den's roots on rows ``at``; their failures go to ``problems``."""
-        found, failed = _roots(den[at])
-        problems.update({int(at[q]): msg for q, msg in failed.items()})
-        return found
-
-    au, undecided = _routh(den)
-    fallback = np.flatnonzero(undecided)
-    au[fallback] = np.any(den_roots(fallback).real > EIG_TOL, axis=1)
+    bad = np.flatnonzero(~np.isfinite(den).all(axis=1))
+    problems: Dict[int, str] = dict.fromkeys(bad.tolist(), "non-finite coefficients")
+    au = _routh(den)
     live = np.arange(cells) if exact_peaks else np.flatnonzero(~au)
     gains = np.split(rows[:, 1:].T, [m, 2 * m, 2 * m + n])
     x_range = grid.omega_min**2, grid.omega_max**2
@@ -417,9 +398,11 @@ def _evaluate(
     search = live[searched]
     none = np.empty((search.size, 0))
     num_roots, peak_problems = _roots(num[search]) if m else (none, {})
+    den_roots, failed = _roots(den[search]) if n else (none, {})
+    problems.update({int(search[i]): msg for i, msg in failed.items()})
     local = np.append(np.roots([1.0, c.alpha2, c.alpha1]), -c.alpha1 / c.alpha3)  # gamma's, phi's
     local = np.broadcast_to(local, (search.size, 3))
-    z = np.hstack([num_roots, den_roots(search) if n else none, local])
+    z = np.hstack([num_roots, den_roots, local])
     weights = np.full(z.shape, -1.0)
     weights[:, : num_roots.shape[1]] = 1.0
     # Num = phi without HDVs ahead, Den = gamma without HDVs behind
@@ -506,7 +489,7 @@ def scan_region(
     """Classify every cell of a 2-D gain grid, row-major in (axis1, axis2).
 
     Each cell gets the class ``_evaluate`` gives it: AU when the Routh array
-    of Den's coefficients finds a root right of the tolerance, else SS or SU,
+    of Den(s + ``EIG_TOL``) finds it not Hurwitz, else SS or SU,
     SU without a peak search when |Gamma| at an end of the frequency range
     already reaches 1 - ``PEAK_MARGIN``.  Only the cells that search find
     the roots of Num and Den.  Cells that fail to evaluate are AU, with a log
@@ -514,8 +497,8 @@ def scan_region(
 
     ``_evaluate`` classifies the cells in chunks, as many as keep its widest
     stack, the K x K stationary-point matrix of each cell that searches, within
-    ``_CHUNK_ENTRIES`` entries even when every cell searches: K = [m>0]
-    max(m+1, 2m) + [n>0] (2n+2) + 2 for the chain cut to its farthest gain.
+    ``_CHUNK_ENTRIES`` entries even when every cell searches: K = 2m +
+    [n>0] (2n+2) + 2 for the chain cut to its farthest gain.
     The companion stacks of Num and Den are smaller.  So each 51 x 51 panel of
     the 2+1+2 chain takes one pass, and larger scans take several, in bounded
     memory.
@@ -523,19 +506,20 @@ def scan_region(
     if (axis1.vehicle, axis1.component) == (axis2.vehicle, axis2.component):
         raise TopologyError("scan axes must address distinct gain coordinates")
     slots = [_axis_slot(base, a) for a in (axis1, axis2)]
+    grid = grid or FrequencyGrid()
     short, cut, row = _shorten(base, axis1.vehicle, axis2.vehicle)
     m, n = short.m, short.n
     offsets = {"mu_p": 1, "k_p": 1 + m, "mu_f": 1 + 2 * m, "k_f": 1 + 2 * m + n}
     cols = [offsets[name] + idx for name, idx in slots]
     values = np.repeat(axis1.values(), axis2.points), np.tile(axis2.values(), axis1.points)
     classes = np.empty(values[0].size, dtype="<U2")
-    width = (m > 0) * max(m + 1, 2 * m) + (n > 0) * (2 * n + 2) + 2
+    width = 2 * m + (n > 0) * (2 * n + 2) + 2
     chunk = max(1, _CHUNK_ENTRIES // width**2)
     for start in range(0, classes.size, chunk):
         g1, g2 = (v[start : start + chunk] for v in values)
         rows = np.repeat(row[None], g1.size, axis=0)
         rows[:, cols[0]], rows[:, cols[1]] = g1, g2
-        block, _, problems = _evaluate(short, rows, grid or FrequencyGrid(), cut)
+        block, _, problems = _evaluate(short, rows, grid, cut)
         for q in sorted(problems):
             log.warning("cell (%g, %g) failed to evaluate: %s", g1[q], g2[q], problems[q])
         classes[start : start + g1.size] = block

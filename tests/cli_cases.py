@@ -218,6 +218,16 @@ CASES = [
          """scan --set n=2 --set 'scan={"axis1": {"vehicle": 1, "component": "mu", "lo": 1, "hi": -1}, """
          """"axis2": {"vehicle": 1, "component": "k"}}' -o {out}""", 4,
          r"^lcc: error: axis range must have hi > lo, got lo=1 and hi=-1$"),
+    # the frequency range's one rule that spans its keys
+    Case("omega_max-not-above-omega_min",
+         "stability --set frequency.omega_min=10 --set frequency.omega_max=1 -o {out}", 4,
+         r"^lcc: error: frequency range must have omega_max > omega_min, "
+         r"got omega_min=10 and omega_max=1$"),
+    # a follower gain that overflows Den's coefficients makes the chain AU, and the
+    # verdict, which searches even an AU chain for its peak, fails at the first
+    # non-finite |Gamma| it meets
+    Case("stability-den-overflows", """stability --set n=2 --set 'gains={"2":[1.7e308,0]}' -o {out}""",
+         4, r"^lcc: error: non-finite gain at omega=100$"),
     # a head sinusoid that would drive the head backwards, a step past the horizon,
     # or a delay band past the float range is refused before anything runs
     Case("simulate-amplitude-16", _HEAD_SINUSOID + " --set perturbation.amplitude=16 -o {out}", 4,

@@ -4,18 +4,22 @@ Each one takes a different route from the code under test:
 ``state_space_gain`` evaluates the head-to-tail response through the
 assembled closed-loop matrices and a dense linear solve instead of
 Gamma's product form, ``ovm_acceleration`` is the paper's scalar OVM
-law, which ``linearize`` differentiates in closed form, and
+law, which ``linearize`` differentiates in closed form,
 ``total_fuel_per_vehicle`` and ``aave_per_vehicle`` integrate one
 vehicle's column at a time, where ``metrics`` integrates the whole set in
-one call.
+one call, and ``au_exact`` builds Den(s + EIG_TOL) in ``mpmath`` from the
+shifted phi and gamma, where ``stability`` shifts a double Den by Horner's rule.
 """
 
+from itertools import zip_longest
 from typing import Iterable, Optional, Tuple
 
+import mpmath
 import numpy as np
 
 from lcc import (
     DriverParams,
+    LinearCoeffs,
     SimulationTrace,
     StateSpaceModel,
     SystemVariant,
@@ -24,7 +28,16 @@ from lcc import (
     closed_loop_matrix,
     fuel_rate,
 )
+from lcc.stability import EIG_TOL
 from lcc.vehicles import ovm_ramp
+
+# The drivers of the longest-chain checks, by name, None for the paper's: lightly damped
+# HDVs (zeta = 0.25 and 0.05) round off worst.
+REACH_COEFFS = {
+    "default": None,
+    "light": LinearCoeffs(alpha1=0.157, alpha2=0.2, alpha3=0.1),
+    "slow": LinearCoeffs(alpha1=0.01, alpha2=0.01, alpha3=0.005),
+}
 
 
 def oracle_model(spec: TransferSpec) -> Tuple[StateSpaceModel, np.ndarray, np.ndarray]:
@@ -93,3 +106,58 @@ def aave_per_vehicle(trace: SimulationTrace, window, vehicles=None) -> float:
         dev = np.abs(trace.velocity[mask, trace.ids.index(vid)] - trace.v_star)
         acc += float(np.trapezoid(dev, t)) / span
     return acc / len(vids)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(a, b, scale=1):
+    return [x + scale * y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _shifted_den(spec: TransferSpec):
+    """Ascending coefficients of Den(s + EIG_TOL), each of the double inputs taken exactly:
+    gamma^(n+1) - sum_i (mu_i (gamma - phi) + k_i s phi) phi^(i-1) gamma^(n-i), with s,
+    phi and gamma all shifted."""
+    c, one, tol = spec.coeffs, mpmath.mpf(1), mpmath.mpf(EIG_TOL)
+    a1, a2, a3 = (mpmath.mpf(a) for a in (c.alpha1, c.alpha2, c.alpha3))
+    phi = [a1 + a3 * tol, a3]
+    s_phi = _poly_mul([tol, one], phi)
+    gam = [a1 + a2 * tol + tol * tol, a2 + 2 * tol, one]
+    phis, gams = [[one]], [[one]]
+    for _ in range(spec.n + 1):
+        phis.append(_poly_mul(phis[-1], phi))
+        gams.append(_poly_mul(gams[-1], gam))
+    den = gams[spec.n + 1]
+    for i in range(1, spec.n + 1):
+        mu, k = (mpmath.mpf(g.get(i, 0.0)) for g in (spec.gains.mu, spec.gains.k))
+        term = _poly_add(_poly_mul([mu], _poly_add(gam, phi, -1)), _poly_mul([k], s_phi))
+        den = _poly_add(den, _poly_mul(term, _poly_mul(phis[i - 1], gams[spec.n - i])), -1)
+    return den
+
+
+def _not_hurwitz(ascending) -> bool:
+    """Whether the first column of the polynomial's Routh array has an entry that is not
+    positive; the leading coefficient is 1."""
+    desc = ascending[::-1]
+    a, b = desc[0::2], desc[1::2]
+    while b:
+        if not b[0] > 0:
+            return True
+        a, b = b, [x - a[0] / b[0] * y for x, y in zip_longest(a[1:], b[1:], fillvalue=0)]
+    return False
+
+
+def au_exact(spec: TransferSpec, digits=(60, 200)) -> Optional[bool]:
+    """Whether the closed loop of ``spec`` is AU, Den(s + EIG_TOL) not Hurwitz, by the Routh
+    array in ``mpmath`` at each precision in ``digits``; None where they disagree."""
+    answers = set()
+    for dps in digits:
+        with mpmath.workdps(dps):
+            answers.add(_not_hurwitz(_shifted_den(spec)))
+    return answers.pop() if len(answers) == 1 else None

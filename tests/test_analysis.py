@@ -164,6 +164,15 @@ def test_output_matrix_rows(default_coeffs):
         build_output_matrix(ccc, 1)
 
 
+def test_summarize_blanks_trace_inv_below_the_singular_rtol():
+    """trace(W^-1) is kept while lambda_min / lambda_max stays at or above
+    ``GRAMIAN_SINGULAR_RTOL`` = 1e-12, and blanked below it."""
+    lam_min, trace_inv = analysis._summarize(np.diag([1.0, 1.2e-12]))
+    assert lam_min == 1.2e-12
+    assert trace_inv == 1.0 + 1.0 / 1.2e-12
+    assert analysis._summarize(np.diag([1.0, 0.9e-12])) == (0.9e-12, None)
+
+
 def test_gramian_scalar_integrator():
     W = gramian(np.zeros((1, 1)), np.ones((1, 1)), 10.0).W
     assert W[0, 0] == pytest.approx(10.0, rel=1e-9)

@@ -136,6 +136,13 @@ def test_perturbation_defaults_by_kind():
     assert scenario.perturbation == FollowerBrake(vehicle=1, decel=-3.0, duration=1.0, start=20.0)
 
 
+def test_follower_brake_defaults_to_the_papers_brake():
+    """Fig. 10's brake: HDV 1 at -5 m/s^2 for 1 s from t = 20 s."""
+    cfg = parse_config({"perturbation": {"kind": "follower-brake"}})
+    assert cfg["perturbation"] == {"kind": "follower-brake", "vehicle": 1, "decel": -5.0,
+                                   "duration": 1.0, "start": 20.0}
+
+
 def test_scan_axes_and_grid():
     cfg = parse_config(
         {
@@ -570,7 +577,7 @@ def test_config_and_library_agree_on_each_limit(cls, name, value, accepted):
                      "vehicle must be a number, got True", id="GainAxis.vehicle=True"),
         pytest.param(lambda: simulate(ScenarioConfig(perturbation=FollowerBrake(vehicle=True))),
                      "vehicle must be a number, got True", id="FollowerBrake.vehicle=True"),
-        # refused before either bound is squared
+        # refused by the declared limit, before omega_min < omega_max compares the two
         pytest.param(lambda: FrequencyGrid(omega_min="x"), "omega_min must be a number, got 'x'",
                      id="FrequencyGrid.omega_min='x'"),
         pytest.param(lambda: FrequencyGrid(omega_max="x"), "omega_max must be a number, got 'x'",

@@ -5,6 +5,7 @@ import contextlib
 import itertools
 import logging
 import math
+import re
 import sys
 import warnings
 
@@ -31,7 +32,7 @@ from lcc import (
 )
 from lcc import kernels, stability
 from lcc.presets import GAIN_CASES
-from oracles import oracle_model, state_space_gain
+from oracles import REACH_COEFFS, oracle_model, state_space_gain
 from lcc.stability import (
     CLASS_ASYMP_UNSTABLE,
     CLASS_STABLE,
@@ -277,12 +278,6 @@ def test_long_chain_verdict_matches_dense_grid_and_poles(default_coeffs, m, n, p
     assert res.asymptotically_stable == bool(poles.real.max() <= stability.EIG_TOL)
 
 
-# Lightly damped HDVs (zeta = 0.25 and 0.05) round off worst.
-REACH_COEFFS = {
-    "default": None,
-    "light": LinearCoeffs(alpha1=0.157, alpha2=0.2, alpha3=0.1),
-    "slow": LinearCoeffs(alpha1=0.01, alpha2=0.01, alpha3=0.005),
-}
 REACH = stability._MAX_REACH
 
 
@@ -349,8 +344,8 @@ def test_au_threshold_is_eig_tol(default_coeffs, offset):
 
 
 def test_scan_overflowing_den_fails_each_cell(default_coeffs, caplog):
-    """A follower gain near the float limit overflows Den's coefficients, so the Routh
-    array cannot decide; the cells take Den's roots and fail with a log line each.
+    """A follower gain near the float limit overflows Den's coefficients: each cell
+    fails as one with non-finite coefficients, with a log line each, and is AU.
     A scanned gain stops at its limit, so the gain is the scan's base."""
     spec = spec_with(default_coeffs, 0, 2, {2: (1.7e308, 0.0)})
     axes = (GainAxis(1, "mu", -1e6, 1e6, 2), GainAxis(1, "k", -1e6, 1e6, 2))
@@ -418,11 +413,26 @@ def test_grid_and_axis_validation(default_coeffs):
         TransferSpec(m=1, n=1, coeffs=default_coeffs, gains=FeedbackGains(mu={3: 1.0}, k={}))
 
 
+_FLOOR, _CEILING = "1.4916681462400413e-154", "1.3407807929942596e+154"
+
+
 @pytest.mark.parametrize("field", ["omega_min", "omega_max"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2e154, 1e300])
 def test_grid_rejects_non_finite_bounds(field, value):
-    """Infinite and NaN bounds, and bounds whose square overflows."""
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    """Infinite and NaN bounds break the field's declared limit, and so does an
+    omega_max whose square overflows; an omega_min that large is not below the
+    default omega_max, the one rule that spans the two."""
+    if field == "omega_min" and value in (2e154, 1e300):
+        message = (
+            "frequency range must have omega_max > omega_min, "
+            f"got omega_min={value} and omega_max=100.0"
+        )
+    elif field == "omega_min":
+        message = f"omega_min must be >= {_FLOOR}{' and finite' if value > 0 else ''}, got {value}"
+    else:
+        upper = f" and <= {_CEILING}" if value > 0 else ""
+        message = f"omega_max must be > {_FLOOR}{upper}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FrequencyGrid(**{field: value})
 
 
@@ -430,9 +440,32 @@ def test_grid_rejects_non_finite_bounds(field, value):
 def test_grid_rejects_omega_min_with_subnormal_square(value):
     """The verdicts take omega_min**2 as the range's low end: a square that is
     subnormal, or underflows to 0, is refused; the least normal one is not."""
-    with pytest.raises(ValueError, match="omega_min must be finite and >= 1.49"):
+    message = f"omega_min must be >= {_FLOOR}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FrequencyGrid(omega_min=value, omega_max=1.0)
     assert FrequencyGrid(omega_min=2.0**-511, omega_max=1.0).omega_min**2 == sys.float_info.min
+
+
+def test_grid_limits_keep_both_squares_in_range():
+    """The declared limits alone keep the verdicts' x = omega^2 in range: the least
+    omega_min squares to the least normal float, and the greatest omega_max to a
+    finite one, so the grid needs no check of its own on either square."""
+    grid = FrequencyGrid(omega_min=float(_FLOOR), omega_max=float(_CEILING))
+    assert grid.omega_min**2 == sys.float_info.min
+    assert math.isfinite(grid.omega_max**2)
+    above = math.nextafter(grid.omega_max, math.inf)
+    assert above * above == math.inf
+
+
+def test_routh_flags_a_root_on_the_boundary():
+    """Den(s) = s^2 - 2 EIG_TOL s + EIG_TOL^2 + 1 has both roots on Re s = EIG_TOL:
+    Den(s + EIG_TOL) = s^2 + 1 is not Hurwitz, and its Routh array's zero entry
+    makes the row AU, with no roots found.  A root just left of the line is not."""
+    tol = stability.EIG_TOL
+    tie = [tol**2 + 1.0, -2.0 * tol, 1.0]
+    left = [(tol - 1e-3) ** 2 + 1.0, -2.0 * (tol - 1e-3), 1.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert stability._routh(np.array([tie, left])).tolist() == [True, False]
 
 
 @pytest.mark.parametrize(
@@ -745,6 +778,23 @@ def test_scan_stacks_stay_within_the_chunk_budget(
     if filled:
         assert np.all(classes == CLASS_STABLE)
         assert max(stacks) > 0.99 * budget
+
+
+@pytest.mark.parametrize(
+    "m, n, pairs, vid, width",
+    [(1, 0, {}, -1, 4), (0, 2, {}, 2, 8), (2, 2, {2: (0.1, 0.1)}, -2, 12)],
+    ids=["m=1,n=0", "m=0,n=2", "m=n=2"],
+)
+def test_scan_chunks_hold_as_many_cells_as_the_budget_allows(
+    default_coeffs, monkeypatch, m, n, pairs, vid, width
+):
+    """A chunk holds _CHUNK_ENTRIES // K^2 cells, K = 2m + [n>0] (2n+2) + 2 for the
+    chain cut to its farthest gain: a budget of three K x K stacks splits 8 cells 3, 3, 2."""
+    monkeypatch.setattr(stability, "_CHUNK_ENTRIES", 3 * width**2)
+    peaks = _record_evaluate(monkeypatch)
+    axes = GainAxis(vid, "mu", -1.0, 1.0, 4), GainAxis(vid, "k", -1.0, 1.0, 2)
+    scan_region(spec_with(default_coeffs, m, n, pairs), *axes)
+    assert [p.shape[1] for p in peaks] == [3, 3, 2]
 
 
 # A predecessor gain whose products overflow, beside a panel at the scanned gains' limit.
