@@ -131,7 +131,7 @@ def _load_cfg(args) -> dict:
     return parse_config(apply_overrides(doc, args.overrides))
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     cfg = _load_cfg(args)
     coeffs = coeffs_from_config(cfg)
     model = build_system(SystemVariant(cfg["variant"]), cfg["m"], cfg["n"], coeffs)
@@ -151,8 +151,7 @@ def _cmd_analyze(args) -> int:
             f"observable={str(orep.observable).lower()} dim={orep.observable_dim} "
             f"unobservable_vehicles=[{ids}]"
         )
-    print("\n".join(lines))
-    return EXIT_OK
+    return lines, []
 
 
 def _parse_n_range(text: str):
@@ -164,7 +163,7 @@ def _parse_n_range(text: str):
     return [int(x) for x in text.split(",") if x]
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args):
     cfg = _load_cfg(args)
     try:
         n_list = _parse_n_range(args.n_range)
@@ -182,14 +181,14 @@ def _cmd_energy(args) -> int:
     path = write_csv_atomic(
         _outdir(args) / "energy.csv", ("n", "t", "lambda_min", "trace_inv"), rows
     )
+    lines = []
     for n, t, lam, tr in rows:
         tr_text = f"{tr:.6g}" if tr is not None else "singular"
-        print(f"n={n} t={t:g} lambda_min={lam:.6g} trace_inv={tr_text}")
-    print(f"wrote {path}")
-    return EXIT_OK
+        lines.append(f"n={n} t={t:g} lambda_min={lam:.6g} trace_inv={tr_text}")
+    return lines, [path]
 
 
-def _cmd_stability(args) -> int:
+def _cmd_stability(args):
     cfg = _load_cfg(args)
     spec = transfer_spec_from_config(cfg)
     grid = grid_from_config(cfg)
@@ -201,49 +200,39 @@ def _cmd_stability(args) -> int:
         ("omega", "mag"),
         zip(omegas.tolist(), mags.tolist()),
     )
-    print(
+    line = (
         f"string_stable={str(res.stable).lower()} peak_mag={res.peak_mag:.6g} "
         f"peak_omega={res.peak_omega:.6g} "
         f"asymptotically_stable={str(res.asymptotically_stable).lower()}"
     )
-    print(f"wrote {path}")
-    return EXIT_OK
+    return [line], [path]
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     cfg = _load_cfg(args)
     spec = transfer_spec_from_config(cfg)
     axis1, axis2 = axes_from_config(cfg)
     region = scan_region(spec, axis1, axis2, grid_from_config(cfg))
-    rows = []
-    vals1, vals2 = axis1.values(), axis2.values()
-    for i, g1 in enumerate(vals1):
-        for j, g2 in enumerate(vals2):
-            rows.append((float(g1), float(g2), region.classes[i, j]))
+    rows = zip(
+        np.repeat(axis1.values(), axis2.points).tolist(),
+        np.tile(axis2.values(), axis1.points).tolist(),
+        region.classes.ravel().tolist(),
+    )
     path = write_csv_atomic(_outdir(args) / "region.csv", ("axis1", "axis2", "class"), rows)
-    counts = {
-        code: int(np.sum(region.classes == code)) for code in ("SS", "SU", "AU")
-    }
-    print(f"cells SS={counts['SS']} SU={counts['SU']} AU={counts['AU']}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    counts = " ".join(f"{code}={np.sum(region.classes == code)}" for code in ("SS", "SU", "AU"))
+    return [f"cells {counts}"], [path]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     cfg = _load_cfg(args)
     trace = simulate(scenario_from_config(cfg))
     out = _outdir(args)
-    p1 = write_trace_csv(out / "trace.csv", trace)
-    p2 = write_events_csv(out / "events.csv", trace)
-    print(f"wrote {p1}")
-    print(f"wrote {p2}")
-    return EXIT_OK
+    paths = [write_trace_csv(out / "trace.csv", trace), write_events_csv(out / "events.csv", trace)]
+    return [], paths
 
 
-def _cmd_reproduce(args) -> int:
-    for path in run_preset(args.preset, _outdir(args)):
-        print(f"wrote {path}")
-    return EXIT_OK
+def _cmd_reproduce(args):
+    return [], run_preset(args.preset, _outdir(args))
 
 
 _COMMANDS = {
@@ -257,16 +246,27 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run ``lcc`` with ``argv`` and return its exit code.
+
+    Each command maps its arguments to ``(lines, paths)``: the summary lines it
+    reports and the files it wrote, in the order it wrote them.  Only here are
+    they printed, the lines first and then one ``wrote <path>`` line per file,
+    so nothing prints before every file is in place.  Errors, a failing print
+    among them, map to the exit codes in the module docstring.
+    """
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        lines, paths = _COMMANDS[args.command](args)
+        for line in [*lines, *(f"wrote {path}" for path in paths)]:
+            print(line)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"lcc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"lcc: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (LccError, ValueError, KeyError) as exc:
+    except (LccError, ValueError) as exc:
         print(f"lcc: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except MemoryError as exc:

@@ -10,7 +10,8 @@ it.  ``check`` holds every row to what the CLI keeps on every run:
   still empty;
 - exits 3, 4 and 5 write one line to stderr, ``lcc: ...``, and an exit 3 names
   the ``$.key`` it refuses;
-- a run that succeeds writes nothing to stderr;
+- a run that succeeds writes nothing to stderr, and prints one ``wrote <path>``
+  line for each file it leaves, and no other;
 - a run ends within ``SECONDS``.
 
 tier-1 runs each row in-process through ``lcc.cli.main``
@@ -65,6 +66,11 @@ CASES = [
     # each key's help text comes from its dataclass field
     Case("help", "--help", 0,
          stdout=r"(?m)^  driver\.alpha +OVM desired-velocity gain \(1/s\), > 0$"),
+    Case("analyze-default", "analyze -o {out}", 0,
+         stdout=r"^controllable=true dim=6 condition=0\.4025$"),
+    # the two chain lengths and the header: a range includes hi, and no more
+    Case("energy-n-range", "energy --n-range 1:2 --t 5 -o {out}", 0, lines={"energy.csv": 3}),
+    Case("stability-default", "stability -o {out}", 0, lines={"magnitude-spec.csv": 1001}),
     Case("reproduce-table1", "reproduce table1 -o {out}", 0, lines={"table1.csv": 6}),
     Case("reproduce-appendixC", "reproduce appendixC -o {out}", 0, lines={"appendixC.csv": 4}),
     Case("reproduce-fig10-fd", "reproduce fig10-fd -o {out}", 0,
@@ -259,6 +265,10 @@ CASES = [
          r"^lcc: error: simulate cannot write its output: .*{file}/x"),
     Case("output-stability-existing-file", "stability --set m=2 --set n=2 -o {file}", 4,
          r"^lcc: error: stability cannot write its output: .*{file}"),
+    Case("output-energy-existing-file", "energy --n-range 1:2 --t 5 -o {file}", 4,
+         r"^lcc: error: energy cannot write its output: .*{file}"),
+    Case("output-scan-existing-file", "scan " + _PANEL + " -o {file}", 4,
+         r"^lcc: error: scan cannot write its output: .*{file}"),
     # a fast driver overflows the t = 10 s RK4 path: one line, and no numpy warning
     Case("gramian-blows-up", "energy --set driver.alpha=1e3 --n-range 1 --t 10 -o {out}", 5,
          r"^lcc: numerical error: Gramian integration produced non-finite entries at "
@@ -285,6 +295,10 @@ def check(case: Case, run, root: Path) -> None:
     assert re.search(case.stdout, out), out
     if code == 0:
         assert err == ""
+        wrote = {(root / line[len("wrote "):]).resolve()
+                 for line in out.splitlines() if line.startswith("wrote ")}
+        left = {p.resolve() for p in root.rglob("*") if p.is_file() and p != file}
+        assert wrote == left, (wrote, left)
     else:
         assert out == "" and "Traceback" not in err, (out, err)
         assert [p.name for p in root.iterdir()] == ["a-file"] and file.stat().st_size == 0

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcc import ScenarioConfig, output, simulate
+import lcc
+from lcc import ScenarioConfig, cli, output, simulate
 from lcc.cli import main
 from lcc.output import write_text_atomic, write_trace_csv
 from lcc.presets import PRESETS
@@ -63,6 +64,27 @@ def test_console_script_is_cli_main():
     project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
     module, _, name = project["scripts"]["lcc"].partition(":")
     assert getattr(importlib.import_module(module), name) is main
+
+
+def test_version_is_the_packages_version():
+    """``lcc --version`` and the wheel's version come from two files; they agree."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"(?ms)^\[project\]$(.*?)(?=^\[|\Z)", pyproject).group(1)
+    [version] = re.findall(r'(?m)^version\s*=\s*"([^"]+)"$', project)
+    assert version == lcc.__version__
+
+
+def test_key_error_is_a_bug_not_an_exit_code(capsys, monkeypatch):
+    """``main`` maps no ``KeyError`` to an exit code: the CLI raises none by design,
+    so one is a bug and keeps its traceback."""
+
+    def broken(args):
+        raise KeyError("key")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", broken)
+    with pytest.raises(KeyError, match="key"):
+        main(["analyze"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_analyze_line(capsys):
@@ -145,8 +167,10 @@ def test_scan_command(capsys, tmp_path):
     rows = (tmp_path / "region.csv").read_text().splitlines()
     assert rows[0] == "axis1,axis2,class"
     assert len(rows) == 26
-    classes = {row.split(",")[2] for row in rows[1:]}
-    assert classes <= {"SS", "SU", "AU"}
+    classes = [row.split(",")[2] for row in rows[1:]]
+    assert set(classes) <= {"SS", "SU", "AU"}
+    counts = " ".join(f"{cls}={classes.count(cls)}" for cls in ("SS", "SU", "AU"))
+    assert out.splitlines()[0] == f"cells {counts}"
 
 
 def test_simulate_command(capsys, tmp_path):
